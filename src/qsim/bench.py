@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, GateApp, GateKind, classify_gottesman_knill
 from .errors import QsimError
 from .rng import stream
-from .statevector import RunResult
+from .result import RunResult
 from .statevector import run as run_dense
 from .stabilizer import run as run_tableau
 

@@ -44,7 +44,8 @@ from .lhv import (
     simulate_model,
     singlet_state,
 )
-from .statevector import BlochAxis, RunResult
+from .result import RunResult
+from .statevector import BlochAxis
 
 _STATES = {
     "singlet": (singlet_state, 2),

@@ -329,8 +329,6 @@ class _CellLayout:
         return self.out_base[p] + (a << self.inbits[p]) + rec
 
     def msg_cell(self, k: int, a: int, rec: int) -> int:
-        snd = self.topology.messages[k][0]
-        del snd
         return self.msg_base[k] + (a << self.pre[k]) + rec
 
     def bitpos(self, cell: int) -> int:

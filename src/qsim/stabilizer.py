@@ -47,7 +47,8 @@ from .circuit import (
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
 from .rng import RNG_ID, shot_uniforms
-from .statevector import PureState, RunResult, _counts_from_bits
+from .result import RunResult, histogram
+from .statevector import PureState
 
 _ONE = np.uint64(1)
 
@@ -113,19 +114,21 @@ def _gate_r(t: Tableau, q: int) -> None:
     t.z[:, w] ^= t.x[:, w] & (_ONE << b)
 
 
-def _gate_x(t: Tableau, q: int) -> None:
+_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+
+
+def _pauli_flips(t: Tableau, kind: GateKind, q: int) -> np.ndarray:
+    """The rows whose sign an X, Y or Z on q flips: those anticommuting with it.
+
+    A Pauli gate changes nothing else, so applying it to some shots of a
+    batch is a sign flip on their columns alone.
+    """
     w, b = q >> 6, np.uint64(q & 63)
-    t.r ^= _bitcol(t.z, w, b)[:, None]
-
-
-def _gate_y(t: Tableau, q: int) -> None:
-    w, b = q >> 6, np.uint64(q & 63)
-    t.r ^= (_bitcol(t.x, w, b) ^ _bitcol(t.z, w, b))[:, None]
-
-
-def _gate_z(t: Tableau, q: int) -> None:
-    w, b = q >> 6, np.uint64(q & 63)
-    t.r ^= _bitcol(t.x, w, b)[:, None]
+    if kind is GateKind.X:
+        return _bitcol(t.z, w, b)
+    if kind is GateKind.Z:
+        return _bitcol(t.x, w, b)
+    return _bitcol(t.x, w, b) ^ _bitcol(t.z, w, b)
 
 
 def _gate_cnot(t: Tableau, control: int, target: int) -> None:
@@ -147,12 +150,8 @@ def _apply_kind(t: Tableau, kind: GateKind, targets: tuple[int, ...]) -> None:
         _gate_h(t, targets[0])
     elif kind is GateKind.R:
         _gate_r(t, targets[0])
-    elif kind is GateKind.X:
-        _gate_x(t, targets[0])
-    elif kind is GateKind.Y:
-        _gate_y(t, targets[0])
-    elif kind is GateKind.Z:
-        _gate_z(t, targets[0])
+    elif kind in _PAULIS:
+        t.r ^= _pauli_flips(t, kind, targets[0])[:, None]
     elif kind is GateKind.CNOT:
         _gate_cnot(t, targets[0], targets[1])
     else:
@@ -317,11 +316,12 @@ def measure_pauli(
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions of a Clifford/measurement circuit.
 
-    The batch shares one structural tableau; classically conditioned
-    gates split the batch into groups by condition-bit value, since
-    shots that took different branches may no longer share structure.
-    Shot ``i`` draws from its own Philox counter block exactly as in the
-    dense backend.
+    The batch shares one structural tableau.  A classically conditioned
+    X, Y or Z flips the signs of the shots whose condition bit is set and
+    keeps the batch whole; a conditioned H, R or CNOT splits it into
+    groups by condition-bit value, since shots that took different
+    branches no longer share structure.  Shot ``i`` draws from its own
+    Philox counter block exactly as in the dense backend.
     """
     rep = classify_gottesman_knill(circuit)
     if not rep.is_gk:
@@ -344,45 +344,44 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     ]
     mi = 0
     for op in circuit.ops:
-        if isinstance(op, GateApp):
-            if op.condition is None:
-                for t, _, _ in groups:
-                    _apply_kind(t, op.kind, op.targets)
-            else:
-                split: list[tuple[Tableau, np.ndarray, np.ndarray]] = []
-                for t, cb, idx in groups:
-                    mask = cb[:, op.condition] == 1
-                    if mask.all():
-                        _apply_kind(t, op.kind, op.targets)
-                        split.append((t, cb, idx))
-                    elif not mask.any():
-                        split.append((t, cb, idx))
-                    else:
-                        hot = t.select(mask)
-                        _apply_kind(hot, op.kind, op.targets)
-                        split.append((hot, cb[mask], idx[mask]))
-                        split.append((t.select(~mask), cb[~mask], idx[~mask]))
-                groups = split
-        else:  # Measure — oracles cannot reach here (classifier gate)
+        if isinstance(op, Measure):  # oracles cannot reach here (classifier gate)
             for t, cb, idx in groups:
                 bits, _ = _measure_axis(t, op.qubit, op.axis, uniforms[idx, mi], None)
                 cb[:, op.dest] = bits
             mi += 1
+        elif op.condition is None:
+            for t, _, _ in groups:
+                _apply_kind(t, op.kind, op.targets)
+        elif op.kind in _PAULIS:
+            for t, cb, _ in groups:
+                mask = cb[:, op.condition] == 1
+                t.r[:, mask] ^= _pauli_flips(t, op.kind, op.targets[0])[:, None]
+        else:
+            split: list[tuple[Tableau, np.ndarray, np.ndarray]] = []
+            for t, cb, idx in groups:
+                mask = cb[:, op.condition] == 1
+                if mask.all():
+                    _apply_kind(t, op.kind, op.targets)
+                    split.append((t, cb, idx))
+                elif not mask.any():
+                    split.append((t, cb, idx))
+                else:
+                    hot = t.select(mask)
+                    _apply_kind(hot, op.kind, op.targets)
+                    split.append((hot, cb[mask], idx[mask]))
+                    split.append((t.select(~mask), cb[~mask], idx[~mask]))
+            groups = split
 
-    from collections import Counter
-
-    counter: Counter = Counter()
     final: Tableau | None = None
-    for t, cb, idx in groups:
-        _counts_from_bits(cb, counter)
-        if keep_final_state and (idx == shots - 1).any():
-            final = t.select(idx == shots - 1)
+    if keep_final_state:
+        t, _, idx = next(g for g in groups if g[2][-1] == shots - 1)
+        final = t.select(idx == shots - 1)
     return RunResult(
         backend="stab",
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=dict(sorted(counter.items())),
+        counts=histogram((cb, np.ones(len(cb), dtype=np.int64)) for _, cb, _ in groups),
         final_state=final,
     )
 

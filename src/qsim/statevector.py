@@ -16,17 +16,18 @@ amplitude dust below 1e-12.  (Computing ``p_plus`` from the expectation
 rather than a projected norm lets symmetric cases like ``<Z> = 0``
 cancel exactly in floating point.)
 
-``run`` samples whole circuits.  Shot ``i`` draws its measurement
-randomness from the Philox counter block reserved for shot ``i`` (see
-:mod:`qsim.rng`), so results are reproducible bit for bit regardless of
-batching.  Histogram keys are classical-bit strings, bit 0 first, with
-``0`` recording the +1 outcome.
+``run`` samples whole circuits.  It evolves one amplitude row per
+distinct classical history rather than one per shot: shots share a row
+until a measurement gives them different outcomes.  Shot ``i`` draws its
+measurement randomness from the Philox counter block reserved for shot
+``i`` (see :mod:`qsim.rng`), so results are reproducible bit for bit
+regardless of how shots are grouped or chunked.  Histogram keys are
+classical-bit strings, bit 0 first, with ``0`` recording the +1 outcome.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -45,6 +46,7 @@ from .circuit import (
     validate,
 )
 from .errors import DegenerateNorm, TooManyQubits
+from .result import RunResult, histogram
 from .rng import RNG_ID, shot_uniforms
 
 MAX_QUBITS = 24
@@ -93,20 +95,6 @@ class MeasureOutcome:
     outcome: int  # +1 or -1
     p_plus: float
     state: PureState
-
-
-@dataclass(frozen=True)
-class RunResult:
-    backend: str
-    shots: int
-    seed: int
-    rng_id: str
-    counts: dict[str, int]
-    final_state: object | None = None
-
-    @property
-    def final_state_available(self) -> bool:
-        return self.final_state is not None
 
 
 def init_state(n: int, bits: str | None = None) -> PureState:
@@ -360,21 +348,17 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> 
 # Whole-circuit sampling
 
 
-def _counts_from_bits(cbits: np.ndarray, counter: Counter) -> None:
-    if cbits.shape[1] == 0:
-        counter[""] += cbits.shape[0]
-        return
-    chars = (cbits + ord("0")).astype(np.uint8)
-    for row in chars:
-        counter[row.tobytes().decode("ascii")] += 1
-
-
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions; returns the classical-bit histogram.
 
-    Shots are executed in vectorized batches, each shot drawing its
-    measurement randomness from its own counter block, so the result is
-    identical to running the shots one at a time.
+    Shots only diverge at measurements, so each row of the amplitude
+    array is one distinct classical history and ``group[i]`` is the row
+    shot ``i`` is in.  A measurement computes ``p_plus`` once per row,
+    compares every shot's own uniform against its row's value, and
+    splits a row only when its shots disagree.  Shot ``i`` still draws
+    from its own counter block, so the result is identical to running
+    the shots one at a time, whatever the grouping or chunking.
+    ``keep_final_state`` returns the state of shot ``shots - 1``.
     """
     bad = validate(circuit)
     if bad:
@@ -387,17 +371,16 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
     uniforms = shot_uniforms(seed, shots, n_meas)
-    batch_cap = max(1, _BATCH_BYTES // (16 << n))
-    counter: Counter = Counter()
+    chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     final_state: PureState | None = None
 
-    done = 0
-    while done < shots:
-        b = min(batch_cap, shots - done)
-        amps = np.zeros((b, 1 << n), dtype=np.complex128)
-        amps[:, 0] = 1.0
-        cbits = np.zeros((b, circuit.n_cbits), dtype=np.uint8)
-        u = uniforms[done : done + b]
+    for start in range(0, shots, chunk):
+        u = uniforms[start : start + chunk]
+        group = np.zeros(len(u), dtype=np.intp)
+        amps = np.zeros((1, 1 << n), dtype=np.complex128)
+        amps[0, 0] = 1.0
+        cbits = np.zeros((1, circuit.n_cbits), dtype=np.uint8)
         m = 0
         for op in circuit.ops:
             if isinstance(op, GateApp):
@@ -417,23 +400,27 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
                 obs = _observable(op.axis)
                 e = _expectation(amps, n, op.qubit, obs)
                 p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
-                outcome = np.where(u[:, m] < p_plus, 1, -1)
+                minus = u[:, m] >= p_plus[group]
                 m += 1
-                p = np.where(outcome == 1, p_plus, 1.0 - p_plus)
+                keys, group = np.unique(2 * group + minus, return_inverse=True)
+                rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
+                if len(keys) > len(amps):  # some row split: one row per new history
+                    amps = amps[rows]
+                    cbits = cbits[rows]
+                p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
                 if (p < _DUST).any():
                     raise DegenerateNorm("collapse onto a zero-weight branch")
-                _collapse(amps, n, op.qubit, obs, outcome, p)
-                cbits[:, op.dest] = (1 - outcome) // 2
-        _counts_from_bits(cbits, counter)
+                _collapse(amps, n, op.qubit, obs, 1.0 - 2.0 * bit, p)
+                cbits[:, op.dest] = bit
+        parts.append((cbits, np.bincount(group, minlength=len(cbits))))
         if keep_final_state:
-            final_state = PureState(n, amps[-1].copy())
-        done += b
+            final_state = PureState(n, amps[group[-1]].copy())
 
     return RunResult(
         backend="sv",
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=dict(sorted(counter.items())),
+        counts=histogram(parts),
         final_state=final_state,
     )

@@ -255,3 +255,37 @@ def test_mixed_branch_groups_preserve_shot_identity():
     res = run(Circuit(2, 2, ops), 5000, seed=77)
     for key in res.counts:
         assert key[0] == key[1]
+
+
+def test_conditioned_paulis_flip_signs_without_splitting(monkeypatch):
+    # syndrome-style rounds on GHZ-4: each X measurement is a fair coin,
+    # and its bit conditions X, Y and Z corrections
+    ops = list(ghz(4).ops)
+    for r, (a, b) in enumerate([(0, 1), (2, 3), (1, 2)]):
+        ops += [
+            Measure(a, PauliAxis.X, r),
+            GateApp(GateKind.X, (a,), condition=r),
+            GateApp(GateKind.Z, (b,), condition=r),
+            GateApp(GateKind.Y, (b,), condition=r),
+        ]
+    ops += [Measure(q, PauliAxis.Z, 3 + q) for q in range(4)]
+    c = Circuit(4, 7, tuple(ops))
+
+    copies = []
+    select = Tableau.select
+
+    def counting_select(t, mask):
+        copies.append(1)
+        return select(t, mask)
+
+    monkeypatch.setattr(Tableau, "select", counting_select)
+    res = run(c, 2000, seed=31)
+    assert copies == []
+    assert res.counts == run_dense(c, 2000, seed=31).counts
+    assert len({key[:3] for key in res.counts}) == 8
+
+    # a conditioned H still splits the batch
+    split = Circuit(2, 1, (GateApp(GateKind.H, (0,)), Measure(0, PauliAxis.Z, 0),
+                           GateApp(GateKind.H, (1,), condition=0)))
+    run(split, 64, seed=1)
+    assert copies == [1, 1]

@@ -1,10 +1,15 @@
 """Dense backend: kernels against a kron-product oracle, measurement
-statistics against analytic values, and the batched sampler."""
+statistics against analytic values, and the grouped sampler against a
+shot-by-shot replay."""
 
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim import statevector as sv
 from qsim.circuit import (
@@ -21,7 +26,7 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, TooManyQubits
-from qsim.rng import stream
+from qsim.rng import shot_uniforms, stream
 from qsim.statevector import (
     BlochAxis,
     MeasurementSpec,
@@ -294,6 +299,25 @@ def test_keep_final_state():
     assert not run(c, 10, seed=0).final_state_available
 
 
+def test_keep_final_state_after_measurements():
+    c = Circuit(
+        3,
+        2,
+        (
+            GateApp(GateKind.H, (0,)),
+            GateApp(GateKind.CNOT, (0, 1)),
+            GateApp(GateKind.H, (2,)),
+            Measure(0, PauliAxis.X, 0),
+            GateApp(GateKind.Z, (1,), condition=0),
+            Measure(2, PauliAxis.Z, 1),
+            GateApp(GateKind.S, (1,), condition=1),
+        ),
+    )
+    res = run(c, 37, seed=4, keep_final_state=True)
+    _, last = replay_shots(c, 37, seed=4)
+    assert np.array_equal(res.final_state.amps, last)
+
+
 def test_empirical_frequencies_track_probabilities():
     ops = (GateApp(GateKind.H, (0,)), Measure(0, PauliAxis.Z, 0))
     res = run(Circuit(1, 1, ops), 100_000, seed=42)
@@ -318,3 +342,94 @@ def test_collapse_renormalizes():
     state = evolve(ghz(3))
     out = measure(state, MeasurementSpec(1, PauliAxis.X), rng)
     assert np.linalg.norm(out.state.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Grouped sampling against a shot-by-shot replay
+
+
+def replay_shots(circuit: Circuit, shots: int, seed: int) -> tuple[dict[str, int], np.ndarray]:
+    """Run every shot on its own vector with the kernels ``run`` uses;
+    returns the histogram and the final amplitudes of the last shot."""
+    n = circuit.n_qubits
+    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    u = shot_uniforms(seed, shots, n_meas)
+    counts: Counter = Counter()
+    for i in range(shots):
+        amps = init_state(n).amps.copy()
+        bits = [0] * circuit.n_cbits
+        m = 0
+        for op in circuit.ops:
+            if isinstance(op, OracleApp):
+                sv._apply_oracle(amps, n, op)
+            elif isinstance(op, GateApp):
+                if op.condition is None or bits[op.condition]:
+                    sv._apply_gate(amps, n, op)
+            else:
+                obs = sv._observable(op.axis)
+                e = float(sv._expectation(amps, n, op.qubit, obs))
+                p_plus = min(max(0.5 * (1.0 + e), 0.0), 1.0)
+                outcome = 1 if u[i, m] < p_plus else -1
+                m += 1
+                p = p_plus if outcome == 1 else 1.0 - p_plus
+                if p < sv._DUST:
+                    raise DegenerateNorm("collapse onto a zero-weight branch")
+                sv._collapse(amps, n, op.qubit, obs, outcome, p)
+                bits[op.dest] = (1 - outcome) // 2
+        counts["".join(map(str, bits))] += 1
+    return dict(sorted(counts.items())), amps
+
+
+_KINDS = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.R, GateKind.H, GateKind.S]
+
+
+@st.composite
+def feedback_circuits(draw):
+    """Circuits of up to 6 qubits mixing gates, CNOTs, oracles, X/Y/Z
+    measurements and gates conditioned on bits already measured."""
+    n = draw(st.integers(1, 6))
+    n_cbits = draw(st.integers(1, 3))
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(1, 16))):
+        roll = draw(st.integers(0, 5))
+        if roll == 0:
+            dest = draw(st.integers(0, n_cbits - 1))
+            ops.append(Measure(draw(st.integers(0, n - 1)), draw(st.sampled_from(PauliAxis)), dest))
+            written.append(dest)
+        elif roll == 1 and n >= 2:
+            q = draw(st.permutations(range(n)))
+            arity = draw(st.integers(1, min(2, n - 1)))
+            table = draw(st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity))
+            ops.append(OracleApp(BooleanFunction(arity, tuple(table)), tuple(q[:arity]), q[arity]))
+        elif roll == 2 and n >= 2:
+            q = draw(st.permutations(range(n)))
+            cond = draw(st.sampled_from(written)) if written and draw(st.booleans()) else None
+            ops.append(GateApp(GateKind.CNOT, (q[0], q[1]), condition=cond))
+        else:
+            cond = draw(st.sampled_from(written)) if written and roll >= 4 else None
+            ops.append(GateApp(draw(st.sampled_from(_KINDS)), (draw(st.integers(0, n - 1)),),
+                               condition=cond))
+    return Circuit(n, n_cbits, tuple(ops))
+
+
+def _counts_or_error(fn):
+    try:
+        return fn()
+    except DegenerateNorm:
+        return DegenerateNorm
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    circuit=feedback_circuits(),
+    shots=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 120),
+)
+def test_grouped_run_matches_shot_by_shot_replay(circuit, shots, seed, chunk):
+    n = circuit.n_qubits
+    with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << n)):
+        got = _counts_or_error(lambda: run(circuit, shots, seed).counts)
+    want = _counts_or_error(lambda: replay_shots(circuit, shots, seed)[0])
+    assert got == want
