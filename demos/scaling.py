@@ -1,7 +1,7 @@
 """Why two backends: the cost split on random Clifford circuits.
 
 The dense backend touches 2^n amplitudes per gate, so time roughly
-doubles per added qubit.  The tableau backend updates 2n+1 packed
+doubles per added qubit.  The tableau backend updates 2n packed
 binary rows, polynomial in n — hundreds of qubits stay cheap.
 """
 

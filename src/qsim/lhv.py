@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .circuit import PauliAxis, ghz, gk_entangler
 from .errors import QsimError, TooManyStrategies, UnknownProfile
@@ -658,6 +656,11 @@ def find_local_model(
     tables before solving (default off, keeping LP columns aligned with
     the enumeration order).
     """
+    # scipy is imported here, not at module level: it is only needed by
+    # the LP, and importing it costs every other command ~0.6 s.
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
+
     alphabets = target.alphabets
     sizes = tuple(len(a) for a in alphabets)
     layout = _CellLayout(target.parties, sizes, topology)
@@ -735,6 +738,9 @@ def find_local_model(
 def _separating_inequality(cols: np.ndarray, t: np.ndarray, n_rows: int) -> Infeasible:
     """Best-margin hyperplane with coefficients in [-1, 1] separating
     the target from every strategy column."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
+
     n_profiles, n_cols = cols.shape
     # variables: y (n_rows) then c; maximize c - y.t
     obj = np.append(t, -1.0)

@@ -6,26 +6,31 @@ polynomial time and memory regardless of qubit count.  Anything outside
 that fragment (the S gate, oracles) raises :class:`NonClifford`.
 
 Representation: the binary symplectic tableau. Rows 0..n-1 are
-destabilizer generators, rows n..2n-1 stabilizer generators, row 2n is
-scratch.  Row ``i`` encodes a signed Pauli string: ``x``/``z`` hold its
-X and Z bit vectors packed 64 qubits per ``uint64`` word (qubit q lives
-in word ``q >> 6`` at bit ``q & 63``), and ``r[i]`` holds the sign bit
-(1 means the string carries a leading minus; signs are always real —
-that is the tableau invariant that makes measurement dichotomic).
+destabilizer generators, rows n..2n-1 stabilizer generators.  Row ``i``
+encodes a signed Pauli string: ``x``/``z`` hold its X and Z bit vectors
+packed 64 qubits per ``uint64`` word (qubit q lives in word ``q >> 6``
+at bit ``q & 63``), and ``r[i]`` holds the sign bit (1 means the string
+carries a leading minus; signs are always real — that is the tableau
+invariant that makes measurement dichotomic).
 
-Phases live in a ``(2n+1, batch)`` matrix so a multi-shot run shares
-one structural tableau: gates and measurements update the x/z words
-once and the per-shot sign bits as a vectorized column operation.  A
-single logical tableau is just ``batch == 1``.
+Phases live in a ``(2n, batch)`` matrix so a multi-shot run shares one
+structural tableau: gates and measurements update the x/z words once
+and the per-shot sign bits as a vectorized column operation.  A sign
+update touches only the rows it flips (:func:`_flip`), never the whole
+matrix.  A single logical tableau is just ``batch == 1``.
 
 Gate conjugation is O(n) word operations per gate; a measurement is
 O(n^2) bit operations worst case.  Measurement of a Pauli that
 anticommutes with some stabilizer row is a fair coin (``p_plus`` is
 exactly 0.5); otherwise the outcome is determined (``p_plus`` is
-exactly 0 or 1) and is recovered by accumulating the stabilizer rows
-flagged by the destabilizers.  X-basis measurements conjugate through
-H.  Y-basis measurements conjugate through U = H o R-adjoint, the
-Clifford taking Y to Z:  (H R†) Y (H R†)† = H (R† Y R) H = H X H = Z.
+exactly 0 or 1) and is the sign of the product of the stabilizer rows
+flagged by the destabilizers.  Those rows commute, so the product's
+phase is a sum of per-row terms, each taken against the exclusive
+prefix-XOR of the rows before it: one ``bitwise_xor.accumulate`` and
+one vectorized phase sum, with no per-row loop.  X-basis measurements
+conjugate through H.  Y-basis measurements conjugate through
+U = H o R-adjoint, the Clifford taking Y to Z:
+(H R†) Y (H R†)† = H (R† Y R) H = H X H = Z.
 """
 
 from __future__ import annotations
@@ -56,9 +61,9 @@ _ONE = np.uint64(1)
 @dataclass
 class Tableau:
     n: int
-    x: np.ndarray  # (2n+1, W) uint64
-    z: np.ndarray  # (2n+1, W) uint64
-    r: np.ndarray  # (2n+1, batch) uint8
+    x: np.ndarray  # (2n, W) uint64
+    z: np.ndarray  # (2n, W) uint64
+    r: np.ndarray  # (2n, batch) uint8
 
     @property
     def batch(self) -> int:
@@ -83,12 +88,12 @@ def init_tableau(n: int, batch: int = 1) -> Tableau:
     if batch < 1:
         raise ValueError("batch must be positive")
     words = (n + 63) >> 6
-    x = np.zeros((2 * n + 1, words), dtype=np.uint64)
-    z = np.zeros((2 * n + 1, words), dtype=np.uint64)
+    x = np.zeros((2 * n, words), dtype=np.uint64)
+    z = np.zeros((2 * n, words), dtype=np.uint64)
     rows = np.arange(n)
     x[rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
     z[n + rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
-    r = np.zeros((2 * n + 1, batch), dtype=np.uint8)
+    r = np.zeros((2 * n, batch), dtype=np.uint8)
     return Tableau(n, x, z, r)
 
 
@@ -100,9 +105,16 @@ def _bitcol(arr: np.ndarray, w: int, b: np.uint64) -> np.ndarray:
     return ((arr[:, w] >> b) & _ONE).astype(np.uint8)
 
 
+def _flip(t: Tableau, rows: np.ndarray, cols: np.ndarray | None = None) -> None:
+    """Flip the sign of every row flagged in ``rows``: in every shot, or
+    only in the shots whose entry of the uint8 ``cols`` is 1."""
+    hit = np.flatnonzero(rows)
+    t.r[hit] ^= 1 if cols is None else cols
+
+
 def _gate_h(t: Tableau, q: int) -> None:
     w, b = q >> 6, np.uint64(q & 63)
-    t.r ^= (_bitcol(t.x, w, b) & _bitcol(t.z, w, b))[:, None]
+    _flip(t, _bitcol(t.x, w, b) & _bitcol(t.z, w, b))
     diff = (t.x[:, w] ^ t.z[:, w]) & (_ONE << b)
     t.x[:, w] ^= diff
     t.z[:, w] ^= diff
@@ -110,7 +122,7 @@ def _gate_h(t: Tableau, q: int) -> None:
 
 def _gate_r(t: Tableau, q: int) -> None:
     w, b = q >> 6, np.uint64(q & 63)
-    t.r ^= (_bitcol(t.x, w, b) & _bitcol(t.z, w, b))[:, None]
+    _flip(t, _bitcol(t.x, w, b) & _bitcol(t.z, w, b))
     t.z[:, w] ^= t.x[:, w] & (_ONE << b)
 
 
@@ -138,7 +150,7 @@ def _gate_cnot(t: Tableau, control: int, target: int) -> None:
     zc = _bitcol(t.z, wc, bc)
     xt = _bitcol(t.x, wt, bt)
     zt = _bitcol(t.z, wt, bt)
-    t.r ^= (xc & zt & (xt ^ zc ^ 1))[:, None]
+    _flip(t, xc & zt & (xt ^ zc ^ 1))
     t.x[:, wt] ^= xc.astype(np.uint64) << bt
     t.z[:, wc] ^= zt.astype(np.uint64) << bc
 
@@ -151,7 +163,7 @@ def _apply_kind(t: Tableau, kind: GateKind, targets: tuple[int, ...]) -> None:
     elif kind is GateKind.R:
         _gate_r(t, targets[0])
     elif kind in _PAULIS:
-        t.r ^= _pauli_flips(t, kind, targets[0])[:, None]
+        _flip(t, _pauli_flips(t, kind, targets[0]))
     elif kind is GateKind.CNOT:
         _gate_cnot(t, targets[0], targets[1])
     else:
@@ -193,21 +205,19 @@ def _g_sum(x1, z1, x2, z2) -> np.ndarray:
 
 
 def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
-    """row_h <- row_p * row_h for every h in ``rows`` (vectorized)."""
+    """row_h <- row_p * row_h for every h in ``rows`` (vectorized).
+
+    The new sign is ``(2 r_h + 2 r_p + g) % 4 == 2``: ``r_h ^ r_p``,
+    flipped where ``g % 4 == 2``, and 0 where ``g`` is odd (an
+    imaginary product, which only destabilizer rows can take).
+    """
     g = _g_sum(t.x[p], t.z[p], t.x[rows], t.z[rows])  # (k,)
-    total = 2 * t.r[rows].astype(np.int64) + 2 * t.r[p].astype(np.int64)[None, :] + g[:, None]
-    t.r[rows] = ((total % 4) == 2).astype(np.uint8)
+    signs = t.r[rows] ^ t.r[p]
+    signs ^= ((g & 3) == 2)[:, None]
+    signs[(g & 1) == 1] = 0
+    t.r[rows] = signs
     t.x[rows] ^= t.x[p]
     t.z[rows] ^= t.z[p]
-
-
-def _rowsum_into(t: Tableau, h: int, i: int) -> None:
-    """row_h <- row_i * row_h (scratch accumulation)."""
-    g = int(_g_sum(t.x[i], t.z[i], t.x[h], t.z[h]))
-    total = 2 * t.r[h].astype(np.int64) + 2 * t.r[i].astype(np.int64) + g
-    t.r[h] = ((total % 4) == 2).astype(np.uint8)
-    t.x[h] ^= t.x[i]
-    t.z[h] ^= t.z[i]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +233,7 @@ def _measure_z(t: Tableau, q: int, u: np.ndarray | None, force_bit: int | None):
     """
     n = t.n
     w, b = q >> 6, np.uint64(q & 63)
-    xcol = ((t.x[: 2 * n, w] >> b) & _ONE).astype(bool)
+    xcol = ((t.x[:, w] >> b) & _ONE).astype(bool)
     anti = np.flatnonzero(xcol[n:])
     if anti.size:
         # Some stabilizer anticommutes with Z_q: a fair coin.
@@ -244,14 +254,17 @@ def _measure_z(t: Tableau, q: int, u: np.ndarray | None, force_bit: int | None):
             bits = np.full(t.batch, force_bit, dtype=np.uint8)
         t.r[p] = bits
         return bits, np.full(t.batch, 0.5)
-    # Determined: accumulate the stabilizer rows the destabilizers flag.
-    s = 2 * n
-    t.x[s] = 0
-    t.z[s] = 0
-    t.r[s] = 0
-    for i in np.flatnonzero(xcol[:n]):
-        _rowsum_into(t, s, n + int(i))
-    bits = t.r[s].copy()
+    # Determined: the sign of the product of the stabilizer rows the
+    # destabilizers flag.  Row k multiplies onto the product of the rows
+    # before it, whose x/z words are their exclusive prefix-XOR.  The rows
+    # commute, so every step's exponent g is even and the steps add up:
+    # the sign is the parity of the rows' signs, flipped when sum(g) % 4 == 2.
+    rows = n + np.flatnonzero(xcol[:n])
+    xs, zs = t.x[rows], t.z[rows]
+    px = np.bitwise_xor.accumulate(xs, axis=0) ^ xs
+    pz = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
+    g = int(_g_sum(xs, zs, px, pz).sum())
+    bits = np.bitwise_xor.reduce(t.r[rows], axis=0) ^ np.uint8((g & 3) == 2)
     return bits, (bits == 0).astype(np.float64)
 
 
@@ -313,6 +326,43 @@ def measure_pauli(
 # Whole-circuit sampling
 
 
+# A group of shots sharing one structural tableau: the tableau (one sign
+# column per shot), the shots' classical bits, and their shot indices.
+_Group = tuple[Tableau, np.ndarray, np.ndarray]
+
+
+def _step(groups: list[_Group], op: CircuitOp, u: np.ndarray | None) -> list[_Group]:
+    """Apply one op to every group, conditioned ops as :func:`run`
+    describes; returns the groups after it.  ``u`` holds every shot's
+    uniform for a measurement and is None for a gate."""
+    if isinstance(op, Measure):  # oracles cannot reach here (classifier gate)
+        for t, cb, idx in groups:
+            cb[:, op.dest], _ = _measure_axis(t, op.qubit, op.axis, u[idx], None)
+        return groups
+    if op.condition is None:
+        for t, _, _ in groups:
+            _apply_kind(t, op.kind, op.targets)
+        return groups
+    if op.kind in _PAULIS:
+        for t, cb, _ in groups:
+            _flip(t, _pauli_flips(t, op.kind, op.targets[0]), cb[:, op.condition])
+        return groups
+    split: list[_Group] = []
+    for t, cb, idx in groups:
+        mask = cb[:, op.condition] == 1
+        if mask.all():
+            _apply_kind(t, op.kind, op.targets)
+            split.append((t, cb, idx))
+        elif not mask.any():
+            split.append((t, cb, idx))
+        else:
+            hot = t.select(mask)
+            _apply_kind(hot, op.kind, op.targets)
+            split.append((hot, cb[mask], idx[mask]))
+            split.append((t.select(~mask), cb[~mask], idx[~mask]))
+    return split
+
+
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions of a Clifford/measurement circuit.
 
@@ -339,38 +389,16 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
     uniforms = shot_uniforms(seed, shots, n_meas)
 
-    groups: list[tuple[Tableau, np.ndarray, np.ndarray]] = [
+    groups: list[_Group] = [
         (init_tableau(n, shots), np.zeros((shots, m), dtype=np.uint8), np.arange(shots))
     ]
     mi = 0
     for op in circuit.ops:
-        if isinstance(op, Measure):  # oracles cannot reach here (classifier gate)
-            for t, cb, idx in groups:
-                bits, _ = _measure_axis(t, op.qubit, op.axis, uniforms[idx, mi], None)
-                cb[:, op.dest] = bits
+        u = None
+        if isinstance(op, Measure):
+            u = uniforms[:, mi]
             mi += 1
-        elif op.condition is None:
-            for t, _, _ in groups:
-                _apply_kind(t, op.kind, op.targets)
-        elif op.kind in _PAULIS:
-            for t, cb, _ in groups:
-                mask = cb[:, op.condition] == 1
-                t.r[:, mask] ^= _pauli_flips(t, op.kind, op.targets[0])[:, None]
-        else:
-            split: list[tuple[Tableau, np.ndarray, np.ndarray]] = []
-            for t, cb, idx in groups:
-                mask = cb[:, op.condition] == 1
-                if mask.all():
-                    _apply_kind(t, op.kind, op.targets)
-                    split.append((t, cb, idx))
-                elif not mask.any():
-                    split.append((t, cb, idx))
-                else:
-                    hot = t.select(mask)
-                    _apply_kind(hot, op.kind, op.targets)
-                    split.append((hot, cb[mask], idx[mask]))
-                    split.append((t.select(~mask), cb[~mask], idx[~mask]))
-            groups = split
+        groups = _step(groups, op, u)
 
     final: Tableau | None = None
     if keep_final_state:

@@ -3,11 +3,15 @@ command-line entry point (exercised in-process via cli_dispatch)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsim
 from qsim.bench import (
     BenchReport,
     BenchRow,
@@ -391,3 +395,14 @@ def test_cli_lhv_simulate_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text('{"weights": [1.0]}')
     assert cli_dispatch(["lhv", "simulate", "--model", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_import_cli_does_not_load_scipy_optimize():
+    # scipy is only needed by the LP in the locality lab; every other
+    # command must start without paying for it
+    src = str(Path(qsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qsim.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
