@@ -11,7 +11,8 @@ experiment:
   strategies whose parties may exchange a fixed number of one-bit
   messages (:class:`LocalModel`), searched for by linear programming
   (:func:`find_local_model`) and executed shot-by-shot
-  (:func:`simulate_model`).
+  (:func:`simulate_model`).  The LP has one column per distinct table
+  the strategies induce, represented by its lowest-numbered strategy.
 
 Conventions used throughout: a party's outcome is +1 or -1; outcome
 tuples are indexed with party 0 as the most significant bit and bit
@@ -48,6 +49,8 @@ PAULI_ALPHABET: tuple[PauliAxis, ...] = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 _MAX_PROFILES = 4096
 _MAX_STRATEGIES = 1_000_000
 _SNAP_DENOMINATOR = 4096
+# entries below this keep fraction-free products inside int64
+_EXACT_INT64_LIMIT = 1 << 31
 
 
 def outcome_index(outcomes: tuple[int, ...]) -> int:
@@ -542,35 +545,39 @@ class Infeasible:
     violation: float
 
 
-def _outcome_rows(layout: _CellLayout, alphabets) -> np.ndarray:
-    """Row index of each (profile, strategy) pair's point outcome.
+def _outcome_rows(layout: _CellLayout) -> np.ndarray:
+    """Outcome index of every (strategy, profile) pair.
 
-    Shape (n_profiles, n_strategies); entry = profile_index * 2**parties
-    + outcome_index.  Message and output bits are read straight out of
-    the strategy number, vectorized over all strategies at once.
+    Shape (n_strategies, n_profiles), C-contiguous, in the narrowest
+    unsigned dtype that holds an outcome index (uint8 up to eight
+    parties), so a strategy's row is its whole table.  The strategy
+    axis is reshaped to one length-2 axis per cell (cell 0 the most
+    significant bit of the strategy number), so each party's answer is
+    computed over the few cells it reads and broadcast only when the
+    parties' answers are packed into the outcome index.
     """
-    parties = layout.parties
-    s = np.arange(layout.count, dtype=np.int64)
-    profiles = list(itertools.product(*(range(len(a)) for a in alphabets)))
-    rows = np.empty((len(profiles), layout.count), dtype=np.int64)
+    parties, n_cells = layout.parties, layout.n_cells
+    dtype = np.min_scalar_type((1 << parties) - 1)
+    profiles = list(itertools.product(*(range(m) for m in layout.sizes)))
+    rows = np.empty((layout.count, len(profiles)), dtype=dtype)
+    grid = rows.reshape((2,) * n_cells + (len(profiles),))
+
+    def cell(c: int) -> np.ndarray:
+        shape = [1] * n_cells
+        shape[c] = 2
+        return np.arange(2, dtype=dtype).reshape(shape)
+
     for i, idx in enumerate(profiles):
-        rec = [np.zeros(layout.count, dtype=np.int64) for _ in range(parties)]
+        rec = [np.zeros((1,) * n_cells, dtype=dtype) for _ in range(parties)]
         for k, (snd, rcv) in enumerate(layout.topology.messages):
-            shifts = np.array(
-                [layout.bitpos(layout.msg_cell(k, idx[snd], r)) for r in range(1 << layout.pre[k])],
-                dtype=np.int64,
-            )
-            bit = (s >> shifts[rec[snd]]) & 1
-            rec[rcv] |= bit << layout.arrival[k]
-        out = np.zeros(layout.count, dtype=np.int64)
+            bits = [cell(layout.msg_cell(k, idx[snd], r)) for r in range(1 << layout.pre[k])]
+            rec[rcv] = rec[rcv] | (np.choose(rec[snd], bits) << layout.arrival[k])
+        out = np.zeros((1,) * n_cells, dtype=dtype)
         for p in range(parties):
-            shifts = np.array(
-                [layout.bitpos(layout.out_cell(p, idx[p], r)) for r in range(1 << layout.inbits[p])],
-                dtype=np.int64,
-            )
-            bit = (s >> shifts[rec[p]]) & 1  # bit 1 encodes the -1 outcome
-            out |= bit << (parties - 1 - p)
-        rows[i] = (i << parties) + out
+            bits = [cell(layout.out_cell(p, idx[p], r)) for r in range(1 << layout.inbits[p])]
+            # bit 1 encodes the -1 outcome
+            out = out | (np.choose(rec[p], bits) << (parties - 1 - p))
+        grid[..., i] = out
     return rows
 
 
@@ -588,51 +595,56 @@ def _snap_dyadic(vec: np.ndarray) -> list[Fraction] | None:
 
 
 def _solve_exact_support(
-    rows: np.ndarray, support: np.ndarray, fracs: list[Fraction], n_rows: int
+    cols: np.ndarray, fracs: list[Fraction], n_rows: int
 ) -> list[Fraction] | None:
     """Solve the feasibility system exactly on a candidate support.
 
+    ``cols[j]`` holds the rows where support column j is 1 (plus the
+    implicit normalisation row ``n_rows``).  The targets are scaled by
+    their common denominator and the system is reduced by fraction-free
+    (Bareiss) Gauss-Jordan elimination in integers: every step divides
+    exactly by the previous pivot, so entries stay minors of the input
+    and the solution is read off as ``rhs / (det * denominator)``.
     Returns nonnegative rational weights summing to 1 that reproduce
     the target exactly, or None if the support does not admit them.
     """
-    k = support.size
-    aug = [[Fraction(0)] * (k + 1) for _ in range(n_rows + 1)]
-    for j, sidx in enumerate(support):
-        for r in rows[:, sidx]:
-            aug[int(r)][j] = Fraction(1)
-        aug[n_rows][j] = Fraction(1)
-    for r in range(n_rows):
-        aug[r][k] = fracs[r]
-    aug[n_rows][k] = Fraction(1)
+    k = cols.shape[0]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    rhs = [f.numerator * (denom // f.denominator) for f in fracs] + [denom]
+    small = max(map(abs, rhs)) < _EXACT_INT64_LIMIT
+    aug = np.zeros((n_rows + 1, k + 1), dtype=np.int64 if small else object)
+    aug[cols, np.arange(k)[:, None]] = 1
+    aug[n_rows, :k] = 1
+    aug[:, k] = rhs
 
     pivot_rows: list[int] = []
-    used = [False] * (n_rows + 1)
+    used = np.zeros(n_rows + 1, dtype=bool)
+    prev = 1
     for col in range(k):
-        pivot = next(
-            (r for r in range(n_rows + 1) if not used[r] and aug[r][col] != 0), None
-        )
-        if pivot is None:
+        free = np.flatnonzero((aug[:, col] != 0) & ~used)
+        if free.size == 0:
             return None  # dependent columns; fall back to float weights
-        used[pivot] = True
-        pivot_rows.append(pivot)
-        inv = 1 / aug[pivot][col]
-        aug[pivot] = [v * inv for v in aug[pivot]]
-        for r in range(n_rows + 1):
-            if r != pivot and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pivot])]
-    for r in range(n_rows + 1):
-        if not used[r] and aug[r][k] != 0:
-            return None  # inconsistent on this support
-    w = [aug[pivot_rows[col]][k] for col in range(k)]
+        r = int(free[0])
+        used[r] = True
+        pivot_rows.append(r)
+        pivot, pivot_row = aug[r, col], aug[r].copy()
+        aug = (pivot * aug - np.outer(aug[:, col], pivot_row)) // prev
+        aug[r] = pivot_row
+        prev = int(pivot)
+        if aug.dtype != object and np.abs(aug).max() >= _EXACT_INT64_LIMIT:
+            aug = aug.astype(object)  # keep products inside int64 or go exact
+    if (aug[~used, k] != 0).any():
+        return None  # inconsistent on this support
+    scale = prev * denom
+    w = [Fraction(int(aug[r, k]), scale) for r in pivot_rows]
     if any(x < 0 for x in w) or sum(w) != 1:
         return None
     # confirm against the full system
     recon = [Fraction(0)] * n_rows
-    for j, sidx in enumerate(support):
+    for j in range(k):
         if w[j] == 0:
             continue
-        for r in rows[:, sidx]:
+        for r in cols[j]:
             recon[int(r)] += w[j]
     if recon != fracs:
         return None
@@ -640,21 +652,19 @@ def _solve_exact_support(
 
 
 def find_local_model(
-    target: CorrelationTable,
-    topology: CommTopology,
-    dedupe_tables: bool = False,
+    target: CorrelationTable, topology: CommTopology
 ) -> LocalModel | Infeasible:
     """Search for a strategy mixture reproducing ``target`` exactly.
 
-    The search is a linear feasibility problem over all deterministic
-    strategies.  On success the float solution is polished to exact
-    rational weights whenever the target snaps to small rationals (all
-    Pauli-alphabet tables do); on failure a separating inequality is
-    extracted and re-verified against every strategy.
-
-    ``dedupe_tables=True`` collapses strategies inducing identical
-    tables before solving (default off, keeping LP columns aligned with
-    the enumeration order).
+    The search is a linear feasibility problem whose columns are the
+    distinct tables the deterministic strategies induce: strategies
+    with the same table are one vertex of the polytope, so each table
+    enters once, represented by its lowest-numbered strategy (which
+    keeps the returned models deterministic).  On success the float
+    solution is polished to exact rational weights whenever the target
+    snaps to small rationals (all Pauli-alphabet tables do); on failure
+    a separating inequality is extracted and re-verified against every
+    distinct table, hence every strategy.
     """
     # scipy is imported here, not at module level: it is only needed by
     # the LP, and importing it costs every other command ~0.6 s.
@@ -668,24 +678,25 @@ def find_local_model(
         raise TooManyStrategies(
             f"{layout.count} strategies exceeds the cap of {_MAX_STRATEGIES}"
         )
-    rows = _outcome_rows(layout, alphabets)
-    n_profiles = rows.shape[0]
+    outcomes = _outcome_rows(layout)
+    n_profiles = outcomes.shape[1]
     n_rows = n_profiles << target.parties
     t = table_vector(target)
 
-    col_ids = np.arange(layout.count)
-    if dedupe_tables:
-        _, keep = np.unique(rows.T, axis=0, return_index=True)
-        col_ids = np.sort(keep)
-    cols = rows[:, col_ids]
+    # one column per distinct table; np.unique sorts stably when asked
+    # for indices, so each table keeps its lowest-numbered strategy
+    keys = outcomes.view(np.dtype((np.void, n_profiles * outcomes.itemsize))).ravel()
+    col_ids = np.sort(np.unique(keys, return_index=True)[1])
+    # cols[j]: the row of each profile's point outcome in column j
+    cols = outcomes[col_ids].astype(np.int64)
+    cols += np.arange(n_profiles, dtype=np.int64) << target.parties
     n_cols = col_ids.size
 
-    data = np.ones(cols.size + n_cols)
-    row_idx = np.concatenate([cols.ravel(order="F"), np.full(n_cols, n_rows)])
-    col_idx = np.concatenate(
-        [np.repeat(np.arange(n_cols), n_profiles), np.arange(n_cols)]
+    entries = np.column_stack([cols, np.full(n_cols, n_rows)])
+    a_eq = csc_matrix(
+        (np.ones(entries.size), entries.ravel(), np.arange(0, entries.size + 1, n_profiles + 1)),
+        shape=(n_rows + 1, n_cols),
     )
-    a_eq = csc_matrix((data, (row_idx, col_idx)), shape=(n_rows + 1, n_cols))
     b_eq = np.append(t, 1.0)
 
     res = linprog(
@@ -697,37 +708,31 @@ def find_local_model(
         raise QsimError(f"feasibility LP did not converge: {res.message}")
 
     w = res.x
-    support_local = np.flatnonzero(w > 1e-10)
-    if support_local.size == 0:
-        support_local = np.array([int(np.argmax(w))])
-    support = col_ids[support_local]
+    support = np.flatnonzero(w > 1e-10)
+    if support.size == 0:
+        support = np.array([int(np.argmax(w))])
 
     fracs = _snap_dyadic(t)
     if fracs is not None:
-        exact = _solve_exact_support(rows, support, fracs, n_rows)
+        exact = _solve_exact_support(cols[support], fracs, n_rows)
         if exact is not None:
-            keep_mask = [x != 0 for x in exact]
-            strategies = tuple(
-                layout.strategy(int(s)) for s, m in zip(support, keep_mask) if m
-            )
-            exact_w = tuple(x for x in exact if x != 0)
+            kept = [(int(col_ids[j]), x) for j, x in zip(support, exact) if x != 0]
             return LocalModel(
-                strategies=strategies,
-                weights=tuple(float(x) for x in exact_w),
+                strategies=tuple(layout.strategy(s) for s, _ in kept),
+                weights=tuple(float(x) for _, x in kept),
                 topology=topology,
                 alphabets=alphabets,
-                exact_weights=exact_w,
+                exact_weights=tuple(x for _, x in kept),
             )
 
-    w_sup = w[support_local]
+    w_sup = w[support]
     w_sup = w_sup / w_sup.sum()
     recon = np.zeros(n_rows)
-    for wi, sidx in zip(w_sup, support):
-        np.add.at(recon, rows[:, sidx], wi)
+    np.add.at(recon, cols[support].ravel(), np.repeat(w_sup, n_profiles))
     if np.max(np.abs(recon - t)) > 1e-9:
         raise QsimError("feasible LP solution fails reconstruction at 1e-9")
     return LocalModel(
-        strategies=tuple(layout.strategy(int(s)) for s in support),
+        strategies=tuple(layout.strategy(int(s)) for s in col_ids[support]),
         weights=tuple(float(x) for x in w_sup),
         topology=topology,
         alphabets=alphabets,
@@ -737,24 +742,25 @@ def find_local_model(
 
 def _separating_inequality(cols: np.ndarray, t: np.ndarray, n_rows: int) -> Infeasible:
     """Best-margin hyperplane with coefficients in [-1, 1] separating
-    the target from every strategy column."""
+    the target from every column; ``cols[j]`` holds column j's rows."""
     from scipy.optimize import linprog
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csr_matrix
 
-    n_profiles, n_cols = cols.shape
-    # variables: y (n_rows) then c; maximize c - y.t
+    n_cols, n_profiles = cols.shape
+    # variables: y (n_rows) then c; maximize c - y.t subject to c <= y.T_j
     obj = np.append(t, -1.0)
-    data = np.concatenate([-np.ones(cols.size), np.ones(n_cols)])
-    row_idx = np.concatenate([np.repeat(np.arange(n_cols), n_profiles), np.arange(n_cols)])
-    col_idx = np.concatenate([cols.ravel(order="F"), np.full(n_cols, n_rows)])
-    a_ub = csc_matrix((data, (row_idx, col_idx)), shape=(n_cols, n_rows + 1))
+    entries = np.column_stack([cols, np.full(n_cols, n_rows)])
+    data = np.tile(np.append(-np.ones(n_profiles), 1.0), n_cols)
+    a_ub = csr_matrix(
+        (data, entries.ravel(), np.arange(0, entries.size + 1, n_profiles + 1)),
+        shape=(n_cols, n_rows + 1),
+    )
     bounds = [(-1.0, 1.0)] * n_rows + [(None, None)]
     res = linprog(obj, A_ub=a_ub, b_ub=np.zeros(n_cols), bounds=bounds, method="highs")
     if res.status != 0:
         raise QsimError(f"separation LP did not converge: {res.message}")
     y = res.x[:n_rows]
-    per_strategy = y[cols].sum(axis=0)
-    bound = float(per_strategy.min())
+    bound = float(y[cols].sum(axis=1).min())  # over every distinct table
     violation = bound - float(y @ t)
     if violation <= 1e-9:
         raise QsimError("separation margin vanished; table may be feasible after all")

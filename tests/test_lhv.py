@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsim import lhv
 from qsim.circuit import PauliAxis
 from qsim.errors import TooManyStrategies, UnknownProfile
 from qsim.lhv import (
@@ -318,11 +321,6 @@ def test_find_singlet_model_without_communication(singlet_pauli_table):
     # the float dust in the quantum table itself
     assert max_table_error(got, singlet_pauli_table) < 1e-12
     assert got.prob((Z, Z), (1, -1)) == 0.5
-
-
-def test_find_singlet_model_deduped(singlet_pauli_table):
-    model = find_local_model(singlet_pauli_table, NO_COMM_2, dedupe_tables=True)
-    assert isinstance(model, LocalModel)
     assert max_table_error(model_table(model), singlet_pauli_table) <= 1e-9
 
 
@@ -347,6 +345,137 @@ def test_one_bit_restores_ghz(ghz_pauli_table, ghz_bit_model):
     else:
         got = model_table(ghz_bit_model)
     assert max_table_error(got, ghz_pauli_table) <= 1e-9
+
+
+def test_pauli_targets_polish_to_exact_weights(ghz_pauli_table, ghz_bit_model):
+    assert ghz_bit_model.exact_weights is not None
+    assert max_table_error(model_table(ghz_bit_model, exact=True), ghz_pauli_table) < 1e-12
+    xy = (X, Y)
+    ghz4 = quantum_table(ghz_state(4), (xy,) * 4)
+    model = find_local_model(ghz4, CommTopology(4, ((1, 0), (2, 0))))
+    assert isinstance(model, LocalModel)
+    assert model.exact_weights is not None
+    assert max_table_error(model_table(model, exact=True), ghz4) < 1e-12
+
+
+def test_exact_polish_beyond_int64_denominators():
+    # party 1's three marginals have prime denominators whose product,
+    # the targets' common denominator, is above 2**31, so the polish
+    # runs in Python ints
+    primes = (4093, 4091, 4079)
+    alphabets = ((Z,), PAULI_ALPHABET)
+    dists = {
+        (Z, b): np.array([1 / q, 1 - 1 / q, 0.0, 0.0]) for b, q in zip(PAULI_ALPHABET, primes)
+    }
+    target = CorrelationTable(alphabets, dists)
+    model = find_local_model(target, NO_COMM_2)
+    assert isinstance(model, LocalModel)
+    assert model.exact_weights is not None
+    got = model_table(model, exact=True)
+    for b, q in zip(PAULI_ALPHABET, primes):
+        assert got.prob((Z, b), (1, 1)) == float(Fraction(1, q))
+
+
+def test_exact_polish_switches_to_python_ints(monkeypatch, ghz_pauli_table, ghz_bit_model):
+    # entries that outgrow the int64 limit move to Python ints mid-solve
+    # and give the same weights
+    monkeypatch.setattr(lhv, "_EXACT_INT64_LIMIT", 2)
+    model = find_local_model(ghz_pauli_table, CommTopology(3, ((1, 0),)))
+    assert model.exact_weights == ghz_bit_model.exact_weights
+    assert model.strategies == ghz_bit_model.strategies
+
+
+# ---------------------------------------------------------------------------
+# Differential check: the LP over distinct tables against a reference LP
+# with one column per enumerated strategy
+
+REFERENCE_STRATEGY_CAP = 1024
+
+
+def strategy_tables(topology, alphabets):
+    """Every enumerated strategy and the table vector it induces."""
+    strategies = list(enumerate_strategies(topology.parties, [len(a) for a in alphabets], topology))
+    tables = np.array(
+        [table_vector(strategy_table(s, topology, alphabets)) for s in strategies]
+    )
+    return strategies, tables
+
+
+def reference_feasible(tables, target) -> bool:
+    from scipy.optimize import linprog
+
+    a_eq = np.vstack([tables.T, np.ones(len(tables))])
+    b_eq = np.append(table_vector(target), 1.0)
+    res = linprog(
+        np.zeros(len(tables)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+@st.composite
+def lp_instances(draw):
+    parties = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=parties, max_size=parties))
+    pair = st.tuples(st.integers(0, parties - 1), st.integers(0, parties - 1))
+    messages = draw(st.lists(pair.filter(lambda m: m[0] != m[1]), max_size=2))
+    topology = CommTopology(parties, tuple(messages))
+    while True:  # shrink the largest alphabet until the reference LP stays small
+        try:
+            count = len(enumerate_strategies(parties, sizes, topology))
+        except TooManyStrategies:
+            count = math.inf
+        if count <= REFERENCE_STRATEGY_CAP:
+            break
+        sizes[sizes.index(max(sizes))] -= 1
+    alphabets = tuple(PAULI_ALPHABET[:m] for m in sizes)
+    picks = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(picks), max_size=len(picks)))
+    perturb = draw(st.sampled_from((0, 1, 2)))  # in quarters
+    points = draw(
+        st.lists(st.integers(0, (1 << parties) - 1), min_size=math.prod(sizes),
+                 max_size=math.prod(sizes))
+    )
+    return topology, alphabets, picks, weights, perturb / 4, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp_instances())
+def test_find_local_model_agrees_with_reference_lp(instance):
+    topology, alphabets, picks, weights, eps, points = instance
+    strategies, tables = strategy_tables(topology, alphabets)
+    # a mixture of strategy tables, optionally pulled towards a random
+    # point table that is often outside the polytope
+    mix = sum(w * tables[i] for i, w in zip(picks, weights)) / sum(weights)
+    point = np.zeros((len(points), 1 << topology.parties))
+    point[np.arange(len(points)), points] = 1.0
+    vec = (1 - eps) * mix + eps * point.ravel()
+    target = CorrelationTable(
+        alphabets,
+        {prof: vec[i * point.shape[1]:(i + 1) * point.shape[1]]
+         for i, prof in enumerate(itertools.product(*alphabets))},
+    )
+
+    verdict = find_local_model(target, topology)
+    assert isinstance(verdict, LocalModel) == reference_feasible(tables, target)
+    if eps == 0:
+        assert isinstance(verdict, LocalModel)
+    if isinstance(verdict, LocalModel):
+        assert max_table_error(model_table(verdict), target) <= 1e-9
+        if verdict.exact_weights is not None:
+            assert max_table_error(model_table(verdict, exact=True), target) <= 1e-9
+        # each model strategy is the lowest-numbered one with its table
+        first = {}
+        for i, row in enumerate(tables):
+            first.setdefault(row.tobytes(), i)
+        for strat in verdict.strategies:
+            i = strategies.index(strat)
+            assert first[tables[i].tobytes()] == i
+    else:
+        y = verdict.coefficients
+        assert verdict.violation > 1e-9
+        assert float((tables @ y).min()) >= verdict.bound - 1e-9
+        assert float(y @ vec) <= verdict.bound - verdict.violation + 1e-9
 
 
 # ---------------------------------------------------------------------------
