@@ -321,6 +321,18 @@ def test_find_singlet_model_without_communication(singlet_pauli_table):
     # the float dust in the quantum table itself
     assert max_table_error(got, singlet_pauli_table) < 1e-12
     assert got.prob((Z, Z), (1, -1)) == 0.5
+
+
+def test_find_singlet_model_deduped(singlet_pauli_table):
+    # the LP has one column per distinct strategy table, so no two
+    # strategies in the model induce the same table
+    model = find_local_model(singlet_pauli_table, NO_COMM_2)
+    assert isinstance(model, LocalModel)
+    tables = {
+        table_vector(strategy_table(s, model.topology, model.alphabets)).tobytes()
+        for s in model.strategies
+    }
+    assert len(tables) == len(model.strategies)
     assert max_table_error(model_table(model), singlet_pauli_table) <= 1e-9
 
 
