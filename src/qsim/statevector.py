@@ -1,9 +1,11 @@
 """Dense state-vector backend.
 
-States are full vectors of 2^n complex amplitudes (n <= 24).  Gates are
-applied with bit-mask index kernels — nothing ever materializes a
-2^n x 2^n matrix; the matrix forms in :mod:`qsim.circuit` exist for unit
-tests only.
+States are full vectors of 2^n complex amplitudes (n <= 24).  Gates and
+measurements work in place on strided views that split the amplitudes
+into the two halves of one qubit's pairs: diagonal gates scale one half,
+X and Y swap the halves, and a Z measurement rescales one half and zeroes
+the other.  Nothing ever materializes a 2^n x 2^n matrix; the matrix
+forms in :mod:`qsim.circuit` exist for unit tests only.
 
 Measurement observables are single-qubit spin directions: a Pauli axis,
 or an arbitrary Bloch axis (theta, phi) meaning
@@ -114,34 +116,30 @@ def init_state(n: int, bits: str | None = None) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# Index kernels.  Qubit q owns bit (n - 1 - q) of the basis index.
+# Kernels on strided views.  Qubit q owns bit (n - 1 - q) of the basis
+# index, so reshaping the last axis to (2**q, 2, 2**(n-1-q)) puts that bit
+# on an axis of its own and both halves of every pair are plain views.
+# Kernels work in place on C-contiguous arrays, whose reshape is a view;
+# leading axes are the rows of a batch.
 
 
 def _bitpos(n: int, q: int) -> int:
     return n - 1 - q
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with qubit q equal to 0, and their partners with q = 1."""
-    step = 1 << _bitpos(n, q)
-    block = step << 1
-    base = np.arange(0, 1 << n, block)
-    idx0 = (base[:, None] + np.arange(step)[None, :]).ravel()
-    idx1 = idx0 + step
-    idx0.setflags(write=False)
-    idx1.setflags(write=False)
-    return idx0, idx1
+def _split(amps: np.ndarray, n: int, q: int) -> np.ndarray:
+    """View of the amplitudes as (..., 2**q, 2, 2**(n-1-q)); axis -2 is
+    qubit q's bit, and each half keeps basis-index order."""
+    return amps.reshape(amps.shape[:-1] + (1 << q, 2, 1 << _bitpos(n, q)))
 
-@lru_cache(maxsize=None)
-def _cnot_indices(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    v = np.arange(1 << n)
-    sel = ((v >> _bitpos(n, control)) & 1 == 1) & ((v >> _bitpos(n, target)) & 1 == 0)
-    i0 = v[sel]
-    i1 = i0 + (1 << _bitpos(n, target))
-    i0.setflags(write=False)
-    i1.setflags(write=False)
-    return i0, i1
+
+def _scale(a: np.ndarray, d) -> None:
+    """``a *= d`` in place, rounded as ``d * a`` is: numpy rounds a complex
+    product written over a one-element operand differently."""
+    if a.size == 1:
+        a[...] = d * a
+    else:
+        np.multiply(d, a, out=a)
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +155,38 @@ def _oracle_perm(n: int, inputs: tuple[int, ...], output: int, table: tuple[int,
 
 
 def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
-    idx0, idx1 = _pair_indices(n, q)
-    a0 = amps[..., idx0]
-    a1 = amps[..., idx1]
-    amps[..., idx0] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[..., idx1] = u[1, 0] * a0 + u[1, 1] * a1
+    # Dropping a term whose coefficient is 0, or a factor that is 1, leaves
+    # every nonzero amplitude bit-identical to the full 2x2 product.
+    v = _split(amps, n, q)
+    a0, a1 = v[..., 0, :], v[..., 1, :]
+    if u[0, 1] == 0 and u[1, 0] == 0:  # I, Z, R, S: scale the halves that change
+        for a, d in ((a0, u[0, 0]), (a1, u[1, 1])):
+            if d != 1:
+                _scale(a, d)
+    elif u[0, 0] == 0 and u[1, 1] == 0:  # X, Y: swap the halves, with their phase
+        b0 = u[0, 1] * a1
+        np.multiply(u[1, 0], a0, out=a1)
+        a0[...] = b0
+    else:  # H
+        t0 = u[0, 1] * a1
+        t1 = u[1, 0] * a0
+        _scale(a0, u[0, 0])
+        a0 += t0
+        _scale(a1, u[1, 1])
+        a1 += t1
 
 
 def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
-    i0, i1 = _cnot_indices(n, control, target)
-    a = amps[..., i0]
-    amps[..., i0] = amps[..., i1]
-    amps[..., i1] = a
+    """Swap the target's halves inside the control = 1 slab."""
+    lo, hi = sorted((control, target))
+    v = amps.reshape(amps.shape[:-1] + (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << _bitpos(n, hi)))
+    if control < target:
+        x0, x1 = v[..., 1, :, 0, :], v[..., 1, :, 1, :]
+    else:
+        x0, x1 = v[..., 0, :, 1, :], v[..., 1, :, 1, :]
+    tmp = x0.copy()
+    x0[...] = x1
+    x1[...] = tmp
 
 
 def _apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
@@ -185,6 +203,18 @@ def _apply_oracle(amps: np.ndarray, n: int, op: OracleApp) -> None:
     amps[...] = amps[..., perm]
 
 
+def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:
+    """Apply an unconditioned gate or an oracle in place."""
+    if isinstance(op, GateApp):
+        _apply_gate(amps, n, op)
+    elif isinstance(op, OracleApp):
+        _apply_oracle(amps, n, op)
+    elif isinstance(op, Measure):
+        raise ValueError("apply_op does not measure; use measure()")
+    else:
+        raise TypeError(f"unknown op {op!r}")
+
+
 def apply_op(state: PureState, op: CircuitOp, cbits: Iterable[int] | None = None) -> PureState:
     """Apply one op, returning a fresh state (inputs are never mutated).
 
@@ -192,33 +222,30 @@ def apply_op(state: PureState, op: CircuitOp, cbits: Iterable[int] | None = None
     ``Measure`` ops are not handled here — use :func:`measure`.
     """
     amps = state.amps.copy()
-    if isinstance(op, GateApp):
-        if op.condition is not None:
-            if cbits is None:
-                raise ValueError("conditioned gate needs the classical register")
-            if not list(cbits)[op.condition]:
-                return PureState(state.n, amps)
-        _apply_gate(amps, state.n, op)
-    elif isinstance(op, OracleApp):
-        _apply_oracle(amps, state.n, op)
-    elif isinstance(op, Measure):
-        raise ValueError("apply_op does not measure; use measure()")
-    else:
-        raise TypeError(f"unknown op {op!r}")
+    if isinstance(op, GateApp) and op.condition is not None:
+        if cbits is None:
+            raise ValueError("conditioned gate needs the classical register")
+        if not list(cbits)[op.condition]:
+            return PureState(state.n, amps)
+    _apply(amps, state.n, op)
     return PureState(state.n, amps)
 
 
 def evolve(circuit: Circuit, start: PureState | None = None) -> PureState:
-    """Run a measurement-free, unconditioned circuit and return the state."""
+    """Run a measurement-free, unconditioned circuit and return the state.
+
+    ``start`` is copied once and never mutated.
+    """
     bad = validate(circuit)
     if bad:
         raise ValueError(f"invalid circuit: {bad[0].message}")
     state = start if start is not None else init_state(circuit.n_qubits)
+    amps = state.amps.copy()
     for op in circuit.ops:
         if isinstance(op, Measure) or (isinstance(op, GateApp) and op.condition is not None):
             raise ValueError("evolve handles gate-only circuits; use run() for measurements")
-        state = apply_op(state, op)
-    return state
+        _apply(amps, state.n, op)
+    return PureState(state.n, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +260,36 @@ def _observable(axis: Axis) -> np.ndarray:
     return np.array([[ct, off], [off.conjugate(), -ct]], dtype=np.complex128)
 
 
+def _is_z(obs: np.ndarray) -> bool:
+    # Observables are unit spin directions, so these two entries pin Z.
+    return obs[0, 1] == 0 and obs[0, 0] == 1
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    out = np.square(a.real)
+    out += np.square(a.imag)
+    return out
+
+
 def _expectation(amps: np.ndarray, n: int, q: int, obs: np.ndarray) -> np.ndarray:
-    """<O> on qubit q; summed per pair first so symmetric terms cancel exactly."""
-    idx0, idx1 = _pair_indices(n, q)
-    a0 = amps[..., idx0]
-    a1 = amps[..., idx1]
-    o00 = obs[0, 0].real
-    o11 = obs[1, 1].real
-    per_pair = (
-        o00 * (a0.real * a0.real + a0.imag * a0.imag)
-        + o11 * (a1.real * a1.real + a1.imag * a1.imag)
-        + 2.0 * (np.conj(a0) * a1 * obs[0, 1]).real
-    )
+    """<O> on qubit q; summed per pair first, in basis-index order, so
+    symmetric terms cancel exactly."""
+    v = _split(amps, n, q)
+    a0, a1 = v[..., 0, :], v[..., 1, :]
+    n0, n1 = _norms(a0), _norms(a1)
+    # Rows are the fastest axis of ``per_pair``, so ``sum`` adds a batch
+    # row's pairs one after another in basis-index order and a single
+    # row's pairwise; ``p_plus`` is reproducible only in this order.
+    per_pair = np.empty(amps.shape[:-1] + (1 << (n - 1),), order="F")
+    out = per_pair.reshape(n0.shape)
+    if _is_z(obs):
+        np.subtract(n0, n1, out=out)
+    else:
+        np.add(
+            obs[0, 0].real * n0 + obs[1, 1].real * n1,
+            2.0 * (np.conj(a0) * a1 * obs[0, 1]).real,
+            out=out,
+        )
     return per_pair.sum(axis=-1)
 
 
@@ -253,21 +298,29 @@ def _collapse(amps: np.ndarray, n: int, q: int, obs: np.ndarray, outcome, p) -> 
 
     ``outcome`` and ``p`` are scalars, or per-row arrays for a batch.
     """
-    idx0, idx1 = _pair_indices(n, q)
-    a0 = amps[..., idx0]
-    a1 = amps[..., idx1]
-    t0 = obs[0, 0] * a0 + obs[0, 1] * a1
-    t1 = obs[1, 0] * a0 + obs[1, 1] * a1
+    v = _split(amps, n, q)
+    a0, a1 = v[..., 0, :], v[..., 1, :]
     s = np.asarray(outcome, dtype=np.float64)
-    scale = 2.0 * np.sqrt(np.asarray(p, dtype=np.float64))
-    if s.ndim:  # batch: one outcome per row
-        s = s[:, None]
-        scale = scale[:, None]
-    amps[..., idx0] = (a0 + s * t0) / scale
-    amps[..., idx1] = (a1 + s * t1) / scale
-    small = np.abs(amps) < _DUST
-    if small.any():
-        amps[small] = 0.0
+    root = np.sqrt(np.asarray(p, dtype=np.float64))
+    if s.ndim:  # batch: one outcome per row, covering the row's whole half
+        s, root = s[:, None, None], root[:, None, None]
+    if _is_z(obs):
+        # The general formula keeps 2a / (2 sqrt(p)) of the outcome's half,
+        # which numpy divides as a times the reciprocal, equal to a times
+        # 1/sqrt(p); the other half cancels to 0.
+        a0 *= ((s > 0) / root).astype(np.complex128)
+        a1 *= ((s < 0) / root).astype(np.complex128)
+    else:
+        scale = 2.0 * root
+        t0 = obs[0, 0] * a0
+        t0 += obs[0, 1] * a1
+        t1 = obs[1, 0] * a0
+        t1 += obs[1, 1] * a1
+        for a, t in ((a0, t0), (a1, t1)):  # a = (a + s t) / scale
+            t *= s
+            a += t
+            a /= scale
+    np.copyto(amps, 0.0, where=np.abs(amps) < _DUST)
 
 
 def project(state: PureState, spec: MeasurementSpec, outcome: int) -> tuple[float, PureState | None]:

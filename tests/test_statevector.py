@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsim import statevector as sv
@@ -27,6 +27,7 @@ from qsim.circuit import (
 )
 from qsim.errors import DegenerateNorm, TooManyQubits
 from qsim.rng import shot_uniforms, stream
+from qsim.stabilizer import run as run_stabilizer
 from qsim.statevector import (
     BlochAxis,
     MeasurementSpec,
@@ -149,6 +150,30 @@ def test_evolve_rejects_measurement_and_condition():
         evolve(Circuit(1, 1, (Measure(0, PauliAxis.Z, 0),)))
     with pytest.raises(ValueError):
         evolve(Circuit(1, 1, (GateApp(GateKind.X, (0,), condition=0),)))
+
+
+def test_evolve_apply_op_and_measure_leave_their_input_unchanged():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    start = PureState(3, amps / np.linalg.norm(amps))
+    before = start.amps.copy()
+    c = Circuit(3, 0, (
+        GateApp(GateKind.H, (0,)),
+        GateApp(GateKind.S, (1,)),
+        GateApp(GateKind.CNOT, (2, 0)),
+        OracleApp(BooleanFunction.from_string("0110"), (0, 1), 2),
+        GateApp(GateKind.Y, (2,)),
+    ))
+    out = evolve(c, start)
+    assert np.array_equal(start.amps, before)
+    stepped = start
+    for op in c.ops:
+        stepped = sv.apply_op(stepped, op)
+    assert np.array_equal(out.amps, stepped.amps)
+    assert np.array_equal(start.amps, before)
+    project(start, MeasurementSpec(1, PauliAxis.X), -1)
+    measure(start, MeasurementSpec(2, PauliAxis.Z), stream(3))
+    assert np.array_equal(start.amps, before)
 
 
 def test_norm_preserved_over_random_walks():
@@ -433,3 +458,163 @@ def test_grouped_run_matches_shot_by_shot_replay(circuit, shots, seed, chunk):
         got = _counts_or_error(lambda: run(circuit, shots, seed).counts)
     want = _counts_or_error(lambda: replay_shots(circuit, shots, seed)[0])
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the strided-view kernels against reference kernels
+# that gather both halves of every pair through index arrays and apply the
+# full 2x2 formulas.  The replay above runs the same kernels as ``run``, so
+# it cannot catch a kernel bug; this comparison also catches any change in
+# rounding, which would break the seed contract.
+
+
+def ref_pairs(n, q):
+    step = 1 << (n - 1 - q)
+    base = np.arange(0, 1 << n, step << 1)
+    idx0 = (base[:, None] + np.arange(step)[None, :]).ravel()
+    return idx0, idx0 + step
+
+
+def ref_apply_gate(amps, n, op):
+    if op.kind is GateKind.CNOT:
+        c, t = op.targets
+        v = np.arange(1 << n)
+        i0 = v[((v >> (n - 1 - c)) & 1 == 1) & ((v >> (n - 1 - t)) & 1 == 0)]
+        i1 = i0 + (1 << (n - 1 - t))
+        a = amps[..., i0]
+        amps[..., i0] = amps[..., i1]
+        amps[..., i1] = a
+        return
+    u = gate_matrix(op.kind)
+    idx0, idx1 = ref_pairs(n, op.targets[0])
+    a0 = amps[..., idx0]
+    a1 = amps[..., idx1]
+    amps[..., idx0] = u[0, 0] * a0 + u[0, 1] * a1
+    amps[..., idx1] = u[1, 0] * a0 + u[1, 1] * a1
+
+
+def ref_expectation(amps, n, q, obs):
+    idx0, idx1 = ref_pairs(n, q)
+    a0 = amps[..., idx0]
+    a1 = amps[..., idx1]
+    per_pair = (
+        obs[0, 0].real * (a0.real * a0.real + a0.imag * a0.imag)
+        + obs[1, 1].real * (a1.real * a1.real + a1.imag * a1.imag)
+        + 2.0 * (np.conj(a0) * a1 * obs[0, 1]).real
+    )
+    return per_pair.sum(axis=-1)
+
+
+def ref_collapse(amps, n, q, obs, outcome, p):
+    idx0, idx1 = ref_pairs(n, q)
+    a0 = amps[..., idx0]
+    a1 = amps[..., idx1]
+    t0 = obs[0, 0] * a0 + obs[0, 1] * a1
+    t1 = obs[1, 0] * a0 + obs[1, 1] * a1
+    s = np.asarray(outcome, dtype=np.float64)
+    scale = 2.0 * np.sqrt(np.asarray(p, dtype=np.float64))
+    if s.ndim:
+        s = s[:, None]
+        scale = scale[:, None]
+    amps[..., idx0] = (a0 + s * t0) / scale
+    amps[..., idx1] = (a1 + s * t1) / scale
+    small = np.abs(amps) < sv._DUST
+    if small.any():
+        amps[small] = 0.0
+
+
+@st.composite
+def amplitude_arrays(draw):
+    """Normalized amplitudes of n <= 10 qubits, 1-D or one row per
+    history: Gaussian, or multiples of 1/sqrt(2)**k by 0, +-1, +-i (where
+    symmetric terms cancel exactly), some entries zeroed or shrunk to
+    collapse dust."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n,) if rows is None else (rows, 1 << n)
+    if draw(st.booleans()):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    else:
+        amps = rng.choice(np.array([0, 1, -1, 1j, -1j]), size=shape) * SQ2 ** draw(st.integers(0, 3))
+    amps[rng.random(shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    amps[rng.random(shape) < draw(st.sampled_from([0.0, 0.05]))] *= 1e-13
+    flat = amps.reshape(-1, 1 << n)
+    flat[np.abs(flat).sum(axis=1) == 0, 0] = 1.0  # no all-zero row
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    return n, amps, rng
+
+
+_ONE_QUBIT_KINDS = [k for k in GateKind if k is not GateKind.CNOT]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=amplitude_arrays(), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28))
+# One qubit: S scales a one-element half, where numpy's in-place complex
+# product rounds differently from ``u * a``.
+@example(case=(1, np.array([0.6, 0.48 + 0.64j]), np.random.default_rng(0)), theta=1.0, phi=2.0)
+def test_kernels_match_index_array_reference(case, theta, phi):
+    n, amps, rng = case
+    ops = [GateApp(k, (q,)) for q in range(n) for k in _ONE_QUBIT_KINDS]
+    ops += [GateApp(GateKind.CNOT, (c, t)) for c in range(n) for t in range(n) if c != t]
+    for op in ops:
+        want, got = amps.copy(), amps.copy()
+        ref_apply_gate(want, n, op)
+        sv._apply_gate(got, n, op)
+        assert np.array_equal(got, want), op
+
+    axes = list(PauliAxis) + [BlochAxis(theta, phi), BlochAxis(0.0, phi)]
+    for q in range(n):
+        for axis in axes:
+            obs = sv._observable(axis)
+            e = ref_expectation(amps, n, q, obs)
+            assert np.array_equal(sv._expectation(amps, n, q, obs), e), (q, axis)
+            p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
+            if amps.ndim == 1:
+                cases = [(o, p_plus if o == 1 else 1.0 - p_plus) for o in (1, -1)]
+                cases = [(o, float(p)) for o, p in cases if p >= sv._DUST]
+            else:  # a random outcome per row, flipped where it has no weight
+                o = rng.choice([1.0, -1.0], size=len(amps))
+                o = np.where(np.where(o > 0, p_plus, 1.0 - p_plus) < sv._DUST, -o, o)
+                cases = [(o, np.where(o > 0, p_plus, 1.0 - p_plus))]
+            for outcome, p in cases:
+                want, got = amps.copy(), amps.copy()
+                ref_collapse(want, n, q, obs, outcome, p)
+                sv._collapse(got, n, q, obs, outcome, p)
+                assert np.array_equal(got, want), (q, axis, outcome)
+
+
+_CLIFFORD_KINDS = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.R]
+
+
+@st.composite
+def conditioned_clifford_circuits(draw):
+    """Clifford circuits of up to 6 qubits with X/Y/Z measurements and
+    x/y/z/h/r/cnot gates, some conditioned on bits already measured."""
+    n = draw(st.integers(1, 6))
+    n_cbits = draw(st.integers(1, 3))
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(1, 20))):
+        roll = draw(st.integers(0, 4))
+        cond = draw(st.sampled_from(written)) if written and draw(st.booleans()) else None
+        if roll == 0:
+            dest = draw(st.integers(0, n_cbits - 1))
+            ops.append(Measure(draw(st.integers(0, n - 1)), draw(st.sampled_from(PauliAxis)), dest))
+            written.append(dest)
+        elif roll == 1 and n >= 2:
+            q = draw(st.permutations(range(n)))
+            ops.append(GateApp(GateKind.CNOT, (q[0], q[1]), condition=cond))
+        else:
+            ops.append(GateApp(draw(st.sampled_from(_CLIFFORD_KINDS)),
+                               (draw(st.integers(0, n - 1)),), condition=cond))
+    return Circuit(n, n_cbits, tuple(ops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=conditioned_clifford_circuits(), shots=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_and_tableau_counts_agree_on_clifford_circuits(circuit, shots, seed):
+    # The tableau draws a random outcome with p_plus exactly 0.5, so the
+    # dense backend agrees shot for shot only if its p_plus is 0.5 too.
+    assert run(circuit, shots, seed).counts == run_stabilizer(circuit, shots, seed).counts
