@@ -103,9 +103,26 @@ from .bench import (
     dispatch_run,
     random_clifford_circuit,
 )
-from .cli import cli_dispatch, main, model_from_json, model_to_json, write_report
 
 __version__ = "0.1.0"
+
+# The command-line names load ``qsim.cli`` on first use, so that
+# ``python -m qsim.cli`` does not find the module already imported.
+_CLI_NAMES = frozenset({"cli_dispatch", "main", "model_from_json", "model_to_json", "write_report"})
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _CLI_NAMES:
+        import importlib
+
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _CLI_NAMES)
+
 
 __all__ = [
     "ArityMismatch",

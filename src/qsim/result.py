@@ -29,20 +29,25 @@ class RunResult:
 def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, int]:
     """Counts keyed by bit string, sorted by key.
 
-    Each part is a ``(rows, n_cbits)`` uint8 array of classical registers
-    and the number of shots that ended in each row.  Every row of
-    ``'0'``/``'1'`` bytes is viewed as one fixed-width bytes key, so
-    ``np.unique`` groups and sorts them (bytes order is str order for
-    ASCII) with no per-row Python loop.
+    Each part is a ``(rows, n_cbits)`` array of 0/1 classical registers,
+    in any memory layout (the tableau backend passes the transpose of
+    its per-bit rows, which is copied once into row order), and the
+    number of shots that ended in each row.  Rows are packed eight bits
+    to a byte, bit 0 in the top bit of the first byte, and grouped by
+    ``np.unique`` on the packed rows viewed as opaque byte strings; for
+    keys of equal length that byte order is the bit strings' order.
+    ``'0'``/``'1'`` strings are built only for the distinct rows.
     """
-    cbits_parts, weight_parts = zip(*parts)
-    cbits = np.concatenate(cbits_parts)
+    bits_parts, weight_parts = zip(*parts)
     weights = np.concatenate(weight_parts).astype(np.int64)
-    m = cbits.shape[1]
+    m = bits_parts[0].shape[1]
     if m == 0:  # no register: every shot has the empty key
         return {"": int(weights.sum())}
-    chars = (cbits + ord("0")).astype(np.uint8)
-    keys, inverse = np.unique(chars.view(f"S{m}").ravel(), return_inverse=True)
+    packed = np.concatenate([np.packbits(np.ascontiguousarray(b), axis=1) for b in bits_parts])
+    keys, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, inverse, weights)
-    return {k.decode("ascii"): c for k, c in zip(keys.tolist(), counts.tolist())}
+    rows = np.unpackbits(keys.view(np.uint8).reshape(keys.shape + packed.shape[1:]), axis=1, count=m)
+    rows += ord("0")
+    strings = rows.view(f"S{m}").ravel().tolist()
+    return {k.decode("ascii"): c for k, c in zip(strings, counts.tolist())}

@@ -12,6 +12,17 @@ the run seed, where ``d`` is the number of random draws a single shot
 needs (one per measurement).  Blocks of distinct shots never overlap, so
 shots are independent and could be generated in any order or in
 parallel without changing a single bit of the output.
+
+The dense backend compares each draw with a branch probability, so it
+takes the uniforms themselves (:func:`shot_uniforms`, one row per shot).
+The tableau backend only needs fair coins, bit 1 where a draw is at
+least 1/2, and reads them per measurement across shots
+(:func:`shot_coins`, one contiguous row per draw).  A uniform is the top
+53 bits of one raw 64-bit Philox word scaled by 2**-53, so it is at
+least 1/2 exactly when the word's top bit is set: ``shot_coins`` takes
+the same words in blocks of whole shots and keeps their top bits.
+Successive blocks continue the stream, so the coins equal the
+thresholded uniforms bit for bit and the float matrix never exists.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import numpy as np
 RNG_ID = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
+_COIN_BLOCK_DRAWS = 1 << 16  # raw words held at once by shot_coins (512 KB)
 
 
 def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -37,3 +49,22 @@ def shot_uniforms(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
     if draws_per_shot == 0:
         return np.zeros((shots, 0))
     return stream(seed).random((shots, draws_per_shot))
+
+
+def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
+    """Coin bits for a whole run, one contiguous row per draw.
+
+    A ``(draws_per_shot, shots)`` uint8 array whose entry ``[k, i]`` is 1
+    exactly where ``shot_uniforms(seed, shots, draws_per_shot)[i, k]`` is
+    at least 1/2.
+    """
+    coins = np.empty((draws_per_shot, shots), dtype=np.uint8)
+    if draws_per_shot == 0:
+        return coins
+    words = stream(seed).bit_generator
+    block = max(1, _COIN_BLOCK_DRAWS // draws_per_shot)
+    for start in range(0, shots, block):
+        k = min(block, shots - start)
+        top = words.random_raw(k * draws_per_shot) >> np.uint64(63)
+        coins[:, start : start + k] = top.reshape(k, draws_per_shot).T
+    return coins

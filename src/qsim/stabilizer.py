@@ -19,6 +19,16 @@ and the per-shot sign bits as a vectorized column operation.  A sign
 update touches only the rows it flips (:func:`_flip`), never the whole
 matrix.  A single logical tableau is just ``batch == 1``.
 
+A multi-shot run is laid out per measurement across shots, as sign rows
+are: the random draws arrive as coin rows (:func:`qsim.rng.shot_coins`,
+row ``k`` holding measurement ``k``'s coin for every shot, drawn in
+blocks of whole shots under the same stream discipline as the dense
+backend), and the classical bits are kept as an ``(n_cbits, shots)``
+matrix.  A random outcome on the whole batch takes its coin row as is
+and writes one contiguous bit row; only a batch split by a conditioned
+H, R or CNOT gathers its shots' coins.  No ``(shots, measurements)``
+float matrix is ever built.
+
 Gate conjugation is O(n) word operations per gate; a measurement is
 O(n^2) bit operations worst case.  Measurement of a Pauli that
 anticommutes with some stabilizer row is a fair coin (``p_plus`` is
@@ -51,7 +61,7 @@ from .circuit import (
     validate,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, shot_uniforms
+from .rng import RNG_ID, shot_coins
 from .result import RunResult, histogram
 from .statevector import PureState
 
@@ -224,12 +234,13 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 # Measurement
 
 
-def _measure_z(t: Tableau, q: int, u: np.ndarray | None, force_bit: int | None):
+def _measure_z(t: Tableau, q: int, coins: np.ndarray | None, force_bit: int | None):
     """Z-measure qubit q on every batch column.
 
     Returns ``(bits, p_plus)`` with shape (batch,): bit 0 records the
-    +1 outcome.  ``u`` supplies each column's uniform draw (used only
-    when the outcome is random); ``force_bit`` overrides the coin.
+    +1 outcome.  ``coins`` supplies each column's coin bit, 1 where its
+    uniform draw is at least 1/2 (used only when the outcome is random);
+    ``force_bit`` overrides the coin.
     """
     n = t.n
     w, b = q >> 6, np.uint64(q & 63)
@@ -248,12 +259,8 @@ def _measure_z(t: Tableau, q: int, u: np.ndarray | None, force_bit: int | None):
         t.x[p] = 0
         t.z[p] = 0
         t.z[p, w] = _ONE << b
-        if force_bit is None:
-            bits = (u >= 0.5).astype(np.uint8)  # u < 1/2 means outcome +1, bit 0
-        else:
-            bits = np.full(t.batch, force_bit, dtype=np.uint8)
-        t.r[p] = bits
-        return bits, np.full(t.batch, 0.5)
+        t.r[p] = coins if force_bit is None else force_bit
+        return t.r[p].copy(), np.full(t.batch, 0.5)
     # Determined: the sign of the product of the stabilizer rows the
     # destabilizers flag.  Row k multiplies onto the product of the rows
     # before it, whose x/z words are their exclusive prefix-XOR.  The rows
@@ -268,19 +275,19 @@ def _measure_z(t: Tableau, q: int, u: np.ndarray | None, force_bit: int | None):
     return bits, (bits == 0).astype(np.float64)
 
 
-def _measure_axis(t: Tableau, q: int, axis: PauliAxis, u, force_bit):
+def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins, force_bit):
     if axis is PauliAxis.Z:
-        return _measure_z(t, q, u, force_bit)
+        return _measure_z(t, q, coins, force_bit)
     if axis is PauliAxis.X:
         _gate_h(t, q)
-        out = _measure_z(t, q, u, force_bit)
+        out = _measure_z(t, q, coins, force_bit)
         _gate_h(t, q)
         return out
     # Y: conjugate through U = H o R-adjoint (R-adjoint = three R's).
     for _ in range(3):
         _gate_r(t, q)
     _gate_h(t, q)
-    out = _measure_z(t, q, u, force_bit)
+    out = _measure_z(t, q, coins, force_bit)
     _gate_h(t, q)
     _gate_r(t, q)
     return out
@@ -310,12 +317,12 @@ def measure_pauli(
         raise ValueError("measure_pauli is the single-tableau API; run() handles batches")
     if not 0 <= qubit < t.n:
         raise ValueError(f"qubit q{qubit} out of range")
-    u = None
+    coins = None
     if force_bit is None:
         if rng is None:
             raise ValueError("need rng (or force_bit)")
-        u = np.array([rng.random()])
-    bits, p_plus = _measure_axis(t, qubit, axis, u, force_bit)
+        coins = np.array([rng.random() >= 0.5], dtype=np.uint8)  # u < 1/2 means +1
+    bits, p_plus = _measure_axis(t, qubit, axis, coins, force_bit)
     bit = int(bits[0])
     if force_bit is not None and bit != force_bit:
         raise DegenerateNorm("forced outcome has probability zero")
@@ -327,17 +334,20 @@ def measure_pauli(
 
 
 # A group of shots sharing one structural tableau: the tableau (one sign
-# column per shot), the shots' classical bits, and their shot indices.
+# column per shot), the shots' classical bits as an (n_cbits, shots)
+# matrix, one contiguous row per bit, and their shot indices.
 _Group = tuple[Tableau, np.ndarray, np.ndarray]
 
 
-def _step(groups: list[_Group], op: CircuitOp, u: np.ndarray | None) -> list[_Group]:
+def _step(groups: list[_Group], op: CircuitOp, coins: np.ndarray | None) -> list[_Group]:
     """Apply one op to every group, conditioned ops as :func:`run`
-    describes; returns the groups after it.  ``u`` holds every shot's
-    uniform for a measurement and is None for a gate."""
+    describes; returns the groups after it.  ``coins`` is the
+    measurement's coin row over all shots (see :func:`qsim.rng.shot_coins`)
+    and None for a gate."""
     if isinstance(op, Measure):  # oracles cannot reach here (classifier gate)
         for t, cb, idx in groups:
-            cb[:, op.dest], _ = _measure_axis(t, op.qubit, op.axis, u[idx], None)
+            mine = coins if len(idx) == len(coins) else coins[idx]
+            cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, mine, None)
         return groups
     if op.condition is None:
         for t, _, _ in groups:
@@ -345,11 +355,11 @@ def _step(groups: list[_Group], op: CircuitOp, u: np.ndarray | None) -> list[_Gr
         return groups
     if op.kind in _PAULIS:
         for t, cb, _ in groups:
-            _flip(t, _pauli_flips(t, op.kind, op.targets[0]), cb[:, op.condition])
+            _flip(t, _pauli_flips(t, op.kind, op.targets[0]), cb[op.condition])
         return groups
     split: list[_Group] = []
     for t, cb, idx in groups:
-        mask = cb[:, op.condition] == 1
+        mask = cb[op.condition] == 1
         if mask.all():
             _apply_kind(t, op.kind, op.targets)
             split.append((t, cb, idx))
@@ -358,8 +368,8 @@ def _step(groups: list[_Group], op: CircuitOp, u: np.ndarray | None) -> list[_Gr
         else:
             hot = t.select(mask)
             _apply_kind(hot, op.kind, op.targets)
-            split.append((hot, cb[mask], idx[mask]))
-            split.append((t.select(~mask), cb[~mask], idx[~mask]))
+            split.append((hot, cb[:, mask], idx[mask]))
+            split.append((t.select(~mask), cb[:, ~mask], idx[~mask]))
     return split
 
 
@@ -371,7 +381,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     keeps the batch whole; a conditioned H, R or CNOT splits it into
     groups by condition-bit value, since shots that took different
     branches no longer share structure.  Shot ``i`` draws from its own
-    Philox counter block exactly as in the dense backend.
+    Philox counter block exactly as in the dense backend; the draws
+    arrive as coin rows, one per measurement across all shots, and the
+    classical bits are kept the same way.
     """
     rep = classify_gottesman_knill(circuit)
     if not rep.is_gk:
@@ -387,18 +399,13 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    uniforms = shot_uniforms(seed, shots, n_meas)
+    coins = iter(shot_coins(seed, shots, n_meas))
 
     groups: list[_Group] = [
-        (init_tableau(n, shots), np.zeros((shots, m), dtype=np.uint8), np.arange(shots))
+        (init_tableau(n, shots), np.zeros((m, shots), dtype=np.uint8), np.arange(shots))
     ]
-    mi = 0
     for op in circuit.ops:
-        u = None
-        if isinstance(op, Measure):
-            u = uniforms[:, mi]
-            mi += 1
-        groups = _step(groups, op, u)
+        groups = _step(groups, op, next(coins) if isinstance(op, Measure) else None)
 
     final: Tableau | None = None
     if keep_final_state:
@@ -409,7 +416,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=histogram((cb, np.ones(len(cb), dtype=np.int64)) for _, cb, _ in groups),
+        counts=histogram((cb.T, np.ones(cb.shape[1], dtype=np.int64)) for _, cb, _ in groups),
         final_state=final,
     )
 

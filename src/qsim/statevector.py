@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -142,18 +141,6 @@ def _scale(a: np.ndarray, d) -> None:
         np.multiply(d, a, out=a)
 
 
-@lru_cache(maxsize=None)
-def _oracle_perm(n: int, inputs: tuple[int, ...], output: int, table: tuple[int, ...]) -> np.ndarray:
-    v = np.arange(1 << n)
-    x = np.zeros(1 << n, dtype=np.int64)
-    for q in inputs:  # first listed input is the top bit of the table index
-        x = (x << 1) | ((v >> _bitpos(n, q)) & 1)
-    flips = np.asarray(table, dtype=np.int64)[x] << _bitpos(n, output)
-    perm = v ^ flips  # an involution: f(x) does not touch the input bits
-    perm.setflags(write=False)
-    return perm
-
-
 def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
     # Dropping a term whose coefficient is 0, or a factor that is 1, leaves
     # every nonzero amplitude bit-identical to the full 2x2 product.
@@ -199,8 +186,27 @@ def _apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
 
 
 def _apply_oracle(amps: np.ndarray, n: int, op: OracleApp) -> None:
-    perm = _oracle_perm(n, op.inputs, op.output, op.function.table)
-    amps[...] = amps[..., perm]
+    """XOR f(inputs) into the output: swap the output qubit's halves
+    inside every input slab where f(x) = 1.
+
+    The view gives each qubit the oracle touches an axis of its own.  With
+    the input axes and then the output axis moved to the front, one index
+    array per input picks every slab where f(x) = 1 at once."""
+    qubits = sorted(op.inputs + (op.output,))
+    shape, prev = [], 0
+    for q in qubits:
+        shape += [1 << (q - prev), 2]
+        prev = q + 1
+    lead = amps.ndim - 1
+    v = amps.reshape(amps.shape[:-1] + tuple(shape) + (1 << (n - prev),))
+    front = [lead + 2 * qubits.index(q) + 1 for q in op.inputs + (op.output,)]
+    w = np.moveaxis(v, front, range(len(front)))
+    k = len(op.inputs)
+    x = np.flatnonzero(op.function.table)
+    slabs = tuple((x >> (k - 1 - j)) & 1 for j in range(k))  # first input is the top bit of x
+    half0 = w[slabs + (0,)]
+    w[slabs + (0,)] = w[slabs + (1,)]
+    w[slabs + (1,)] = half0
 
 
 def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:

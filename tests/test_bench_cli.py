@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsim
 from qsim.bench import (
@@ -30,8 +32,9 @@ from qsim.circuit import (
     gk_entangler,
     validate,
 )
-from qsim.cli import cli_dispatch, model_from_json, model_to_json, write_report
+from qsim.cli import _clean, cli_dispatch, model_from_json, model_to_json, write_report
 from qsim.lang import format_circuit
+from qsim.result import RunResult
 from qsim.lhv import (
     PAULI_ALPHABET,
     correlator,
@@ -167,6 +170,37 @@ def test_json_rendering_is_byte_stable(tmp_path):
     write_report(res, "json", str(a))
     write_report(res, "json", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def run_results(draw):
+    """Run results with keys of one length from 0 to 130 bits (the one
+    key of a circuit without cbits is ""), or with arbitrary text keys,
+    and counts that may be numpy integers."""
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 130))
+        key = st.lists(st.sampled_from("01"), min_size=m, max_size=m).map("".join)
+        keys = draw(st.lists(key, min_size=1, max_size=1 if m == 0 else 40, unique=True))
+    else:
+        keys = draw(st.lists(st.text(max_size=12), min_size=0, max_size=20, unique=True))
+    count = st.integers(1, 10**12)
+    if draw(st.booleans()):
+        count = count.map(np.int64)
+    counts = {k: draw(count) for k in keys}
+    if draw(st.booleans()):
+        counts = dict(sorted(counts.items()))
+    return RunResult(draw(st.sampled_from(["sv", "stab"])), draw(st.integers(1, 10**9)),
+                     draw(st.integers(0, 2**63 - 1)), "philox4x64-10", counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=run_results())
+def test_run_report_bytes_match_json_dumps(result, tmp_path_factory):
+    out = tmp_path_factory.mktemp("report") / "run.json"
+    write_report(result, "json", str(out))
+    payload = {"backend": result.backend, "shots": result.shots, "seed": result.seed,
+               "rng_id": result.rng_id, "counts": dict(result.counts)}
+    assert out.read_text() == json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
 def test_floats_render_with_twelve_significant_digits(tmp_path):
@@ -395,6 +429,17 @@ def test_cli_lhv_simulate_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text('{"weights": [1.0]}')
     assert cli_dispatch(["lhv", "simulate", "--model", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_prints_no_runpy_warning():
+    # ``python -m qsim.cli`` imports the package first; if that already
+    # imported qsim.cli, runpy warns on every call
+    src = str(Path(qsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-W", "default", "-m", "qsim.cli", "--help"], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "usage: qsim" in out.stdout
+    assert "RuntimeWarning" not in out.stderr
 
 
 def test_import_cli_does_not_load_scipy_optimize():

@@ -12,15 +12,20 @@ from qsim.result import histogram
 @st.composite
 def weighted_parts(draw):
     """Parts of (rows, m) bit rows with weights >= 1, drawn from a small
-    pool of rows so that the same row repeats within and across parts."""
-    m = draw(st.integers(0, 12))
+    pool of rows so that the same row repeats within and across parts.
+    Widths run past 64 bits and need not fill whole bytes; a part is
+    row-major as the dense backend builds it, or the transpose of a
+    per-bit (m, rows) matrix as the tableau backend passes it."""
+    m = draw(st.one_of(st.integers(0, 12), st.integers(13, 150)))
     pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=5))
     parts = []
     for _ in range(draw(st.integers(1, 4))):
         rows = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=20))
         weights = draw(st.lists(st.integers(1, 10**6), min_size=len(rows), max_size=len(rows)))
-        parts.append((np.array(rows, dtype=np.uint8).reshape(len(rows), m),
-                      np.array(weights, dtype=np.int64)))
+        bits = np.array(rows, dtype=np.uint8).reshape(len(rows), m)
+        if draw(st.booleans()):
+            bits = np.ascontiguousarray(bits.T).T
+        parts.append((bits, np.array(weights, dtype=np.int64)))
     return parts
 
 

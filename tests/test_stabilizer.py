@@ -21,7 +21,7 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
-from qsim.rng import shot_uniforms, stream
+from qsim.rng import shot_coins, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     _g_sum,
@@ -312,11 +312,12 @@ def test_ghz_measure_all_one_coin_then_determined(axis):
         for q in range(n):
             apply_clifford(t, GateApp(GateKind.H, (q,)))
     u = np.linspace(0.05, 0.95, batch)
-    first, p = _measure_axis(t, 0, axis, u, None)
+    coins = (u >= 0.5).astype(np.uint8)
+    first, p = _measure_axis(t, 0, axis, coins, None)
     assert np.all(p == 0.5)
     assert np.array_equal(first, (u >= 0.5).astype(np.uint8))
     for q in range(1, n):
-        bits, p = _measure_axis(t, q, axis, u, None)
+        bits, p = _measure_axis(t, q, axis, coins, None)
         assert np.array_equal(bits, first)
         assert np.array_equal(p, (first == 0).astype(float))
 
@@ -497,22 +498,25 @@ def _phase_circuit():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
+    # _step keeps bits as (m, shots) and takes coin rows; the reference
+    # keeps them as (shots, m) and thresholds the uniforms itself.
     n, m = circuit.n_qubits, circuit.n_cbits
-    uniforms = shot_uniforms(seed, shots, sum(isinstance(op, Measure) for op in circuit.ops))
-    fresh = lambda t: [(t, np.zeros((shots, m), dtype=np.uint8), np.arange(shots))]
-    groups, ref = fresh(init_tableau(n, shots)), fresh(ref_init(n, shots))
+    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    uniforms, coins = shot_uniforms(seed, shots, n_meas), shot_coins(seed, shots, n_meas)
+    groups = [(init_tableau(n, shots), np.zeros((m, shots), dtype=np.uint8), np.arange(shots))]
+    ref = [(ref_init(n, shots), np.zeros((shots, m), dtype=np.uint8), np.arange(shots))]
     mi = 0
     for op in circuit.ops:
-        u = None
+        u = c = None
         if isinstance(op, Measure):
-            u = uniforms[:, mi]
+            u, c = uniforms[:, mi], coins[mi]
             mi += 1
-        groups, ref = _step(groups, op, u), ref_step(ref, op, u)
+        groups, ref = _step(groups, op, c), ref_step(ref, op, u)
         assert len(groups) == len(ref)
         for (t, cb, idx), (rt, rcb, ridx) in zip(groups, ref):
             assert np.array_equal(t.x, rt.x[: 2 * n])
             assert np.array_equal(t.z, rt.z[: 2 * n])
             assert np.array_equal(t.r, rt.r[: 2 * n])
-            assert np.array_equal(cb, rcb) and np.array_equal(idx, ridx)
+            assert np.array_equal(cb, rcb.T) and np.array_equal(idx, ridx)
     want = Counter("".join(map(str, row)) for _, cb, _ in ref for row in cb.tolist())
     assert run(circuit, shots, seed).counts == dict(sorted(want.items()))

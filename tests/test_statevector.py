@@ -584,6 +584,43 @@ def test_kernels_match_index_array_reference(case, theta, phi):
                 assert np.array_equal(got, want), (q, axis, outcome)
 
 
+def ref_oracle_perm(n, inputs, output, table):
+    """The basis permutation of an XOR oracle: index v goes to v with
+    f(x) XORed into the output bit, x read from the inputs (first listed
+    input is the top bit of x)."""
+    v = np.arange(1 << n)
+    x = np.zeros(1 << n, dtype=np.int64)
+    for q in inputs:
+        x = (x << 1) | ((v >> (n - 1 - q)) & 1)
+    return v ^ (np.asarray(table, dtype=np.int64)[x] << (n - 1 - output))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random truth table on distinct inputs in any order, with the
+    output anywhere among them, on 1-D or (R, 2**n) amplitudes."""
+    n = draw(st.integers(2, 9))
+    qubits = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n - 1))
+    inputs, output = tuple(qubits[:k]), qubits[k]
+    table = tuple(draw(st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k)))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n,) if rows is None else (rows, 1 << n)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return n, OracleApp(BooleanFunction(k, table), inputs, output), amps
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=oracle_cases())
+def test_oracle_kernel_matches_permutation_reference(case):
+    n, op, amps = case
+    want = amps[..., ref_oracle_perm(n, op.inputs, op.output, op.function.table)]
+    got = amps.copy()
+    sv._apply_oracle(got, n, op)
+    assert np.array_equal(got, want)
+
+
 _CLIFFORD_KINDS = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.R]
 
 
