@@ -1,11 +1,11 @@
 """Alternated parent/change pairs of the benchmark, summarised as a BENCH file.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out bench.json
-    python3 scripts/bench_pairs.py --parent main --workloads stab-mix --pairs 10 --out b.json
 
 Run it from the root of a qsim checkout: that working tree is the change.
 The parent revision is checked out with ``git worktree`` into a temporary
-directory, removed again at the end.  Pair ``i`` runs
+directory, removed again at the end.  Every workload of
+``BENCHMARK.json`` gets ``PAIRS`` pairs at seed ``SEED``; pair ``i`` runs
 ``perfbench/run.py --trace 0`` once on each side, the parent first in
 even pairs and the change first in odd ones.  Both sides run this
 checkout's ``perfbench/``, so the benchmark code is identical; each
@@ -31,6 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+PAIRS = 10
+SEED = 1
+
 
 def _git(*args, cwd: Path) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
@@ -50,9 +53,9 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def run_once(bench: Path, root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(bench: Path, root: Path, workload: str, seconds: float) -> dict:
     """One benchmark run in ``root``; its final JSON report line."""
-    cmd = [sys.executable, str(bench / "run.py"), "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, str(bench / "run.py"), "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -86,16 +89,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True, help="where to write the BENCH json")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workloads (default: every one in BENCHMARK.json)")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
 
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     parent_rev = _git("rev-parse", args.parent, cwd=root)
     bench = root / "perfbench"
@@ -104,7 +102,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "change": f"working tree on {_git('rev-parse', 'HEAD', cwd=root)}",
         "machine": machine(),
-        "settings": {"pairs": args.pairs, "seed": args.seed, "seconds": seconds,
+        "settings": {"pairs": PAIRS, "seed": SEED, "seconds": seconds,
                      "order": "parent first in even pairs, change first in odd pairs"},
         "workloads": {},
     }
@@ -114,11 +112,11 @@ def main(argv=None) -> int:
         try:
             for workload in workloads:
                 runs = {"parent": [], "change": []}
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     sides = [("parent", parent_root), ("change", root)]
                     for side, side_root in sides if i % 2 == 0 else sides[::-1]:
-                        runs[side].append(run_once(bench, side_root, workload, args.seed, seconds))
-                    print(f"# {workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                        runs[side].append(run_once(bench, side_root, workload, seconds))
+                    print(f"# {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                         f"{s} {runs[s][-1]['metrics']['jobs_per_s']['value']:.3f} jobs/s"
                         for s in runs), file=sys.stderr)
                 report["workloads"][workload] = {

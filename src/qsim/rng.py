@@ -17,12 +17,11 @@ The dense backend compares each draw with a branch probability, so it
 takes the uniforms themselves (:func:`shot_uniforms`, one row per shot).
 The tableau backend only needs fair coins, bit 1 where a draw is at
 least 1/2, and reads them per measurement across shots
-(:func:`shot_coins`, one contiguous row per draw).  A uniform is the top
-53 bits of one raw 64-bit Philox word scaled by 2**-53, so it is at
-least 1/2 exactly when the word's top bit is set: ``shot_coins`` takes
-the same words in blocks of whole shots and keeps their top bits.
-Successive blocks continue the stream, so the coins equal the
-thresholded uniforms bit for bit and the float matrix never exists.
+(:func:`shot_coins`, one contiguous row per draw).  ``shot_coins`` asks
+``shot_uniforms`` for blocks of whole shots, each starting at its first
+shot's counter block, and keeps only the thresholded, transposed
+block: the coins equal the thresholded uniforms of the whole run bit for
+bit, and the ``(shots, draws)`` float matrix never exists.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 RNG_ID = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
-_COIN_BLOCK_DRAWS = 1 << 16  # raw words held at once by shot_coins (512 KB)
+_COIN_BLOCK_DRAWS = 1 << 16  # uniforms held at once by shot_coins (512 KB)
 
 
 def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -41,14 +40,21 @@ def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def shot_uniforms(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
-    """Uniform draws for a whole run, one row per shot.
+def shot_uniforms(
+    seed: int, shots: int, draws_per_shot: int, *, first_shot: int = 0
+) -> np.ndarray:
+    """Uniform draws for ``shots`` shots of a run, one row per shot.
 
-    Row ``i`` holds exactly the draws shot ``i`` consumes, in op order.
+    Row ``i`` holds exactly the draws shot ``first_shot + i`` consumes, in
+    op order, so a run's uniforms may be drawn in blocks of shots.
     """
     if draws_per_shot == 0:
         return np.zeros((shots, 0))
-    return stream(seed).random((shots, draws_per_shot))
+    gen = stream(seed)
+    skip = first_shot * draws_per_shot
+    gen.bit_generator.advance(skip // 4)  # one Philox counter step yields 4 words
+    gen.bit_generator.random_raw(skip % 4)
+    return gen.random((shots, draws_per_shot))
 
 
 def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
@@ -61,10 +67,9 @@ def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
     coins = np.empty((draws_per_shot, shots), dtype=np.uint8)
     if draws_per_shot == 0:
         return coins
-    words = stream(seed).bit_generator
     block = max(1, _COIN_BLOCK_DRAWS // draws_per_shot)
     for start in range(0, shots, block):
         k = min(block, shots - start)
-        top = words.random_raw(k * draws_per_shot) >> np.uint64(63)
-        coins[:, start : start + k] = top.reshape(k, draws_per_shot).T
+        u = shot_uniforms(seed, k, draws_per_shot, first_shot=start)
+        coins[:, start : start + k] = (u >= 0.5).T
     return coins

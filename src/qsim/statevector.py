@@ -185,28 +185,46 @@ def _apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
         _apply_1q(amps, n, op.targets[0], gate_matrix(op.kind))
 
 
+# Inputs of an oracle fixed by plain indices: up to 2**3 table rows are
+# visited one by one, and index arrays pick each row's slabs over the rest.
+_ORACLE_PLAIN_INPUTS = 3
+
+
 def _apply_oracle(amps: np.ndarray, n: int, op: OracleApp) -> None:
     """XOR f(inputs) into the output: swap the output qubit's halves
     inside every input slab where f(x) = 1.
 
-    The view gives each qubit the oracle touches an axis of its own.  With
-    the input axes and then the output axis moved to the front, one index
-    array per input picks every slab where f(x) = 1 at once."""
+    The view gives each qubit the oracle touches an axis of its own.  The
+    truth table is read as rows over the first inputs, which plain
+    indices fix; index arrays over the remaining inputs pick every slab of
+    a row where f(x) = 1 at once.  A small oracle thus swaps plain strided
+    views, and a large one takes at most eight fancy-indexing passes."""
     qubits = sorted(op.inputs + (op.output,))
     shape, prev = [], 0
     for q in qubits:
         shape += [1 << (q - prev), 2]
         prev = q + 1
-    lead = amps.ndim - 1
     v = amps.reshape(amps.shape[:-1] + tuple(shape) + (1 << (n - prev),))
-    front = [lead + 2 * qubits.index(q) + 1 for q in op.inputs + (op.output,)]
-    w = np.moveaxis(v, front, range(len(front)))
     k = len(op.inputs)
-    x = np.flatnonzero(op.function.table)
-    slabs = tuple((x >> (k - 1 - j)) & 1 for j in range(k))  # first input is the top bit of x
-    half0 = w[slabs + (0,)]
-    w[slabs + (0,)] = w[slabs + (1,)]
-    w[slabs + (1,)] = half0
+    axes = [2 * qubits.index(q) + 1 for q in op.inputs]  # among v's trailing axes
+    out = 2 * qubits.index(op.output) + 1
+    b = max(0, k - _ORACLE_PLAIN_INPUTS)  # inputs picked by index arrays
+    idx = [Ellipsis] + [slice(None)] * (len(shape) + 1)
+    table = op.function.table
+    for p in range(0, len(table), 1 << b):
+        row = table[p : p + (1 << b)]
+        if not any(row):
+            continue
+        x = np.flatnonzero(row) if b else None
+        for j, ax in enumerate(axes):  # first input is the top bit of the table index
+            idx[1 + ax] = (p >> (k - 1 - j)) & 1 if j < k - b else (x >> (k - 1 - j)) & 1
+        idx[1 + out] = 0
+        i0 = tuple(idx)
+        idx[1 + out] = 1
+        i1 = tuple(idx)
+        half0 = v[i0].copy()
+        v[i0] = v[i1]
+        v[i1] = half0
 
 
 def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:
