@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -665,7 +666,42 @@ def find_local_model(
     snaps to small rationals (all Pauli-alphabet tables do); on failure
     a separating inequality is extracted and re-verified against every
     distinct table, hence every strategy.
+
+    The solver's freed working memory goes back to the operating system
+    before the call returns (:func:`_release_freed_heap`).
     """
+    try:
+        return _search_local_model(target, topology)
+    finally:
+        _release_freed_heap()
+
+
+def _release_freed_heap() -> None:
+    """Return the C heap's free pages to the operating system.
+
+    HiGHS builds its working copies of a large LP (over 100 MB for the
+    2**18-column singlet search) on the C heap and frees them when
+    ``linprog`` returns, but glibc keeps freed pages resident until the
+    top of the heap is free.  Any small allocation that outlives the
+    solve and lands above them pins them all, and whether one does
+    varies from run to run, so a process running several searches
+    would keep or drop the whole solve's pages by chance, and the next
+    search stacks on top of what it keeps.  ``malloc_trim(0)`` releases
+    every free page wherever it lies.  A no-op where the C library has
+    no such call.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
+def _search_local_model(
+    target: CorrelationTable, topology: CommTopology
+) -> LocalModel | Infeasible:
     # scipy is imported here, not at module level: it is only needed by
     # the LP, and importing it costs every other command ~0.6 s.
     from scipy.optimize import linprog

@@ -350,6 +350,20 @@ def test_ghz_needs_communication(ghz_pauli_table):
     assert float(y @ table_vector(ghz_pauli_table)) <= bound - verdict.violation + 1e-9
 
 
+def test_every_search_releases_the_freed_heap(monkeypatch, singlet_pauli_table, ghz_pauli_table):
+    # the solver's freed pages go back to the operating system whether
+    # the search finds a model, a certificate or stops with an error
+    lhv._release_freed_heap()
+    calls = []
+    monkeypatch.setattr(lhv, "_release_freed_heap", lambda: calls.append(None))
+    assert isinstance(find_local_model(singlet_pauli_table, NO_COMM_2), LocalModel)
+    assert isinstance(find_local_model(ghz_pauli_table, NO_COMM_3), Infeasible)
+    monkeypatch.setattr(lhv, "_MAX_STRATEGIES", 1)
+    with pytest.raises(TooManyStrategies):
+        find_local_model(singlet_pauli_table, NO_COMM_2)
+    assert len(calls) == 3
+
+
 def test_one_bit_restores_ghz(ghz_pauli_table, ghz_bit_model):
     assert ghz_bit_model.topology.budget == 1
     if ghz_bit_model.exact_weights is not None:
