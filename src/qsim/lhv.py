@@ -11,8 +11,9 @@ experiment:
   strategies whose parties may exchange a fixed number of one-bit
   messages (:class:`LocalModel`), searched for by linear programming
   (:func:`find_local_model`) and executed shot-by-shot
-  (:func:`simulate_model`).  The LP has one column per distinct table
-  the strategies induce, represented by its lowest-numbered strategy.
+  (:func:`simulate_model`).  The LP's columns are the distinct tables
+  the strategies induce, each represented by its lowest-numbered
+  strategy, and are brought into a restricted master LP by pricing.
 
 Conventions used throughout: a party's outcome is +1 or -1; outcome
 tuples are indexed with party 0 as the most significant bit and bit
@@ -394,12 +395,20 @@ def enumerate_strategies(
     The count is 2**(total table cells); anything above 10**6 raises
     :class:`TooManyStrategies` before any work is done.
     """
+    return StrategyEnumeration(_strategy_layout(parties, alphabet_sizes, topology))
+
+
+def _strategy_layout(
+    parties: int, alphabet_sizes: Sequence[int], topology: CommTopology
+) -> _CellLayout:
+    """The cell layout of the strategy space, refused with
+    :class:`TooManyStrategies` when it holds more than the cap."""
     layout = _CellLayout(parties, tuple(alphabet_sizes), topology)
     if layout.count > _MAX_STRATEGIES:
         raise TooManyStrategies(
             f"{layout.count} strategies exceeds the cap of {_MAX_STRATEGIES}"
         )
-    return StrategyEnumeration(layout)
+    return layout
 
 
 def _run_strategy(
@@ -661,11 +670,17 @@ def find_local_model(
     distinct tables the deterministic strategies induce: strategies
     with the same table are one vertex of the polytope, so each table
     enters once, represented by its lowest-numbered strategy (which
-    keeps the returned models deterministic).  On success the float
-    solution is polished to exact rational weights whenever the target
-    snaps to small rationals (all Pauli-alphabet tables do); on failure
-    a separating inequality is extracted and re-verified against every
-    distinct table, hence every strategy.
+    keeps the returned models deterministic).  It is solved by column
+    generation (:func:`_phase_one`): a restricted phase-1 master LP
+    that minimises the target's residual over a few columns, priced
+    against every distinct table by its duals each round, so the LP
+    stays a small fraction of the strategy space.  When the residual
+    reaches zero the master's support is polished to exact rational
+    weights whenever the target snaps to small rationals (all
+    Pauli-alphabet tables do); when no column prices out first, the
+    last duals are the separating inequality, whose bound is re-taken
+    over every distinct table, hence every strategy.  One LP family
+    answers both ways.
 
     The solver's freed working memory goes back to the operating system
     before the call returns (:func:`_release_freed_heap`).
@@ -702,18 +717,8 @@ def _release_freed_heap() -> None:
 def _search_local_model(
     target: CorrelationTable, topology: CommTopology
 ) -> LocalModel | Infeasible:
-    # scipy is imported here, not at module level: it is only needed by
-    # the LP, and importing it costs every other command ~0.6 s.
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_matrix
-
     alphabets = target.alphabets
-    sizes = tuple(len(a) for a in alphabets)
-    layout = _CellLayout(target.parties, sizes, topology)
-    if layout.count > _MAX_STRATEGIES:
-        raise TooManyStrategies(
-            f"{layout.count} strategies exceeds the cap of {_MAX_STRATEGIES}"
-        )
+    layout = _strategy_layout(target.parties, tuple(len(a) for a in alphabets), topology)
     outcomes = _outcome_rows(layout)
     n_profiles = outcomes.shape[1]
     n_rows = n_profiles << target.parties
@@ -726,27 +731,21 @@ def _search_local_model(
     # cols[j]: the row of each profile's point outcome in column j
     cols = outcomes[col_ids].astype(np.int64)
     cols += np.arange(n_profiles, dtype=np.int64) << target.parties
-    n_cols = col_ids.size
 
-    entries = np.column_stack([cols, np.full(n_cols, n_rows)])
-    a_eq = csc_matrix(
-        (np.ones(entries.size), entries.ravel(), np.arange(0, entries.size + 1, n_profiles + 1)),
-        shape=(n_rows + 1, n_cols),
-    )
-    b_eq = np.append(t, 1.0)
+    master, w, y = _phase_one(cols, np.append(t, 1.0))
+    if w is None:
+        # the duals are a Farkas certificate; its bound is re-taken over
+        # every distinct table, hence every strategy
+        coefficients = -y[:n_rows]
+        bound = float(coefficients[cols].sum(axis=1).min())
+        violation = bound - float(coefficients @ t)
+        if violation <= 1e-9:
+            raise QsimError("separation margin vanished; table may be feasible after all")
+        return Infeasible(coefficients=coefficients, bound=bound, violation=violation)
 
-    res = linprog(
-        np.zeros(n_cols), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if res.status == 2:
-        return _separating_inequality(cols, t, n_rows)
-    if res.status != 0:
-        raise QsimError(f"feasibility LP did not converge: {res.message}")
-
-    w = res.x
-    support = np.flatnonzero(w > 1e-10)
-    if support.size == 0:
-        support = np.array([int(np.argmax(w))])
+    # the normalisation row keeps the weights' sum at 1, so some are positive
+    keep = w > 1e-10
+    support, w_sup = master[keep], w[keep]
 
     fracs = _snap_dyadic(t)
     if fracs is not None:
@@ -761,7 +760,6 @@ def _search_local_model(
                 exact_weights=tuple(x for _, x in kept),
             )
 
-    w_sup = w[support]
     w_sup = w_sup / w_sup.sum()
     recon = np.zeros(n_rows)
     np.add.at(recon, cols[support].ravel(), np.repeat(w_sup, n_profiles))
@@ -776,31 +774,69 @@ def _search_local_model(
     )
 
 
-def _separating_inequality(cols: np.ndarray, t: np.ndarray, n_rows: int) -> Infeasible:
-    """Best-margin hyperplane with coefficients in [-1, 1] separating
-    the target from every column; ``cols[j]`` holds column j's rows."""
+def _phase_one(
+    cols: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Column generation on the phase-1 LP over the distinct tables.
+
+    ``cols[j]`` holds the rows where column j is 1; the last row of
+    ``b`` is the normalisation row, which every column meets.  The
+    master minimises ``1.(s+ + s-)`` subject to ``A_S w + s+ - s- = b``
+    with ``w, s >= 0`` over a growing column set S, so its duals ``y``
+    lie in [-1, 1].  It starts with the slacks alone, whose duals are
+    ``[b > 0]``.  Each round prices every column outside S at once by
+    ``y . A_j`` and adds at most ``2 * len(b)`` of those above 1e-9,
+    best first, ties to the lowest column index so that identical calls
+    build identical masters; the master is then re-solved.
+
+    Returns ``(S, w, y)``.  Once the master optimum reaches zero the
+    target lies in the hull, and w holds the weights of the columns S,
+    both in column order.  Once no column prices out first, w is None
+    and y the last duals: no column has ``y . A_j > 1e-9`` while
+    ``y . b`` is the positive optimum, so ``-y`` separates the target
+    from every column.
+    """
+    # scipy is imported here, not at module level: it is only needed by
+    # the LP, and importing it costs every other command ~0.6 s.
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_matrix
 
     n_cols, n_profiles = cols.shape
-    # variables: y (n_rows) then c; maximize c - y.t subject to c <= y.T_j
-    obj = np.append(t, -1.0)
-    entries = np.column_stack([cols, np.full(n_cols, n_rows)])
-    data = np.tile(np.append(-np.ones(n_profiles), 1.0), n_cols)
-    a_ub = csr_matrix(
-        (data, entries.ravel(), np.arange(0, entries.size + 1, n_profiles + 1)),
-        shape=(n_cols, n_rows + 1),
-    )
-    bounds = [(-1.0, 1.0)] * n_rows + [(None, None)]
-    res = linprog(obj, A_ub=a_ub, b_ub=np.zeros(n_cols), bounds=bounds, method="highs")
-    if res.status != 0:
-        raise QsimError(f"separation LP did not converge: {res.message}")
-    y = res.x[:n_rows]
-    bound = float(y[cols].sum(axis=1).min())  # over every distinct table
-    violation = bound - float(y @ t)
-    if violation <= 1e-9:
-        raise QsimError("separation margin vanished; table may be feasible after all")
-    return Infeasible(coefficients=y, bound=bound, violation=violation)
+    n_eq = b.size
+    slack_rows = np.tile(np.arange(n_eq), 2)
+    slack_data = np.repeat([1.0, -1.0], n_eq)
+    master = np.empty(0, dtype=np.int64)
+    in_master = np.zeros(n_cols, dtype=bool)
+    y = (b > 0).astype(np.float64)
+    while True:
+        score = y[cols].sum(axis=1) + y[-1]
+        score[in_master] = -np.inf
+        new = np.flatnonzero(score > 1e-9)
+        if new.size == 0:
+            return master, None, y
+        new = new[np.lexsort((new, -score[new]))][: 2 * n_eq]
+        master = np.concatenate([master, new])
+        in_master[new] = True
+        k = master.size
+        rows = np.column_stack([cols[master], np.full(k, n_eq - 1)]).ravel()
+        a_eq = csc_matrix(
+            (
+                np.concatenate([np.ones(rows.size), slack_data]),
+                np.concatenate([rows, slack_rows]),
+                np.concatenate(
+                    [np.arange(0, rows.size, n_profiles + 1), rows.size + np.arange(2 * n_eq + 1)]
+                ),
+            ),
+            shape=(n_eq, k + 2 * n_eq),
+        )
+        cost = np.concatenate([np.zeros(k), np.ones(2 * n_eq)])
+        res = linprog(cost, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise QsimError(f"phase-1 master LP did not converge: {res.message}")
+        if res.fun <= 1e-9:
+            order = np.argsort(master)
+            return master[order], res.x[:k][order], y
+        y = res.eqlin.marginals
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,19 @@ def test_cli_lhv_find_ghz_without_bits_reports_infeasible(tmp_path):
     assert len(doc["coefficients"]) == 27 * 8
 
 
+def test_cli_lhv_find_one_bit_model_is_byte_identical(tmp_path):
+    # column generation breaks pricing ties by column index, so two runs
+    # build the same masters and write the same model
+    outs = []
+    for rep in ("a", "b"):
+        out = tmp_path / f"model-{rep}.json"
+        argv = ["lhv", "find", "--state", "ghz3", "--bits", "1", "--topology", "2>1"]
+        assert cli_dispatch(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["topology"]["messages"] == [[1, 0]]
+
+
 def test_cli_lhv_bits_topology_mismatch_exits_2(capsys):
     assert cli_dispatch(["lhv", "find", "--state", "ghz3", "--bits", "1"]) == 2
     capsys.readouterr()

@@ -3,6 +3,7 @@ LP model search, and shot-by-shot model execution."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -409,6 +410,108 @@ def test_exact_polish_switches_to_python_ints(monkeypatch, ghz_pauli_table, ghz_
     model = find_local_model(ghz_pauli_table, CommTopology(3, ((1, 0),)))
     assert model.exact_weights == ghz_bit_model.exact_weights
     assert model.strategies == ghz_bit_model.strategies
+
+
+# ---------------------------------------------------------------------------
+# Column generation: one LP family, small masters, known results
+
+
+def certificate_minimum(verdict, parties, sizes, topology):
+    """min over every enumerated strategy of coefficients . T(s), with
+    each strategy's table evaluated from its number and the documented
+    cell order, vectorised over strategy numbers (no table is stored)."""
+    layout = lhv._CellLayout(parties, sizes, topology)
+    s = np.arange(layout.count, dtype=np.int64)
+
+    def bit(cell):
+        return (s >> (layout.n_cells - 1 - cell)) & 1
+
+    y = verdict.coefficients.reshape(-1, 1 << parties)
+    total = np.zeros(layout.count)
+    for i, idx in enumerate(itertools.product(*(range(m) for m in sizes))):
+        rec = [np.zeros_like(s) for _ in range(parties)]
+        for k, (snd, rcv) in enumerate(topology.messages):
+            rec[rcv] |= bit(layout.msg_cell(k, idx[snd], rec[snd])) << layout.arrival[k]
+        outcome = np.zeros_like(s)
+        for p in range(parties):
+            outcome |= bit(layout.out_cell(p, idx[p], rec[p])) << (parties - 1 - p)
+        total += y[i][outcome]
+    return float(total.min())
+
+
+def test_certificate_minimum_matches_strategy_tables():
+    # the vectorised evaluator above agrees with strategy_table
+    # (party 0 relays a bit it received, so both message paths count)
+    topology = CommTopology(3, ((2, 0), (0, 1)))
+    verdict = Infeasible(np.random.default_rng(3).standard_normal(2 * 8), 0.0, 1.0)
+    _, tables = strategy_tables(topology, ((X,), (X, Y), (X,)))
+    got = certificate_minimum(verdict, 3, (1, 2, 1), topology)
+    assert got == pytest.approx(float((tables @ verdict.coefficients).min()), abs=1e-12)
+
+
+@pytest.mark.parametrize("messages", [(), ((1, 0),)], ids=["0bit", "1bit"])
+def test_ghz4_pauli_is_infeasible(messages):
+    # GHZ4 with Pauli settings admits no model without communication, nor
+    # with one bit from party 1 to party 0: 2**18 strategies, which the
+    # full LP took over a minute on, now answered in seconds
+    table = quantum_table(ghz_state(4), (PAULI_ALPHABET,) * 4)
+    topology = CommTopology(4, messages)
+    start = time.perf_counter()
+    verdict = find_local_model(table, topology)
+    assert time.perf_counter() - start < 20.0
+    assert isinstance(verdict, Infeasible)
+    assert verdict.violation > 1e-9
+    low = certificate_minimum(verdict, 4, (3,) * 4, topology)
+    assert low >= verdict.bound - 1e-9
+    assert float(verdict.coefficients @ table_vector(table)) <= verdict.bound - verdict.violation + 1e-9
+
+
+def test_one_lp_family_answers_both_ways(monkeypatch, ghz_pauli_table):
+    # models and certificates both come from equality-form phase-1
+    # masters; no inequality-form separation LP is solved
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    assert isinstance(find_local_model(ghz_pauli_table, NO_COMM_3), Infeasible)
+    assert isinstance(find_local_model(ghz_pauli_table, CommTopology(3, ((1, 0),))), LocalModel)
+    assert calls
+    for kwargs in calls:
+        assert kwargs.get("A_ub") is None and kwargs.get("b_ub") is None
+        assert kwargs["A_eq"] is not None
+
+
+def test_singlet_equatorial_one_bit_model_from_small_masters(monkeypatch):
+    # Toner-Bacon: one bit reproduces the singlet on finite Bloch
+    # alphabets; the masters stay under half of the 27 136 distinct tables
+    import scipy.optimize
+
+    alice = tuple(BlochAxis(math.pi / 2, k * math.pi / 2) for k in range(4))
+    bob = tuple(BlochAxis(math.pi / 2, k * math.pi / 2 + math.pi / 4) for k in range(4))
+    table = quantum_table(singlet_state(), (alice, bob))
+    topology = CommTopology(2, ((1, 0),))
+    rows = lhv._outcome_rows(lhv._strategy_layout(2, (4, 4), topology))
+    n_tables = len(np.unique(rows, axis=0))
+    assert n_tables == 27_136
+
+    masters = []
+    real = scipy.optimize.linprog
+
+    def spy(c, *args, **kwargs):
+        masters.append(len(c) - 2 * kwargs["A_eq"].shape[0])  # minus the slack pairs
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    model = find_local_model(table, topology)
+    assert isinstance(model, LocalModel)
+    assert max_table_error(model_table(model), table) <= 1e-9
+    assert masters and max(masters) <= n_tables // 2
 
 
 # ---------------------------------------------------------------------------
