@@ -3,8 +3,8 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --out bench.json
 
 Run it from the root of a qsim checkout: that working tree is the change.
-The parent revision's committed files are exported with ``git archive``
-into a temporary directory, removed again at the end.  Every workload of
+The parent revision is checked out with ``git worktree`` into a temporary
+directory, removed again at the end.  Every workload of
 ``BENCHMARK.json`` gets ``PAIRS`` pairs at seed ``SEED``; pair ``i`` runs
 ``perfbench/run.py --trace 0`` once on each side, the parent first in
 even pairs and the change first in odd ones.  Both sides run this
@@ -106,25 +106,26 @@ def main(argv=None) -> int:
                      "order": "parent first in even pairs, change first in odd pairs"},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="qsim-parent-") as parent_root:
-        parent_root = Path(parent_root)
-        archive = subprocess.run(["git", "archive", parent_rev], cwd=root, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
-        for workload in workloads:
-            runs = {"parent": [], "change": []}
-            for i in range(PAIRS):
-                sides = [("parent", parent_root), ("change", root)]
-                for side, side_root in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run_once(bench, side_root, workload, seconds))
-                print(f"# {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
-                    f"{s} {runs[s][-1]['metrics']['jobs_per_s']['value']:.3f} jobs/s"
-                    for s in runs), file=sys.stderr)
-            report["workloads"][workload] = {
-                "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
-                "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-                "metrics": summarise(spec["end_to_end"], runs),
-            }
+    with tempfile.TemporaryDirectory(prefix="qsim-parent-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(parent_root), parent_rev, cwd=root)
+        try:
+            for workload in workloads:
+                runs = {"parent": [], "change": []}
+                for i in range(PAIRS):
+                    sides = [("parent", parent_root), ("change", root)]
+                    for side, side_root in sides if i % 2 == 0 else sides[::-1]:
+                        runs[side].append(run_once(bench, side_root, workload, seconds))
+                    print(f"# {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
+                        f"{s} {runs[s][-1]['metrics']['jobs_per_s']['value']:.3f} jobs/s"
+                        for s in runs), file=sys.stderr)
+                report["workloads"][workload] = {
+                    "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
+                    "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+                    "metrics": summarise(spec["end_to_end"], runs),
+                }
+        finally:
+            _git("worktree", "remove", "--force", str(parent_root), cwd=root)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -36,9 +36,6 @@ def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, int]:
     to a byte, bit 0 in the top bit of the first byte, and grouped by
     ``np.unique`` on the packed rows viewed as opaque byte strings; for
     keys of equal length that byte order is the bit strings' order.
-    Keys of at most 8 bytes are zero-padded to 8 and viewed as
-    big-endian ``uint64`` instead, which sorts in the same order with
-    an integer sort rather than numpy's generic per-element comparator.
     ``'0'``/``'1'`` strings are built only for the distinct rows.
     """
     bits_parts, weight_parts = zip(*parts)
@@ -47,16 +44,10 @@ def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, int]:
     if m == 0:  # no register: every shot has the empty key
         return {"": int(weights.sum())}
     packed = np.concatenate([np.packbits(np.ascontiguousarray(b), axis=1) for b in bits_parts])
-    width = packed.shape[1]
-    if width <= 8:
-        padded = np.zeros((len(packed), 8), dtype=np.uint8)
-        padded[:, :width] = packed
-        keys, inverse = np.unique(padded.view(">u8").ravel(), return_inverse=True)
-    else:
-        keys, inverse = np.unique(packed.view(f"V{width}").ravel(), return_inverse=True)
+    keys, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, inverse, weights)
-    rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), keys.itemsize), axis=1, count=m)
+    rows = np.unpackbits(keys.view(np.uint8).reshape(keys.shape + packed.shape[1:]), axis=1, count=m)
     rows += ord("0")
     strings = rows.view(f"S{m}").ravel().tolist()
     return {k.decode("ascii"): c for k, c in zip(strings, counts.tolist())}

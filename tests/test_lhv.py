@@ -3,7 +3,6 @@ LP model search, and shot-by-shot model execution."""
 
 import itertools
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -450,15 +449,31 @@ def test_certificate_minimum_matches_strategy_tables():
 
 
 @pytest.mark.parametrize("messages", [(), ((1, 0),)], ids=["0bit", "1bit"])
-def test_ghz4_pauli_is_infeasible(messages):
+def test_ghz4_pauli_is_infeasible(monkeypatch, messages):
     # GHZ4 with Pauli settings admits no model without communication, nor
-    # with one bit from party 1 to party 0: 2**18 strategies, which the
-    # full LP took over a minute on, now answered in seconds
+    # with one bit from party 1 to party 0 (2**18 strategies); with the bit,
+    # the masters that decide it stay a small fraction of the 90 112
+    # distinct tables (without it, one round's 2 * 1297 columns decide it)
+    import scipy.optimize
+
     table = quantum_table(ghz_state(4), (PAULI_ALPHABET,) * 4)
     topology = CommTopology(4, messages)
-    start = time.perf_counter()
+    rows = lhv._outcome_rows(lhv._strategy_layout(4, (3,) * 4, topology))
+    n_tables = len(np.unique(rows, axis=0))
+
+    masters = []
+    real = scipy.optimize.linprog
+
+    def spy(c, *args, **kwargs):
+        masters.append(len(c) - 2 * kwargs["A_eq"].shape[0])  # minus the slack pairs
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     verdict = find_local_model(table, topology)
-    assert time.perf_counter() - start < 20.0
+    assert masters
+    if messages:
+        assert n_tables == 90_112
+        assert max(masters) <= n_tables // 8
     assert isinstance(verdict, Infeasible)
     assert verdict.violation > 1e-9
     low = certificate_minimum(verdict, 4, (3,) * 4, topology)

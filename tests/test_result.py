@@ -3,7 +3,6 @@
 from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,28 +42,3 @@ def test_histogram_matches_counter(parts):
     assert got == dict(sorted(want.items()))
     assert list(got) == sorted(want)
     assert all(type(c) is int for c in got.values())
-
-
-def _void_histogram(bits, weights):
-    """The grouping on opaque byte-string keys, at every width."""
-    packed = np.packbits(bits, axis=1)
-    keys, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse, weights)
-    rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=bits.shape[1])
-    return {"".join(map(str, r)): c for r, c in zip(rows.tolist(), counts.tolist())}
-
-
-@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65])
-def test_integer_keys_match_the_void_path(m):
-    # keys up to 8 bytes sort as big-endian words; the keys, their order
-    # and the counts are the void path's, on both sides of the switch
-    rng = np.random.default_rng(m)
-    bits = rng.integers(0, 2, size=(500, m), dtype=np.uint8)
-    bits[:100] = bits[100:200]  # repeated rows
-    bits[200] = 0
-    bits[201] = 1
-    weights = rng.integers(1, 1000, size=len(bits))
-    got = histogram([(bits, weights)])
-    want = _void_histogram(bits, weights)
-    assert list(got.items()) == list(want.items())
