@@ -27,7 +27,7 @@ import itertools
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +282,13 @@ class DeterministicStrategy:
     bit 0) equal ``rec``.  ``messages[k][a][rec]`` is the bit sent in
     topology slot k given the sender's setting index and the bits the
     sender had received before slot k.
+
+    Valid for a topology and alphabet sizes: one output table per party
+    and one table per message, each with a row per setting of its party
+    (the sender's, for messages) and an entry per received-bit pattern;
+    outputs in {+1, -1}, message bits in {0, 1}.  :func:`strategy_table`,
+    :func:`model_table` and :func:`simulate_model` raise ``ValueError``
+    on any other strategy.
     """
 
     outputs: tuple[tuple[tuple[int, ...], ...], ...]
@@ -317,52 +324,64 @@ class _CellLayout:
             self.arrival.append(seen[rcv])
             seen[rcv] += 1
         self.inbits = tuple(seen)
-        pos = 0
-        self.out_base: list[int] = []
-        for p in range(parties):
-            self.out_base.append(pos)
-            pos += sizes[p] << self.inbits[p]
-        self.msg_base: list[int] = []
-        for k, (snd, _) in enumerate(topology.messages):
-            self.msg_base.append(pos)
-            pos += sizes[snd] << self.pre[k]
-        self.n_cells = pos
+        # (rows, entries per row) of every table, in cell order, and the
+        # first cell of each
+        self.shapes = [(sizes[p], 1 << self.inbits[p]) for p in range(parties)] + [
+            (sizes[snd], 1 << self.pre[k]) for k, (snd, _) in enumerate(topology.messages)
+        ]
+        self.base = list(itertools.accumulate((r * w for r, w in self.shapes), initial=0))
+        self.n_cells = self.base[-1]
+        # entries for bits 0 and 1: +1/-1 in output tables, 0/1 in messages
+        self.values = [(1, -1)] * parties + [(0, 1)] * len(topology.messages)
 
     def out_cell(self, p: int, a: int, rec: int) -> int:
-        return self.out_base[p] + (a << self.inbits[p]) + rec
+        return self.base[p] + (a << self.inbits[p]) + rec
 
     def msg_cell(self, k: int, a: int, rec: int) -> int:
-        return self.msg_base[k] + (a << self.pre[k]) + rec
-
-    def bitpos(self, cell: int) -> int:
-        return self.n_cells - 1 - cell
+        return self.base[self.parties + k] + (a << self.pre[k]) + rec
 
     @property
     def count(self) -> int:
         return 1 << self.n_cells
 
     def strategy(self, s: int) -> DeterministicStrategy:
-        outputs = tuple(
-            tuple(
+        digits = f"{s:0{self.n_cells}b}"
+        tables = []
+        for (rows, width), values, pos in zip(self.shapes, self.values, self.base):
+            tables.append(
                 tuple(
-                    1 - 2 * ((s >> self.bitpos(self.out_cell(p, a, rec))) & 1)
-                    for rec in range(1 << self.inbits[p])
+                    tuple(values[int(d)] for d in digits[pos + a * width : pos + (a + 1) * width])
+                    for a in range(rows)
                 )
-                for a in range(self.sizes[p])
             )
-            for p in range(self.parties)
-        )
-        messages = tuple(
-            tuple(
-                tuple(
-                    (s >> self.bitpos(self.msg_cell(k, a, rec))) & 1
-                    for rec in range(1 << self.pre[k])
-                )
-                for a in range(self.sizes[snd])
-            )
-            for k, (snd, _) in enumerate(self.topology.messages)
-        )
-        return DeterministicStrategy(outputs, messages)
+        return DeterministicStrategy(tuple(tables[: self.parties]), tuple(tables[self.parties :]))
+
+    def cells(self, strategies: Sequence[DeterministicStrategy]) -> np.ndarray:
+        """The cell bits of each strategy, the inverse of :meth:`strategy`.
+
+        Shape (len(strategies), n_cells), uint8; row i read as a binary
+        number is the strategy number of ``strategies[i]``.  The one check
+        of strategy tables against the layout: a missing or extra table, a
+        wrong shape or an entry outside its value set raises ``ValueError``.
+        """
+        flat: list[int] = []
+        for i, strat in enumerate(strategies):
+            tables = (*strat.outputs, *strat.messages)
+            if len(strat.outputs) != self.parties or len(tables) != len(self.shapes):
+                raise ValueError(f"strategy {i} needs {self.parties} output tables and "
+                                 f"{len(self.shapes) - self.parties} message tables")
+            for t, (table, (rows, width)) in enumerate(zip(tables, self.shapes)):
+                k = t - self.parties
+                name = f"party {t}'s output" if k < 0 else f"message {k}'s"
+                bit = {v: b for b, v in enumerate(self.values[t])}
+                if len(table) != rows or any(len(row) != width for row in table):
+                    raise ValueError(f"strategy {i}: {name} table must be {rows} rows of {width}")
+                try:
+                    flat.extend(bit[v] for row in table for v in row)
+                except (KeyError, TypeError):
+                    raise ValueError(f"strategy {i}: {name} table has an entry outside "
+                                     f"{set(bit)}") from None
+        return np.array(flat, dtype=np.uint8).reshape(len(strategies), self.n_cells)
 
 
 class StrategyEnumeration(Sequence):
@@ -411,24 +430,6 @@ def _strategy_layout(
     return layout
 
 
-def _run_strategy(
-    strategy: DeterministicStrategy,
-    topology: CommTopology,
-    setting_idx: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Execute one strategy on one profile; returns the outcome tuple."""
-    parties = topology.parties
-    rec = [0] * parties
-    seen = [0] * parties
-    for k, (snd, rcv) in enumerate(topology.messages):
-        bit = strategy.messages[k][setting_idx[snd]][rec[snd]]
-        rec[rcv] |= bit << seen[rcv]
-        seen[rcv] += 1
-    return tuple(
-        strategy.outputs[p][setting_idx[p]][rec[p]] for p in range(parties)
-    )
-
-
 def strategy_table(
     strategy: DeterministicStrategy,
     topology: CommTopology,
@@ -436,16 +437,8 @@ def strategy_table(
 ) -> CorrelationTable:
     """The (deterministic) correlation table one strategy induces."""
     alphabets = tuple(tuple(a) for a in alphabets)
-    parties = len(alphabets)
-    size = 1 << parties
-    dists: dict[Profile, np.ndarray] = {}
-    for idx in itertools.product(*(range(len(a)) for a in alphabets)):
-        outcomes = _run_strategy(strategy, topology, idx)
-        dist = np.zeros(size)
-        dist[outcome_index(outcomes)] = 1.0
-        profile = tuple(alphabets[p][idx[p]] for p in range(parties))
-        dists[profile] = dist
-    return CorrelationTable(alphabets, dists)
+    row = _strategy_rows((strategy,), topology, alphabets)[0]
+    return _table_from_matrix(alphabets, np.eye(1 << len(alphabets))[row])
 
 
 # ---------------------------------------------------------------------------
@@ -486,33 +479,26 @@ class LocalModel:
 def model_table(model: LocalModel, exact: bool = False) -> CorrelationTable:
     """The table the model induces: the weighted strategy-table mix.
 
-    With ``exact=True`` (requires ``exact_weights``) the mixture is
-    accumulated in rational arithmetic, so dyadic entries come out as
-    exact floats.
+    Each (profile, outcome) entry sums the weights of the strategies
+    whose :func:`_outcome_rows` row lands on it, in strategy order.
+    With ``exact=True`` (requires ``exact_weights``) the sums are taken
+    in rational arithmetic, so dyadic entries come out as exact floats.
     """
-    alphabets = model.alphabets
-    parties = len(alphabets)
-    size = 1 << parties
-    profiles = list(itertools.product(*alphabets))
+    if exact and model.exact_weights is None:
+        raise ValueError("model carries no exact weights")
+    rows = _strategy_rows(model.strategies, model.topology, model.alphabets)
+    n_profiles = rows.shape[1]
+    size = 1 << len(model.alphabets)
+    keys = (rows + (np.arange(n_profiles) * size)).ravel()
     if exact:
-        if model.exact_weights is None:
-            raise ValueError("model carries no exact weights")
-        acc = [[Fraction(0)] * size for _ in profiles]
-        for w, strat in zip(model.exact_weights, model.strategies):
-            for i, idx in enumerate(
-                itertools.product(*(range(len(a)) for a in alphabets))
-            ):
-                acc[i][outcome_index(_run_strategy(strat, model.topology, idx))] += w
-        dists = {
-            profile: np.array([float(f) for f in acc[i]])
-            for i, profile in enumerate(profiles)
-        }
-        return CorrelationTable(alphabets, dists)
-    acc_f = np.zeros((len(profiles), size))
-    for w, strat in zip(model.weights, model.strategies):
-        for i, idx in enumerate(itertools.product(*(range(len(a)) for a in alphabets))):
-            acc_f[i, outcome_index(_run_strategy(strat, model.topology, idx))] += w
-    return _table_from_matrix(alphabets, acc_f)
+        acc = [Fraction(0)] * (n_profiles * size)
+        for j, key in enumerate(keys.tolist()):
+            acc[key] += model.exact_weights[j // n_profiles]
+        flat = np.array([float(f) for f in acc])
+    else:
+        weights = np.repeat(np.asarray(model.weights, dtype=np.float64), n_profiles)
+        flat = np.bincount(keys, weights=weights, minlength=n_profiles * size)
+    return _table_from_matrix(model.alphabets, flat.reshape(n_profiles, size))
 
 
 def singlet_pauli_lhv() -> LocalModel:
@@ -555,40 +541,72 @@ class Infeasible:
     violation: float
 
 
-def _outcome_rows(layout: _CellLayout) -> np.ndarray:
+def _outcome_rows(layout: _CellLayout, cells: np.ndarray | None = None) -> np.ndarray:
     """Outcome index of every (strategy, profile) pair.
+
+    The only code that runs a strategy.  The strategies are the whole
+    enumeration, numbered as on :class:`_CellLayout`, or the rows of an
+    explicit ``(n_strategies, n_cells)`` cell-bit matrix ``cells`` (see
+    :meth:`_CellLayout.cells`).  Per profile the messages are delivered
+    in topology order, then the output cells are read, as
+    :class:`CommTopology` describes.
 
     Shape (n_strategies, n_profiles), C-contiguous, in the narrowest
     unsigned dtype that holds an outcome index (uint8 up to eight
-    parties), so a strategy's row is its whole table.  The strategy
-    axis is reshaped to one length-2 axis per cell (cell 0 the most
-    significant bit of the strategy number), so each party's answer is
-    computed over the few cells it reads and broadcast only when the
-    parties' answers are packed into the outcome index.
+    parties), so a strategy's row is its whole table.  Each cell's bits
+    broadcast over the strategy axis.  For the enumeration that axis is
+    one length-2 axis per cell (cell 0 the most significant bit of the
+    strategy number), so each party's answer is computed over the few
+    cells it reads; an explicit matrix gives each cell its column.
     """
     parties, n_cells = layout.parties, layout.n_cells
     dtype = np.min_scalar_type((1 << parties) - 1)
+    # holds an outcome index and every party's received-bit record
+    work = np.min_scalar_type((1 << max(parties, *layout.inbits)) - 1)
     profiles = list(itertools.product(*(range(m) for m in layout.sizes)))
-    rows = np.empty((layout.count, len(profiles)), dtype=dtype)
-    grid = rows.reshape((2,) * n_cells + (len(profiles),))
-
-    def cell(c: int) -> np.ndarray:
-        shape = [1] * n_cells
-        shape[c] = 2
-        return np.arange(2, dtype=dtype).reshape(shape)
-
+    if cells is None:
+        rows = np.empty((layout.count, len(profiles)), dtype=dtype)
+        grid = rows.reshape((2,) * n_cells + (len(profiles),))
+        axes = np.eye(n_cells, dtype=int) + 1  # row c: length 2 on axis c, 1 elsewhere
+        cell = [np.arange(2, dtype=work).reshape(axes[c]) for c in range(n_cells)]
+    else:
+        grid = rows = np.empty((len(cells), len(profiles)), dtype=dtype)
+        cell = list(np.ascontiguousarray(cells.T, dtype=work))
+    zero = np.zeros((1,) * (grid.ndim - 1), dtype=work)
     for i, idx in enumerate(profiles):
-        rec = [np.zeros((1,) * n_cells, dtype=dtype) for _ in range(parties)]
+        rec = [zero] * parties
         for k, (snd, rcv) in enumerate(layout.topology.messages):
-            bits = [cell(layout.msg_cell(k, idx[snd], r)) for r in range(1 << layout.pre[k])]
-            rec[rcv] = rec[rcv] | (np.choose(rec[snd], bits) << layout.arrival[k])
-        out = np.zeros((1,) * n_cells, dtype=dtype)
+            bits = [cell[layout.msg_cell(k, idx[snd], r)] for r in range(1 << layout.pre[k])]
+            rec[rcv] = rec[rcv] | (_pick(rec[snd], bits) << layout.arrival[k])
+        out = zero
         for p in range(parties):
-            bits = [cell(layout.out_cell(p, idx[p], r)) for r in range(1 << layout.inbits[p])]
+            bits = [cell[layout.out_cell(p, idx[p], r)] for r in range(1 << layout.inbits[p])]
             # bit 1 encodes the -1 outcome
-            out = out | (np.choose(rec[p], bits) << (parties - 1 - p))
+            out = out | (_pick(rec[p], bits) << (parties - 1 - p))
         grid[..., i] = out
     return rows
+
+
+def _pick(index: np.ndarray, choices: list[np.ndarray]) -> np.ndarray:
+    """``choices[index]`` elementwise, broadcast; one choice needs no
+    pick, and ``choose`` takes at most 63, so more go 32 at a time."""
+    if len(choices) == 1:
+        return choices[0]
+    if len(choices) <= 32:
+        return index.choose(choices)
+    low = [(index & 31).choose(choices[j : j + 32]) for j in range(0, len(choices), 32)]
+    return _pick(index >> 5, low)
+
+
+def _strategy_rows(
+    strategies: Sequence[DeterministicStrategy],
+    topology: CommTopology,
+    alphabets: tuple[tuple[Setting, ...], ...],
+) -> np.ndarray:
+    """:func:`_outcome_rows` of explicit strategies, each checked
+    against the topology and alphabet sizes (``ValueError`` if invalid)."""
+    layout = _CellLayout(len(alphabets), tuple(len(a) for a in alphabets), topology)
+    return _outcome_rows(layout, layout.cells(strategies))
 
 
 def _snap_dyadic(vec: np.ndarray) -> list[Fraction] | None:
@@ -851,51 +869,31 @@ class SimulationReport:
 
 def simulate_model(model: LocalModel, shots: int, seed: int) -> SimulationReport:
     """Sample the model: per shot, draw a strategy (shared randomness)
-    and a uniform profile, deliver the messages in topology order, and
-    record the outputs.  Every message costs one bit whatever its
-    content, so bits_used_per_shot equals the topology budget exactly.
+    and a uniform profile, and look up that strategy's outputs on that
+    profile in its :func:`_outcome_rows` row.  Every message costs one
+    bit whatever its content, so bits_used_per_shot equals the topology
+    budget exactly.
 
     All draws come from one seeded stream: first the strategy indices,
-    then each party's settings in party order.
+    then each party's settings in party order.  Invalid strategies (see
+    :class:`DeterministicStrategy`) raise ``ValueError`` before any draw.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    rows = _strategy_rows(model.strategies, model.topology, model.alphabets)
     rng = stream(seed)
     parties = len(model.alphabets)
     sizes = tuple(len(a) for a in model.alphabets)
-    n_strat = len(model.strategies)
 
     p = np.asarray(model.weights, dtype=np.float64)
     p = p / p.sum()
-    strat = rng.choice(n_strat, size=shots, p=p)
+    strat = rng.choice(len(model.strategies), size=shots, p=p)
     settings = [rng.integers(0, sizes[q], size=shots) for q in range(parties)]
 
-    # stack the strategy tables for vectorized lookup
-    layout = _CellLayout(parties, sizes, model.topology)
-    out_tables = [
-        np.array([st.outputs[q] for st in model.strategies], dtype=np.int8)
-        for q in range(parties)
-    ]
-    msg_tables = [
-        np.array([st.messages[k] for st in model.strategies], dtype=np.int8)
-        for k in range(model.topology.budget)
-    ]
+    prof_idx = np.ravel_multi_index(settings, sizes)
+    out_bits = rows[strat, prof_idx]
 
-    rec = [np.zeros(shots, dtype=np.int64) for _ in range(parties)]
-    for k, (snd, rcv) in enumerate(model.topology.messages):
-        bit = msg_tables[k][strat, settings[snd], rec[snd]]
-        rec[rcv] |= bit.astype(np.int64) << layout.arrival[k]
-
-    out_bits = np.zeros(shots, dtype=np.int64)
-    for q in range(parties):
-        o = out_tables[q][strat, settings[q], rec[q]].astype(np.int64)  # +1/-1
-        out_bits |= ((1 - o) // 2) << (parties - 1 - q)
-
-    prof_idx = np.zeros(shots, dtype=np.int64)
-    for q in range(parties):
-        prof_idx = prof_idx * sizes[q] + settings[q]
-
-    n_profiles = math.prod(sizes)
+    n_profiles = rows.shape[1]
     size = 1 << parties
     counts = np.bincount(prof_idx * size + out_bits, minlength=n_profiles * size)
     counts = counts.reshape(n_profiles, size).astype(np.float64)

@@ -1,6 +1,7 @@
 """Backend dispatch, scaling benchmarks, report rendering, and the
 command-line entry point (exercised in-process via cli_dispatch)."""
 
+import copy
 import json
 import math
 import os
@@ -442,6 +443,54 @@ def test_cli_lhv_simulate_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text('{"weights": [1.0]}')
     assert cli_dispatch(["lhv", "simulate", "--model", str(bad)]) == 2
     capsys.readouterr()
+
+
+# party 1 sends party 0 one bit; both parties choose between X and Y
+ONE_BIT_MODEL = {
+    "alphabets": [["X", "Y"], ["X", "Y"]],
+    "topology": {"parties": 2, "messages": [[1, 0]]},
+    "strategies": [
+        {"outputs": [[[1, 1], [1, 1]], [[1], [1]]], "messages": [[[0], [0]]]},
+        {"outputs": [[[1, 1], [-1, 1]], [[1], [-1]]], "messages": [[[0], [1]]]},
+    ],
+    "weights": [0.5, 0.5],
+}
+
+
+def test_cli_lhv_simulate_hand_written_model(tmp_path):
+    model, out = tmp_path / "model.json", tmp_path / "sim.json"
+    model.write_text(json.dumps(ONE_BIT_MODEL))
+    argv = ["lhv", "simulate", "--model", str(model), "--shots", "2000", "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    sim = json.loads(out.read_text())
+    assert sim["bits_used_per_shot"] == 1
+    assert sim["profiles"]["X|X"]["dist"] == {"++": 1.0}
+
+
+@pytest.mark.parametrize(
+    "strategy,table,path,value",
+    [
+        (0, "messages", (0, 1, 0), 3),
+        (1, "messages", (0, 0, 0), -1),
+        (0, "outputs", (1, 0, 0), 0),
+        (1, "outputs", (2,), [[1], [1]]),
+        (0, "outputs", (0, 1), [1]),
+    ],
+    ids=["message-bit-3", "message-bit-minus-1", "output-0", "extra-party-output", "short-table"],
+)
+def test_cli_lhv_simulate_invalid_strategy_exits_2(tmp_path, capsys, strategy, table, path, value):
+    # no edited table is valid for the topology (see DeterministicStrategy)
+    doc = copy.deepcopy(ONE_BIT_MODEL)
+    entries = doc["strategies"][strategy][table]
+    for i in path[:-1]:
+        entries = entries[i]
+    entries[path[-1] : path[-1] + 1] = [value]  # replaces entry i, or appends at i == len
+    model, out = tmp_path / "model.json", tmp_path / "sim.json"
+    model.write_text(json.dumps(doc))
+    argv = ["lhv", "simulate", "--model", str(model), "--shots", "2000", "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_module_entry_point_prints_no_runpy_warning():

@@ -1,6 +1,7 @@
 """Correlation tables, inequality functionals, strategy enumeration,
 LP model search, and shot-by-shot model execution."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -263,6 +264,101 @@ def test_message_actually_reaches_receiver():
     assert table.prob((Y, Y), (-1, 1)) == 1.0
 
 
+def test_evaluators_reject_invalid_strategies():
+    topo = CommTopology(2, ((1, 0),))
+    alphabets = ((X, Y), (X, Y))
+    good = enumerate_strategies(2, (2, 2), topo)[5]
+    zero_output = DeterministicStrategy(
+        ((good.outputs[0][0], (0, 1)), good.outputs[1]), good.messages
+    )
+    no_message = DeterministicStrategy(good.outputs, ())
+    for bad in (zero_output, no_message):
+        with pytest.raises(ValueError):
+            strategy_table(bad, topo, alphabets)
+        model = LocalModel((good, bad), (0.5, 0.5), topo, alphabets)
+        with pytest.raises(ValueError):
+            model_table(model)
+        with pytest.raises(ValueError):
+            simulate_model(model, 100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# One evaluator: _outcome_rows against a reference that follows the
+# delivery rules in CommTopology's docstring
+
+EVALUATOR_STRATEGY_CAP = 1 << 14
+
+
+def reference_outcome(strategy, topology, setting_idx) -> int:
+    """Outcome index of one strategy on one profile: messages go out in
+    topology order, each sender answering from its setting and the bits
+    it received before, and every party then answers from its setting
+    and its full record (first arrival = bit 0)."""
+    rec = [0] * topology.parties
+    seen = [0] * topology.parties
+    for k, (snd, rcv) in enumerate(topology.messages):
+        rec[rcv] |= strategy.messages[k][setting_idx[snd]][rec[snd]] << seen[rcv]
+        seen[rcv] += 1
+    return outcome_index(tuple(strategy.outputs[p][a][rec[p]] for p, a in enumerate(setting_idx)))
+
+
+@st.composite
+def evaluator_instances(draw):
+    parties = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=parties, max_size=parties))
+    pair = st.tuples(st.integers(0, parties - 1), st.integers(0, parties - 1))
+    messages = draw(st.lists(pair.filter(lambda m: m[0] != m[1]), max_size=2))
+    if len(messages) == 2 and draw(st.booleans()):
+        # a relay: the first message's receiver sends the second
+        relay = messages[0][1]
+        messages[1] = (relay, draw(st.sampled_from([p for p in range(parties) if p != relay])))
+    topology = CommTopology(parties, tuple(messages))
+    while lhv._CellLayout(parties, tuple(sizes), topology).count > EVALUATOR_STRATEGY_CAP:
+        sizes[sizes.index(max(sizes))] -= 1
+    layout = lhv._CellLayout(parties, tuple(sizes), topology)
+    numbers = draw(st.lists(st.integers(0, layout.count - 1), min_size=1, max_size=4))
+    return layout, numbers
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluator_instances())
+def test_outcome_rows_agree_with_reference(instance):
+    layout, numbers = instance
+    topology = layout.topology
+    alphabets = tuple(PAULI_ALPHABET[:m] for m in layout.sizes)
+    profiles = list(itertools.product(*(range(m) for m in layout.sizes)))
+    rows = lhv._outcome_rows(layout)
+    for s in numbers:
+        strat = layout.strategy(s)
+        want = [reference_outcome(strat, topology, idx) for idx in profiles]
+        assert rows[s].tolist() == want
+        table = table_vector(strategy_table(strat, topology, alphabets)).reshape(len(profiles), -1)
+        assert table.sum() == len(profiles)
+        assert (table[np.arange(len(profiles)), want] == 1.0).all()
+        # strategy -> cells -> strategy number is the identity
+        cells = layout.cells([strat])
+        assert cells.shape == (1, layout.n_cells)
+        assert int("".join(map(str, cells[0])), 2) == s
+    explicit = lhv._outcome_rows(layout, layout.cells([layout.strategy(s) for s in numbers]))
+    assert explicit.dtype == rows.dtype
+    assert (explicit == rows[numbers]).all()
+
+
+def test_explicit_strategies_with_many_received_bits():
+    # party 0 receives nine bits and then sends one: more received-bit
+    # patterns than one np.choose call takes, and records wider than uint8
+    topology = CommTopology(2, ((1, 0),) * 9 + ((0, 1),))
+    alphabets = ((X, Y), (X, Y, Z))
+    layout = lhv._CellLayout(2, (2, 3), topology)
+    rng = np.random.default_rng(5)
+    profiles = list(itertools.product(range(2), range(3)))
+    for _ in range(3):
+        strat = layout.strategy(int("".join(map(str, rng.integers(0, 2, layout.n_cells))), 2))
+        want = [reference_outcome(strat, topology, idx) for idx in profiles]
+        table = table_vector(strategy_table(strat, topology, alphabets)).reshape(len(profiles), -1)
+        assert table.argmax(axis=1).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # Local models
 
@@ -439,7 +535,7 @@ def certificate_minimum(verdict, parties, sizes, topology):
 
 
 def test_certificate_minimum_matches_strategy_tables():
-    # the vectorised evaluator above agrees with strategy_table
+    # the vectorised evaluator above agrees with the reference tables
     # (party 0 relays a bit it received, so both message paths count)
     topology = CommTopology(3, ((2, 0), (0, 1)))
     verdict = Infeasible(np.random.default_rng(3).standard_normal(2 * 8), 0.0, 1.0)
@@ -537,11 +633,15 @@ REFERENCE_STRATEGY_CAP = 1024
 
 
 def strategy_tables(topology, alphabets):
-    """Every enumerated strategy and the table vector it induces."""
+    """Every enumerated strategy and the table vector it induces, by the
+    reference delivery rules (:func:`reference_outcome`)."""
     strategies = list(enumerate_strategies(topology.parties, [len(a) for a in alphabets], topology))
-    tables = np.array(
-        [table_vector(strategy_table(s, topology, alphabets)) for s in strategies]
-    )
+    profiles = list(itertools.product(*(range(len(a)) for a in alphabets)))
+    size = 1 << topology.parties
+    tables = np.zeros((len(strategies), len(profiles) * size))
+    for j, strat in enumerate(strategies):
+        for i, idx in enumerate(profiles):
+            tables[j, i * size + reference_outcome(strat, topology, idx)] = 1.0
     return strategies, tables
 
 
@@ -648,6 +748,24 @@ def test_simulate_ghz_bit_model_reproduces_mermin(ghz_bit_model):
     assert report.bits_used_per_shot == 1
     got = mermin_correlators(report.empirical)
     assert np.allclose(got, (1.0, -1.0, -1.0, -1.0), atol=1e-12)
+
+
+def test_seeded_bytes_are_pinned(ghz_bit_model):
+    # the strategy semantics, the draw order and the order of the float
+    # sums all feed these digests, so they hold across versions
+    def digest(table):
+        return hashlib.sha256(table_vector(table).tobytes()).hexdigest()
+
+    report = simulate_model(ghz_bit_model, 20_000, seed=5)
+    assert digest(report.empirical) == (
+        "fd4af750ebbe3d6b5c63eaaf43692f6d5ab9e43972ee1446b7afaabd6113400d"
+    )
+    assert digest(model_table(ghz_bit_model)) == (
+        "17d5d84c79d4e471db67194f4046058c8aee1afec80c7cec2c29ae760f45890c"
+    )
+    assert digest(model_table(singlet_pauli_lhv())) == (
+        "40037d315d49b5f170b051503f96350595c2ac24604c4f6fef5ce0cde847529e"
+    )
 
 
 def test_simulate_model_needs_enough_shots():
