@@ -24,6 +24,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import BenchReport, bench_scaling, dispatch_run
 from .circuit import PauliAxis
 from .errors import ParseError, QsimError
@@ -44,13 +46,18 @@ from .lhv import (
     simulate_model,
     singlet_state,
 )
-from .result import RunResult
+from .result import Counts, RunResult
 from .statevector import BlochAxis
 
 _STATES = {
     "singlet": (singlet_state, 2),
     "ghz3": (lambda: ghz_state(3), 3),
 }
+
+
+_ENTRY_OPEN = np.frombuffer(b',\n    "', dtype=np.uint8)
+_ENTRY_COLON = np.frombuffer(b'": ', dtype=np.uint8)
+_POWERS_OF_TEN = 10 ** np.arange(18, -1, -1, dtype=np.int64)
 
 
 def _sig12(x: float) -> float:
@@ -83,25 +90,58 @@ def _render_json(payload: dict) -> str:
     return json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _counts_block(counts: Counts) -> str:
+    """``counts`` as :func:`_render_json` nests it one level down.
+
+    The keys are written from the arrays without a ``str`` per key: each
+    entry is one fixed-width byte row (a comma, a newline, four spaces
+    and a quote, the key, a quote, a colon and a space, then the count's
+    digits zero-padded to the widest count); one boolean mask drops the
+    padding zeros, and the kept bytes, less the first comma, are decoded
+    once.
+    """
+    n, m = counts.rows.shape
+    if n == 0:
+        return "{}"
+    width = len(str(counts.tallies.max()))
+    quotients = counts.tallies[:, None] // _POWERS_OF_TEN[-width:]
+    lines = np.empty((n, m + width + 10), dtype=np.uint8)
+    lines[:, :7] = _ENTRY_OPEN
+    lines[:, 7 : 7 + m] = counts.rows
+    lines[:, 7 + m : 10 + m] = _ENTRY_COLON
+    lines[:, 10 + m :] = quotients % 10 + ord("0")
+    padding = quotients[:, :-1] == 0
+    if padding.any():
+        keep = np.ones(lines.shape, dtype=bool)
+        keep[:, 10 + m : 9 + m + width] = ~padding
+        flat = lines[keep]
+    else:
+        flat = lines.ravel()
+    return "{" + str(memoryview(flat)[1:], "ascii") + "\n  }"
+
+
 def _render_run(result: RunResult) -> str:
     """A run report, byte-identical to :func:`_render_json` of its fields.
 
-    The indenting encoder is pure Python and slow on hundreds of
-    thousands of counts, so the ``counts`` block goes through the C
-    encoder instead, with an item separator that puts one entry on each
-    line, and is spliced into the rendered scalar fields.
+    A :class:`~qsim.result.Counts` histogram is written from its arrays by
+    :func:`_counts_block` into the fixed layout of the five sorted keys;
+    any other mapping goes through :func:`_render_json` whole.
     """
-    counts = json.dumps(result.counts, sort_keys=True, separators=(",\n    ", ": "), default=_clean)
-    if result.counts:
-        counts = "{\n    " + counts[1:-1] + "\n  }"
-    text = _render_json({
-        "backend": result.backend,
-        "shots": result.shots,
-        "seed": result.seed,
-        "rng_id": result.rng_id,
-        "counts": {},
-    })
-    return text.replace('"counts": {}', '"counts": ' + counts, 1)
+    if not isinstance(result.counts, Counts):
+        return _render_json({
+            "backend": result.backend,
+            "shots": result.shots,
+            "seed": result.seed,
+            "rng_id": result.rng_id,
+            "counts": result.counts,
+        })
+    backend, rng_id, seed, shots = (
+        json.dumps(_clean(v)) for v in (result.backend, result.rng_id, result.seed, result.shots)
+    )
+    return (
+        f'{{\n  "backend": {backend},\n  "counts": {_counts_block(result.counts)},\n'
+        f'  "rng_id": {rng_id},\n  "seed": {seed},\n  "shots": {shots}\n}}\n'
+    )
 
 
 def _render_csv(header: tuple[str, ...], rows) -> str:

@@ -86,9 +86,12 @@ class CorrelationTable:
         for profile, dist in self.dists.items():
             if dist.shape != (size,):
                 raise ValueError(f"distribution for {profile} has wrong length")
+            total = float(dist.sum())
+            if not math.isfinite(total):  # any NaN or inf entry; NaN passes both checks below
+                raise ValueError(f"non-finite probability in profile {profile}")
             if dist.min() < -1e-12:
                 raise ValueError(f"negative probability in profile {profile}")
-            if abs(float(dist.sum()) - 1.0) > 1e-10:
+            if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"distribution for {profile} does not sum to 1")
 
     @property
@@ -465,9 +468,12 @@ class LocalModel:
             raise ValueError("one weight per strategy")
         if not self.strategies:
             raise ValueError("a model needs at least one strategy")
+        total = sum(self.weights)
+        if not math.isfinite(total):  # any NaN or inf weight; NaN passes both checks below
+            raise ValueError("weights must be finite")
         if min(self.weights) < 0.0:
             raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if self.exact_weights is not None:
             if len(self.exact_weights) != len(self.weights):

@@ -1,24 +1,70 @@
 """What a sampling run returns, shared by both backends.
 
 Histogram keys are classical-bit strings, bit 0 first, with ``0``
-recording the +1 outcome.
+recording the +1 outcome.  A run's histogram is a :class:`Counts`: the
+distinct rows and their counts stay numpy arrays, and ``str`` keys are
+built only when the mapping is read key by key.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 
+class Counts(Mapping[str, int]):
+    """A read-only histogram, sorted by key, held as arrays.
+
+    ``rows`` is the ``(n_keys, n_cbits)`` uint8 matrix of distinct rows
+    spelled as ASCII ``'0'``/``'1'`` codes, in ascending key order, and
+    ``tallies`` their int64 counts.  ``len()`` reads the array length;
+    lookups, iteration and comparison build the ``str -> int`` dict once,
+    on first use, so iteration is sorted and values are Python ``int``.
+    """
+
+    __slots__ = ("rows", "tallies", "_dict")
+
+    def __init__(self, rows: np.ndarray, tallies: np.ndarray):
+        rows.flags.writeable = False
+        tallies.flags.writeable = False
+        self.rows = rows
+        self.tallies = tallies
+        self._dict: dict[str, int] | None = None
+
+    def _as_dict(self) -> dict[str, int]:
+        if self._dict is None:
+            m = self.rows.shape[1]
+            text = self.rows.tobytes().decode("ascii")
+            self._dict = {text[i * m : i * m + m]: c for i, c in enumerate(self.tallies.tolist())}
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self.tallies)
+
+    def __getitem__(self, key: str) -> int:
+        return self._as_dict()[key]
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __repr__(self) -> str:
+        return f"Counts({self._as_dict()!r})"
+
+
 @dataclass(frozen=True)
 class RunResult:
+    """One sampling run.  ``counts`` is a :class:`Counts` from either
+    backend, or any ``str -> int`` mapping a caller builds; a ``Counts``
+    is not a ``dict``, so ``json.dumps`` needs ``dict(result.counts)``."""
+
     backend: str
     shots: int
     seed: int
     rng_id: str
-    counts: dict[str, int]
+    counts: Mapping[str, int]
     final_state: object | None = None
 
     @property
@@ -26,28 +72,53 @@ class RunResult:
         return self.final_state is not None
 
 
-def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, int]:
+def _pack_rows(bits: np.ndarray, out: np.ndarray) -> None:
+    """Pack 0/1 rows into the leading bytes of ``out``'s rows, eight bits
+    to a byte, bit 0 in the top bit of byte 0.
+
+    Every eighth bit column is OR-ed into place, so per-bit rows (the
+    tableau's layout) need no row-order copy; ``np.packbits`` along them
+    is slower than that copy."""
+    per_bit = bits.T
+    packed = np.zeros(((bits.shape[1] + 7) // 8, len(bits)), dtype=np.uint8)
+    for k in range(min(8, len(per_bit))):
+        rows = per_bit[k::8]
+        packed[: len(rows)] |= rows << (7 - k)
+    out[:, : len(packed)] = packed.T
+
+
+def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> Counts:
     """Counts keyed by bit string, sorted by key.
 
     Each part is a ``(rows, n_cbits)`` array of 0/1 classical registers,
-    in any memory layout (the tableau backend passes the transpose of
-    its per-bit rows, which is copied once into row order), and the
-    number of shots that ended in each row.  Rows are packed eight bits
-    to a byte, bit 0 in the top bit of the first byte, and grouped by
-    ``np.unique`` on the packed rows viewed as opaque byte strings; for
-    keys of equal length that byte order is the bit strings' order.
-    ``'0'``/``'1'`` strings are built only for the distinct rows.
+    row-major or the transpose of per-bit rows as the tableau backend
+    keeps them, and the number of shots that ended in each row.  Rows are
+    packed into zero-padded big-endian ``uint64`` words, whose order is
+    the bit strings' order, sorted (``lexsort`` from the last word to the
+    first; ``argsort`` when there is one), and cut where adjacent sorted
+    rows differ; ``np.add.reduceat`` sums each run's weights.
     """
     bits_parts, weight_parts = zip(*parts)
     weights = np.concatenate(weight_parts).astype(np.int64)
     m = bits_parts[0].shape[1]
     if m == 0:  # no register: every shot has the empty key
-        return {"": int(weights.sum())}
-    packed = np.concatenate([np.packbits(np.ascontiguousarray(b), axis=1) for b in bits_parts])
-    keys, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse, weights)
-    rows = np.unpackbits(keys.view(np.uint8).reshape(keys.shape + packed.shape[1:]), axis=1, count=m)
+        return Counts(np.zeros((1, 0), dtype=np.uint8), weights.sum(keepdims=True))
+    n_words = (m + 63) // 64
+    block = np.zeros((len(weights), 8 * n_words), dtype=np.uint8)
+    lo = 0
+    for bits in bits_parts:
+        _pack_rows(bits, block[lo : lo + len(bits)])
+        lo += len(bits)
+    words = block.view(">u8").astype(np.uint64)
+    if n_words == 1:
+        order = np.argsort(words[:, 0])
+    else:
+        order = np.lexsort(words.T[::-1])
+    words = words[order]
+    first = np.ones(len(words), dtype=bool)  # first row of each run of equal rows
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    tallies = np.add.reduceat(weights[order], starts) if len(starts) else weights[:0]
+    rows = np.unpackbits(block[order[starts]], axis=1, count=m)
     rows += ord("0")
-    strings = rows.view(f"S{m}").ravel().tolist()
-    return {k.decode("ascii"): c for k, c in zip(strings, counts.tolist())}
+    return Counts(rows, tallies)

@@ -2,6 +2,7 @@
 command-line entry point (exercised in-process via cli_dispatch)."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -171,6 +172,52 @@ def test_json_rendering_is_byte_stable(tmp_path):
     write_report(res, "json", str(a))
     write_report(res, "json", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _many_outcomes_circuit() -> str:
+    """64 cbits, 21 random: 2*10^4 shots land on about 19 900 keys, some
+    twice; a conditioned H splits the tableau batch into two groups."""
+    lines = ["qubits 64", "cbits 64"]
+    lines += [f"h q{q}" for q in range(20)]
+    lines += [f"cnot q{q} q{q + 20}" for q in range(20)]
+    lines += [f"x q{q}" for q in range(40, 64, 2)]
+    lines += ["measure q0 Z -> c0", "cif c0 h q62"]
+    lines += [f"measure q{q} {'X' if q == 63 else 'Z'} -> c{q}" for q in range(1, 64)]
+    return "\n".join(lines) + "\n"
+
+
+def _wide_key_circuit() -> str:
+    """80 cbits, so keys span two 64-bit words, and the last two bits
+    differ only between shots that took different conditioned branches."""
+    lines = ["qubits 80", "cbits 80"]
+    lines += [f"h q{q}" for q in range(8)]
+    lines += [f"cnot q{q % 8} q{q}" for q in range(8, 80)]
+    lines += [f"measure q{q} Z -> c{q}" for q in range(8)]
+    lines += ["cif c1 h q78", "cif c2 x q79"]
+    lines += [f"measure q{q} Z -> c{q}" for q in range(8, 80)]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the reports as the C JSON encoder wrote them, before run
+# reports were written from the histogram's arrays
+@pytest.mark.parametrize(
+    "circuit,shots,seed,keys,digest",
+    [
+        (_many_outcomes_circuit, 20_000, 5, 19_916,
+         "79f9f571d7de83f51abaf437db36e481a1c0b92c747f709a658374da6946b11c"),
+        (_wide_key_circuit, 4000, 6, 383,
+         "a646159ef76804eb23bee68b268dc52bcab13ac6c9f4ca6d326b6c9d28b9d770"),
+    ],
+    ids=["many-outcomes", "wide-keys"],
+)
+def test_cli_run_tableau_report_bytes_pinned(tmp_path, circuit, shots, seed, keys, digest):
+    path, out = tmp_path / "c.qc", tmp_path / "run.json"
+    path.write_text(circuit())
+    argv = ["run", str(path), "--shots", str(shots), "--seed", str(seed), "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["backend"] == "stab" and len(doc["counts"]) == keys
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @st.composite
@@ -465,6 +512,19 @@ def test_cli_lhv_simulate_hand_written_model(tmp_path):
     sim = json.loads(out.read_text())
     assert sim["bits_used_per_shot"] == 1
     assert sim["profiles"]["X|X"]["dist"] == {"++": 1.0}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_lhv_simulate_non_finite_weight_exits_2(tmp_path, capsys, bad):
+    # json reads NaN and Infinity literals; the model check rejects them
+    # before any draw
+    doc = dict(ONE_BIT_MODEL, weights=[bad, 0.5])
+    model, out = tmp_path / "model.json", tmp_path / "sim.json"
+    model.write_text(json.dumps(doc))
+    argv = ["lhv", "simulate", "--model", str(model), "--shots", "100", "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: weights must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,14 @@ def test_table_validates_normalization():
         CorrelationTable(((Z,), (Z,)), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_probabilities(bad):
+    dist = np.array([0.5, 0.0, 0.0, 0.5])
+    dist[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CorrelationTable(((Z,), (Z,)), {(Z, Z): dist})
+
+
 def test_unknown_profile_raises(singlet_pauli_table):
     with pytest.raises(UnknownProfile):
         singlet_pauli_table.prob((BlochAxis(0.1, 0.2), Z), (1, 1))
@@ -376,6 +384,15 @@ def test_local_model_validation():
         LocalModel(
             (strat,), (1.0,), NO_COMM_2, alph, exact_weights=(Fraction(1, 2),)
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_local_model_rejects_non_finite_weights(bad):
+    strat = enumerate_strategies(2, (3, 3), NO_COMM_2)[0]
+    alph = (PAULI_ALPHABET, PAULI_ALPHABET)
+    for weights in [(bad, 1.0), (1.0, bad), (bad, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            LocalModel((strat, strat), weights, NO_COMM_2, alph)
 
 
 def test_hand_built_singlet_model_matches_quantum(singlet_pauli_table):

@@ -1,12 +1,15 @@
-"""The shared histogram helper against a per-row Counter."""
+"""The shared histogram helper against a per-row Counter, and the run
+report written from its arrays against ``json.dumps``."""
 
+import json
 from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.result import histogram
+from qsim.cli import _clean, write_report
+from qsim.result import Counts, RunResult, histogram
 
 
 @st.composite
@@ -42,3 +45,61 @@ def test_histogram_matches_counter(parts):
     assert got == dict(sorted(want.items()))
     assert list(got) == sorted(want)
     assert all(type(c) is int for c in got.values())
+
+
+@st.composite
+def many_key_parts(draw):
+    """Parts as :func:`weighted_parts` draws them, over a pool of up to 80
+    rows, so that reports hold from 1 to 80 keys, with weights of 1 to
+    13 digits mixed in one histogram.  Rows and weights come from a
+    drawn numpy seed: drawing 80 rows of 150 bits bit by bit would
+    overrun hypothesis' data budget."""
+    m = draw(st.one_of(st.integers(0, 12), st.integers(13, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, 2, (draw(st.integers(1, 80)), m), dtype=np.uint8)
+    top = 10 ** draw(st.integers(0, 12))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = pool[rng.integers(0, len(pool), draw(st.integers(0, 60)))]
+        weights = rng.integers(1, top + 1, len(bits)) // rng.choice([1, 10, 10**6], len(bits)) + 1
+        if draw(st.booleans()):
+            bits = np.ascontiguousarray(bits.T).T
+        parts.append((bits, weights))
+    return parts
+
+
+def _reference(parts) -> dict[str, int]:
+    want: Counter = Counter()
+    for rows, weights in parts:
+        for row, w in zip(rows.tolist(), weights.tolist()):
+            want["".join(map(str, row))] += w
+    if parts[0][0].shape[1] == 0:
+        want = Counter({"": sum(int(w.sum()) for _, w in parts)})
+    return dict(sorted(want.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=many_key_parts(), backend=st.sampled_from(["sv", "stab"]),
+       shots=st.integers(1, 10**9), seed=st.integers(0, 2**63 - 1))
+def test_counts_report_and_mapping(parts, backend, shots, seed, tmp_path_factory):
+    want = _reference(parts)
+    got = histogram(iter(parts))
+    assert isinstance(got, Counts)
+    assert len(got) == len(want)
+    assert got._dict is None  # len() reads the arrays; no str keys built
+
+    out = tmp_path_factory.mktemp("report") / "run.json"
+    write_report(RunResult(backend, shots, seed, "philox4x64-10", got), "json", str(out))
+    payload = {"backend": backend, "shots": shots, "seed": seed, "rng_id": "philox4x64-10",
+               "counts": want}
+    assert out.read_text() == json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
+
+    assert list(got) == sorted(want)
+    assert all(type(c) is int for c in got.values())
+    assert got == want and want == got
+    assert not (got != want) and not (want != got)
+    assert dict(got) == want and list(dict(got)) == list(want)
+    assert got == histogram(iter(parts))
+    if want:
+        key = next(iter(want))
+        assert key in got and got[key] == want[key] and got.get(key + "x") is None
