@@ -37,10 +37,9 @@ from .errors import QsimError, TooManyStrategies, UnknownProfile
 from .rng import stream
 from .statevector import (
     BlochAxis,
-    MeasurementSpec,
     PureState,
+    _joint_table,
     evolve,
-    joint_probabilities,
 )
 
 Setting = PauliAxis | BlochAxis
@@ -49,6 +48,7 @@ Profile = tuple[Setting, ...]
 PAULI_ALPHABET: tuple[PauliAxis, ...] = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 
 _MAX_PROFILES = 4096
+_SWEEP_CHUNK = 128  # CHSH grid points per walk: at most 129 x 257 profiles
 _MAX_STRATEGIES = 1_000_000
 _SNAP_DENOMINATOR = 4096
 # entries below this keep fraction-free products inside int64
@@ -145,8 +145,9 @@ def quantum_table(
 ) -> CorrelationTable:
     """Exact joint distributions for every setting profile.
 
-    One party per qubit; each profile is evaluated by exact projective
-    decomposition of the state.
+    One party per qubit.  A single batched projection walk evaluates
+    every profile at once; each entry equals that of the profile's own
+    projective decomposition bit for bit.
     """
     alphabets = tuple(tuple(a) for a in alphabets)
     if len(alphabets) != state.n:
@@ -156,15 +157,7 @@ def quantum_table(
     n_profiles = math.prod(len(a) for a in alphabets)
     if n_profiles > _MAX_PROFILES:
         raise ValueError(f"{n_profiles} profiles exceeds the cap of {_MAX_PROFILES}")
-    parties = state.n
-    dists: dict[Profile, np.ndarray] = {}
-    for profile in itertools.product(*alphabets):
-        specs = tuple(MeasurementSpec(q, axis) for q, axis in enumerate(profile))
-        dist = np.zeros(1 << parties)
-        for outcomes, p in joint_probabilities(state, specs).items():
-            dist[outcome_index(outcomes)] = p
-        dists[profile] = dist
-    return CorrelationTable(alphabets, dists)
+    return _table_from_matrix(alphabets, _joint_table(state, range(state.n), alphabets))
 
 
 def correlator(table: CorrelationTable, profile: Profile) -> float:
@@ -197,20 +190,33 @@ def chsh_sweep(steps: int) -> list[tuple[float, float]]:
     bases), reaches |S| = 2*sqrt(2) at t = pi/4, and passes through 0
     at t = pi/2 as the bases realign.  Returns (t, S) pairs on the grid
     t = k*pi/steps, k = 0..steps.
+
+    One projection walk over the distinct settings of up to
+    ``_SWEEP_CHUNK`` grid points gives all of their tables; each point
+    then reads its four profiles as :func:`chsh_value` of a two-by-two
+    table, bit for bit as if that table were built alone.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     state = singlet_state()
     tau = 2.0 * math.pi
-    out: list[tuple[float, float]] = []
+    a = BlochAxis(math.pi / 2, 0.0)
+    points = []
     for k in range(steps + 1):
         t = math.pi * k / steps
-        a = BlochAxis(math.pi / 2, 0.0)
         a2 = BlochAxis(math.pi / 2, (2.0 * t) % tau)
         b = BlochAxis(math.pi / 2, t % tau)
         b2 = BlochAxis(math.pi / 2, (-t) % tau)
-        table = quantum_table(state, ((a, a2), (b, b2)))
-        out.append((t, chsh_value(table, a, a2, b, b2)))
+        points.append((t, (a, a2), (b, b2)))
+    out: list[tuple[float, float]] = []
+    for first in range(0, len(points), _SWEEP_CHUNK):
+        chunk = points[first : first + _SWEEP_CHUNK]
+        alice = {s: i for i, s in enumerate(dict.fromkeys(s for _, al, _ in chunk for s in al))}
+        bob = {s: i for i, s in enumerate(dict.fromkeys(s for *_, bl in chunk for s in bl))}
+        matrix = _joint_table(state, (0, 1), (tuple(alice), tuple(bob)))
+        for t, al, bl in chunk:
+            rows = [alice[x] * len(bob) + bob[y] for x, y in itertools.product(al, bl)]
+            out.append((t, chsh_value(_table_from_matrix((al, bl), matrix[rows]), *al, *bl)))
     return out
 
 

@@ -18,6 +18,13 @@ amplitude dust below 1e-12.  (Computing ``p_plus`` from the expectation
 rather than a projected norm lets symmetric cases like ``<Z> = 0``
 cancel exactly in floating point.)
 
+Joint outcome tables (:func:`joint_probabilities`, and every table of
+the locality lab) walk the tree of sequential projections one level at
+a time.  Each row of the batch is one (setting prefix, outcome prefix)
+branch, so all setting profiles of a table take one walk, and every
+branch weight is bit-identical to what a recursive walk over
+:func:`project` gives it.
+
 ``run`` samples whole circuits.  It evolves one amplitude row per
 distinct classical history rather than one per shot: shots share a row
 until a measurement gives them different outcomes.  Shot ``i`` draws its
@@ -29,9 +36,10 @@ classical-bit strings, bit 0 first, with ``0`` recording the +1 outcome.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -295,16 +303,19 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expectation(amps: np.ndarray, n: int, q: int, obs: np.ndarray) -> np.ndarray:
+def _expectation(
+    amps: np.ndarray, n: int, q: int, obs: np.ndarray, order: str = "F"
+) -> np.ndarray:
     """<O> on qubit q; summed per pair first, in basis-index order, so
     symmetric terms cancel exactly."""
     v = _split(amps, n, q)
     a0, a1 = v[..., 0, :], v[..., 1, :]
     n0, n1 = _norms(a0), _norms(a1)
-    # Rows are the fastest axis of ``per_pair``, so ``sum`` adds a batch
-    # row's pairs one after another in basis-index order and a single
-    # row's pairwise; ``p_plus`` is reproducible only in this order.
-    per_pair = np.empty(amps.shape[:-1] + (1 << (n - 1),), order="F")
+    # In ``order="F"`` rows are the fastest axis of ``per_pair``, so ``sum``
+    # adds a batch row's pairs one after another in basis-index order and a
+    # single row's pairwise; ``run``'s ``p_plus`` is reproducible only in
+    # this order.  ``order="C"`` sums every row pairwise, as a single row.
+    per_pair = np.empty(amps.shape[:-1] + (1 << (n - 1),), order=order)
     out = per_pair.reshape(n0.shape)
     if _is_z(obs):
         np.subtract(n0, n1, out=out)
@@ -381,29 +392,101 @@ def measure(state: PureState, spec: MeasurementSpec, rng: np.random.Generator) -
     return MeasureOutcome(outcome, p_plus, PureState(state.n, amps))
 
 
+def _walk(amps: np.ndarray, n: int, levels: list, w: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Weights of every branch below the rows of one level of the walk.
+
+    ``w`` holds every row's weight and ``live`` the rows still carrying a
+    state, whose amplitudes are the rows of ``amps``.  ``levels[0]`` is
+    the qubit measured next and its observables.  A level's child rows
+    are laid out as (setting, outcome, parent row), outcome +1 first, and
+    the result has one column per row of ``w`` and one row per leaf below
+    it, the last level's axes slowest.  Rows never interact, so every
+    branch is computed as if it were measured on its own.
+    """
+    q, observables = levels[0]
+    rows = len(w)
+    if len(levels) > 1 and len(live) > 1 and 2 * len(observables) * amps.nbytes > _BATCH_BYTES:
+        m = len(live) // 2  # the children would not fit: walk each half of the parents
+        cut = int(live[m])
+        return np.concatenate(
+            (
+                _walk(amps[:m], n, levels, w[:cut], live[:m]),
+                _walk(amps[m:], n, levels, w[cut:], live[m:] - cut),
+            ),
+            axis=1,
+        )
+    blocks, kept = [], []
+    for obs in observables:
+        e = _expectation(amps, n, q, obs, order="C")
+        for outcome in (1, -1):
+            p = np.clip(0.5 * (1.0 + outcome * e), 0.0, 1.0)
+            wb = np.zeros(rows)
+            wb[live] = w[live] * p
+            blocks.append(wb)
+            # a branch below the dust keeps its weight but is not collapsed
+            kept.append((obs, outcome, p, p >= _DUST))
+    w_next = np.concatenate(blocks)
+    if len(levels) == 1:  # the last level only weighs its branches
+        return w_next.reshape(-1, rows)
+    counts = [int(keep.sum()) for *_, keep in kept]
+    amps_next = np.empty((sum(counts), amps.shape[1]), np.complex128)
+    live_next, start = [], 0
+    for b, ((obs, outcome, p, keep), count) in enumerate(zip(kept, counts)):
+        block = amps_next[start : start + count]  # C-contiguous, so _split is a view
+        start += count
+        if count:
+            np.compress(keep, amps, axis=0, out=block)
+            _collapse(block, n, q, obs, np.full(count, float(outcome)), p[keep])
+        live_next.append(b * rows + live[keep])
+    below = _walk(amps_next, n, levels[1:], w_next, np.concatenate(live_next))
+    return below.reshape(-1, rows)
+
+
+def _joint_table(
+    state: PureState, qubits: Sequence[int], alphabets: Sequence[Sequence[Axis]]
+) -> np.ndarray:
+    """Joint outcome distributions for measuring ``qubits[j]`` along each
+    setting of ``alphabets[j]``, every setting profile at once.
+
+    Row ``i`` is the ``i``-th profile of the lexicographic product of the
+    alphabets; its columns are outcome indices, ``qubits[0]`` the top bit
+    and bit value 0 meaning +1.  One level-by-level walk computes every
+    branch, and each equals the branch of its own recursive projection
+    tree bit for bit: each row's ``<O>`` is summed pairwise as a single
+    state's is, and a branch whose projection weight falls below 1e-12
+    is not collapsed, so all of its descendants weigh 0.0.  (A collapsed
+    branch of k <= 24 levels weighs at least 1e-12**k > 0, so no other
+    branch has weight 0.)
+    """
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("joint measurement qubits must be distinct")
+    for q in qubits:
+        if not 0 <= q < state.n:
+            raise ValueError(f"qubit q{q} out of range")
+    levels = [(q, [_observable(a) for a in axes]) for q, axes in zip(qubits, alphabets)]
+    k = len(levels)
+    sizes = [len(obs) for _, obs in levels]
+    w = np.ones(1)
+    if k:
+        w = _walk(state.amps.reshape(1, -1), state.n, levels, w, np.zeros(1, np.intp))
+    # leaves are (setting, outcome) pairs, the last qubit's slowest
+    w = w.reshape([d for size in reversed(sizes) for d in (size, 2)])
+    order = [2 * (k - 1 - j) for j in range(k)] + [2 * (k - 1 - j) + 1 for j in range(k)]
+    return w.transpose(order).reshape(math.prod(sizes), 1 << k)
+
+
 def joint_probabilities(
     state: PureState, specs: tuple[MeasurementSpec, ...]
 ) -> dict[tuple[int, ...], float]:
     """Exact joint outcome distribution for simultaneous single-qubit
-    measurements on distinct qubits, keyed by tuples of +1/-1."""
-    qubits = [s.qubit for s in specs]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("joint measurement qubits must be distinct")
-    out: dict[tuple[int, ...], float] = {}
+    measurements on distinct qubits, keyed by tuples of +1/-1.
 
-    def walk(st: PureState | None, depth: int, prefix: tuple[int, ...], weight: float) -> None:
-        if depth == len(specs):
-            out[prefix] = weight
-            return
-        for o in (1, -1):
-            if st is None or weight == 0.0:
-                walk(None, depth + 1, prefix + (o,), 0.0)
-                continue
-            p, collapsed = project(st, specs[depth], o)
-            walk(collapsed, depth + 1, prefix + (o,), weight * p)
-
-    walk(state, 0, (), 1.0)
-    return out
+    Each outcome's probability is the product of its sequential
+    projection weights; the tree of projections is walked one level at
+    a time (see :func:`_joint_table`).
+    """
+    row = _joint_table(state, [s.qubit for s in specs], [(s.axis,) for s in specs])[0]
+    return dict(zip(itertools.product((1, -1), repeat=len(specs)), row.tolist()))
 
 
 def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> bool:

@@ -466,6 +466,23 @@ def test_cli_lhv_find_one_bit_model_is_byte_identical(tmp_path):
     assert json.loads(outs[0])["topology"]["messages"] == [[1, 0]]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["bell", "chsh", "--steps", "64"],
+         "e2a65ad53977f00cc83014acec4af15e47644cf1f1b18f8019c02c148f701a7c"),
+        (["lhv", "find", "--state", "ghz3", "--bits", "1", "--topology", "2>1"],
+         "4e55922efee9e600b5bb03aa7801ace1540bc012035c58e5a9594bbc0758ed7b"),
+    ],
+    ids=["bell-chsh-64", "lhv-find-ghz3-1bit"],
+)
+def test_cli_locality_outputs_are_pinned(tmp_path, argv, digest):
+    # the CHSH curve and the one-bit GHZ model, byte for byte
+    out = tmp_path / "out"
+    assert cli_dispatch(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_lhv_bits_topology_mismatch_exits_2(capsys):
     assert cli_dispatch(["lhv", "find", "--state", "ghz3", "--bits", "1"]) == 2
     capsys.readouterr()

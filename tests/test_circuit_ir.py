@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.circuit import (
     BooleanFunction,
@@ -216,6 +218,44 @@ def test_parse_round_trips_through_format():
     c = parse_circuit(GOOD)
     text = format_circuit(c)
     assert parse_circuit(text) == c
+    assert format_circuit(parse_circuit(text)) == text
+
+
+@st.composite
+def valid_circuits(draw):
+    """Well-formed circuits of 1-5 qubits: every gate kind, some under a
+    ``cif`` on a bit already measured, X/Y/Z measurements and oracles of
+    1-3 inputs."""
+    n = draw(st.integers(1, 5))
+    n_cbits = draw(st.integers(0, 4))
+    kinds = ["gate"] + ["measure"] * (n_cbits > 0) + ["oracle"] * (n >= 2)
+    gates = [k for k in GateKind if k.arity <= n]
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))
+        if kind == "measure":
+            dest = draw(st.integers(0, n_cbits - 1))
+            ops.append(Measure(qubits[0], draw(st.sampled_from(PauliAxis)), dest))
+            written.append(dest)
+        elif kind == "oracle":
+            k = draw(st.integers(1, min(n - 1, 3)))
+            table = draw(st.lists(st.integers(0, 1), min_size=1 << k, max_size=1 << k))
+            ops.append(OracleApp(BooleanFunction(k, tuple(table)), tuple(qubits[:k]), qubits[k]))
+        else:
+            gate = draw(st.sampled_from(gates))
+            cond = draw(st.sampled_from(written)) if written and draw(st.booleans()) else None
+            ops.append(GateApp(gate, tuple(qubits[: gate.arity]), cond))
+    return Circuit(n, n_cbits, tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=valid_circuits())
+def test_format_parse_round_trip(circuit):
+    assert validate(circuit) == []
+    text = format_circuit(circuit)
+    assert parse_circuit(text) == circuit
     assert format_circuit(parse_circuit(text)) == text
 
 

@@ -785,6 +785,37 @@ def test_seeded_bytes_are_pinned(ghz_bit_model):
     )
 
 
+_EQUATORIAL_3 = tuple(BlochAxis(math.pi / 2, a) for a in (0.0, math.pi / 3, 2 * math.pi / 3))
+_PINNED_TABLES = {
+    "ghz3-pauli": (lambda: quantum_table(ghz_state(3), (PAULI_ALPHABET,) * 3),
+                   "770b8d79603d2be26b4cb5b772d8fe8f61b20f9b45fc2bd94772d0e6d17f43fa"),
+    "ghz3-equatorial": (lambda: quantum_table(ghz_state(3), (_EQUATORIAL_3,) * 3),
+                        "1e336f91817c508c50a048022ff3ead835263f0f5c5619a0b12af6d18d60c24c"),
+    "ghz4-xy": (lambda: quantum_table(ghz_state(4), ((X, Y),) * 4),
+                "1d51f0473b1c4d3d4ac60268d8906f1b940d6be1d95f6c29faac273f0e5ba478"),
+    "singlet-4x4": (
+        lambda: quantum_table(
+            singlet_state(),
+            (
+                tuple(BlochAxis(math.pi / 2, k * math.pi / 2) for k in range(4)),
+                tuple(BlochAxis(math.pi / 2, k * math.pi / 2 + math.pi / 4) for k in range(4)),
+            ),
+        ),
+        "6bc58594c61aec89c195f133ee30b88def2b238b300bfa42c5e63d152d74b7bb",
+    ),
+    "ghz5-pauli": (lambda: quantum_table(ghz_state(5), (PAULI_ALPHABET,) * 5),
+                   "9302c1ece32a18ee2143da72136b136db9c6a6d1ca1279e7252c51db283c00b7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TABLES))
+def test_quantum_table_bytes_are_pinned(name):
+    # every float of the tables the locality workloads solve; the LP and
+    # its exact polish see exactly these bits
+    build, digest = _PINNED_TABLES[name]
+    assert hashlib.sha256(table_vector(build()).tobytes()).hexdigest() == digest
+
+
 def test_simulate_model_needs_enough_shots():
     with pytest.raises(ValueError):
         simulate_model(singlet_pauli_lhv(), 0, seed=0)

@@ -1,7 +1,9 @@
 """Dense backend: kernels against a kron-product oracle, measurement
-statistics against analytic values, and the grouped sampler against a
-shot-by-shot replay."""
+statistics against analytic values, the grouped sampler against a
+shot-by-shot replay, and the batched joint-table walk against the
+recursive projection tree."""
 
+import itertools
 import math
 from collections import Counter
 from unittest import mock
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsim import lhv
 from qsim import statevector as sv
 from qsim.circuit import (
     BooleanFunction,
@@ -26,6 +29,7 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, TooManyQubits
+from qsim.lhv import chsh_sweep, chsh_value, quantum_table, singlet_state, table_vector
 from qsim.rng import shot_uniforms, stream
 from qsim.stabilizer import run as run_stabilizer
 from qsim.statevector import (
@@ -655,3 +659,138 @@ def test_dense_and_tableau_counts_agree_on_clifford_circuits(circuit, shots, see
     # The tableau draws a random outcome with p_plus exactly 0.5, so the
     # dense backend agrees shot for shot only if its p_plus is 0.5 too.
     assert run(circuit, shots, seed).counts == run_stabilizer(circuit, shots, seed).counts
+
+
+# ---------------------------------------------------------------------------
+# Joint tables: the batched projection walk against the recursive tree
+
+
+def ref_joint_probabilities(state, specs):
+    """One ``project`` per node of the recursive projection tree; a dead
+    branch (no collapsed state, or weight 0) gives its descendants 0.0."""
+    out = {}
+
+    def walk(st_, depth, prefix, weight):
+        if depth == len(specs):
+            out[prefix] = weight
+            return
+        for o in (1, -1):
+            if st_ is None or weight == 0.0:
+                walk(None, depth + 1, prefix + (o,), 0.0)
+                continue
+            p, collapsed = project(st_, specs[depth], o)
+            walk(collapsed, depth + 1, prefix + (o,), weight * p)
+
+    walk(state, 0, (), 1.0)
+    return out
+
+
+def ref_table_vector(state, alphabets):
+    """``table_vector(quantum_table(...))`` built one profile at a time."""
+    rows = []
+    for profile in itertools.product(*alphabets):
+        specs = tuple(MeasurementSpec(q, axis) for q, axis in enumerate(profile))
+        rows.append(list(ref_joint_probabilities(state, specs).values()))
+    return np.array(rows, dtype=np.float64).ravel()
+
+
+def _same_bits(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and (
+        np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    )
+
+
+_SETTINGS = st.one_of(
+    st.sampled_from(list(PauliAxis)),
+    st.builds(
+        BlochAxis,
+        theta=st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi)),
+        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    ),
+)
+
+
+@st.composite
+def joint_cases(draw):
+    """A normalized state of 1-5 qubits (Gaussian, or 0/+-1/+-i entries
+    where branches die exactly, some shrunk below the collapse threshold)
+    and 1-3 settings per qubit."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    else:
+        amps = rng.choice(np.array([0, 1, -1, 1j, -1j]), size=1 << n)
+    amps[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    amps[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.2]))] *= 1e-7  # branches below 1e-12
+    if not amps.any():
+        amps[draw(st.integers(0, (1 << n) - 1))] = 1.0
+    amps /= np.linalg.norm(amps)
+    alphabets = draw(st.lists(st.lists(_SETTINGS, min_size=1, max_size=3), min_size=n, max_size=n))
+    return PureState(n, amps), alphabets
+
+
+_ZERO_BRANCH_CASES = [
+    (evolve(ghz(3)), [[PauliAxis.Z]] * 3),
+    (evolve(ghz(3)), [[PauliAxis.Z, PauliAxis.X, BlochAxis(math.pi, 0.5)]] * 3),
+    (init_state(4), [[PauliAxis.Z, BlochAxis(0.0, 1.0)]] * 4),
+    (init_state(3, "101"), [[PauliAxis.Z, PauliAxis.Y]] * 3),
+]
+
+
+def _check_joint_case(state, alphabets):
+    for profile in itertools.product(*alphabets):
+        order = np.random.default_rng(len(profile)).permutation(state.n)  # not always q0 first
+        for qubits in (range(state.n), order[: max(1, state.n - 1)]):
+            specs = tuple(MeasurementSpec(int(q), profile[int(q)]) for q in qubits)
+            assert _same_bits(joint_probabilities(state, specs), ref_joint_probabilities(state, specs))
+    if state.n >= 2:
+        got = table_vector(quantum_table(state, alphabets))
+        assert got.tobytes() == ref_table_vector(state, alphabets).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=joint_cases())
+def test_joint_tables_match_recursive_tree(case):
+    _check_joint_case(*case)
+
+
+@pytest.mark.parametrize("state, alphabets", _ZERO_BRANCH_CASES)
+def test_joint_tables_match_recursive_tree_on_dead_branches(state, alphabets):
+    _check_joint_case(state, alphabets)
+
+
+def test_joint_walk_split_under_memory_budget(monkeypatch):
+    # a budget smaller than one child level makes the walk split its
+    # parents over and over; rows never interact, so the bits stay
+    state, alphabets = evolve(ghz(4)), [[PauliAxis.X, BlochAxis(1.1, 4.0), PauliAxis.Z]] * 4
+    want = table_vector(quantum_table(state, alphabets)).tobytes()
+    monkeypatch.setattr(sv, "_BATCH_BYTES", 64)
+    assert table_vector(quantum_table(state, alphabets)).tobytes() == want
+    assert want == ref_table_vector(state, alphabets).tobytes()
+
+
+def test_chsh_sweep_matches_per_point_tables():
+    # 130 steps span two walks of the sweep
+    for steps in (8, 130):
+        got = chsh_sweep(steps)
+        state = singlet_state()
+        for (t, s), (t_ref, (a, a2), (b, b2)) in zip(got, _chsh_points(steps)):
+            ref = ref_table_vector(state, ((a, a2), (b, b2))).reshape(4, 4)
+            table = lhv._table_from_matrix(((a, a2), (b, b2)), ref)
+            assert (t, s) == (t_ref, chsh_value(table, a, a2, b, b2))
+
+
+def _chsh_points(steps):
+    tau = 2.0 * math.pi
+    for k in range(steps + 1):
+        t = math.pi * k / steps
+        eq = [BlochAxis(math.pi / 2, phi) for phi in (0.0, (2.0 * t) % tau, t % tau, (-t) % tau)]
+        yield t, tuple(eq[:2]), tuple(eq[2:])
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (1, 0, 1), (3,), (-1,)])
+def test_joint_probabilities_rejects_bad_qubits(qubits):
+    specs = tuple(MeasurementSpec(q, PauliAxis.Z) for q in qubits)
+    with pytest.raises(ValueError):
+        joint_probabilities(evolve(ghz(3)), specs)
