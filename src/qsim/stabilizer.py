@@ -29,22 +29,35 @@ and writes one contiguous bit row; only a batch split by a conditioned
 H, R or CNOT gathers its shots' coins.  No ``(shots, measurements)``
 float matrix is ever built.
 
-Gate conjugation is O(n) word operations per gate; a measurement is
-O(n^2) bit operations worst case.  Measurement of a Pauli that
-anticommutes with some stabilizer row is a fair coin (``p_plus`` is
-exactly 0.5); otherwise the outcome is determined (``p_plus`` is
-exactly 0 or 1) and is the sign of the product of the stabilizer rows
-flagged by the destabilizers.  Those rows commute, so the product's
-phase is a sum of per-row terms, each taken against the exclusive
-prefix-XOR of the rows before it: one ``bitwise_xor.accumulate`` and
-one vectorized phase sum, with no per-row loop.  X-basis measurements
-conjugate through H.  Y-basis measurements conjugate through
-U = H o R-adjoint, the Clifford taking Y to Z:
-(H R†) Y (H R†)† = H (R† Y R) H = H X H = Z.
+Gates run one moment at a time.  Between two barriers (a measurement
+or a conditioned op) :func:`run` puts every gate into the earliest
+moment after the last gate on any of its qubits, so a moment's gates
+act on disjoint qubits and commute exactly: the result is bit for bit
+that of applying them in order.  A moment is one masked kernel per gate
+kind over whole rows: H on the qubit mask M flips the signs with an odd
+``popcount(x & z & M)`` and XORs ``(x ^ z) & M`` into both x and z; R
+takes the same parity and XORs ``x & M`` into z; the Paulis take one
+parity over their masks; the CNOTs gather their control and target bit
+columns.  All the flips land in one sign update.  A lone gate (and
+:func:`apply_clifford`) is the one-gate moment.
+
+A measurement is O(n^2) bit operations worst case.  Measurement of a
+Pauli P on qubit q that anticommutes with some stabilizer row is a fair
+coin (``p_plus`` is exactly 0.5); otherwise the outcome is determined
+(``p_plus`` is exactly 0 or 1) and is the sign of the product of the
+stabilizer rows flagged by the destabilizers.  A row anticommutes with
+Z_q where its x bit at q is set, with X_q where its z bit is, and with
+Y_q where the two differ, so X and Y are measured directly, with no
+change of basis; a random outcome leaves X_q or Y_q as the new
+stabilizer row.  The flagged rows commute, so the product's phase is a
+sum of per-row terms, most of which telescope: one
+``bitwise_xor.accumulate`` and three popcounts, with no per-row loop.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +70,6 @@ from .circuit import (
     Measure,
     OracleApp,
     PauliAxis,
-    classify_gottesman_knill,
     validate,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
@@ -108,76 +120,233 @@ def init_tableau(n: int, batch: int = 1) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Gate conjugation
+# Gate conjugation, one moment at a time.  A moment is a set of gates on
+# disjoint qubits; Cliffords on disjoint qubits commute exactly, so
+# applying a moment at once is bit for bit the same as applying its
+# gates in sequence.  Every sign rule reads only the bits of its gate's
+# own qubits, which no other gate of the moment touches, so the flips of
+# all its gate kinds add up into one _flip.
 
 
-def _bitcol(arr: np.ndarray, w: int, b: np.uint64) -> np.ndarray:
-    return ((arr[:, w] >> b) & _ONE).astype(np.uint8)
+_H, _R, _X, _Z, _I, _CNOT = (GateKind.H, GateKind.R, GateKind.X, GateKind.Z, GateKind.I,
+                             GateKind.CNOT)
+_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+
+# Qubit q's bit lies in byte (q >> 3) ^ _BYTE of a row's words seen as
+# bytes, at bit q & 7.
+_BYTE = 7 if sys.byteorder == "big" else 0
+
+
+@dataclass(slots=True)
+class _Pairs:
+    """A moment's CNOTs as gathered bit columns of the rows' bytes.
+
+    ``at``/``bits`` hold each pair's (control, target) byte and bit.  The
+    pairs are ordered so that ``x_runs`` folds them into their targets:
+    each ``(pick, to)`` XORs the shifted control X bits of the pairs
+    ``pick`` into the distinct bytes ``to``.  ``z_order`` (None for the
+    same order) and ``z_runs`` fold the target Z bits into their controls
+    the same way.
+    """
+
+    at: np.ndarray  # (K, 2) intp
+    bits: np.ndarray  # (K, 2) uint8
+    x_runs: list[tuple[slice, slice | np.ndarray]]
+    z_order: list[int] | None
+    z_runs: list[tuple[slice, slice | np.ndarray]]
+
+
+@dataclass(slots=True)
+class _Moment:
+    """Gates on disjoint qubits as one masked kernel per gate kind.
+
+    The one-qubit masks cover words ``lo:hi`` of a row (``hi`` is 0 when
+    the moment holds only CNOTs).  H and R flip the sign where ``x & z``
+    on ``hr``; the Paulis flip it where ``x`` on ``x_sel`` (Z and Y) or
+    ``z`` on ``z_sel`` (X and Y).  A mask is None when no gate of its kind
+    is in the moment.
+    """
+
+    ops: list[GateApp]
+    lo: int
+    hi: int
+    hr: np.ndarray | None
+    h: np.ndarray | None
+    r: np.ndarray | None
+    x_sel: np.ndarray | None
+    z_sel: np.ndarray | None
+    pairs: _Pairs | None
+
+
+def _words_of(mask: int, lo: int, hi: int) -> np.ndarray | None:
+    if not mask:
+        return None
+    return np.frombuffer((mask >> (lo << 6)).to_bytes((hi - lo) << 3, "little"), dtype="<u8")
+
+
+def _to(at: list[int]) -> slice | np.ndarray:
+    """Distinct indices, as a slice when they are one ascending run."""
+    if len(at) == 1 or at == list(range(at[0], at[0] + len(at))):
+        return slice(at[0], at[0] + len(at))
+    return np.array(at, dtype=np.intp)
+
+
+def _layers(at: list[int]) -> tuple[list[int] | None, list[tuple[slice, slice | np.ndarray]]]:
+    """An order of the entries of ``at`` that splits them into runs of
+    distinct values (the first entry for each value, then the second, ...),
+    None when that is their own order, and the runs as ``(slice of that
+    order, values)``."""
+    if len(at) == 1:
+        return None, [(slice(0, 1), slice(at[0], at[0] + 1))]
+    seen: dict[int, int] = {}
+    keyed = []
+    for i, a in enumerate(at):
+        rank = seen.get(a, 0)
+        seen[a] = rank + 1
+        keyed.append((rank, a, i))
+    keyed.sort()
+    runs, start = [], 0
+    for k in range(1, len(keyed) + 1):
+        if k == len(keyed) or keyed[k][0] != keyed[start][0]:
+            runs.append((slice(start, k), _to([a for _, a, _ in keyed[start:k]])))
+            start = k
+    order = [i for _, _, i in keyed]
+    return (None if order == list(range(len(order))) else order), runs
+
+
+def _pairs(cnots: list[tuple[int, int]], at: np.ndarray, bits: np.ndarray, x_runs) -> _Pairs:
+    z_order, z_runs = _layers([(c >> 3) ^ _BYTE for c, _ in cnots])
+    return _Pairs(at, bits, x_runs, z_order, z_runs)
+
+
+def _moment(ops: list[GateApp], pairs: _Pairs | None) -> _Moment:
+    """The masks of one moment, whose CNOTs are already ``pairs``."""
+    if pairs is not None and len(pairs.at) == len(ops):
+        return _Moment(ops, 0, 0, None, None, None, None, None, pairs)
+    h = r = x_sel = z_sel = 0
+    for op in ops:
+        kind, q = op.kind, op.targets[0]
+        if kind is _H:
+            h |= 1 << q
+        elif kind is _R:
+            r |= 1 << q
+        elif kind is not _CNOT:
+            if kind is not _X:
+                x_sel |= 1 << q
+            if kind is not _Z:
+                z_sel |= 1 << q
+    one = h | r | x_sel | z_sel
+    lo, hi = ((one & -one).bit_length() - 1) >> 6, ((one.bit_length() - 1) >> 6) + 1
+    return _Moment(ops, lo, hi, _words_of(h | r, lo, hi), _words_of(h, lo, hi),
+                   _words_of(r, lo, hi), _words_of(x_sel, lo, hi), _words_of(z_sel, lo, hi),
+                   pairs)
+
+
+def _schedule(gates, n: int) -> Iterator[_Moment]:
+    """Unconditioned Clifford gates as moments: each gate goes into the
+    moment after the last one that touches any of its qubits.  Gates
+    sharing a qubit keep their order, so the moments' product is the
+    gates' product.  Identity gates are dropped.  The moments are built
+    one at a time, as they are applied."""
+    level = [-1] * n
+    slots: list[list[GateApp]] = []
+    cnots: list[list[tuple[int, int]]] = []
+    for op in gates:
+        kind = op.kind
+        if kind is _CNOT:
+            c, tg = op.targets
+            m = (level[c] if level[c] > level[tg] else level[tg]) + 1
+            level[c] = level[tg] = m
+        elif kind is _I:
+            continue
+        else:
+            q = op.targets[0]
+            m = level[q] = level[q] + 1
+        if m == len(slots):
+            slots.append([op])
+            cnots.append([])
+        else:
+            slots[m].append(op)
+        if kind is _CNOT:
+            cnots[m].append(op.targets)
+    # Every moment's CNOTs, put in their x_runs order and gathered into
+    # one array.
+    x_runs: list = [None] * len(slots)
+    for m, pairs in enumerate(cnots):
+        if pairs:
+            order, x_runs[m] = _layers([(tg >> 3) ^ _BYTE for _, tg in pairs])
+            if order is not None:
+                cnots[m] = [pairs[i] for i in order]
+    flat = [ct for pairs in cnots for ct in pairs]
+    if flat:
+        q = np.array(flat, dtype=np.intp)
+        at, bits = (q >> 3) ^ _BYTE, (q & 7).astype(np.uint8)
+    lo = 0
+    for ops, pairs, runs in zip(slots, cnots, x_runs):
+        hi = lo + len(pairs)
+        yield _moment(ops, _pairs(pairs, at[lo:hi], bits[lo:hi], runs) if pairs else None)
+        lo = hi
 
 
 def _flip(t: Tableau, rows: np.ndarray, cols: np.ndarray | None = None) -> None:
     """Flip the sign of every row flagged in ``rows``: in every shot, or
     only in the shots whose entry of the uint8 ``cols`` is 1."""
-    hit = np.flatnonzero(rows)
-    t.r[hit] ^= 1 if cols is None else cols
+    hit = rows.nonzero()[0]
+    if hit.size:
+        t.r[hit] ^= 1 if cols is None else cols
 
 
-def _gate_h(t: Tableau, q: int) -> None:
-    w, b = q >> 6, np.uint64(q & 63)
-    _flip(t, _bitcol(t.x, w, b) & _bitcol(t.z, w, b))
-    diff = (t.x[:, w] ^ t.z[:, w]) & (_ONE << b)
-    t.x[:, w] ^= diff
-    t.z[:, w] ^= diff
+def _apply_moment(t: Tableau, mo: _Moment, cols: np.ndarray | None = None) -> None:
+    """Conjugate every row by the moment's gates, in place.
 
-
-def _gate_r(t: Tableau, q: int) -> None:
-    w, b = q >> 6, np.uint64(q & 63)
-    _flip(t, _bitcol(t.x, w, b) & _bitcol(t.z, w, b))
-    t.z[:, w] ^= t.x[:, w] & (_ONE << b)
-
-
-_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
-
-
-def _pauli_flips(t: Tableau, kind: GateKind, q: int) -> np.ndarray:
-    """The rows whose sign an X, Y or Z on q flips: those anticommuting with it.
-
-    A Pauli gate changes nothing else, so applying it to some shots of a
-    batch is a sign flip on their columns alone.
+    ``cols`` restricts the sign flips to the shots whose entry is 1; that
+    is a conditioned gate only for a moment of Paulis, which change no
+    x or z bit.
     """
-    w, b = q >> 6, np.uint64(q & 63)
-    if kind is GateKind.X:
-        return _bitcol(t.z, w, b)
-    if kind is GateKind.Z:
-        return _bitcol(t.x, w, b)
-    return _bitcol(t.x, w, b) ^ _bitcol(t.z, w, b)
+    flips = None
+    if mo.hi:
+        x, z = t.x[:, mo.lo : mo.hi], t.z[:, mo.lo : mo.hi]
+        odd = 0
+        if mo.hr is not None:
+            odd = x & z & mo.hr
+        if mo.x_sel is not None:
+            odd = odd ^ (x & mo.x_sel)
+        if mo.z_sel is not None:
+            odd = odd ^ (z & mo.z_sel)
+        if odd.shape[1] > 1:
+            odd = np.bitwise_xor.reduce(odd, axis=1)
+        flips = np.bitwise_count(odd.reshape(-1)) & 1
+        if mo.h is not None:
+            d = x ^ z
+            d &= mo.h
+            x ^= d
+            z ^= d
+        if mo.r is not None:
+            z ^= x & mo.r
+    p = mo.pairs
+    if p is not None:
+        xb, zb = t.x.view(np.uint8), t.z.view(np.uint8)
+        gx = (xb[:, p.at] >> p.bits) & 1  # (2n, K, 2)
+        gz = (zb[:, p.at] >> p.bits) & 1
+        xc, xt, zc, zt = gx[..., 0], gx[..., 1], gz[..., 0], gz[..., 1]
+        odd = xc & zt
+        odd &= xt == zc
+        odd = np.bitwise_xor.reduce(odd, axis=1) if odd.shape[1] > 1 else odd[:, 0]
+        flips = odd if flips is None else flips ^ odd
+        dx = xc << p.bits[:, 1]
+        for pick, to in p.x_runs:
+            xb[:, to] ^= dx[:, pick]
+        dz = zt << p.bits[:, 0]
+        if p.z_order is not None:
+            dz = dz[:, p.z_order]
+        for pick, to in p.z_runs:
+            zb[:, to] ^= dz[:, pick]
+    _flip(t, flips, cols)
 
 
-def _gate_cnot(t: Tableau, control: int, target: int) -> None:
-    wc, bc = control >> 6, np.uint64(control & 63)
-    wt, bt = target >> 6, np.uint64(target & 63)
-    xc = _bitcol(t.x, wc, bc)
-    zc = _bitcol(t.z, wc, bc)
-    xt = _bitcol(t.x, wt, bt)
-    zt = _bitcol(t.z, wt, bt)
-    _flip(t, xc & zt & (xt ^ zc ^ 1))
-    t.x[:, wt] ^= xc.astype(np.uint64) << bt
-    t.z[:, wc] ^= zt.astype(np.uint64) << bc
-
-
-def _apply_kind(t: Tableau, kind: GateKind, targets: tuple[int, ...]) -> None:
-    if kind is GateKind.I:
-        return
-    if kind is GateKind.H:
-        _gate_h(t, targets[0])
-    elif kind is GateKind.R:
-        _gate_r(t, targets[0])
-    elif kind in _PAULIS:
-        _flip(t, _pauli_flips(t, kind, targets[0]))
-    elif kind is GateKind.CNOT:
-        _gate_cnot(t, targets[0], targets[1])
-    else:
-        raise NonClifford(f"{kind.value} is outside the stabilizer gate set")
+def _apply_moments(t: Tableau, moments: Iterable[_Moment], cols: np.ndarray | None = None) -> None:
+    for mo in moments:
+        _apply_moment(t, mo, cols)
 
 
 def apply_clifford(t: Tableau, op: CircuitOp) -> None:
@@ -196,7 +365,9 @@ def apply_clifford(t: Tableau, op: CircuitOp) -> None:
         raise ValueError("conditioned gate reached apply_clifford; resolve the condition first")
     if any(not 0 <= q < t.n for q in op.targets):
         raise ValueError(f"qubit index out of range in {op}")
-    _apply_kind(t, op.kind, op.targets)
+    if not op.kind.is_clifford:
+        raise NonClifford(f"{op.kind.value} is outside the stabilizer gate set")
+    _apply_moments(t, _schedule((op,), t.n))
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +405,32 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 # Measurement
 
 
-def _measure_z(t: Tableau, q: int, coins: np.ndarray | None, force_bit: int | None):
-    """Z-measure qubit q on every batch column.
+def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins: np.ndarray | None,
+                  force_bit: int | None):
+    """Measure the Pauli ``axis`` on qubit q in every batch column.
 
     Returns ``(bits, p_plus)`` with shape (batch,): bit 0 records the
     +1 outcome.  ``coins`` supplies each column's coin bit, 1 where its
     uniform draw is at least 1/2 (used only when the outcome is random);
-    ``force_bit`` overrides the coin.
+    ``force_bit`` overrides the coin.  A row anticommutes with X_q where
+    its z bit is set, with Z_q where its x bit is, and with Y_q where
+    they differ.
     """
     n = t.n
     w, b = q >> 6, np.uint64(q & 63)
-    xcol = ((t.x[:, w] >> b) & _ONE).astype(bool)
-    anti = np.flatnonzero(xcol[n:])
+    if axis is PauliAxis.Z:
+        col = t.x[:, w]
+    elif axis is PauliAxis.X:
+        col = t.z[:, w]
+    else:
+        col = t.x[:, w] ^ t.z[:, w]
+    anticommutes = ((col >> b) & _ONE).astype(bool)
+    anti = np.flatnonzero(anticommutes[n:])
     if anti.size:
-        # Some stabilizer anticommutes with Z_q: a fair coin.
+        # Some stabilizer anticommutes with the Pauli: a fair coin.  The
+        # first one becomes the destabilizer, the measured Pauli its row.
         p = n + int(anti[0])
-        rows = np.flatnonzero(xcol)
+        rows = np.flatnonzero(anticommutes)
         rows = rows[rows != p]
         if rows.size:
             _rowsum_many(t, rows, p)
@@ -258,39 +439,29 @@ def _measure_z(t: Tableau, q: int, coins: np.ndarray | None, force_bit: int | No
         t.r[p - n] = t.r[p]
         t.x[p] = 0
         t.z[p] = 0
-        t.z[p, w] = _ONE << b
+        if axis is not PauliAxis.Z:
+            t.x[p, w] = _ONE << b
+        if axis is not PauliAxis.X:
+            t.z[p, w] = _ONE << b
         t.r[p] = coins if force_bit is None else force_bit
         return t.r[p].copy(), np.full(t.batch, 0.5)
     # Determined: the sign of the product of the stabilizer rows the
-    # destabilizers flag.  Row k multiplies onto the product of the rows
-    # before it, whose x/z words are their exclusive prefix-XOR.  The rows
-    # commute, so every step's exponent g is even and the steps add up:
-    # the sign is the parity of the rows' signs, flipped when sum(g) % 4 == 2.
-    rows = n + np.flatnonzero(xcol[:n])
+    # destabilizers flag.  Row k multiplies onto the product Q of the rows
+    # before it, whose x words are their exclusive prefix-XOR.  A row
+    # (x, z) stands for i^|x & z| X^x Z^z, so that step's exponent of i is
+    # |x_k & z_k| + |x_Q & z_Q| + 2 |z_k & x_Q| - |x_Q' & z_Q'|, Q' being
+    # the new product; over all steps the Q terms telescope to minus the
+    # final product's.  The rows commute, so the sum g is even: the sign
+    # is the parity of the rows' signs, flipped when g % 4 == 2.
+    rows = n + np.flatnonzero(anticommutes[:n])
     xs, zs = t.x[rows], t.z[rows]
-    px = np.bitwise_xor.accumulate(xs, axis=0) ^ xs
-    pz = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
-    g = int(_g_sum(xs, zs, px, pz).sum())
+    prefix = np.bitwise_xor.accumulate(xs, axis=0)
+    x_q = prefix ^ xs
+    last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
+    g = (int(np.bitwise_count(xs & zs).sum()) + 2 * int(np.bitwise_count(zs & x_q).sum())
+         - int(np.bitwise_count(last).sum()))
     bits = np.bitwise_xor.reduce(t.r[rows], axis=0) ^ np.uint8((g & 3) == 2)
     return bits, (bits == 0).astype(np.float64)
-
-
-def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins, force_bit):
-    if axis is PauliAxis.Z:
-        return _measure_z(t, q, coins, force_bit)
-    if axis is PauliAxis.X:
-        _gate_h(t, q)
-        out = _measure_z(t, q, coins, force_bit)
-        _gate_h(t, q)
-        return out
-    # Y: conjugate through U = H o R-adjoint (R-adjoint = three R's).
-    for _ in range(3):
-        _gate_r(t, q)
-    _gate_h(t, q)
-    out = _measure_z(t, q, coins, force_bit)
-    _gate_h(t, q)
-    _gate_r(t, q)
-    return out
 
 
 @dataclass(frozen=True)
@@ -343,54 +514,70 @@ def _step(groups: list[_Group], op: CircuitOp, coins: np.ndarray | None) -> list
     """Apply one op to every group, conditioned ops as :func:`run`
     describes; returns the groups after it.  ``coins`` is the
     measurement's coin row over all shots (see :func:`qsim.rng.shot_coins`)
-    and None for a gate."""
-    if isinstance(op, Measure):  # oracles cannot reach here (classifier gate)
+    and None for a gate, which is applied as a one-gate moment."""
+    if isinstance(op, Measure):  # oracles cannot reach here (Clifford walk)
         for t, cb, idx in groups:
             mine = coins if len(idx) == len(coins) else coins[idx]
             cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, mine, None)
         return groups
+    moments = list(_schedule((op,), groups[0][0].n))
     if op.condition is None:
         for t, _, _ in groups:
-            _apply_kind(t, op.kind, op.targets)
+            _apply_moments(t, moments)
         return groups
     if op.kind in _PAULIS:
         for t, cb, _ in groups:
-            _flip(t, _pauli_flips(t, op.kind, op.targets[0]), cb[op.condition])
+            _apply_moments(t, moments, cb[op.condition])
         return groups
     split: list[_Group] = []
     for t, cb, idx in groups:
         mask = cb[op.condition] == 1
         if mask.all():
-            _apply_kind(t, op.kind, op.targets)
+            _apply_moments(t, moments)
             split.append((t, cb, idx))
         elif not mask.any():
             split.append((t, cb, idx))
         else:
             hot = t.select(mask)
-            _apply_kind(hot, op.kind, op.targets)
+            _apply_moments(hot, moments)
             split.append((hot, cb[:, mask], idx[mask]))
             split.append((t.select(~mask), cb[:, ~mask], idx[~mask]))
     return split
 
 
+def _segments(ops) -> list[tuple[tuple[GateApp, ...], CircuitOp | None]]:
+    """The ops as runs of unconditioned gates, each closed by the barrier
+    after it (a measurement or a conditioned gate; None after the last
+    run).  Raises :class:`NonClifford` at the first op outside the
+    stabilizer fragment, as :func:`classify_gottesman_knill` reports it."""
+    out = []
+    gates: list[GateApp] = []
+    for i, op in enumerate(ops):
+        if isinstance(op, OracleApp) or (isinstance(op, GateApp) and not op.kind.is_clifford):
+            raise NonClifford(f"op {i} is outside the stabilizer fragment", i)
+        if isinstance(op, GateApp) and op.condition is None:
+            gates.append(op)
+        else:
+            out.append((tuple(gates), op))
+            gates = []
+    out.append((tuple(gates), None))
+    return out
+
+
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions of a Clifford/measurement circuit.
 
-    The batch shares one structural tableau.  A classically conditioned
-    X, Y or Z flips the signs of the shots whose condition bit is set and
-    keeps the batch whole; a conditioned H, R or CNOT splits it into
-    groups by condition-bit value, since shots that took different
-    branches no longer share structure.  Shot ``i`` draws from its own
-    Philox counter block exactly as in the dense backend; the draws
-    arrive as coin rows, one per measurement across all shots, and the
-    classical bits are kept the same way.
+    The batch shares one structural tableau.  Unconditioned gates between
+    two barriers are applied as moments (:func:`_schedule`).  A
+    classically conditioned X, Y or Z flips the signs of the shots whose
+    condition bit is set and keeps the batch whole; a conditioned H, R or
+    CNOT splits it into groups by condition-bit value, since shots that
+    took different branches no longer share structure.  Shot ``i`` draws
+    from its own Philox counter block exactly as in the dense backend;
+    the draws arrive as coin rows, one per measurement across all shots,
+    and the classical bits are kept the same way.
     """
-    rep = classify_gottesman_knill(circuit)
-    if not rep.is_gk:
-        raise NonClifford(
-            f"op {rep.first_offender} is outside the stabilizer fragment",
-            rep.first_offender,
-        )
+    segments = _segments(circuit.ops)
     bad = validate(circuit)
     if bad:
         raise ValueError(f"invalid circuit: op {bad[0].op_index}: {bad[0].message}")
@@ -404,8 +591,12 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     groups: list[_Group] = [
         (init_tableau(n, shots), np.zeros((m, shots), dtype=np.uint8), np.arange(shots))
     ]
-    for op in circuit.ops:
-        groups = _step(groups, op, next(coins) if isinstance(op, Measure) else None)
+    for gates, op in segments:
+        for mo in _schedule(gates, n):
+            for t, _, _ in groups:
+                _apply_moment(t, mo)
+        if op is not None:
+            groups = _step(groups, op, next(coins) if isinstance(op, Measure) else None)
 
     final: Tableau | None = None
     if keep_final_state:

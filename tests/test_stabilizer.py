@@ -24,8 +24,10 @@ from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
 from qsim.rng import shot_coins, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
+    _apply_moment,
     _g_sum,
     _measure_axis,
+    _schedule,
     _step,
     apply_clifford,
     init_tableau,
@@ -302,8 +304,7 @@ def test_ghz_measure_all_one_coin_then_determined(axis):
     # GHZ-130 spans three words.  After the first coin every outcome is
     # the sign of a product of up to 129 flagged stabilizer rows, which
     # is -1 in the columns whose coin came up 1.  The X variant rotates
-    # the state so that X outcomes are equal and goes through the H
-    # conjugation of an X measurement.
+    # the state so that X outcomes are equal and measures X directly.
     n, batch = 130, 8
     t = init_tableau(n, batch)
     for op in ghz(n).ops:
@@ -520,3 +521,190 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
             assert np.array_equal(cb, rcb.T) and np.array_equal(idx, ridx)
     want = Counter("".join(map(str, row)) for _, cb, _ in ref for row in cb.tolist())
     assert run(circuit, shots, seed).counts == dict(sorted(want.items()))
+
+
+# ---------------------------------------------------------------------------
+# Moments against sequential gates, and direct X/Y measurement against
+# conjugation to Z.
+
+
+@st.composite
+def gate_lists(draw):
+    """A scrambling prefix and a gate list on 1-200 qubits (one to four
+    words), both drawn from a pool of qubits spread over the register."""
+    n = draw(st.integers(1, 200))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 40), unique=True))
+
+    def gates(k):
+        out = []
+        for _ in range(k):
+            kind = draw(st.sampled_from(_CLIFFORD_KINDS + [GateKind.I]))
+            if kind is GateKind.CNOT:
+                if len(pool) < 2:
+                    continue
+                out.append(GateApp(kind, tuple(draw(st.permutations(pool))[:2])))
+            else:
+                out.append(GateApp(kind, (draw(st.sampled_from(pool)),)))
+        return out
+
+    return n, gates(draw(st.integers(0, 30))), gates(draw(st.integers(1, 120)))
+
+
+def _mixed_moment():
+    """One moment of H, R, X, Y, Z and CNOTs on 200 qubits.  Controls
+    and targets sit in different words; two targets share a byte and two
+    controls share one, and the prefix puts X, Z and Y bits under every
+    gate."""
+    g = lambda kind, *q: GateApp(kind, q)
+    one = [3, 70, 130, 5, 199, 10, 150, 66, 0, 128, 1]
+    prefix = [g(GateKind.H, q) for q in one + [140, 20, 64, 65, 71, 190]]
+    prefix += [g(GateKind.R, q) for q in one[::2] + [20, 65]]
+    prefix += [g(GateKind.CNOT, a, b) for a, b in zip(one, one[1:] + [140, 20, 64])]
+    moment = [g(GateKind.H, 3), g(GateKind.R, 70), g(GateKind.X, 130), g(GateKind.Y, 5),
+              g(GateKind.Z, 199), g(GateKind.CNOT, 10, 140), g(GateKind.CNOT, 150, 20),
+              g(GateKind.CNOT, 66, 64), g(GateKind.CNOT, 0, 65), g(GateKind.CNOT, 128, 71),
+              g(GateKind.CNOT, 1, 190)]
+    return 200, prefix, moment
+
+
+def _copy_of(t):
+    return Tableau(t.n, t.x.copy(), t.z.copy(), t.r.copy())
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.r, b.r)
+
+
+def _ref_gates(t, ops):
+    for op in ops:
+        if op.kind is not GateKind.I:
+            ref_gate(t, op.kind, op.targets)
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=_mixed_moment(), batch=5, seed=1)
+@given(case=gate_lists(), batch=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_moments_match_sequential_gates(case, batch, seed):
+    n, prefix, ops = case
+    start = init_tableau(n, batch)
+    start.r[:] = np.random.default_rng(seed).integers(0, 2, start.r.shape, dtype=np.uint8)
+    _ref_gates(start, prefix)
+    t, ref = _copy_of(start), _copy_of(start)
+    moments = list(_schedule(ops, n))
+    for mo in moments:
+        qubits = [q for op in mo.ops for q in op.targets]
+        assert len(qubits) == len(set(qubits))
+        _apply_moment(t, mo)
+        _ref_gates(ref, mo.ops)
+        _assert_same(t, ref)
+    # the moments hold every gate but the identities, and their product
+    # is the gates' product in program order
+    assert sorted(map(id, (op for mo in moments for op in mo.ops))) == sorted(
+        id(op) for op in ops if op.kind is not GateKind.I)
+    seq = _copy_of(start)
+    _ref_gates(seq, ops)
+    _assert_same(t, seq)
+
+
+def _conjugated_measure(t, q, axis, rng, force):
+    """Measure X or Y by conjugating it to Z: H for X, U = H R-adjoint
+    (three R's, then H) for Y, and back.  None where forcing raises."""
+    there, back = {
+        PauliAxis.Z: ([], []),
+        PauliAxis.X: ([GateKind.H], [GateKind.H]),
+        PauliAxis.Y: ([GateKind.R] * 3 + [GateKind.H], [GateKind.H, GateKind.R]),
+    }[axis]
+    for kind in there:
+        apply_clifford(t, GateApp(kind, (q,)))
+    try:
+        out = measure_pauli(t, q, PauliAxis.Z, rng, force)
+    except DegenerateNorm:
+        out = None
+    for kind in back:
+        apply_clifford(t, GateApp(kind, (q,)))
+    return out
+
+
+@st.composite
+def measured_cliffords(draw):
+    """Gates and X/Y/Z measurements on a few qubits of 1-130, each
+    measurement drawing its outcome or forcing 0 or 1."""
+    n = draw(st.integers(1, 130))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True))
+    ops = []
+    for _ in range(draw(st.integers(1, 60))):
+        if draw(st.integers(0, 2)) == 0:
+            axis = draw(st.sampled_from(PauliAxis))
+            ops.append((Measure(draw(st.sampled_from(active)), axis, 0),
+                        draw(st.sampled_from([None, 0, 1]))))
+            continue
+        kind = draw(st.sampled_from(_CLIFFORD_KINDS))
+        if kind is GateKind.CNOT:
+            if len(active) < 2:
+                continue
+            ops.append((GateApp(kind, tuple(draw(st.permutations(active))[:2])), None))
+        else:
+            ops.append((GateApp(kind, (draw(st.sampled_from(active)),)), None))
+    return n, ops
+
+
+def _y_phase_ops():
+    """Gates after which Y on qubit 64 is determined and its flagged rows
+    multiply with a phase sum of 2 mod 4: the product's own Y term then
+    decides the outcome."""
+    h = lambda q: GateApp(GateKind.H, (q,))
+    r = lambda q: GateApp(GateKind.R, (q,))
+    cx = lambda p, q: GateApp(GateKind.CNOT, (p, q))
+    return [h(64), r(64), cx(129, 5), cx(5, 64), h(129), r(129), cx(129, 5), h(129),
+            Measure(64, PauliAxis.Y, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=(130, [(op, None) for op in _phase_circuit().ops]), seed=0)
+@example(case=(130, [(op, None) for op in _y_phase_ops()]), seed=0)
+@given(case=measured_cliffords(), seed=st.integers(0, 2**32 - 1))
+def test_direct_xy_measurement_matches_conjugation(case, seed):
+    n, ops = case
+    t, ref = init_tableau(n), init_tableau(n)
+    rng, ref_rng = stream(seed), stream(seed)
+    for op, force in ops:
+        if isinstance(op, GateApp):
+            apply_clifford(t, op)
+            apply_clifford(ref, op)
+            continue
+        before = _copy_of(t)
+        try:
+            got = measure_pauli(t, op.qubit, op.axis, None if force is not None else rng, force)
+        except DegenerateNorm:
+            got = None
+            _assert_same(t, before)  # a refused force leaves the tableau alone
+        want = _conjugated_measure(ref, op.qubit, op.axis,
+                                   None if force is not None else ref_rng, force)
+        assert got == want
+        _assert_same(t, ref)
+
+
+@pytest.mark.parametrize("ops", [_phase_circuit().ops, _y_phase_ops()], ids=["x", "y"])
+def test_phase_examples_reach_phase_two(ops):
+    # each example above ends in a determined outcome whose flagged
+    # stabilizer rows multiply with a phase sum of 2 mod 4
+    t = init_tableau(130)
+    rng = stream(0)
+    for op in ops[:-1]:
+        if isinstance(op, Measure):
+            measure_pauli(t, op.qubit, op.axis, rng)
+        else:
+            apply_clifford(t, op)
+    last = ops[-1]
+    w, b = last.qubit >> 6, np.uint64(last.qubit & 63)
+    col = {PauliAxis.X: t.z[:, w], PauliAxis.Y: t.x[:, w] ^ t.z[:, w]}[last.axis]
+    flags = ((col >> b) & np.uint64(1)).astype(bool)
+    assert not flags[t.n :].any()  # determined
+    rows = t.n + np.flatnonzero(flags[: t.n])
+    xs, zs = t.x[rows], t.z[rows]
+    px = np.bitwise_xor.accumulate(xs, axis=0) ^ xs
+    pz = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
+    assert int(_g_sum(xs, zs, px, pz).sum()) % 4 == 2
+    assert measure_pauli(t, last.qubit, last.axis, rng).p_plus in (0.0, 1.0)
