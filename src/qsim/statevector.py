@@ -27,11 +27,20 @@ branch weight is bit-identical to what a recursive walk over
 
 ``run`` samples whole circuits.  It evolves one amplitude row per
 distinct classical history rather than one per shot: shots share a row
-until a measurement gives them different outcomes.  Shot ``i`` draws its
-measurement randomness from the Philox counter block reserved for shot
-``i`` (see :mod:`qsim.rng`), so results are reproducible bit for bit
-regardless of how shots are grouped or chunked.  Histogram keys are
-classical-bit strings, bit 0 first, with ``0`` recording the +1 outcome.
+until a measurement gives them different outcomes.  The rows span only
+the *live* qubits.  A qubit measured in Z has one definite value in each
+history, so it leaves the rows and becomes a per-row bit.  X flips that
+bit, Z, R and S multiply the rows where it is 1 by one scalar, Y does
+both, and a CNOT it controls flips a target bit or acts on a live target
+only in the rows where it is 1.  It goes back into the rows, its other
+half zero, when a gate needs it in superposition (H, a CNOT from a live
+control, an oracle, or an X or Y measurement).  Qubits never measured
+stay live.  Every nonzero amplitude is bit-identical to evolving full
+2^n-amplitude rows.  Shot ``i`` draws its measurement randomness from
+the Philox counter block reserved for shot ``i`` (see :mod:`qsim.rng`),
+so a fixed seed gives the same counts (see :func:`run` for the one
+rounding caveat).  Histogram keys are classical-bit strings, bit 0
+first, with ``0`` recording the +1 outcome.
 """
 
 from __future__ import annotations
@@ -355,6 +364,10 @@ def _collapse(amps: np.ndarray, n: int, q: int, obs: np.ndarray, outcome, p) -> 
             t *= s
             a += t
             a /= scale
+    _dust(amps)
+
+
+def _dust(amps: np.ndarray) -> None:
     np.copyto(amps, 0.0, where=np.abs(amps) < _DUST)
 
 
@@ -508,6 +521,157 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> 
 # Whole-circuit sampling
 
 
+# Gate matrices by kind, read-only.
+_MATRIX = {kind: gate_matrix(kind) for kind in GateKind}
+
+
+class _Histories:
+    """The rows of ``run``: one amplitude row per distinct classical
+    history, held over the live qubits only.
+
+    ``amps`` is ``(rows, 2**len(live))``, indexed as a state of the live
+    qubits in their order; ``at[q]`` is live qubit q's place among them.
+    A qubit leaves ``live`` when it is measured in Z; from then on its
+    value in row ``r`` is one bit of ``base[r]`` (at the qubit's
+    basis-index bit), and the full state of the row is its amplitudes at
+    ``base[r]`` plus the live bits, zero elsewhere.  Gates that only
+    permute or phase basis states act on that bit; a gate that needs the
+    qubit in superposition first puts it back into ``amps``.
+
+    Every nonzero amplitude is bit-identical to the full-vector
+    evolution: the left-out amplitudes are exact zeros, which no kernel
+    turns into anything else, and the kernels are elementwise.
+    """
+
+    def __init__(self, n: int, n_cbits: int):
+        self.n = n
+        self._set_live(list(range(n)))
+        self.amps = np.zeros((1, 1 << n), dtype=np.complex128)
+        self.amps[0, 0] = 1.0
+        self.base = np.zeros(1, dtype=np.int64)
+        self.cbits = np.zeros((1, n_cbits), dtype=np.uint8)
+
+    def _set_live(self, live: list[int]) -> None:
+        self.live = live
+        self.at = {q: j for j, q in enumerate(live)}
+
+    def _bit(self, q: int) -> np.ndarray:
+        return (self.base >> _bitpos(self.n, q)) & 1
+
+    def _on_rows(self, mask, kernel, *args) -> None:
+        """``kernel(amps, *args)`` on the rows ``mask`` selects (all if None)."""
+        if mask is None or mask.all():
+            kernel(self.amps, *args)
+        elif mask.any():
+            sub = self.amps[mask]
+            kernel(sub, *args)
+            self.amps[mask] = sub
+
+    def _insert(self, q: int) -> None:
+        """Put fixed qubit q back into the amplitudes, the other half zero."""
+        live = sorted(self.live + [q])
+        j = live.index(q)
+        amps = np.zeros((len(self.amps), 2 << len(self.live)), dtype=np.complex128)
+        half = self.amps.reshape(len(amps), 1 << j, -1)
+        _split(amps, len(live), j)[np.arange(len(amps)), :, self._bit(q)] = half
+        self.amps = amps
+        self._set_live(live)
+        self.base &= ~(1 << _bitpos(self.n, q))
+
+    def state(self, row: int) -> np.ndarray:
+        """Row ``row`` as a full vector of 2**n amplitudes."""
+        full = np.zeros((2,) * self.n, dtype=np.complex128)
+        bits = (int(self.base[row]) >> _bitpos(self.n, q) & 1 for q in range(self.n))
+        at = tuple(slice(None) if q in self.at else b for q, b in enumerate(bits))
+        full[at] = self.amps[row].reshape((2,) * len(self.live))
+        return full.reshape(-1)
+
+    def gate(self, op: GateApp) -> None:
+        mask = None if op.condition is None else self.cbits[:, op.condition] == 1
+        if op.kind is GateKind.CNOT:
+            c, q = op.targets
+            if c in self.at:
+                if q not in self.at:
+                    self._insert(q)
+                self._on_rows(mask, _apply_cnot, len(self.live), self.at[c], self.at[q])
+                return
+            # A fixed control is an X on the target in the rows where it is 1.
+            on = self._bit(c) == 1
+            mask = on if mask is None else mask & on
+            u = _MATRIX[GateKind.X]
+        else:
+            q, u = op.targets[0], _MATRIX[op.kind]
+        if q in self.at or op.kind is GateKind.H:
+            if q not in self.at:
+                self._insert(q)
+            self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
+            return
+        # Every other gate maps basis state b of a fixed qubit to one basis
+        # state b2, times u[b2, b].
+        flip = int(u[0, 0] == 0)
+        bit = self._bit(q)
+        for b in (0, 1):
+            if u[b ^ flip, b] != 1:
+                sel = bit == b if mask is None else (bit == b) & mask
+                self._on_rows(sel, _scale, u[b ^ flip, b])
+        if flip:
+            self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, q)
+
+    def oracle(self, op: OracleApp) -> None:
+        for q in op.inputs + (op.output,):
+            if q not in self.at:
+                self._insert(q)
+        at = self.at
+        _apply_oracle(self.amps, len(self.live),
+                      OracleApp(op.function, tuple(at[q] for q in op.inputs), at[op.output]))
+
+    def measure(self, op: Measure, u: np.ndarray, group: np.ndarray) -> np.ndarray:
+        """Measure every shot with its uniform ``u``; returns the new ``group``."""
+        q = op.qubit
+        obs = _observable(op.axis)
+        z = _is_z(obs)
+        if not z and q not in self.at:
+            self._insert(q)
+        j, k = self.at.get(q), len(self.live)
+        if len(self.amps) == 1 and k < self.n:
+            # one row sums its pairs pairwise, so it sums over the full vector
+            e = _expectation(self.state(0)[None], self.n, q, obs)
+        elif j is not None:
+            e = _expectation(self.amps, k, j, obs)
+        else:
+            # the same sequential sum of every row's pairs, signed by its bit
+            e = np.asfortranarray(_norms(self.amps)).sum(axis=-1)
+            e[self._bit(q) == 1] *= -1.0
+        p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
+        # A shot's new history is (row, outcome); number them in that order.
+        key = 2 * group + (u >= p_plus[group])
+        seen = np.bincount(key, minlength=2 * len(self.amps)) > 0
+        keys, group = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
+        p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
+        if (p < _DUST).any():
+            raise DegenerateNorm("collapse onto a zero-weight branch")
+        if len(keys) > len(self.amps):  # some row split: one row per new history
+            self.base, self.cbits = self.base[rows], self.cbits[rows]
+            if not (z and j is not None):
+                self.amps = self.amps[rows]
+        if not z:
+            _collapse(self.amps, k, j, obs, 1.0 - 2.0 * bit, p)
+        else:
+            keep = 1.0 / np.sqrt(p)
+            if j is not None:  # keep each row's outcome half, scaled as _collapse does
+                self.amps = _split(self.amps, k, j)[rows, :, bit].reshape(len(keys), -1)
+                self._set_live(self.live[:j] + self.live[j + 1 :])
+            else:  # the rows are in one half already; zero if the outcome is not it
+                keep *= bit == self._bit(q)
+            self.amps *= keep.astype(np.complex128)[:, None]
+            _dust(self.amps)
+            pos = _bitpos(self.n, q)
+            self.base = self.base & ~(1 << pos) | bit.astype(np.int64) << pos
+        self.cbits[:, op.dest] = bit
+        return group
+
+
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions; returns the classical-bit histogram.
 
@@ -515,10 +679,18 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     array is one distinct classical history and ``group[i]`` is the row
     shot ``i`` is in.  A measurement computes ``p_plus`` once per row,
     compares every shot's own uniform against its row's value, and
-    splits a row only when its shots disagree.  Shot ``i`` still draws
-    from its own counter block, so the result is identical to running
-    the shots one at a time, whatever the grouping or chunking.
-    ``keep_final_state`` returns the state of shot ``shots - 1``.
+    splits a row only when its shots disagree.  A qubit measured in Z
+    leaves the amplitude array until a gate needs it in superposition
+    again (see :class:`_Histories`); a qubit never measured stays in it.
+
+    Shot ``i`` draws from its own counter block, so a fixed seed gives
+    the same counts however the shots are grouped or chunked, with one
+    caveat: a batch of one row sums ``<O>`` pairwise, and a batch of
+    several rows sums each row's pairs in order (see
+    :func:`_expectation`).  The two sums may differ in the last bit, so
+    the counts agree unless a shot's uniform lands within that ulp of
+    its ``p_plus``.  ``keep_final_state`` returns the state of shot
+    ``shots - 1``.
     """
     bad = validate(circuit)
     if bad:
@@ -538,43 +710,19 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     for start in range(0, shots, chunk):
         u = uniforms[start : start + chunk]
         group = np.zeros(len(u), dtype=np.intp)
-        amps = np.zeros((1, 1 << n), dtype=np.complex128)
-        amps[0, 0] = 1.0
-        cbits = np.zeros((1, circuit.n_cbits), dtype=np.uint8)
+        rows = _Histories(n, circuit.n_cbits)
         m = 0
         for op in circuit.ops:
             if isinstance(op, GateApp):
-                if op.condition is None:
-                    _apply_gate(amps, n, op)
-                else:
-                    mask = cbits[:, op.condition] == 1
-                    if mask.all():
-                        _apply_gate(amps, n, op)
-                    elif mask.any():
-                        sub = amps[mask]
-                        _apply_gate(sub, n, op)
-                        amps[mask] = sub
+                rows.gate(op)
             elif isinstance(op, OracleApp):
-                _apply_oracle(amps, n, op)
+                rows.oracle(op)
             else:
-                obs = _observable(op.axis)
-                e = _expectation(amps, n, op.qubit, obs)
-                p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
-                minus = u[:, m] >= p_plus[group]
+                group = rows.measure(op, u[:, m], group)
                 m += 1
-                keys, group = np.unique(2 * group + minus, return_inverse=True)
-                rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
-                if len(keys) > len(amps):  # some row split: one row per new history
-                    amps = amps[rows]
-                    cbits = cbits[rows]
-                p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
-                if (p < _DUST).any():
-                    raise DegenerateNorm("collapse onto a zero-weight branch")
-                _collapse(amps, n, op.qubit, obs, 1.0 - 2.0 * bit, p)
-                cbits[:, op.dest] = bit
-        parts.append((cbits, np.bincount(group, minlength=len(cbits))))
+        parts.append((rows.cbits, np.bincount(group, minlength=len(rows.cbits))))
         if keep_final_state:
-            final_state = PureState(n, amps[group[-1]].copy())
+            final_state = PureState(n, rows.state(group[-1]))
 
     return RunResult(
         backend="sv",

@@ -220,6 +220,73 @@ def test_cli_run_tableau_report_bytes_pinned(tmp_path, circuit, shots, seed, key
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _wide_feedback_circuit() -> str:
+    """12 qubits through H and measured in Z, then gates that touch the
+    measured qubits, a third of them conditioned, and four measurements."""
+    lines = ["qubits 12", "cbits 16"]
+    lines += [f"h q{q}" for q in range(12)]
+    lines += [f"measure q{q} Z -> c{q}" for q in range(12)]
+    gates = ["s q{a}", "cif c{c} h q{b}", "cnot q{a} q{b}", "cif c{c} s q{b}", "y q{a}",
+             "cif c{c} cnot q{b} q{a}", "r q{b}", "x q{a}", "cif c{c} z q{a}", "h q{b}"]
+    for k in range(60):
+        a, b, c = (5 * k + 1) % 12, (7 * k + 4) % 12, (3 * k) % 12
+        if a == b:
+            b = (b + 1) % 12
+        lines.append(gates[k % len(gates)].format(a=a, b=b, c=c))
+        if k % 15 == 14:
+            lines.append(f"measure q{b} {'ZXYZ'[k // 15]} -> c{12 + k // 15}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_feedback_circuit() -> str:
+    """Oracles on measured inputs and outputs, on unmeasured ones, and mixed."""
+    lines = ["qubits 8", "cbits 10"]
+    lines += [f"h q{q}" for q in range(0, 8, 2)] + ["s q0", "cnot q0 q1", "cnot q2 q3"]
+    lines += [f"measure q{q} Z -> c{q}" for q in range(0, 8, 2)]
+    lines += ["oracle 0110 q0 q2 -> q4", "oracle 01 q1 -> q6", "h q4", "s q4",
+              "oracle 00010111 q3 q4 q6 -> q7", "measure q7 Z -> c8", "cif c8 h q0",
+              "oracle 1000 q5 q7 -> q0", "cif c2 s q0", "oracle 0111 q0 q1 -> q2",
+              "measure q4 Z -> c9", "oracle 10 q4 -> q5", "h q6", "measure q6 Z -> c6",
+              "cif c6 x q1", "oracle 1101 q6 q7 -> q3"]
+    lines += [f"measure q{q} Z -> c{q}" for q in (1, 3, 5, 7)]
+    return "\n".join(lines) + "\n"
+
+
+def _remeasured_circuit() -> str:
+    """Qubits measured in Z, then again along X and Y, and in Z once more."""
+    lines = ["qubits 6", "cbits 14"]
+    lines += [f"h q{q}" for q in range(6)] + ["s q1", "cnot q1 q2", "s q2"]
+    lines += [f"measure q{q} Z -> c{q}" for q in range(6)]
+    lines += ["measure q0 X -> c6", "measure q1 Y -> c7", "cif c6 s q0", "measure q0 Y -> c8",
+              "cnot q2 q3", "measure q3 X -> c9", "cif c7 h q1", "measure q1 Z -> c10",
+              "measure q2 Y -> c11", "s q2", "measure q2 X -> c12", "measure q3 Z -> c13"]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the reports as the dense backend wrote them while every
+# amplitude row still spanned all 2**n basis states
+@pytest.mark.parametrize(
+    "circuit,shots,seed,keys,digest",
+    [
+        (_wide_feedback_circuit, 64, 12, 64,
+         "dff8f2b7db35b342bfd13118a605d7f70e389e24dd7676f2e8d5ad15709ac625"),
+        (_oracle_feedback_circuit, 3000, 13, 48,
+         "1a747351fbbcfc591e87a3ea46e573830522f49e046f49247407cf403a2bb266"),
+        (_remeasured_circuit, 5000, 14, 3872,
+         "5affc789d56be0b5848e6d8e1d6f39a49545d69e23b093f8885ab7eb67d18771"),
+    ],
+    ids=["wide-feedback", "oracles", "remeasured"],
+)
+def test_cli_run_dense_report_bytes_pinned(tmp_path, circuit, shots, seed, keys, digest):
+    path, out = tmp_path / "c.qc", tmp_path / "run.json"
+    path.write_text(circuit())
+    argv = ["run", str(path), "--shots", str(shots), "--seed", str(seed), "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["backend"] == "sv" and len(doc["counts"]) == keys
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @st.composite
 def run_results(draw):
     """Run results with keys of one length from 0 to 130 bits (the one

@@ -25,7 +25,6 @@ from qsim.rng import shot_coins, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     _apply_moment,
-    _g_sum,
     _measure_axis,
     _schedule,
     _step,
@@ -367,6 +366,18 @@ def ref_gate(t, kind, targets):
         t.z[:, c >> 6] ^= zt.astype(np.uint64) << np.uint64(c & 63)
     else:
         t.r ^= ref_pauli_flips(t, kind, q)[:, None]
+
+
+def _g_sum(x1, z1, x2, z2) -> np.ndarray:
+    """The exponent of i from multiplying Pauli strings (x1, z1) (left)
+    onto (x2, z2) (right), summed over qubits from the +1 and -1
+    selector masks of the Aaronson-Gottesman g function."""
+    plus = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & z2 & x2) | (~x1 & z1 & x2 & ~z2)
+    minus = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
+    return (
+        np.bitwise_count(plus).astype(np.int64).sum(axis=-1)
+        - np.bitwise_count(minus).astype(np.int64).sum(axis=-1)
+    )
 
 
 def ref_rowsum(t, h, i):

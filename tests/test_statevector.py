@@ -30,7 +30,8 @@ from qsim.circuit import (
 )
 from qsim.errors import DegenerateNorm, TooManyQubits
 from qsim.lhv import chsh_sweep, chsh_value, quantum_table, singlet_state, table_vector
-from qsim.rng import shot_uniforms, stream
+from qsim.result import RunResult, histogram
+from qsim.rng import RNG_ID, shot_uniforms, stream
 from qsim.stabilizer import run as run_stabilizer
 from qsim.statevector import (
     BlochAxis,
@@ -413,14 +414,20 @@ _KINDS = [GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.R, GateKind.H
 
 
 @st.composite
-def feedback_circuits(draw):
+def feedback_circuits(draw, max_ops=16):
     """Circuits of up to 6 qubits mixing gates, CNOTs, oracles, X/Y/Z
-    measurements and gates conditioned on bits already measured."""
+    measurements and gates conditioned on bits already measured.  Some
+    start by putting every qubit through H and measuring it in Z, so the
+    ops after that act on measured qubits."""
     n = draw(st.integers(1, 6))
     n_cbits = draw(st.integers(1, 3))
     written: list[int] = []
     ops = []
-    for _ in range(draw(st.integers(1, 16))):
+    if draw(st.booleans()):
+        ops += [GateApp(GateKind.H, (q,)) for q in range(n)]
+        ops += [Measure(q, PauliAxis.Z, q % n_cbits) for q in range(n)]
+        written += [q % n_cbits for q in range(n)]
+    for _ in range(draw(st.integers(1, max_ops))):
         roll = draw(st.integers(0, 5))
         if roll == 0:
             dest = draw(st.integers(0, n_cbits - 1))
@@ -462,6 +469,142 @@ def test_grouped_run_matches_shot_by_shot_replay(circuit, shots, seed, chunk):
         got = _counts_or_error(lambda: run(circuit, shots, seed).counts)
     want = _counts_or_error(lambda: replay_shots(circuit, shots, seed)[0])
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Live qubits against the full vector: ``run`` drops a qubit measured in Z
+# from its amplitude rows until a gate needs it again.  The reference is
+# the loop ``run`` had before, which keeps every row at 2**n amplitudes;
+# the two must agree bit for bit, final amplitudes included.
+
+
+def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False):
+    n = circuit.n_qubits
+    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    uniforms = shot_uniforms(seed, shots, n_meas)
+    chunk = max(1, sv._BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    final_state: PureState | None = None
+
+    for start in range(0, shots, chunk):
+        u = uniforms[start : start + chunk]
+        group = np.zeros(len(u), dtype=np.intp)
+        amps = np.zeros((1, 1 << n), dtype=np.complex128)
+        amps[0, 0] = 1.0
+        cbits = np.zeros((1, circuit.n_cbits), dtype=np.uint8)
+        m = 0
+        for op in circuit.ops:
+            if isinstance(op, GateApp):
+                if op.condition is None:
+                    sv._apply_gate(amps, n, op)
+                else:
+                    mask = cbits[:, op.condition] == 1
+                    if mask.all():
+                        sv._apply_gate(amps, n, op)
+                    elif mask.any():
+                        sub = amps[mask]
+                        sv._apply_gate(sub, n, op)
+                        amps[mask] = sub
+            elif isinstance(op, OracleApp):
+                sv._apply_oracle(amps, n, op)
+            else:
+                obs = sv._observable(op.axis)
+                e = sv._expectation(amps, n, op.qubit, obs)
+                p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
+                minus = u[:, m] >= p_plus[group]
+                m += 1
+                keys, group = np.unique(2 * group + minus, return_inverse=True)
+                rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
+                if len(keys) > len(amps):  # some row split: one row per new history
+                    amps = amps[rows]
+                    cbits = cbits[rows]
+                p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
+                if (p < sv._DUST).any():
+                    raise DegenerateNorm("collapse onto a zero-weight branch")
+                sv._collapse(amps, n, op.qubit, obs, 1.0 - 2.0 * bit, p)
+                cbits[:, op.dest] = bit
+        parts.append((cbits, np.bincount(group, minlength=len(cbits))))
+        if keep_final_state:
+            final_state = PureState(n, amps[group[-1]].copy())
+
+    return RunResult(backend="sv", shots=shots, seed=seed, rng_id=RNG_ID,
+                     counts=histogram(parts), final_state=final_state)
+
+
+def _run_or_error(fn, circuit, shots, seed):
+    try:
+        return fn(circuit, shots, seed, keep_final_state=True)
+    except DegenerateNorm:
+        return None
+
+
+def _pairwise_row_circuit() -> Circuit:
+    """H, S and CNOT on 8 qubits, then q6 and q7 measured in Z and q7 once
+    more.  Run as one row, that last, determined measurement sums <Z>
+    pairwise over the row's full vector; a sum over its live amplitudes
+    rounds differently here, and the collapse factor 1/sqrt(p) with it."""
+    ops = []
+    for i in range(40):
+        q = (5 * i + 1) % 8
+        if i % 3 == 2:
+            ops.append(GateApp(GateKind.CNOT, (q, (q + 1 + i % 7) % 8)))
+        else:
+            ops.append(GateApp((GateKind.H, GateKind.S)[i % 3], (q,)))
+    ops += [Measure(6, PauliAxis.Z, 0), Measure(7, PauliAxis.Z, 1), Measure(7, PauliAxis.Z, 1)]
+    return Circuit(8, 2, tuple(ops))
+
+
+# One qubit, measured: its rows hold one amplitude each, and S scales the
+# rows whose bit is 1 (see ``_scale`` for the one-element product).
+_ONE_AMPLITUDE_ROWS = Circuit(1, 1, (
+    GateApp(GateKind.H, (0,)), GateApp(GateKind.S, (0,)), GateApp(GateKind.H, (0,)),
+    Measure(0, PauliAxis.Z, 0), GateApp(GateKind.S, (0,)), GateApp(GateKind.H, (0,)),
+    Measure(0, PauliAxis.Z, 0), GateApp(GateKind.S, (0,)),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    circuit=feedback_circuits(),
+    shots=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 120),
+)
+@example(circuit=_pairwise_row_circuit(), shots=1, seed=3, chunk=120)
+@example(circuit=_ONE_AMPLITUDE_ROWS, shots=8, seed=6, chunk=120)
+def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
+    with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << circuit.n_qubits)):
+        got = _run_or_error(run, circuit, shots, seed)
+        want = _run_or_error(full_vector_run, circuit, shots, seed)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.counts == want.counts
+        assert np.array_equal(got.final_state.amps, want.final_state.amps)
+
+
+def test_outcome_against_a_measured_bit_collapses_the_row_to_zero():
+    # A row whose norm fell short of 1 by more than 2e-12 gives the outcome
+    # that its measured qubit's bit rules out a weight above the dust.  The
+    # full vector collapses onto its zero half, so the row must too.
+    z = Measure(0, PauliAxis.Z, 0)
+    rows = sv._Histories(1, 1)
+    group = rows.measure(z, np.array([0.5]), np.zeros(1, dtype=np.intp))
+    rows.amps *= 1.0 - 1e-11
+    full = rows.state(0)[None]
+    rows.measure(z, np.array([1.0 - 1e-13]), group)
+    p = 1.0 - np.clip(0.5 * (1.0 + sv._expectation(full, 1, 0, sv._observable(PauliAxis.Z))), 0, 1)
+    assert p[0] > sv._DUST
+    sv._collapse(full, 1, 0, sv._observable(PauliAxis.Z), -1.0, p)
+    assert rows.cbits.tolist() == [[1]]
+    assert np.array_equal(rows.state(0), full[0]) and not full.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=feedback_circuits(max_ops=60), shots=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_final_state_has_unit_norm(circuit, shots, seed):
+    state = run(circuit, shots, seed, keep_final_state=True).final_state
+    assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
