@@ -16,28 +16,40 @@ parallel without changing a single bit of the output.
 The dense backend compares each draw with a branch probability, so it
 takes the uniforms themselves (:func:`shot_uniforms`, one row per shot).
 The tableau backend only needs fair coins, bit 1 where a draw is at
-least 1/2, and reads them per measurement across shots
-(:func:`shot_coins`, one contiguous row per draw).  ``shot_coins`` asks
-``shot_uniforms`` for blocks of whole shots, each starting at its first
-shot's counter block, and keeps only the thresholded, transposed
-block: the coins equal the thresholded uniforms of the whole run bit for
-bit, and the ``(shots, draws)`` float matrix never exists.
+least 1/2.  numpy makes a uniform from one raw 64-bit Philox word as
+``(raw >> 11) * 2**-53``, so that coin is exactly the raw word's top bit:
+:func:`shot_coin_bytes` reads the raw words and packs their top bits,
+eight coins to a byte, with no float ever made.  :func:`coin_blocks`
+walks a whole run that way in blocks of whole shots, and
+:func:`shot_coins` lays the same coins out as one row per draw.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 RNG_ID = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
-_COIN_BLOCK_DRAWS = 1 << 16  # uniforms held at once by shot_coins (512 KB)
+_TOP = np.uint64(1 << 63)
+_COIN_BLOCK_DRAWS = 1 << 16  # raw words held at once by coin_blocks (512 KB)
 
 
 def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
     """Generator number ``stream_index`` of the family keyed by ``seed``."""
     key = np.array([seed & _MASK64, stream_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _at_shot(seed: int, first_shot: int, draws_per_shot: int) -> np.random.Generator:
+    """The run's stream, positioned at shot ``first_shot``'s first draw."""
+    gen = stream(seed)
+    skip = first_shot * draws_per_shot
+    gen.bit_generator.advance(skip // 4)  # one Philox counter step yields 4 words
+    gen.bit_generator.random_raw(skip % 4)
+    return gen
 
 
 def shot_uniforms(
@@ -50,11 +62,38 @@ def shot_uniforms(
     """
     if draws_per_shot == 0:
         return np.zeros((shots, 0))
-    gen = stream(seed)
-    skip = first_shot * draws_per_shot
-    gen.bit_generator.advance(skip // 4)  # one Philox counter step yields 4 words
-    gen.bit_generator.random_raw(skip % 4)
-    return gen.random((shots, draws_per_shot))
+    return _at_shot(seed, first_shot, draws_per_shot).random((shots, draws_per_shot))
+
+
+def shot_coin_bytes(
+    seed: int, shots: int, draws_per_shot: int, *, first_shot: int = 0
+) -> np.ndarray:
+    """Coin bits for ``shots`` shots of a run, one row of bytes per shot.
+
+    A ``(shots, ceil(draws_per_shot / 8))`` uint8 array: bit ``k & 7`` of
+    byte ``k >> 3`` in row ``i`` is 1 exactly where
+    ``shot_uniforms(seed, shots, draws_per_shot, first_shot=first_shot)[i, k]``
+    is at least 1/2, that is where the draw's raw word has its top bit set.
+    """
+    gen = _at_shot(seed, first_shot, draws_per_shot).bit_generator
+    return _top_bits(gen.random_raw(shots * draws_per_shot).reshape(shots, draws_per_shot))
+
+
+def _top_bits(raw: np.ndarray) -> np.ndarray:
+    """Each row's raw words as coin bytes, eight top bits to a byte."""
+    return np.packbits(raw >= _TOP, axis=1, bitorder="little")
+
+
+def coin_blocks(seed: int, shots: int, draws_per_shot: int) -> Iterator[tuple[int, np.ndarray]]:
+    """A whole run's coins as ``(first shot, coin bytes)`` blocks of whole
+    shots, each block what :func:`shot_coin_bytes` gives for its shots.
+    The blocks follow each other in the stream, so one generator draws
+    them all, a bounded number of raw words at a time."""
+    block = max(1, _COIN_BLOCK_DRAWS // max(1, draws_per_shot))
+    gen = stream(seed).bit_generator
+    for start in range(0, shots, block):
+        k = min(block, shots - start)
+        yield start, _top_bits(gen.random_raw(k * draws_per_shot).reshape(k, draws_per_shot))
 
 
 def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
@@ -65,11 +104,7 @@ def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
     at least 1/2.
     """
     coins = np.empty((draws_per_shot, shots), dtype=np.uint8)
-    if draws_per_shot == 0:
-        return coins
-    block = max(1, _COIN_BLOCK_DRAWS // draws_per_shot)
-    for start in range(0, shots, block):
-        k = min(block, shots - start)
-        u = shot_uniforms(seed, k, draws_per_shot, first_shot=start)
-        coins[:, start : start + k] = (u >= 0.5).T
+    for start, block in coin_blocks(seed, shots, draws_per_shot):
+        bits = np.unpackbits(block, axis=1, count=draws_per_shot, bitorder="little")
+        coins[:, start : start + len(block)] = bits.T
     return coins

@@ -9,25 +9,29 @@ Representation: the binary symplectic tableau. Rows 0..n-1 are
 destabilizer generators, rows n..2n-1 stabilizer generators.  Row ``i``
 encodes a signed Pauli string: ``x``/``z`` hold its X and Z bit vectors
 packed 64 qubits per ``uint64`` word (qubit q lives in word ``q >> 6``
-at bit ``q & 63``), and ``r[i]`` holds the sign bit (1 means the string
+at bit ``q & 63``), and ``r[i]`` holds the sign (1 means the string
 carries a leading minus; signs are always real — that is the tableau
 invariant that makes measurement dichotomic).
 
-Phases live in a ``(2n, batch)`` matrix so a multi-shot run shares one
-structural tableau: gates and measurements update the x/z words once
-and the per-shot sign bits as a vectorized column operation.  A sign
-update touches only the rows it flips (:func:`_flip`), never the whole
-matrix.  A single logical tableau is just ``batch == 1``.
+A sign is not a bit but a GF(2) affine form over the coin bits, so one
+structural tableau serves every shot of a run.  Variable 0 is the
+constant and variable k the coin of the run's k-th measurement; a form
+is bit-packed, variable v at bit ``v & 63`` of word ``v >> 6``, and
+``r`` is ``(2n, F)`` words with ``F = ceil((n_meas + 1) / 64)``.  Every
+sign rule is affine in the coins: a gate or a row product flips the
+constant, an imaginary row product zeroes the form, a random measurement
+sets the pivot's form to its coin's variable, a determined one is the
+XOR of the flagged rows' forms plus a constant, and a conditioned Pauli
+XORs its condition bit's form into the rows it flips.  Classical bits
+are forms too.  A single tableau (:func:`init_tableau` with no coins)
+has constant forms, and its signs are plain bits.
 
-A multi-shot run is laid out per measurement across shots, as sign rows
-are: the random draws arrive as coin rows (:func:`qsim.rng.shot_coins`,
-row ``k`` holding measurement ``k``'s coin for every shot, drawn in
-blocks of whole shots under the same stream discipline as the dense
-backend), and the classical bits are kept as an ``(n_cbits, shots)``
-matrix.  A random outcome on the whole batch takes its coin row as is
-and writes one contiguous bit row; only a batch split by a conditioned
-H, R or CNOT gathers its shots' coins.  No ``(shots, measurements)``
-float matrix is ever built.
+Shots meet only at the end of :func:`run`: the coins are drawn per block
+of whole shots as packed bytes (:func:`qsim.rng.coin_blocks`, under the
+same stream discipline as the dense backend), and every classical bit
+of a block is one GF(2) product (:func:`_outcome_map`), written straight
+into the histogram's key words.  Memory and sign work do not grow with
+shots; only the coins and the keys do.
 
 Gates run one moment at a time.  Between two barriers (a measurement
 or a conditioned op) :func:`run` puts every gate into the earliest
@@ -57,7 +61,7 @@ sum of per-row terms, most of which telescope: one
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +77,8 @@ from .circuit import (
     validate,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, shot_coins
-from .result import RunResult, histogram
+from .rng import RNG_ID, coin_blocks, shot_coin_bytes
+from .result import RunResult, count_keys
 from .statevector import PureState
 
 _ONE = np.uint64(1)
@@ -85,11 +89,7 @@ class Tableau:
     n: int
     x: np.ndarray  # (2n, W) uint64
     z: np.ndarray  # (2n, W) uint64
-    r: np.ndarray  # (2n, batch) uint8
-
-    @property
-    def batch(self) -> int:
-        return self.r.shape[1]
+    r: np.ndarray  # (2n, F) uint64 sign forms
 
     @property
     def words(self) -> int:
@@ -98,24 +98,21 @@ class Tableau:
     def copy(self) -> "Tableau":
         return Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
 
-    def select(self, mask: np.ndarray) -> "Tableau":
-        """A copy holding only the batch columns picked by ``mask``."""
-        return Tableau(self.n, self.x.copy(), self.z.copy(), self.r[:, mask].copy())
 
-
-def init_tableau(n: int, batch: int = 1) -> Tableau:
-    """All-zeros state: destabilizers X_i, stabilizers Z_i, signs +."""
+def init_tableau(n: int, coins: int = 0) -> Tableau:
+    """All-zeros state: destabilizers X_i, stabilizers Z_i, signs +, with
+    sign forms wide enough for ``coins`` coin variables."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    if coins < 0:
+        raise ValueError("coins must not be negative")
     words = (n + 63) >> 6
     x = np.zeros((2 * n, words), dtype=np.uint64)
     z = np.zeros((2 * n, words), dtype=np.uint64)
     rows = np.arange(n)
     x[rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
     z[n + rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
-    r = np.zeros((2 * n, batch), dtype=np.uint8)
+    r = np.zeros((2 * n, (coins >> 6) + 1), dtype=np.uint64)
     return Tableau(n, x, z, r)
 
 
@@ -288,20 +285,23 @@ def _schedule(gates, n: int) -> Iterator[_Moment]:
         lo = hi
 
 
-def _flip(t: Tableau, rows: np.ndarray, cols: np.ndarray | None = None) -> None:
-    """Flip the sign of every row flagged in ``rows``: in every shot, or
-    only in the shots whose entry of the uint8 ``cols`` is 1."""
+def _flip(t: Tableau, rows: np.ndarray, form: np.ndarray | None = None) -> None:
+    """Flip the sign of every row flagged in ``rows``: XOR the constant 1
+    into its form, or the form ``form``."""
     hit = rows.nonzero()[0]
     if hit.size:
-        t.r[hit] ^= 1 if cols is None else cols
+        if form is None:
+            t.r[hit, 0] ^= _ONE
+        else:
+            t.r[hit] ^= form
 
 
-def _apply_moment(t: Tableau, mo: _Moment, cols: np.ndarray | None = None) -> None:
+def _apply_moment(t: Tableau, mo: _Moment, form: np.ndarray | None = None) -> None:
     """Conjugate every row by the moment's gates, in place.
 
-    ``cols`` restricts the sign flips to the shots whose entry is 1; that
-    is a conditioned gate only for a moment of Paulis, which change no
-    x or z bit.
+    ``form`` makes the sign flips conditional on a classical bit, whose
+    form it is; that is a conditioned gate only for a moment of Paulis,
+    which change no x or z bit.
     """
     flips = None
     if mo.hi:
@@ -341,12 +341,12 @@ def _apply_moment(t: Tableau, mo: _Moment, cols: np.ndarray | None = None) -> No
             dz = dz[:, p.z_order]
         for pick, to in p.z_runs:
             zb[:, to] ^= dz[:, pick]
-    _flip(t, flips, cols)
+    _flip(t, flips, form)
 
 
-def _apply_moments(t: Tableau, moments: Iterable[_Moment], cols: np.ndarray | None = None) -> None:
+def _apply_moments(t: Tableau, moments: Iterable[_Moment], form: np.ndarray | None = None) -> None:
     for mo in moments:
-        _apply_moment(t, mo, cols)
+        _apply_moment(t, mo, form)
 
 
 def apply_clifford(t: Tableau, op: CircuitOp) -> None:
@@ -385,14 +385,14 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
     """row_h <- row_p * row_h for every h in ``rows`` (vectorized).
 
     The new sign is ``(2 r_h + 2 r_p + g) % 4 == 2``: ``r_h ^ r_p``,
-    flipped where ``g % 4 == 2``, and 0 where ``g`` is odd (an
-    imaginary product, which only destabilizer rows can take).
+    whose constant flips where ``g % 4 == 2``, and 0 where ``g`` is odd
+    (an imaginary product, which only destabilizer rows can take).
     """
     xp, zp, xh, zh = t.x[p], t.z[p], t.x[rows], t.z[rows]
     x, z = xh ^ xp, zh ^ zp
     g = _weight(xp & zp) + _weight(xh & zh) + 2 * _weight(zp & xh) - _weight(x & z)  # (k,)
     signs = t.r[rows] ^ t.r[p]
-    signs ^= ((g & 3) == 2)[:, None]
+    signs[:, 0] ^= (g & 3) == 2
     signs[(g & 1) == 1] = 0
     t.r[rows] = signs
     t.x[rows] = x
@@ -403,16 +403,14 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 # Measurement
 
 
-def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins: np.ndarray | None,
-                  force_bit: int | None):
-    """Measure the Pauli ``axis`` on qubit q in every batch column.
+def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
+    """Measure the Pauli ``axis`` on qubit q.
 
-    Returns ``(bits, p_plus)`` with shape (batch,): bit 0 records the
-    +1 outcome.  ``coins`` supplies each column's coin bit, 1 where its
-    uniform draw is at least 1/2 (used only when the outcome is random);
-    ``force_bit`` overrides the coin.  A row anticommutes with X_q where
-    its z bit is set, with Z_q where its x bit is, and with Y_q where
-    they differ.
+    Returns ``(outcome, random)``: the outcome's form (value 0 records
+    the +1 outcome) and whether it was a fair coin.  A random outcome is
+    ``bit`` times variable ``k``: a run's k-th coin, or the constant bit
+    ``bit`` for k = 0.  A row anticommutes with X_q where its z bit is
+    set, with Z_q where its x bit is, and with Y_q where they differ.
     """
     n = t.n
     w, b = q >> 6, np.uint64(q & 63)
@@ -441,8 +439,9 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins: np.ndarray | None,
             t.x[p, w] = _ONE << b
         if axis is not PauliAxis.X:
             t.z[p, w] = _ONE << b
-        t.r[p] = coins if force_bit is None else force_bit
-        return t.r[p].copy(), np.full(t.batch, 0.5)
+        t.r[p] = 0
+        t.r[p, k >> 6] = bit << (k & 63)
+        return t.r[p].copy(), True
     # Determined: the sign of the product of the stabilizer rows the
     # destabilizers flag.  Row k multiplies onto the product Q of the rows
     # before it, whose x words are their exclusive prefix-XOR.  A row
@@ -450,7 +449,7 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins: np.ndarray | None,
     # |x_k & z_k| + |x_Q & z_Q| + 2 |z_k & x_Q| - |x_Q' & z_Q'|, Q' being
     # the new product; over all steps the Q terms telescope to minus the
     # final product's.  The rows commute, so the sum g is even: the sign
-    # is the parity of the rows' signs, flipped when g % 4 == 2.
+    # is the XOR of the rows' forms, its constant flipped when g % 4 == 2.
     rows = n + np.flatnonzero(anticommutes[:n])
     xs, zs = t.x[rows], t.z[rows]
     prefix = np.bitwise_xor.accumulate(xs, axis=0)
@@ -458,8 +457,11 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, coins: np.ndarray | None,
     last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
     g = (int(np.bitwise_count(xs & zs).sum()) + 2 * int(np.bitwise_count(zs & x_q).sum())
          - int(np.bitwise_count(last).sum()))
-    bits = np.bitwise_xor.reduce(t.r[rows], axis=0) ^ np.uint8((g & 3) == 2)
-    return bits, (bits == 0).astype(np.float64)
+    # The forms' XOR is read off an accumulate: numpy reduces a few words
+    # per row down axis 0 about half as fast.
+    outcome = np.bitwise_xor.accumulate(t.r[rows], axis=0)[-1]
+    outcome[0] ^= (g & 3) == 2
+    return outcome, False
 
 
 @dataclass(frozen=True)
@@ -477,46 +479,95 @@ def measure_pauli(
 ) -> TableauMeasurement:
     """Measure one qubit in a Pauli basis, mutating the tableau.
 
-    ``p_plus`` is exactly 0, 1/2, or 1.  A random outcome consumes one
-    draw from ``rng``; ``force_bit`` pins it instead (useful for
-    cross-backend trajectory matching).  Forcing a determined
-    measurement against its value raises :class:`DegenerateNorm`.
+    ``p_plus`` is exactly 0, 1/2, or 1.  A measurement consumes one draw
+    from ``rng``, used when the outcome is random; ``force_bit`` pins it
+    instead (useful for cross-backend trajectory matching).  Forcing a
+    determined measurement against its value raises
+    :class:`DegenerateNorm`.  The signs must be constant (see
+    :func:`_require_constant`).
     """
-    if t.batch != 1:
-        raise ValueError("measure_pauli is the single-tableau API; run() handles batches")
+    _require_constant(t, "measure_pauli")
     if not 0 <= qubit < t.n:
         raise ValueError(f"qubit q{qubit} out of range")
-    coins = None
-    if force_bit is None:
+    bit = force_bit
+    if bit is None:
         if rng is None:
             raise ValueError("need rng (or force_bit)")
-        coins = np.array([rng.random() >= 0.5], dtype=np.uint8)  # u < 1/2 means +1
-    bits, p_plus = _measure_axis(t, qubit, axis, coins, force_bit)
-    bit = int(bits[0])
-    if force_bit is not None and bit != force_bit:
+        bit = int(rng.random() >= 0.5)  # u < 1/2 means +1
+    outcome, random = _measure_axis(t, qubit, axis, 0, bit)
+    got = int(outcome[0])
+    if force_bit is not None and got != force_bit:
         raise DegenerateNorm("forced outcome has probability zero")
-    return TableauMeasurement(1 - 2 * bit, float(p_plus[0]))
+    return TableauMeasurement(1 - 2 * got, 0.5 if random else float(got == 0))
+
+
+def _require_constant(t: Tableau, caller: str) -> None:
+    """The single-tableau API reads a sign as a bit, so every form must
+    be constant: a tableau from :func:`run` with coin variables is not
+    one state but one per coin pattern."""
+    if t.r[:, 1:].any() or (t.r[:, 0] > _ONE).any():
+        raise ValueError(f"{caller} needs constant signs; run() evaluates coin forms")
 
 
 # ---------------------------------------------------------------------------
 # Whole-circuit sampling
 
 
-# A group of shots sharing one structural tableau: the tableau (one sign
-# column per shot), the shots' classical bits as an (n_cbits, shots)
-# matrix, one contiguous row per bit, and their shot indices.
+# A group of shots sharing one structural tableau: the tableau, the
+# forms of the classical bits as an (n_cbits, F) matrix, and the shots'
+# indices.
 _Group = tuple[Tableau, np.ndarray, np.ndarray]
 
 
-def _step(groups: list[_Group], op: CircuitOp, coins: np.ndarray | None) -> list[_Group]:
+def _outcome_map(forms: np.ndarray, coin_bytes: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The GF(2) product that evaluates ``forms`` at every shot's coins.
+
+    ``forms`` is ``(m, F)``.  The map takes ``(shots, coin_bytes)`` coin
+    bytes (:func:`qsim.rng.shot_coin_bytes`) and returns the values as
+    ``(shots, ceil(m / 64))`` key words, form j at key bit j, laid out as
+    :func:`qsim.result.count_keys` reads them.  Every coin byte position
+    that holds a variable of some form gets a table: for each of the 256
+    byte values, the XOR of the key columns of the variables set in it.
+    A shot's keys are the constant's column XOR one row of each table.
+    """
+    m = len(forms)
+    kw = (m + 63) >> 6
+    bits = np.unpackbits(forms.astype("<u8").view(np.uint8), axis=1,
+                         count=8 * coin_bytes + 1, bitorder="little")
+    cols = np.zeros((8 * coin_bytes + 1, 8 * kw), dtype=np.uint8)
+    cols[:, : (m + 7) >> 3] = np.packbits(bits.T, axis=1)
+    cols = cols.view(">u8").astype(np.uint64)  # row v: variable v's key column
+    const, cols = cols[0], cols[1:].reshape(coin_bytes, 8, kw)
+    live = np.flatnonzero(cols.any(axis=(1, 2)))
+    tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
+    for i in range(8):
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[live, i, None]
+
+    def keys(coins: np.ndarray) -> np.ndarray:
+        out = np.empty((len(coins), kw), dtype=np.uint64)
+        out[:] = const
+        for b, table in zip(live.tolist(), tables):
+            out ^= table[coins[:, b]]
+        return out
+
+    return keys
+
+
+def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """``forms`` evaluated at each row of coin bytes, as ``(shots, m)`` bits."""
+    words = _outcome_map(forms, coins.shape[1])(coins)
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=len(forms))
+
+
+def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray | None) -> list[_Group]:
     """Apply one op to every group, conditioned ops as :func:`run`
-    describes; returns the groups after it.  ``coins`` is the
-    measurement's coin row over all shots (see :func:`qsim.rng.shot_coins`)
-    and None for a gate, which is applied as a one-gate moment."""
+    describes; returns the groups after it.  A measurement's random
+    outcome is variable ``k``.  A conditioned H, R or CNOT evaluates its
+    condition at the coin bytes of every shot, ``coins``; nothing else
+    reads them.  A gate is applied as a one-gate moment."""
     if isinstance(op, Measure):  # oracles cannot reach here (Clifford walk)
-        for t, cb, idx in groups:
-            mine = coins if len(idx) == len(coins) else coins[idx]
-            cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, mine, None)
+        for t, cb, _ in groups:
+            cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, k)
         return groups
     moments = list(_schedule((op,), groups[0][0].n))
     if op.condition is None:
@@ -529,17 +580,17 @@ def _step(groups: list[_Group], op: CircuitOp, coins: np.ndarray | None) -> list
         return groups
     split: list[_Group] = []
     for t, cb, idx in groups:
-        mask = cb[op.condition] == 1
+        mask = _values(cb[op.condition, None], coins[idx])[:, 0] == 1
         if mask.all():
             _apply_moments(t, moments)
             split.append((t, cb, idx))
         elif not mask.any():
             split.append((t, cb, idx))
         else:
-            hot = t.select(mask)
+            hot = t.copy()
             _apply_moments(hot, moments)
-            split.append((hot, cb[:, mask], idx[mask]))
-            split.append((t.select(~mask), cb[:, ~mask], idx[~mask]))
+            split.append((hot, cb.copy(), idx[mask]))
+            split.append((t, cb, idx[~mask]))
     return split
 
 
@@ -565,15 +616,17 @@ def _segments(ops) -> list[tuple[tuple[GateApp, ...], CircuitOp | None]]:
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions of a Clifford/measurement circuit.
 
-    The batch shares one structural tableau.  Unconditioned gates between
-    two barriers are applied as moments (:func:`_schedule`).  A
-    classically conditioned X, Y or Z flips the signs of the shots whose
-    condition bit is set and keeps the batch whole; a conditioned H, R or
-    CNOT splits it into groups by condition-bit value, since shots that
-    took different branches no longer share structure.  Shot ``i`` draws
-    from its own Philox counter block exactly as in the dense backend;
-    the draws arrive as coin rows, one per measurement across all shots,
-    and the classical bits are kept the same way.
+    One pass over the circuit, whatever ``shots`` is, keeps every sign
+    and classical bit as a form over the coins.  Unconditioned gates
+    between two barriers are applied as moments (:func:`_schedule`).  A
+    classically conditioned X, Y or Z XORs its condition's form into the
+    signs it flips; a conditioned H, R or CNOT splits the shots into
+    groups by the condition's value, since shots that took different
+    branches no longer share structure.  Shot ``i`` draws from its own
+    Philox counter block exactly as in the dense backend; the coins are
+    drawn per block of shots after the pass (all at once when a split
+    needs them), and each block's outcomes are one GF(2) product.
+    ``keep_final_state`` returns the tableau of shot ``shots - 1``.
     """
     segments = _segments(circuit.ops)
     bad = validate(circuit)
@@ -584,28 +637,43 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    coins = iter(shot_coins(seed, shots, n_meas))
+    splits = any(isinstance(op, GateApp) and op.condition is not None and op.kind not in _PAULIS
+                 for _, op in segments)
+    coins = shot_coin_bytes(seed, shots, n_meas) if splits else None
 
     groups: list[_Group] = [
-        (init_tableau(n, shots), np.zeros((m, shots), dtype=np.uint8), np.arange(shots))
+        (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
+         np.arange(shots))
     ]
+    k = 0
     for gates, op in segments:
         for mo in _schedule(gates, n):
             for t, _, _ in groups:
                 _apply_moment(t, mo)
         if op is not None:
-            groups = _step(groups, op, next(coins) if isinstance(op, Measure) else None)
+            k += isinstance(op, Measure)
+            groups = _step(groups, op, k, coins)
 
     final: Tableau | None = None
     if keep_final_state:
-        t, _, idx = next(g for g in groups if g[2][-1] == shots - 1)
-        final = t.select(idx == shots - 1)
+        t, _, _ = next(g for g in groups if g[2][-1] == shots - 1)
+        last = shot_coin_bytes(seed, 1, n_meas, first_shot=shots - 1)
+        final = Tableau(n, t.x, t.z, _values(t.r, last).T.astype(np.uint64))
+
+    keys = np.empty((shots, (m + 63) >> 6), dtype=np.uint64)
+    for _, cb, idx in groups:
+        outcome = _outcome_map(cb, (n_meas + 7) >> 3)
+        if coins is not None:
+            keys[idx] = outcome(coins[idx])
+        else:  # a single group holds every shot
+            for start, block in coin_blocks(seed, shots, n_meas):
+                keys[start : start + len(block)] = outcome(block)
     return RunResult(
         backend="stab",
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=histogram((cb.T, np.ones(cb.shape[1], dtype=np.int64)) for _, cb, _ in groups),
+        counts=count_keys(keys, m),
         final_state=final,
     )
 
@@ -644,15 +712,14 @@ def to_statevector(t: Tableau) -> PureState:
     support; projecting it with (I + S_i)/2 for every stabilizer row
     rebuilds the state, which is then verified against every row.
     """
-    if t.batch != 1:
-        raise ValueError("to_statevector needs a single-column tableau")
+    _require_constant(t, "to_statevector")
     n = t.n
     if n > 20:
         raise TooManyQubits(f"{n} qubits exceeds the dense reconstruction limit of 20")
     probe = t.copy()
     bits = []
     for q in range(n):
-        b, _ = _measure_axis(probe, q, PauliAxis.Z, None, 0)
+        b, _ = _measure_axis(probe, q, PauliAxis.Z, 0, 0)
         bits.append(int(b[0]))
     index = int("".join("01"[b] for b in bits), 2)
     v = np.zeros(1 << n, dtype=np.complex128)

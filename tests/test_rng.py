@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsim import rng
-from qsim.rng import shot_coins, shot_uniforms
+from qsim.rng import shot_coin_bytes, shot_coins, shot_uniforms
 
 _BLOCK = rng._COIN_BLOCK_DRAWS
 
@@ -39,3 +39,17 @@ def test_uniform_blocks_continue_the_stream(first_shot, draws):
     whole = shot_uniforms(9, first_shot + 6, draws)
     block = shot_uniforms(9, 6, draws, first_shot=first_shot)
     assert np.array_equal(block, whole[first_shot:])
+
+
+@pytest.mark.parametrize("draws", [1, 3, 5, 63, 65])
+@pytest.mark.parametrize("first_shot", [0, 1, 3, 1001])
+@pytest.mark.parametrize("shots", [1, 7, 33])
+def test_coin_bytes_are_top_bits_of_the_uniforms(shots, first_shot, draws):
+    # numpy makes a uniform from one raw word as (raw >> 11) * 2**-53, so
+    # u >= 1/2 exactly where the raw word's top bit is set; the bytes are
+    # packed eight coins to a byte, the padding bits zero
+    got = shot_coin_bytes(5, shots, draws, first_shot=first_shot)
+    want = shot_uniforms(5, shots, draws, first_shot=first_shot) >= 0.5
+    assert got.dtype == np.uint8 and got.shape == (shots, (draws + 7) // 8)
+    bits = np.unpackbits(got, axis=1, bitorder="little")
+    assert np.array_equal(bits[:, :draws], want) and not bits[:, draws:].any()

@@ -2,6 +2,7 @@
 dichotomy, dense reconstruction, and batched sampling."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,13 +22,15 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
-from qsim.rng import shot_coins, shot_uniforms, stream
+from qsim.rng import shot_coin_bytes, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     _apply_moment,
+    _apply_moments,
     _measure_axis,
     _schedule,
     _step,
+    _values,
     apply_clifford,
     init_tableau,
     measure_pauli,
@@ -186,10 +189,18 @@ def test_measurement_trajectories_match_dense(seed):
     assert equal_up_to_global_phase(to_statevector(t), state, tol=1e-10)
 
 
+def _coin_signed(n):
+    """A tableau whose stabilizer for qubit 0 carries coin variable 1,
+    as in a run after a random measurement: one state per coin value."""
+    t = init_tableau(n, coins=1)
+    apply_clifford(t, GateApp(GateKind.H, (0,)))
+    _measure_axis(t, 0, PauliAxis.Z, 1)
+    return t
+
+
 def test_measure_pauli_needs_single_batch():
-    t = init_tableau(2, batch=4)
     with pytest.raises(ValueError):
-        measure_pauli(t, 0, PauliAxis.Z, stream(0))
+        measure_pauli(_coin_signed(2), 1, PauliAxis.Z, stream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +254,29 @@ def test_large_register_ghz_samples_quickly():
     assert sum(res.counts.values()) == 64
 
 
+def test_run_memory_grows_with_shots_times_measurement_bytes():
+    # GHZ-200 measured in full: 200 measurements, 200 classical bits.
+    # Signs and bits are forms over the coins, so a run holds the coins
+    # of a block of shots, one key per shot and the tableau, never a
+    # sign or bit per shot per row; the bound is about twice the
+    # measured peak, in units of shots * ceil(m / 8) bytes.
+    n, shots = 200, 20_000
+    c = _measured(ghz(n))
+    tracemalloc.start()
+    try:
+        res = run(c, shots, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(res.counts) == {"0" * n, "1" * n}
+    assert peak < 7 * shots * ((n + 7) // 8)
+
+
 def test_to_statevector_guards():
     with pytest.raises(TooManyQubits):
         to_statevector(init_tableau(21))
     with pytest.raises(ValueError):
-        to_statevector(init_tableau(2, batch=3))
+        to_statevector(_coin_signed(2))
 
 
 def test_mixed_branch_groups_preserve_shot_identity():
@@ -279,47 +308,49 @@ def test_conditioned_paulis_flip_signs_without_splitting(monkeypatch):
     c = Circuit(4, 7, tuple(ops))
 
     copies = []
-    select = Tableau.select
+    copy = Tableau.copy
 
-    def counting_select(t, mask):
+    def counting_copy(t):
         copies.append(1)
-        return select(t, mask)
+        return copy(t)
 
-    monkeypatch.setattr(Tableau, "select", counting_select)
+    monkeypatch.setattr(Tableau, "copy", counting_copy)
     res = run(c, 2000, seed=31)
     assert copies == []
     assert res.counts == run_dense(c, 2000, seed=31).counts
     assert len({key[:3] for key in res.counts}) == 8
 
-    # a conditioned H still splits the batch
+    # a conditioned H still splits the batch: the shots that apply it
+    # take a copy of the tableau
     split = Circuit(2, 1, (GateApp(GateKind.H, (0,)), Measure(0, PauliAxis.Z, 0),
                            GateApp(GateKind.H, (1,), condition=0)))
     run(split, 64, seed=1)
-    assert copies == [1, 1]
+    assert copies == [1]
 
 
 @pytest.mark.parametrize("axis", [PauliAxis.Z, PauliAxis.X])
 def test_ghz_measure_all_one_coin_then_determined(axis):
     # GHZ-130 spans three words.  After the first coin every outcome is
     # the sign of a product of up to 129 flagged stabilizer rows, which
-    # is -1 in the columns whose coin came up 1.  The X variant rotates
-    # the state so that X outcomes are equal and measures X directly.
+    # is -1 in the shots whose first coin came up 1: its form is the
+    # first coin's variable.  The X variant rotates the state so that X
+    # outcomes are equal and measures X directly.
     n, batch = 130, 8
-    t = init_tableau(n, batch)
+    t = init_tableau(n, coins=n)
     for op in ghz(n).ops:
         apply_clifford(t, op)
     if axis is PauliAxis.X:
         for q in range(n):
             apply_clifford(t, GateApp(GateKind.H, (q,)))
     u = np.linspace(0.05, 0.95, batch)
-    coins = (u >= 0.5).astype(np.uint8)
-    first, p = _measure_axis(t, 0, axis, coins, None)
-    assert np.all(p == 0.5)
-    assert np.array_equal(first, (u >= 0.5).astype(np.uint8))
+    other = np.random.default_rng(0).integers(0, 2, (batch, n - 1), dtype=np.uint8)
+    coins = np.packbits(np.column_stack([u >= 0.5, other]), axis=1, bitorder="little")
+    first, random = _measure_axis(t, 0, axis, 1)
+    assert random and first.tolist() == [2, 0, 0]  # variable 1 alone
+    assert np.array_equal(_values(first[None], coins)[:, 0], (u >= 0.5).astype(np.uint8))
     for q in range(1, n):
-        bits, p = _measure_axis(t, q, axis, coins, None)
-        assert np.array_equal(bits, first)
-        assert np.array_equal(p, (first == 0).astype(float))
+        bits, random = _measure_axis(t, q, axis, q + 1)
+        assert not random and np.array_equal(bits, first)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +361,14 @@ def test_ghz_measure_all_one_coin_then_determined(axis):
 
 
 def ref_init(n, batch):
-    t = init_tableau(n, batch)
+    t = init_tableau(n)
     pad = lambda a: np.vstack([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
-    return Tableau(n, pad(t.x), pad(t.z), pad(t.r))
+    return Tableau(n, pad(t.x), pad(t.z), np.zeros((2 * n + 1, batch), dtype=np.uint8))
+
+
+def ref_select(t, mask):
+    """A copy holding only the sign columns of the shots in ``mask``."""
+    return Tableau(t.n, t.x.copy(), t.z.copy(), t.r[:, mask].copy())
 
 
 def _col(arr, q):
@@ -449,10 +485,10 @@ def ref_step(groups, op, u):
         elif not mask.any():
             split.append((t, cb, idx))
         else:
-            hot = t.select(mask)
+            hot = ref_select(t, mask)
             ref_gate(hot, op.kind, op.targets)
             split.append((hot, cb[mask], idx[mask]))
-            split.append((t.select(~mask), cb[~mask], idx[~mask]))
+            split.append((ref_select(t, ~mask), cb[~mask], idx[~mask]))
     return split
 
 
@@ -502,36 +538,66 @@ def _phase_circuit():
     return Circuit(130, 3, ops)
 
 
+def _constant_flip_circuit():
+    """A random X measurement whose row products flip the constant of a
+    stabilizer row (g = 2 mod 4), then measurements that read that row."""
+    h = lambda q: GateApp(GateKind.H, (q,))
+    r = lambda q: GateApp(GateKind.R, (q,))
+    cx = lambda p, q: GateApp(GateKind.CNOT, (p, q))
+    ops = (cx(1, 2), r(2), h(1), cx(1, 2), cx(1, 0), cx(1, 0), r(2), h(2),
+           Measure(2, PauliAxis.X, 0), Measure(2, PauliAxis.X, 1),
+           Measure(1, PauliAxis.Z, 2), Measure(0, PauliAxis.Y, 3), Measure(1, PauliAxis.X, 3))
+    return Circuit(3, 4, ops)
+
+
+def _after_64_determined(c):
+    """``c`` after 64 determined Z measurements of qubit 0, so that its
+    own coins are variables in the second word of every form."""
+    return Circuit(c.n_qubits, c.n_cbits, (Measure(0, PauliAxis.Z, 0),) * 64 + c.ops)
+
+
 @settings(max_examples=60, deadline=None)
 @example(circuit=_phase_circuit(), shots=16, seed=3)
+@example(circuit=_after_64_determined(_phase_circuit()), shots=16, seed=3)
+@example(circuit=_after_64_determined(_constant_flip_circuit()), shots=16, seed=3)
 @given(
     circuit=clifford_feedback_circuits(),
     shots=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
-    # _step keeps bits as (m, shots) and takes coin rows; the reference
-    # keeps them as (shots, m) and thresholds the uniforms itself.
+    # _step keeps signs and bits as forms over the coins; the reference
+    # keeps one sign column per shot and bits as (shots, m), and
+    # thresholds the uniforms itself.  Every form evaluated at each
+    # shot's coins must give that shot's reference bit.
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    uniforms, coins = shot_uniforms(seed, shots, n_meas), shot_coins(seed, shots, n_meas)
-    groups = [(init_tableau(n, shots), np.zeros((m, shots), dtype=np.uint8), np.arange(shots))]
+    uniforms, coins = shot_uniforms(seed, shots, n_meas), shot_coin_bytes(seed, shots, n_meas)
+    forms = (n_meas >> 6) + 1
+    groups = [(init_tableau(n, n_meas), np.zeros((m, forms), dtype=np.uint64), np.arange(shots))]
     ref = [(ref_init(n, shots), np.zeros((shots, m), dtype=np.uint8), np.arange(shots))]
     mi = 0
     for op in circuit.ops:
-        u = c = None
+        u = None
         if isinstance(op, Measure):
-            u, c = uniforms[:, mi], coins[mi]
+            u = uniforms[:, mi]
             mi += 1
-        groups, ref = _step(groups, op, c), ref_step(ref, op, u)
+        groups, ref = _step(groups, op, mi, coins), ref_step(ref, op, u)
         assert len(groups) == len(ref)
         for (t, cb, idx), (rt, rcb, ridx) in zip(groups, ref):
+            assert np.array_equal(idx, ridx)
             assert np.array_equal(t.x, rt.x[: 2 * n])
             assert np.array_equal(t.z, rt.z[: 2 * n])
-            assert np.array_equal(t.r, rt.r[: 2 * n])
-            assert np.array_equal(cb, rcb.T) and np.array_equal(idx, ridx)
+            assert np.array_equal(_values(t.r, coins[idx]).T, rt.r[: 2 * n])
+            assert np.array_equal(_values(cb, coins[idx]), rcb)
     want = Counter("".join(map(str, row)) for _, cb, _ in ref for row in cb.tolist())
-    assert run(circuit, shots, seed).counts == dict(sorted(want.items()))
+    res = run(circuit, shots, seed, keep_final_state=True)
+    assert res.counts == dict(sorted(want.items()))
+    # keep_final_state: the reference tableau of shot shots - 1
+    rt, _, _ = next(g for g in ref if g[2][-1] == shots - 1)
+    final = res.final_state
+    assert np.array_equal(final.x, rt.x[: 2 * n]) and np.array_equal(final.z, rt.z[: 2 * n])
+    assert final.r.shape == (2 * n, 1) and np.array_equal(final.r[:, 0], rt.r[: 2 * n, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +654,14 @@ def _assert_same(a, b):
     assert np.array_equal(a.r, b.r)
 
 
+def _assert_same_at(t, ref, coins):
+    """``t``'s sign forms, evaluated at each shot's coin bytes, are the
+    per-shot signs of the reference tableau ``ref``."""
+    assert np.array_equal(t.x, ref.x)
+    assert np.array_equal(t.z, ref.z)
+    assert np.array_equal(_values(t.r, coins).T, ref.r)
+
+
 def _ref_gates(t, ops):
     for op in ops:
         if op.kind is not GateKind.I:
@@ -598,25 +672,34 @@ def _ref_gates(t, ops):
 @example(case=_mixed_moment(), batch=5, seed=1)
 @given(case=gate_lists(), batch=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_moments_match_sequential_gates(case, batch, seed):
+    # random sign forms over 70 coins (two words), and the reference's
+    # per-shot signs: those forms at ``batch`` random coin patterns
     n, prefix, ops = case
-    start = init_tableau(n, batch)
-    start.r[:] = np.random.default_rng(seed).integers(0, 2, start.r.shape, dtype=np.uint8)
-    _ref_gates(start, prefix)
-    t, ref = _copy_of(start), _copy_of(start)
+    rng, d = np.random.default_rng(seed), 70
+    start = init_tableau(n, d)
+    bits = rng.integers(0, 2, (2 * n, 64 * start.r.shape[1]), dtype=np.uint8)
+    bits[:, d + 1 :] = 0
+    start.r[:] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    coins = rng.integers(0, 256, (batch, (d + 7) // 8), dtype=np.uint8)
+    ref_start = Tableau(n, start.x.copy(), start.z.copy(), _values(start.r, coins).T.copy())
+    _apply_moments(start, _schedule(prefix, n))
+    _ref_gates(ref_start, prefix)
+    _assert_same_at(start, ref_start, coins)
+    t, ref = _copy_of(start), _copy_of(ref_start)
     moments = list(_schedule(ops, n))
     for mo in moments:
         qubits = [q for op in mo.ops for q in op.targets]
         assert len(qubits) == len(set(qubits))
         _apply_moment(t, mo)
         _ref_gates(ref, mo.ops)
-        _assert_same(t, ref)
+        _assert_same_at(t, ref, coins)
     # the moments hold every gate but the identities, and their product
     # is the gates' product in program order
     assert sorted(map(id, (op for mo in moments for op in mo.ops))) == sorted(
         id(op) for op in ops if op.kind is not GateKind.I)
-    seq = _copy_of(start)
+    seq = _copy_of(ref_start)
     _ref_gates(seq, ops)
-    _assert_same(t, seq)
+    _assert_same_at(t, seq, coins)
 
 
 def _conjugated_measure(t, q, axis, rng, force):
