@@ -106,33 +106,28 @@ def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> Counts:
     return count_keys(block.view(">u8").astype(np.uint64), m, weights)
 
 
-def count_keys(words: np.ndarray, m: int, weights: np.ndarray | None = None) -> Counts:
+def count_keys(words: np.ndarray, m: int, weights: np.ndarray) -> Counts:
     """Counts of ``m``-bit keys held as ``(rows, ceil(m / 64))`` uint64 words.
 
     Bit ``j`` of a key is the value bit ``63 - (j & 63)`` of word
     ``j >> 6``, zero-padded: the words of big-endian bytes packed bit 0
-    first, whose order is the bit strings' order.  Each row counts
-    ``weights`` shots, or one when ``weights`` is None.  The rows are
-    sorted (``lexsort`` from the last word to the first; a plain sort or
-    ``argsort`` when there is one), and cut where adjacent sorted rows
-    differ; ``np.add.reduceat`` sums each run's weights.
+    first, whose order is the bit strings' order.  Row ``i`` counts
+    ``weights[i]`` shots.  The rows are sorted (``lexsort`` from the last
+    word to the first; ``argsort`` when there is one), and cut where
+    adjacent sorted rows differ; ``np.add.reduceat`` sums each run's
+    weights.
     """
     if m == 0:  # no register: every shot has the empty key
-        total = len(words) if weights is None else weights.sum()
-        return Counts(np.zeros((1, 0), dtype=np.uint8), np.array([total], dtype=np.int64))
-    order = None
-    if words.shape[1] > 1:
-        order = np.lexsort(words.T[::-1])
-    elif weights is not None:
+        return Counts(np.zeros((1, 0), dtype=np.uint8), weights.sum(keepdims=True))
+    if words.shape[1] == 1:
         order = np.argsort(words[:, 0])
-    words = np.sort(words, axis=0) if order is None else words[order]
+    else:
+        order = np.lexsort(words.T[::-1])
+    words = words[order]
     first = np.ones(len(words), dtype=bool)  # first row of each run of equal rows
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
-    if weights is None:
-        tallies = np.diff(starts, append=len(words))
-    else:
-        tallies = np.add.reduceat(weights[order], starts) if len(starts) else weights[:0]
+    tallies = np.add.reduceat(weights[order], starts) if len(starts) else weights[:0]
     keys = words[starts].astype(">u8").view(np.uint8)
     rows = np.unpackbits(keys, axis=1, count=m)
     rows += ord("0")

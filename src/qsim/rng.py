@@ -18,15 +18,12 @@ takes the uniforms themselves (:func:`shot_uniforms`, one row per shot).
 The tableau backend only needs fair coins, bit 1 where a draw is at
 least 1/2.  numpy makes a uniform from one raw 64-bit Philox word as
 ``(raw >> 11) * 2**-53``, so that coin is exactly the raw word's top bit:
-:func:`shot_coin_bytes` reads the raw words and packs their top bits,
-eight coins to a byte, with no float ever made.  :func:`coin_blocks`
-walks a whole run that way in blocks of whole shots, and
-:func:`shot_coins` lays the same coins out as one row per draw.
+:func:`shot_coin_bytes` takes the raw words (``shot_uniforms(...,
+raw=True)``) a bounded block of shots at a time and packs their top
+bits, eight coins to a byte, with no float ever made.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -34,7 +31,7 @@ RNG_ID = "philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
 _TOP = np.uint64(1 << 63)
-_COIN_BLOCK_DRAWS = 1 << 16  # raw words held at once by coin_blocks (512 KB)
+_COIN_BLOCK_DRAWS = 1 << 16  # raw words held at once by shot_coin_bytes (512 KB)
 
 
 def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -53,13 +50,18 @@ def _at_shot(seed: int, first_shot: int, draws_per_shot: int) -> np.random.Gener
 
 
 def shot_uniforms(
-    seed: int, shots: int, draws_per_shot: int, *, first_shot: int = 0
+    seed: int, shots: int, draws_per_shot: int, *, first_shot: int = 0, raw: bool = False
 ) -> np.ndarray:
     """Uniform draws for ``shots`` shots of a run, one row per shot.
 
     Row ``i`` holds exactly the draws shot ``first_shot + i`` consumes, in
-    op order, so a run's uniforms may be drawn in blocks of shots.
+    op order, so a run's uniforms may be drawn in blocks of shots.  With
+    ``raw``, the rows hold the raw 64-bit Philox words instead, as uint64:
+    each uniform is its word's ``(raw >> 11) * 2**-53``.
     """
+    if raw:
+        gen = _at_shot(seed, first_shot, draws_per_shot).bit_generator
+        return gen.random_raw(shots * draws_per_shot).reshape(shots, draws_per_shot)
     if draws_per_shot == 0:
         return np.zeros((shots, 0))
     return _at_shot(seed, first_shot, draws_per_shot).random((shots, draws_per_shot))
@@ -74,37 +76,13 @@ def shot_coin_bytes(
     byte ``k >> 3`` in row ``i`` is 1 exactly where
     ``shot_uniforms(seed, shots, draws_per_shot, first_shot=first_shot)[i, k]``
     is at least 1/2, that is where the draw's raw word has its top bit set.
+    The raw words are drawn in blocks of whole shots, at most
+    ``_COIN_BLOCK_DRAWS`` words (or one shot) at a time.
     """
-    gen = _at_shot(seed, first_shot, draws_per_shot).bit_generator
-    return _top_bits(gen.random_raw(shots * draws_per_shot).reshape(shots, draws_per_shot))
-
-
-def _top_bits(raw: np.ndarray) -> np.ndarray:
-    """Each row's raw words as coin bytes, eight top bits to a byte."""
-    return np.packbits(raw >= _TOP, axis=1, bitorder="little")
-
-
-def coin_blocks(seed: int, shots: int, draws_per_shot: int) -> Iterator[tuple[int, np.ndarray]]:
-    """A whole run's coins as ``(first shot, coin bytes)`` blocks of whole
-    shots, each block what :func:`shot_coin_bytes` gives for its shots.
-    The blocks follow each other in the stream, so one generator draws
-    them all, a bounded number of raw words at a time."""
+    coins = np.empty((shots, (draws_per_shot + 7) >> 3), dtype=np.uint8)
     block = max(1, _COIN_BLOCK_DRAWS // max(1, draws_per_shot))
-    gen = stream(seed).bit_generator
     for start in range(0, shots, block):
         k = min(block, shots - start)
-        yield start, _top_bits(gen.random_raw(k * draws_per_shot).reshape(k, draws_per_shot))
-
-
-def shot_coins(seed: int, shots: int, draws_per_shot: int) -> np.ndarray:
-    """Coin bits for a whole run, one contiguous row per draw.
-
-    A ``(draws_per_shot, shots)`` uint8 array whose entry ``[k, i]`` is 1
-    exactly where ``shot_uniforms(seed, shots, draws_per_shot)[i, k]`` is
-    at least 1/2.
-    """
-    coins = np.empty((draws_per_shot, shots), dtype=np.uint8)
-    for start, block in coin_blocks(seed, shots, draws_per_shot):
-        bits = np.unpackbits(block, axis=1, count=draws_per_shot, bitorder="little")
-        coins[:, start : start + len(block)] = bits.T
+        raw = shot_uniforms(seed, k, draws_per_shot, first_shot=first_shot + start, raw=True)
+        coins[start : start + k] = np.packbits(raw >= _TOP, axis=1, bitorder="little")
     return coins

@@ -26,12 +26,12 @@ XORs its condition bit's form into the rows it flips.  Classical bits
 are forms too.  A single tableau (:func:`init_tableau` with no coins)
 has constant forms, and its signs are plain bits.
 
-Shots meet only at the end of :func:`run`: the coins are drawn per block
-of whole shots as packed bytes (:func:`qsim.rng.coin_blocks`, under the
+Shots meet only at the ends of :func:`run`: the coins of every shot are
+drawn first as packed bytes (:func:`qsim.rng.shot_coin_bytes`, under the
 same stream discipline as the dense backend), and every classical bit
-of a block is one GF(2) product (:func:`_outcome_map`), written straight
-into the histogram's key words.  Memory and sign work do not grow with
-shots; only the coins and the keys do.
+is one GF(2) product over them (:func:`_write_keys`), written straight
+into the histogram's key words.  Sign work does not grow with shots,
+and memory grows with shots only by the coin bytes and the keys.
 
 Gates run one moment at a time.  Between two barriers (a measurement
 or a conditioned op) :func:`run` puts every gate into the earliest
@@ -61,7 +61,7 @@ sum of per-row terms, most of which telescope: one
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +77,7 @@ from .circuit import (
     validate,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, coin_blocks, shot_coin_bytes
+from .rng import RNG_ID, shot_coin_bytes
 from .result import RunResult, count_keys
 from .statevector import PureState
 
@@ -519,47 +519,71 @@ def _require_constant(t: Tableau, caller: str) -> None:
 _Group = tuple[Tableau, np.ndarray, np.ndarray]
 
 
-def _outcome_map(forms: np.ndarray, coin_bytes: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The GF(2) product that evaluates ``forms`` at every shot's coins.
+_TABLE_WORDS = 1 << 17  # key words in one chunk of byte tables (1 MB)
+_BLOCK_WORDS = 1 << 15  # key words of the shots one table pass reads (256 KB)
 
-    ``forms`` is ``(m, F)``.  The map takes ``(shots, coin_bytes)`` coin
-    bytes (:func:`qsim.rng.shot_coin_bytes`) and returns the values as
-    ``(shots, ceil(m / 64))`` key words, form j at key bit j, laid out as
-    :func:`qsim.result.count_keys` reads them.  Every coin byte position
-    that holds a variable of some form gets a table: for each of the 256
-    byte values, the XOR of the key columns of the variables set in it.
-    A shot's keys are the constant's column XOR one row of each table.
+
+def _key_words(bits: np.ndarray) -> np.ndarray:
+    """The ``(m, k)`` 0/1 matrix ``bits`` as ``(k, ceil(m / 64))`` key
+    words, column c's row j at key bit j, laid out as
+    :func:`qsim.result.count_keys` reads them."""
+    kw = (len(bits) + 63) >> 6
+    packed = np.zeros((8 * kw, bits.shape[1]), dtype=np.uint8)
+    packed[: (len(bits) + 7) >> 3] = np.packbits(bits, axis=0)
+    return packed.T.copy().view(">u8").astype(np.uint64)
+
+
+def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> None:
+    """Write ``forms`` evaluated at the coins of shots ``rows`` into ``keys[rows]``.
+
+    ``forms`` is ``(m, F)``, ``coins`` the run's ``(shots, coin_bytes)``
+    coin bytes (:func:`qsim.rng.shot_coin_bytes`) and ``keys`` its
+    ``(shots, ceil(m / 64))`` key words, form j at key bit j.  A shot's
+    key is the constants' column XOR the key column of every coin it drew
+    as 1.  Every coin byte that some form reads gets a table: for each of
+    the 256 byte values, the XOR of the key columns of the coins set in
+    it, so a shot's key XORs one row of each table.  The coin bytes are
+    taken a chunk at a time, its tables at most ``_TABLE_WORDS`` words,
+    and each chunk reads only the form words that hold its coins (shifted
+    down one bit, coin k at bit k), so beyond the forms themselves the
+    readout holds bounded pieces, whatever the number of forms, coins and
+    shots.
     """
-    m = len(forms)
-    kw = (m + 63) >> 6
-    bits = np.unpackbits(forms.astype("<u8").view(np.uint8), axis=1,
-                         count=8 * coin_bytes + 1, bitorder="little")
-    cols = np.zeros((8 * coin_bytes + 1, 8 * kw), dtype=np.uint8)
-    cols[:, : (m + 7) >> 3] = np.packbits(bits.T, axis=1)
-    cols = cols.view(">u8").astype(np.uint64)  # row v: variable v's key column
-    const, cols = cols[0], cols[1:].reshape(coin_bytes, 8, kw)
-    live = np.flatnonzero(cols.any(axis=(1, 2)))
-    tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
-    for i in range(8):
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[live, i, None]
-
-    def keys(coins: np.ndarray) -> np.ndarray:
-        out = np.empty((len(coins), kw), dtype=np.uint64)
-        out[:] = const
-        for b, table in zip(live.tolist(), tables):
-            out ^= table[coins[:, b]]
-        return out
-
-    return keys
+    if not len(forms) or not len(rows):
+        return
+    kw = keys.shape[1]
+    keys[rows] = _key_words(forms[:, :1] & _ONE)[0]
+    per, step = max(1, _TABLE_WORDS // (256 * kw)), max(1, _BLOCK_WORDS // kw)
+    for lo in range(0, coins.shape[1], per):
+        hi = min(lo + per, coins.shape[1])
+        words = forms[:, lo >> 3 : (hi >> 3) + 1]  # variable 64 * (lo >> 3) at bit 0
+        shifted = words >> _ONE
+        shifted[:, :-1] |= words[:, 1:] << np.uint64(63)
+        part = shifted.astype("<u8", copy=False).view(np.uint8)[:, lo & 7 : (lo & 7) + hi - lo]
+        live = np.flatnonzero(part.any(axis=0))
+        if not len(live):
+            continue
+        cols = _key_words(np.unpackbits(part[:, live], axis=1, bitorder="little"))
+        cols = cols.reshape(len(live), 8, kw)
+        tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
+        for i in range(8):
+            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[:, i, None]
+        for s in range(0, len(rows), step):
+            r = rows[s : s + step]
+            c, out = coins[r, lo:hi], keys[r]
+            for b, table in zip(live.tolist(), tables):
+                out ^= table[c[:, b]]
+            keys[r] = out
 
 
 def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """``forms`` evaluated at each row of coin bytes, as ``(shots, m)`` bits."""
-    words = _outcome_map(forms, coins.shape[1])(coins)
-    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=len(forms))
+    keys = np.empty((len(coins), (len(forms) + 63) >> 6), dtype=np.uint64)
+    _write_keys(forms, coins, np.arange(len(coins)), keys)
+    return np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=len(forms))
 
 
-def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray | None) -> list[_Group]:
+def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray) -> list[_Group]:
     """Apply one op to every group, conditioned ops as :func:`run`
     describes; returns the groups after it.  A measurement's random
     outcome is variable ``k``.  A conditioned H, R or CNOT evaluates its
@@ -623,9 +647,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     signs it flips; a conditioned H, R or CNOT splits the shots into
     groups by the condition's value, since shots that took different
     branches no longer share structure.  Shot ``i`` draws from its own
-    Philox counter block exactly as in the dense backend; the coins are
-    drawn per block of shots after the pass (all at once when a split
-    needs them), and each block's outcomes are one GF(2) product.
+    Philox counter block exactly as in the dense backend; every shot's
+    coins are drawn first and held packed, eight to a byte, and each
+    group's outcomes are one GF(2) product over them (:func:`_write_keys`).
     ``keep_final_state`` returns the tableau of shot ``shots - 1``.
     """
     segments = _segments(circuit.ops)
@@ -637,9 +661,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    splits = any(isinstance(op, GateApp) and op.condition is not None and op.kind not in _PAULIS
-                 for _, op in segments)
-    coins = shot_coin_bytes(seed, shots, n_meas) if splits else None
+    coins = shot_coin_bytes(seed, shots, n_meas)
 
     groups: list[_Group] = [
         (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
@@ -657,23 +679,18 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     final: Tableau | None = None
     if keep_final_state:
         t, _, _ = next(g for g in groups if g[2][-1] == shots - 1)
-        last = shot_coin_bytes(seed, 1, n_meas, first_shot=shots - 1)
-        final = Tableau(n, t.x, t.z, _values(t.r, last).T.astype(np.uint64))
+        final = Tableau(n, t.x, t.z, _values(t.r, coins[-1:]).T.astype(np.uint64))
 
     keys = np.empty((shots, (m + 63) >> 6), dtype=np.uint64)
     for _, cb, idx in groups:
-        outcome = _outcome_map(cb, (n_meas + 7) >> 3)
-        if coins is not None:
-            keys[idx] = outcome(coins[idx])
-        else:  # a single group holds every shot
-            for start, block in coin_blocks(seed, shots, n_meas):
-                keys[start : start + len(block)] = outcome(block)
+        _write_keys(cb, coins, idx, keys)
+    del coins  # the sort below needs the room
     return RunResult(
         backend="stab",
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=count_keys(keys, m),
+        counts=count_keys(keys, m, np.ones(shots, dtype=np.int64)),
         final_state=final,
     )
 

@@ -1,10 +1,10 @@
-"""Coin rows and uniform blocks against the uniforms of the whole run."""
+"""Coin bytes, raw words and uniform blocks against the uniforms of the whole run."""
 
 import numpy as np
 import pytest
 
 from qsim import rng
-from qsim.rng import shot_coin_bytes, shot_coins, shot_uniforms
+from qsim.rng import shot_coin_bytes, shot_uniforms
 
 _BLOCK = rng._COIN_BLOCK_DRAWS
 
@@ -26,11 +26,15 @@ _BLOCK = rng._COIN_BLOCK_DRAWS
 )
 @pytest.mark.parametrize("seed", [0, 2**63 + 5])
 def test_coin_rows_are_thresholded_transposed_uniforms(seed, shots, draws):
-    coins = shot_coins(seed, shots, draws)
-    want = (shot_uniforms(seed, shots, draws) >= 0.5).T.astype(np.uint8)
+    # shot_coin_bytes draws its raw words a bounded block of shots at a
+    # time; across the block edges, each draw's coins (the unpacked bytes,
+    # transposed to one row per draw) are its thresholded uniforms
+    coins = shot_coin_bytes(seed, shots, draws)
     assert coins.dtype == np.uint8 and coins.flags.c_contiguous
-    assert coins.shape == (draws, shots)
-    assert np.array_equal(coins, want)
+    assert coins.shape == (shots, (draws + 7) // 8)
+    bits = np.unpackbits(coins, axis=1, count=draws, bitorder="little").T
+    want = (shot_uniforms(seed, shots, draws) >= 0.5).T.astype(np.uint8)
+    assert np.array_equal(bits, want)
 
 
 @pytest.mark.parametrize("draws", [1, 3, 4, 7, 64])
@@ -53,3 +57,12 @@ def test_coin_bytes_are_top_bits_of_the_uniforms(shots, first_shot, draws):
     assert got.dtype == np.uint8 and got.shape == (shots, (draws + 7) // 8)
     bits = np.unpackbits(got, axis=1, bitorder="little")
     assert np.array_equal(bits[:, :draws], want) and not bits[:, draws:].any()
+
+
+@pytest.mark.parametrize("draws", [0, 1, 3, 5])
+@pytest.mark.parametrize("first_shot", [0, 1, 3])
+def test_raw_words_make_the_uniforms(first_shot, draws):
+    raw = shot_uniforms(7, 5, draws, first_shot=first_shot, raw=True)
+    u = shot_uniforms(7, 5, draws, first_shot=first_shot)
+    assert raw.dtype == np.uint64 and raw.shape == u.shape == (5, draws)
+    assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, u)

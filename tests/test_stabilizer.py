@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsim import stabilizer
 from qsim.circuit import (
     Circuit,
     GateApp,
@@ -254,22 +255,78 @@ def test_large_register_ghz_samples_quickly():
     assert sum(res.counts.values()) == 64
 
 
-def test_run_memory_grows_with_shots_times_measurement_bytes():
-    # GHZ-200 measured in full: 200 measurements, 200 classical bits.
-    # Signs and bits are forms over the coins, so a run holds the coins
-    # of a block of shots, one key per shot and the tableau, never a
-    # sign or bit per shot per row; the bound is about twice the
-    # measured peak, in units of shots * ceil(m / 8) bytes.
-    n, shots = 200, 20_000
-    c = _measured(ghz(n))
+def _split_ghz(n):
+    # GHZ-n with an H on qubit 1 conditioned on qubit 0's outcome: the
+    # shots split into two groups, each with its own tableau and forms
+    ops = list(ghz(n).ops) + [Measure(0, PauliAxis.Z, 0), GateApp(GateKind.H, (1,), condition=0)]
+    ops += [Measure(q, PauliAxis.Z, q) for q in range(1, n)]
+    return Circuit(n, n, tuple(ops))
+
+
+def _traced_run(circuit, shots):
     tracemalloc.start()
     try:
-        res = run(c, shots, seed=3)
+        res = run(circuit, shots, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert set(res.counts) == {"0" * n, "1" * n}
-    assert peak < 7 * shots * ((n + 7) // 8)
+    return res, peak
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_run_memory_grows_with_shots_times_measurement_bytes(split):
+    # GHZ-200 measured in full: 200 measurements, 200 classical bits.
+    # Signs and bits are forms over the coins, so a run holds the coin
+    # bytes of every shot, one block of raw words, one key per shot and
+    # the tableau, never a sign or bit per shot per row; a split holds
+    # the same per group.  The bound is about twice the measured peak
+    # (3.0 MB in a fresh process), in units of shots * ceil(m / 8) bytes.
+    n, shots = 200, 20_000
+    res, peak = _traced_run(_split_ghz(n) if split else _measured(ghz(n)), shots)
+    ones = {"0" * n, "1" * n, "10" + "1" * (n - 2)} if split else {"0" * n, "1" * n}
+    assert set(res.counts) == ones and sum(res.counts.values()) == shots
+    assert peak < 12 * shots * ((n + 7) // 8)
+
+
+def test_one_shot_readout_memory_is_bounded():
+    # H on n qubits, all measured, one shot: n random coins read by n
+    # forms.  Beyond the tableau and the forms (x, z and the signs of 2n
+    # rows, the bits of n, F words each), the readout's byte tables are
+    # built a bounded chunk at a time, not 4 * n * n bytes at once.  The
+    # bound is about 1.5 times the measured peak (7.2 MB in a fresh
+    # process; all the tables at once made it 33 MB).
+    n = 2000
+    c = Circuit(n, n, tuple(GateApp(GateKind.H, (q,)) for q in range(n))
+                + tuple(Measure(q, PauliAxis.Z, q) for q in range(n)))
+    res, peak = _traced_run(c, 1)
+    assert sum(res.counts.values()) == 1
+    words = (3 * 2 * n + n) * ((n >> 6) + 1)
+    assert peak < 2 * 8 * words + 4_000_000
+
+
+@pytest.mark.parametrize("table_words, block_words", [(256, 1), (3 * 256 * 3, 7)])
+def test_readout_chunks_do_not_change_counts(monkeypatch, table_words, block_words):
+    # 70 random coins, then a CNOT chain that leaves qubit q holding the
+    # parity of the first q + 1 coins, measured again: 140 forms over 140
+    # coins, three words each.  Table chunks of one or three coin bytes,
+    # which start inside form words, and shot blocks of 1 or 7 shots must
+    # give the run's counts and final state bit for bit.
+    n = 70
+    ops = [GateApp(GateKind.H, (q,)) for q in range(n)]
+    ops += [Measure(q, PauliAxis.Z, q) for q in range(n)]
+    ops += [GateApp(GateKind.CNOT, (q, q + 1)) for q in range(n - 1)]
+    ops += [Measure(q, PauliAxis.Z, n + q) for q in range(n)]
+    c = Circuit(n, 2 * n, tuple(ops))
+    want = run(c, 50, seed=5, keep_final_state=True)
+    monkeypatch.setattr(stabilizer, "_TABLE_WORDS", table_words)
+    monkeypatch.setattr(stabilizer, "_BLOCK_WORDS", block_words)
+    got = run(c, 50, seed=5, keep_final_state=True)
+    assert got.counts == want.counts
+    assert np.array_equal(got.final_state.r, want.final_state.r)
+    # the first n measurements read the coins themselves
+    first = (shot_uniforms(5, 50, 2 * n)[:, :n] >= 0.5).astype(np.uint8)
+    keys = np.hstack([first, np.bitwise_xor.accumulate(first, axis=1)])
+    assert dict(want.counts) == Counter("".join(map(str, row)) for row in keys.tolist())
 
 
 def test_to_statevector_guards():
