@@ -50,6 +50,7 @@ PAULI_ALPHABET: tuple[PauliAxis, ...] = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 _MAX_PROFILES = 4096
 _SWEEP_CHUNK = 128  # CHSH grid points per walk: at most 129 x 257 profiles
 _MAX_STRATEGIES = 1_000_000
+_BLOCK = 1 << 15  # key words, table entries or sampler shots held at once
 _SNAP_DENOMINATOR = 4096
 # entries below this keep fraction-free products inside int64
 _EXACT_INT64_LIMIT = 1 << 31
@@ -610,6 +611,58 @@ def _pick(index: np.ndarray, choices: list[np.ndarray]) -> np.ndarray:
     return _pick(index >> 5, low)
 
 
+def _distinct_tables(outcomes: np.ndarray, parties: int) -> np.ndarray:
+    """The lowest-numbered row of each distinct table, ascending.
+
+    ``outcomes`` holds one table per row, as :func:`_outcome_rows` gives
+    it.  Each row is packed ``parties`` bits per profile into uint64 key
+    words, a bounded block of rows at a time: read as little-endian
+    64-bit words of several entries each, every word has its entries'
+    bits squeezed together by merging adjacent lanes pairwise, and as
+    many squeezed words as fit are shifted into one key word.  One sort
+    groups equal keys (``argsort`` for one word, ``lexsort`` for more),
+    and each group's minimum row number is its table's representative.
+    """
+    n, n_profiles = outcomes.shape
+    lane = 8 * outcomes.itemsize
+    per_word = 64 // lane  # entries per raw word
+    word_bits = parties * per_word  # their bits, merged
+    merge = 64 // word_bits  # merged raw words per key word
+    n_keys = -(-n_profiles // (per_word * merge))
+    width = n_keys * merge * per_word
+    steps = []
+    bits = parties
+    while lane < 64:  # lanes of `lane` bits, each holding `bits` bits
+        low = sum(((1 << lane) - 1) << k for k in range(0, 64, 2 * lane))
+        steps.append((np.uint64(low), np.uint64(~low & (2**64 - 1)), np.uint64(lane - bits)))
+        lane, bits = 2 * lane, 2 * bits
+    keys = np.empty((n_keys, n), dtype=np.uint64)  # word-major, as lexsort takes them
+    step = max(1, _BLOCK // (n_keys * merge))
+    for first in range(0, n, step):
+        block = outcomes[first : first + step]
+        padded = np.zeros((len(block), width), dtype=outcomes.dtype.newbyteorder("<"))
+        padded[:, :n_profiles] = block
+        words = padded.view("<u8").astype(np.uint64, copy=False)
+        for low, high, shift in steps:
+            upper = words & high
+            words &= low
+            upper >>= shift
+            words |= upper
+        words = words.reshape(len(block), n_keys, merge)
+        key = words[..., 0].copy()
+        for j in range(1, merge):
+            key |= words[..., j] << np.uint64(j * word_bits)
+        keys[:, first : first + step] = key.T
+    order = np.argsort(keys[0]) if n_keys == 1 else np.lexsort(keys)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for word in keys:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(new)
+    return np.sort(np.minimum.reduceat(order, starts))
+
+
 def _strategy_rows(
     strategies: Sequence[DeterministicStrategy],
     topology: CommTopology,
@@ -754,20 +807,19 @@ def _search_local_model(
     n_rows = n_profiles << target.parties
     t = table_vector(target)
 
-    # one column per distinct table; np.unique sorts stably when asked
-    # for indices, so each table keeps its lowest-numbered strategy
-    keys = outcomes.view(np.dtype((np.void, n_profiles * outcomes.itemsize))).ravel()
-    col_ids = np.sort(np.unique(keys, return_index=True)[1])
-    # cols[j]: the row of each profile's point outcome in column j
-    cols = outcomes[col_ids].astype(np.int64)
-    cols += np.arange(n_profiles, dtype=np.int64) << target.parties
+    # one column per distinct table, kept as its lowest-numbered strategy
+    col_ids = _distinct_tables(outcomes, target.parties)
+    tables = outcomes[col_ids]
+    del outcomes  # not held through the LP solves
+    # column j is 1 on row offsets[i] + tables[j, i] of every profile i
+    offsets = np.arange(n_profiles, dtype=np.int64) << target.parties
 
-    master, w, y = _phase_one(cols, np.append(t, 1.0))
+    master, w, y = _phase_one(tables, offsets, np.append(t, 1.0))
     if w is None:
         # the duals are a Farkas certificate; its bound is re-taken over
         # every distinct table, hence every strategy
         coefficients = -y[:n_rows]
-        bound = float(coefficients[cols].sum(axis=1).min())
+        bound = float(_scores(coefficients, tables, offsets).min())
         violation = bound - float(coefficients @ t)
         if violation <= 1e-9:
             raise QsimError("separation margin vanished; table may be feasible after all")
@@ -777,9 +829,10 @@ def _search_local_model(
     keep = w > 1e-10
     support, w_sup = master[keep], w[keep]
 
+    cols = tables[support] + offsets
     fracs = _snap_dyadic(t)
     if fracs is not None:
-        exact = _solve_exact_support(cols[support], fracs, n_rows)
+        exact = _solve_exact_support(cols, fracs, n_rows)
         if exact is not None:
             kept = [(int(col_ids[j]), x) for j, x in zip(support, exact) if x != 0]
             return LocalModel(
@@ -792,7 +845,7 @@ def _search_local_model(
 
     w_sup = w_sup / w_sup.sum()
     recon = np.zeros(n_rows)
-    np.add.at(recon, cols[support].ravel(), np.repeat(w_sup, n_profiles))
+    np.add.at(recon, cols.ravel(), np.repeat(w_sup, n_profiles))
     if np.max(np.abs(recon - t)) > 1e-9:
         raise QsimError("feasible LP solution fails reconstruction at 1e-9")
     return LocalModel(
@@ -804,18 +857,29 @@ def _search_local_model(
     )
 
 
+def _scores(y: np.ndarray, tables: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``y[tables + offsets].sum(axis=1)``, a bounded block of tables at
+    a time.  Each table's sum is the same reduction of the same row as
+    over all tables at once, so the scores are equal bit for bit."""
+    out = np.empty(len(tables))
+    step = max(1, _BLOCK // tables.shape[1])
+    for first in range(0, len(tables), step):
+        out[first : first + step] = y[tables[first : first + step] + offsets].sum(axis=1)
+    return out
+
+
 def _phase_one(
-    cols: np.ndarray, b: np.ndarray
+    tables: np.ndarray, offsets: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Column generation on the phase-1 LP over the distinct tables.
 
-    ``cols[j]`` holds the rows where column j is 1; the last row of
+    Column j is 1 on rows ``tables[j] + offsets``; the last row of
     ``b`` is the normalisation row, which every column meets.  The
     master minimises ``1.(s+ + s-)`` subject to ``A_S w + s+ - s- = b``
     with ``w, s >= 0`` over a growing column set S, so its duals ``y``
     lie in [-1, 1].  It starts with the slacks alone, whose duals are
-    ``[b > 0]``.  Each round prices every column outside S at once by
-    ``y . A_j`` and adds at most ``2 * len(b)`` of those above 1e-9,
+    ``[b > 0]``.  Each round prices every column outside S by
+    ``y . A_j`` (:func:`_scores`) and adds at most ``2 * len(b)`` of those above 1e-9,
     best first, ties to the lowest column index so that identical calls
     build identical masters; the master is then re-solved.
 
@@ -831,7 +895,7 @@ def _phase_one(
     from scipy.optimize import linprog
     from scipy.sparse import csc_matrix
 
-    n_cols, n_profiles = cols.shape
+    n_cols, n_profiles = tables.shape
     n_eq = b.size
     slack_rows = np.tile(np.arange(n_eq), 2)
     slack_data = np.repeat([1.0, -1.0], n_eq)
@@ -839,7 +903,7 @@ def _phase_one(
     in_master = np.zeros(n_cols, dtype=bool)
     y = (b > 0).astype(np.float64)
     while True:
-        score = y[cols].sum(axis=1) + y[-1]
+        score = _scores(y, tables, offsets) + y[-1]
         score[in_master] = -np.inf
         new = np.flatnonzero(score > 1e-9)
         if new.size == 0:
@@ -848,7 +912,7 @@ def _phase_one(
         master = np.concatenate([master, new])
         in_master[new] = True
         k = master.size
-        rows = np.column_stack([cols[master], np.full(k, n_eq - 1)]).ravel()
+        rows = np.column_stack([tables[master] + offsets, np.full(k, n_eq - 1)]).ravel()
         a_eq = csc_matrix(
             (
                 np.concatenate([np.ones(rows.size), slack_data]),
@@ -886,29 +950,63 @@ def simulate_model(model: LocalModel, shots: int, seed: int) -> SimulationReport
     bit whatever its content, so bits_used_per_shot equals the topology
     budget exactly.
 
-    All draws come from one seeded stream: first the strategy indices,
-    then each party's settings in party order.  Invalid strategies (see
+    The draw contract: one seeded stream gives first every shot's
+    strategy, as ``rng.choice(len(model.strategies), shots, p=weights /
+    sum(weights))`` draws it (one uniform per shot, in shot order), then
+    every shot's setting of party 0 as ``rng.integers(0, m_0, shots)``,
+    then party 1's, and so on.  Invalid strategies (see
     :class:`DeterministicStrategy`) raise ``ValueError`` before any draw.
+
+    The draws are made a bounded block of shots at a time.  A strategy
+    is read off its uniform through a table of the strategy at each
+    bucket's start, corrected upward past the few cumulative weights
+    inside the bucket, and each party's setting folds into one narrow
+    (strategy, profile) index per shot as it is drawn; those indices are
+    counted, and the counts mapped through the strategy rows.  Memory is
+    that index, one to eight bytes a shot, plus the blocks and the
+    model's tables.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     rows = _strategy_rows(model.strategies, model.topology, model.alphabets)
     rng = stream(seed)
     parties = len(model.alphabets)
-    sizes = tuple(len(a) for a in model.alphabets)
+    n_strategies, n_profiles = rows.shape
 
     p = np.asarray(model.weights, dtype=np.float64)
     p = p / p.sum()
-    strat = rng.choice(len(model.strategies), size=shots, p=p)
-    settings = [rng.integers(0, sizes[q], size=shots) for q in range(parties)]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    # rng.choice picks the number of cdf entries at most u.  Bucket g of
+    # [0, 1) starts with the pick for g / n_buckets; with four or more
+    # buckets per strategy a draw passes at most 1/4 of an entry inside
+    # its bucket on average, however the weights cluster
+    n_buckets = 4 << (n_strategies - 1).bit_length()
+    bucket_pick = cdf.searchsorted(np.arange(n_buckets) / n_buckets, side="right")
+    pairs = np.empty(shots, dtype=np.min_scalar_type(n_strategies * n_profiles - 1))
+    for first in range(0, shots, _BLOCK):
+        u = rng.random(min(_BLOCK, shots - first))
+        pick = bucket_pick[(u * n_buckets).astype(np.intp)]
+        up = np.flatnonzero(cdf[pick] <= u)
+        while up.size:
+            pick[up] += 1
+            up = up[cdf[pick[up]] <= u[up]]
+        pairs[first : first + _BLOCK] = pick
+    for m in (len(a) for a in model.alphabets):
+        for first in range(0, shots, _BLOCK):
+            block = pairs[first : first + _BLOCK]
+            block[...] = rng.integers(0, m, size=block.size) + block * np.intp(m)
 
-    prof_idx = np.ravel_multi_index(settings, sizes)
-    out_bits = rows[strat, prof_idx]
-
-    n_profiles = rows.shape[1]
+    # pairs hold k * n_profiles + profile; each counting block spans at
+    # least as many shots as there are pairs, so counting is linear in both
+    pair_counts = np.zeros(n_strategies * n_profiles, dtype=np.int64)
+    step = max(_BLOCK, pair_counts.size)
+    for first in range(0, shots, step):
+        pair_counts += np.bincount(pairs[first : first + step], minlength=pair_counts.size)
     size = 1 << parties
-    counts = np.bincount(prof_idx * size + out_bits, minlength=n_profiles * size)
-    counts = counts.reshape(n_profiles, size).astype(np.float64)
+    cells = (rows + (np.arange(n_profiles, dtype=np.int64) * size)).ravel()
+    counts = np.bincount(cells, weights=pair_counts, minlength=n_profiles * size)
+    counts = counts.reshape(n_profiles, size)
     per_profile = counts.sum(axis=1)
     if (per_profile == 0).any():
         raise ValueError("a profile received no shots; increase the shot count")

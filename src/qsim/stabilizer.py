@@ -19,8 +19,9 @@ constant and variable k the coin of the run's k-th measurement; a form
 is bit-packed, variable v at bit ``v & 63`` of word ``v >> 6``, and
 ``r`` is ``(2n, F)`` words with ``F = ceil((n_meas + 1) / 64)``.  Every
 sign rule is affine in the coins: a gate or a row product flips the
-constant, an imaginary row product zeroes the form, a random measurement
-sets the pivot's form to its coin's variable, a determined one is the
+constant, a random measurement sets the pivot's form to its coin's
+variable (the one row whose product with the pivot is imaginary is then
+overwritten, so its sign is never needed), a determined one is the
 XOR of the flagged rows' forms plus a constant, and a conditioned Pauli
 XORs its condition bit's form into the rows it flips.  Classical bits
 are forms too.  A single tableau (:func:`init_tableau` with no coins)
@@ -385,15 +386,17 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
     """row_h <- row_p * row_h for every h in ``rows`` (vectorized).
 
     The new sign is ``(2 r_h + 2 r_p + g) % 4 == 2``: ``r_h ^ r_p``,
-    whose constant flips where ``g % 4 == 2``, and 0 where ``g`` is odd
-    (an imaginary product, which only destabilizer rows can take).
+    whose constant flips where ``g % 4 == 2``.  ``g`` is odd only for a
+    row that anticommutes with row p, and :func:`_measure_axis`, the one
+    caller, passes at most one such row: destabilizer ``p - n``, which
+    it overwrites with the old row p right after.  So no sign is set
+    for an odd ``g``.
     """
     xp, zp, xh, zh = t.x[p], t.z[p], t.x[rows], t.z[rows]
     x, z = xh ^ xp, zh ^ zp
     g = _weight(xp & zp) + _weight(xh & zh) + 2 * _weight(zp & xh) - _weight(x & z)  # (k,)
     signs = t.r[rows] ^ t.r[p]
     signs[:, 0] ^= (g & 3) == 2
-    signs[(g & 1) == 1] = 0
     t.r[rows] = signs
     t.x[rows] = x
     t.z[rows] = z

@@ -4,6 +4,7 @@ LP model search, and shot-by-shot model execution."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from qsim.lhv import (
     strategy_table,
     table_vector,
 )
+from qsim.rng import stream
 from qsim.statevector import BlochAxis, init_state
 
 X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
@@ -525,6 +527,71 @@ def test_exact_polish_switches_to_python_ints(monkeypatch, ghz_pauli_table, ghz_
 
 
 # ---------------------------------------------------------------------------
+# Distinct tables and their pricing
+
+
+def reference_distinct(outcomes):
+    """The lowest row of each distinct table, ascending: np.unique over a
+    void view sorts stably when asked for indices."""
+    keys = outcomes.view(np.dtype((np.void, outcomes.shape[1] * outcomes.itemsize))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+@st.composite
+def enumerated_outcomes(draw):
+    """Outcome rows of a whole enumeration, up to 4 parties and 64
+    profiles: tables up to 256 bits wide, so keys of one to four words."""
+    parties = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=parties, max_size=parties))
+    pair = st.tuples(st.integers(0, parties - 1), st.integers(0, parties - 1))
+    messages = draw(st.lists(pair.filter(lambda m: m[0] != m[1]), max_size=2))
+    topology = CommTopology(parties, tuple(messages))
+    while (lhv._CellLayout(parties, tuple(sizes), topology).count > 1 << 13
+           or math.prod(sizes) > 64):
+        sizes[sizes.index(max(sizes))] -= 1
+    return parties, lhv._outcome_rows(lhv._CellLayout(parties, tuple(sizes), topology))
+
+
+@st.composite
+def random_outcomes(draw):
+    """Rows drawn from a few distinct ones, up to 12 parties, so uint16
+    entries past 8 parties and keys of up to 10 words."""
+    parties = draw(st.integers(1, 12))
+    n_profiles = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dtype = np.min_scalar_type((1 << parties) - 1)
+    pool = rng.integers(0, 1 << parties, (draw(st.integers(1, 20)), n_profiles)).astype(dtype)
+    picks = rng.integers(0, len(pool), draw(st.integers(1, 300)))
+    return parties, np.ascontiguousarray(pool[picks])
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(enumerated_outcomes(), random_outcomes()), block=st.integers(1, 200))
+def test_distinct_tables_match_void_unique(case, block):
+    parties, outcomes = case
+    want = reference_distinct(outcomes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhv, "_BLOCK", block)
+        assert np.array_equal(lhv._distinct_tables(outcomes, parties), want)
+    assert np.array_equal(lhv._distinct_tables(outcomes, parties), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_outcomes(), block=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_block_scores_equal_whole_matrix_sums(case, block, seed):
+    # each table's score is bitwise the per-row sum over all tables at
+    # once, whatever the block, so ties decide the same masters
+    parties, tables = case
+    offsets = np.arange(tables.shape[1], dtype=np.int64) << parties
+    y = np.random.default_rng(seed).standard_normal((tables.shape[1] << parties) + 1)
+    want = y[tables.astype(np.int64) + offsets].sum(axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhv, "_BLOCK", block)
+        assert lhv._scores(y, tables, offsets).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Column generation: one LP family, small masters, known results
 
 
@@ -822,3 +889,93 @@ def test_simulate_model_needs_enough_shots():
     with pytest.raises(ValueError):
         # nine profiles cannot all be hit by one shot
         simulate_model(singlet_pauli_lhv(), 1, seed=0)
+
+
+def reference_simulate(model, shots, seed):
+    """The sampler as first written, one array per shot: rng.choice with
+    the weights, each party's settings, ravel_multi_index, a gather from
+    the strategy rows and a bincount; the empirical table as a matrix."""
+    rows = lhv._strategy_rows(model.strategies, model.topology, model.alphabets)
+    rng = stream(seed)
+    parties = len(model.alphabets)
+    sizes = tuple(len(a) for a in model.alphabets)
+
+    p = np.asarray(model.weights, dtype=np.float64)
+    p = p / p.sum()
+    strat = rng.choice(len(model.strategies), size=shots, p=p)
+    settings = [rng.integers(0, sizes[q], size=shots) for q in range(parties)]
+
+    prof_idx = np.ravel_multi_index(settings, sizes)
+    out_bits = rows[strat, prof_idx]
+
+    n_profiles = rows.shape[1]
+    size = 1 << parties
+    counts = np.bincount(prof_idx * size + out_bits, minlength=n_profiles * size)
+    counts = counts.reshape(n_profiles, size).astype(np.float64)
+    per_profile = counts.sum(axis=1)
+    if (per_profile == 0).any():
+        raise ValueError("a profile received no shots; increase the shot count")
+    return counts / per_profile[:, None]
+
+
+@st.composite
+def sampled_models(draw):
+    """A model of up to 100 strategies over a small topology, some weights
+    near 0 or exactly 0, and a shot count with a block size that need not
+    divide it."""
+    parties = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=parties, max_size=parties))
+    pair = st.tuples(st.integers(0, parties - 1), st.integers(0, parties - 1))
+    messages = draw(st.lists(pair.filter(lambda m: m[0] != m[1]), max_size=1))
+    topology = CommTopology(parties, tuple(messages))
+    layout = lhv._CellLayout(parties, tuple(sizes), topology)
+    while layout.count > 1 << 14:
+        sizes[sizes.index(max(sizes))] -= 1
+        layout = lhv._CellLayout(parties, tuple(sizes), topology)
+    k = draw(st.integers(1, 100))
+    numbers = draw(st.lists(st.integers(0, layout.count - 1), min_size=k, max_size=k))
+    weight = st.one_of(st.floats(0.01, 1.0), st.sampled_from([0.0, 1e-300, 1e-17, 1e-9]))
+    raw = draw(st.lists(weight, min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    model = LocalModel(
+        strategies=tuple(layout.strategy(s) for s in numbers),
+        weights=weights,
+        topology=topology,
+        alphabets=tuple(PAULI_ALPHABET[:m] for m in sizes),
+    )
+    shots = draw(st.one_of(st.integers(1, 3000), st.integers(40_000, 70_000)))
+    block = draw(st.one_of(st.just(lhv._BLOCK), st.integers(1, 700)))
+    return model, shots, block
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sampled_models(), seed=st.integers(0, 2**32 - 1))
+def test_simulate_model_matches_reference_bit_for_bit(case, seed):
+    model, shots, block = case
+    try:
+        want = reference_simulate(model, shots, seed)
+    except ValueError:
+        want = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhv, "_BLOCK", block)
+        if want is None:
+            with pytest.raises(ValueError, match="no shots"):
+                simulate_model(model, shots, seed)
+            return
+        report = simulate_model(model, shots, seed)
+    assert table_vector(report.empirical).tobytes() == want.tobytes()
+    assert report.bits_used_per_shot == model.topology.budget
+
+
+def test_simulate_model_memory_does_not_hold_arrays_per_shot(ghz_bit_model):
+    # one narrow (strategy, profile) index per shot, under 16 bytes a shot
+    # plus the blocks; one int64 array per shot and party, a uniform and a
+    # gather made it about 49 bytes a shot (9.4 MiB here)
+    shots = 200_000
+    tracemalloc.start()
+    try:
+        simulate_model(ghz_bit_model, shots, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * shots + (2 << 20)

@@ -837,6 +837,49 @@ def test_direct_xy_measurement_matches_conjugation(case, seed):
         _assert_same(t, ref)
 
 
+def _odd_phase_rows(n, ops, seed):
+    """Run ``ops`` and return every row ``_rowsum_many`` gets with an odd
+    phase sum g, checking at each call that it is destabilizer p - n."""
+    t, rng = init_tableau(n), stream(seed)
+    odd_rows = []
+    real = stabilizer._rowsum_many
+
+    def spy(tab, rows, p):
+        g = _g_sum(tab.x[p], tab.z[p], tab.x[rows], tab.z[rows])
+        odd = rows[(g & 1) == 1].tolist()
+        assert set(odd) <= {p - tab.n}
+        odd_rows.extend(odd)
+        real(tab, rows, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stabilizer, "_rowsum_many", spy)
+        for op, force in ops:
+            if isinstance(op, GateApp):
+                apply_clifford(t, op)
+                continue
+            try:
+                measure_pauli(t, op.qubit, op.axis, None if force is not None else rng, force)
+            except DegenerateNorm:
+                pass
+    return odd_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=measured_cliffords(), seed=st.integers(0, 2**32 - 1))
+def test_rowsum_many_gets_an_odd_phase_only_on_the_overwritten_row(case, seed):
+    # _rowsum_many sets no sign where g is odd: of the rows _measure_axis
+    # passes it, only destabilizer p - n can anticommute with row p, and
+    # _measure_axis overwrites that row right after
+    _odd_phase_rows(*case, seed)
+
+
+def test_rowsum_many_is_passed_the_overwritten_row():
+    # after H, Y anticommutes with both the stabilizer X and the
+    # destabilizer Z, so the destabilizer is passed with an odd phase
+    ops = [(GateApp(GateKind.H, (0,)), None), (Measure(0, PauliAxis.Y, 0), None)]
+    assert _odd_phase_rows(1, ops, seed=0) == [0]
+
+
 @pytest.mark.parametrize("ops", [_phase_circuit().ops, _y_phase_ops()], ids=["x", "y"])
 def test_phase_examples_reach_phase_two(ops):
     # each example above ends in a determined outcome whose flagged
