@@ -160,75 +160,74 @@ class Violation:
 def validate(circuit: Circuit) -> list[Violation]:
     """Check every op invariant; an empty list means the circuit is well formed.
 
-    A condition must name a classical bit already written by an earlier
-    ``Measure``; oracle inputs must be distinct and must not include the
-    output qubit; all indices must be in range.
+    These are the circuit rules, held here alone (the text parser reports
+    their violations at the op's line).  All indices must be in range; a
+    condition must name a classical bit already written by an earlier
+    ``Measure``; a gate's targets must match its arity and be distinct;
+    an oracle's inputs must match its function's arity, be distinct and
+    not include the output qubit.  Each op is type-tested once and
+    indices are tested by ``range`` membership, since every run validates
+    its circuit.
     """
     out: list[Violation] = []
-    if circuit.n_qubits < 1:
+    n, m = circuit.n_qubits, circuit.n_cbits
+    if n < 1:
         out.append(Violation(-1, "bad_counts", "circuit needs at least one qubit"))
-    if circuit.n_cbits < 0:
+    if m < 0:
         out.append(Violation(-1, "bad_counts", "negative classical bit count"))
-
-    def q_ok(q: int) -> bool:
-        return 0 <= q < circuit.n_qubits
-
-    def c_ok(c: int) -> bool:
-        return 0 <= c < circuit.n_cbits
-
+    qubits, cbits = range(n), range(m)
     written: set[int] = set()
     for i, op in enumerate(circuit.ops):
         if isinstance(op, GateApp):
-            if len(op.targets) != op.kind.arity:
-                out.append(
-                    Violation(
-                        i,
-                        "arity_mismatch",
-                        f"{op.kind.value} takes {op.kind.arity} target(s), got {len(op.targets)}",
-                    )
-                )
-            elif len(set(op.targets)) != len(op.targets):
-                out.append(Violation(i, "duplicate_qubit", "gate targets must be distinct"))
-            if any(not q_ok(q) for q in op.targets):
-                out.append(Violation(i, "index_out_of_range", f"qubit index out of range in {op}"))
-            if op.condition is not None:
-                if not c_ok(op.condition):
-                    out.append(
-                        Violation(i, "index_out_of_range", f"classical bit c{op.condition} out of range")
-                    )
-                elif op.condition not in written:
-                    out.append(
-                        Violation(
-                            i,
-                            "undefined_condition_bit",
-                            f"condition bit c{op.condition} not written by any earlier measurement",
-                        )
-                    )
-        elif isinstance(op, OracleApp):
-            if len(op.inputs) != op.function.arity:
-                out.append(
-                    Violation(
-                        i,
-                        "arity_mismatch",
-                        f"oracle has arity {op.function.arity} but {len(op.inputs)} input qubit(s)",
-                    )
-                )
-            if len(set(op.inputs)) != len(op.inputs):
-                out.append(Violation(i, "duplicate_qubit", "oracle input qubits must be distinct"))
-            if op.output in op.inputs:
-                out.append(Violation(i, "duplicate_qubit", "oracle output qubit is among its inputs"))
-            if any(not q_ok(q) for q in op.inputs) or not q_ok(op.output):
-                out.append(Violation(i, "index_out_of_range", "oracle qubit index out of range"))
+            kind, targets = op.kind, op.targets
+            if len(targets) != kind.arity:
+                out.append(Violation(i, "arity_mismatch",
+                                     f"{kind.value} takes {kind.arity} qubit(s), got {len(targets)}"))
+            elif len(targets) == 2 and targets[0] == targets[1]:
+                out.append(Violation(i, "duplicate_qubit", f"{kind.value} needs two distinct qubits"))
+            for q in targets:
+                if q not in qubits:
+                    out.append(_qubit_out_of_range(i, q, n))
+                    break
+            c = op.condition
+            if c is not None:
+                if c not in cbits:
+                    out.append(_cbit_out_of_range(i, c, m))
+                elif c not in written:
+                    out.append(Violation(i, "undefined_condition_bit",
+                                         f"condition bit c{c} is not written by any earlier measure"))
         elif isinstance(op, Measure):
-            if not q_ok(op.qubit):
-                out.append(Violation(i, "index_out_of_range", f"qubit q{op.qubit} out of range"))
-            if not c_ok(op.dest):
-                out.append(Violation(i, "index_out_of_range", f"classical bit c{op.dest} out of range"))
+            if op.qubit not in qubits:
+                out.append(_qubit_out_of_range(i, op.qubit, n))
+            if op.dest not in cbits:
+                out.append(_cbit_out_of_range(i, op.dest, m))
             else:
                 written.add(op.dest)
+        elif isinstance(op, OracleApp):
+            inputs, output, arity = op.inputs, op.output, op.function.arity
+            if len(inputs) != arity:
+                out.append(Violation(i, "arity_mismatch",
+                                     f"truth table has {1 << arity} entries but {len(inputs)} "
+                                     f"input(s) need {1 << len(inputs)}"))
+            if len(set(inputs)) != len(inputs):
+                out.append(Violation(i, "duplicate_qubit", "oracle input qubits must be distinct"))
+            if output in inputs:
+                out.append(Violation(i, "duplicate_qubit", f"oracle output q{output} is also an input"))
+            for q in (*inputs, output):
+                if q not in qubits:
+                    out.append(_qubit_out_of_range(i, q, n))
+                    break
         else:  # pragma: no cover - defensive
             out.append(Violation(i, "unknown_op", f"unrecognized op {op!r}"))
     return out
+
+
+def _qubit_out_of_range(i: int, q: int, n: int) -> Violation:
+    return Violation(i, "index_out_of_range", f"qubit q{q} out of range (circuit has {n})")
+
+
+def _cbit_out_of_range(i: int, c: int, m: int) -> Violation:
+    return Violation(i, "index_out_of_range", f"classical bit c{c} out of range (circuit has {m})")
 
 
 @dataclass(frozen=True)

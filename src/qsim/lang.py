@@ -14,6 +14,21 @@ ignored)::
 ``<tt>`` is the oracle truth table as a bit string of length 2^n; the
 table index is the big-endian reading of the input qubits in the order
 they are listed.  Diagnostics carry the 1-based line number.
+
+The parser checks syntax only: the header, each statement's shape, the
+``q<i>``/``c<k>`` tokens, truth tables (0s and 1s, of a power-of-two
+length) and measurement axes.  The circuit rules (index ranges, a
+condition bit written by an earlier measure, distinct qubits, oracle
+arity) live in :func:`qsim.circuit.validate` alone.  The parser builds
+the circuit, validates it once, and raises the first violation at its
+op's line, by kind:
+
+* ``index_out_of_range`` -> :class:`IndexOutOfRange`,
+* ``undefined_condition_bit`` -> :class:`UndefinedConditionBit`,
+* ``arity_mismatch`` and ``duplicate_qubit`` -> :class:`ArityMismatch`.
+
+A file with a syntax error and a rule violation reports the syntax
+error, wherever the two stand.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from .circuit import (
     Measure,
     OracleApp,
     PauliAxis,
+    validate,
 )
 from .errors import (
     ArityMismatch,
@@ -38,54 +54,51 @@ from .errors import (
     UnknownGate,
 )
 
-_ONE_QUBIT_GATES = {"x", "y", "z", "r", "h", "s", "i"}
-_Q_RE = re.compile(r"^q(\d+)$")
-_C_RE = re.compile(r"^c(\d+)$")
-_TT_RE = re.compile(r"^[01]+$")
+_ONE_QUBIT_GATES = {k.value: k for k in GateKind if k.arity == 1}
+_AXES = {a.value: a for a in PauliAxis}
+_TT_RE = re.compile(r"[01]+")
+
+_RULE_ERRORS = {
+    "index_out_of_range": IndexOutOfRange,
+    "undefined_condition_bit": UndefinedConditionBit,
+    "arity_mismatch": ArityMismatch,
+    "duplicate_qubit": ArityMismatch,
+}
 
 
-def _q_index(token: str, line: int, n_qubits: int) -> int:
-    m = _Q_RE.match(token)
-    if not m:
-        raise ArityMismatch(line, f"expected a qubit like q0, got {token!r}")
-    q = int(m.group(1))
-    if q >= n_qubits:
-        raise IndexOutOfRange(line, f"qubit q{q} out of range (circuit has {n_qubits})")
-    return q
+def _index(token: str, letter: str, line: int) -> int:
+    """The index of a ``q<i>`` (``letter`` "q") or ``c<k>`` token."""
+    if token[:1] != letter or not token[1:].isdecimal():
+        what = "a qubit like q0" if letter == "q" else "a classical bit like c0"
+        raise ArityMismatch(line, f"expected {what}, got {token!r}")
+    return int(token[1:])
 
 
-def _c_index(token: str, line: int, n_cbits: int) -> int:
-    m = _C_RE.match(token)
-    if not m:
-        raise ArityMismatch(line, f"expected a classical bit like c0, got {token!r}")
-    c = int(m.group(1))
-    if c >= n_cbits:
-        raise IndexOutOfRange(line, f"classical bit c{c} out of range (circuit has {n_cbits})")
-    return c
+def _count(tokens: list[str], line: int, usage: str) -> int:
+    # isdecimal, not isdigit: int() rejects superscript digits
+    if len(tokens) != 2 or not tokens[1].isdecimal():
+        raise MalformedHeader(line, f"usage: {usage}")
+    return int(tokens[1])
 
 
 def parse_circuit(text: str) -> Circuit:
     n_qubits: int | None = None
-    n_cbits = 0
+    n_cbits: int | None = None
     ops: list[CircuitOp] = []
-    written: set[int] = set()
-    saw_op = False
+    lines: list[int] = []  # the source line of each op
     last_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         last_line = lineno
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tokens = raw.split("#", 1)[0].lower().split()
+        if not tokens:
             continue
-        tokens = body.lower().split()
         head = tokens[0]
 
         if n_qubits is None:
             if head != "qubits":
                 raise MalformedHeader(lineno, f"first statement must be 'qubits <n>', got {head!r}")
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise MalformedHeader(lineno, "usage: qubits <n>")
-            n_qubits = int(tokens[1])
+            n_qubits = _count(tokens, lineno, "qubits <n>")
             if n_qubits < 1:
                 raise MalformedHeader(lineno, "circuit needs at least one qubit")
             continue
@@ -93,23 +106,16 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             raise MalformedHeader(lineno, "duplicate qubits declaration")
         if head == "cbits":
-            if saw_op or n_cbits:
+            if ops or n_cbits is not None:
                 raise MalformedHeader(lineno, "cbits must appear once, directly after qubits")
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise MalformedHeader(lineno, "usage: cbits <m>")
-            n_cbits = int(tokens[1])
+            n_cbits = _count(tokens, lineno, "cbits <m>")
             continue
 
-        saw_op = True
         condition: int | None = None
         if head == "cif":
             if len(tokens) < 3:
                 raise ArityMismatch(lineno, "usage: cif c<k> <gate> ...")
-            condition = _c_index(tokens[1], lineno, n_cbits)
-            if condition not in written:
-                raise UndefinedConditionBit(
-                    lineno, f"condition bit c{condition} is not written by any earlier measure"
-                )
+            condition = _index(tokens[1], "c", lineno)
             tokens = tokens[2:]
             head = tokens[0]
             if head not in _ONE_QUBIT_GATES and head != "cnot":
@@ -118,51 +124,43 @@ def parse_circuit(text: str) -> Circuit:
         if head in _ONE_QUBIT_GATES:
             if len(tokens) != 2:
                 raise ArityMismatch(lineno, f"usage: {head} q<i>")
-            q = _q_index(tokens[1], lineno, n_qubits)
-            ops.append(GateApp(GateKind(head), (q,), condition))
+            ops.append(GateApp(_ONE_QUBIT_GATES[head], (_index(tokens[1], "q", lineno),), condition))
         elif head == "cnot":
             if len(tokens) != 3:
                 raise ArityMismatch(lineno, "usage: cnot q<control> q<target>")
-            qc = _q_index(tokens[1], lineno, n_qubits)
-            qt = _q_index(tokens[2], lineno, n_qubits)
-            if qc == qt:
-                raise ArityMismatch(lineno, "cnot needs two distinct qubits")
-            ops.append(GateApp(GateKind.CNOT, (qc, qt), condition))
+            targets = (_index(tokens[1], "q", lineno), _index(tokens[2], "q", lineno))
+            ops.append(GateApp(GateKind.CNOT, targets, condition))
         elif head == "oracle":
-            if "->" not in tokens:
-                raise ArityMismatch(lineno, "usage: oracle <tt> q<i1> .. -> q<out>")
-            arrow = tokens.index("->")
+            arrow = tokens.index("->") if "->" in tokens else -1
             if arrow < 3 or arrow != len(tokens) - 2:
                 raise ArityMismatch(lineno, "usage: oracle <tt> q<i1> .. -> q<out>")
-            tt = tokens[1]
-            if not _TT_RE.match(tt):
+            if not _TT_RE.fullmatch(tokens[1]):
                 raise ArityMismatch(lineno, "truth table must be a string of 0s and 1s")
-            inputs = tuple(_q_index(t, lineno, n_qubits) for t in tokens[2:arrow])
-            output = _q_index(tokens[arrow + 1], lineno, n_qubits)
-            if len(tt) != 1 << len(inputs):
-                raise ArityMismatch(
-                    lineno,
-                    f"truth table has {len(tt)} entries but {len(inputs)} input(s) need {1 << len(inputs)}",
-                )
-            if len(set(inputs)) != len(inputs) or output in inputs:
-                raise ArityMismatch(lineno, "oracle qubits must be distinct")
-            ops.append(OracleApp(BooleanFunction.from_string(tt), inputs, output))
+            try:
+                function = BooleanFunction.from_string(tokens[1])
+            except ValueError as exc:
+                raise ArityMismatch(lineno, str(exc)) from None
+            inputs = tuple(_index(t, "q", lineno) for t in tokens[2:arrow])
+            ops.append(OracleApp(function, inputs, _index(tokens[arrow + 1], "q", lineno)))
         elif head == "measure":
             if len(tokens) != 5 or tokens[3] != "->":
                 raise ArityMismatch(lineno, "usage: measure q<i> X|Y|Z -> c<k>")
-            q = _q_index(tokens[1], lineno, n_qubits)
-            axis_token = tokens[2].upper()
-            if axis_token not in ("X", "Y", "Z"):
+            q = _index(tokens[1], "q", lineno)
+            axis = _AXES.get(tokens[2].upper())
+            if axis is None:
                 raise UnknownGate(lineno, f"unknown measurement axis {tokens[2]!r}")
-            dest = _c_index(tokens[4], lineno, n_cbits)
-            ops.append(Measure(q, PauliAxis(axis_token), dest))
-            written.add(dest)
+            ops.append(Measure(q, axis, _index(tokens[4], "c", lineno)))
         else:
             raise UnknownGate(lineno, f"unknown operation {head!r}")
+        lines.append(lineno)
 
     if n_qubits is None:
         raise MalformedHeader(max(last_line, 1), "missing 'qubits <n>' header")
-    return Circuit(n_qubits, n_cbits, tuple(ops))
+    circuit = Circuit(n_qubits, n_cbits or 0, tuple(ops))
+    bad = validate(circuit)
+    if bad:
+        raise _RULE_ERRORS[bad[0].kind](lines[bad[0].op_index], bad[0].message)
+    return circuit
 
 
 def format_circuit(circuit: Circuit) -> str:

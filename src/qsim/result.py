@@ -72,38 +72,27 @@ class RunResult:
         return self.final_state is not None
 
 
-def _pack_rows(bits: np.ndarray, out: np.ndarray) -> None:
-    """Pack 0/1 rows into the leading bytes of ``out``'s rows, eight bits
-    to a byte, bit 0 in the top bit of byte 0.
-
-    Every eighth bit column is OR-ed into place, so per-bit rows (the
-    tableau's layout) need no row-order copy; ``np.packbits`` along them
-    is slower than that copy."""
-    per_bit = bits.T
-    packed = np.zeros(((bits.shape[1] + 7) // 8, len(bits)), dtype=np.uint8)
-    for k in range(min(8, len(per_bit))):
-        rows = per_bit[k::8]
-        packed[: len(rows)] |= rows << (7 - k)
-    out[:, : len(packed)] = packed.T
+def key_words(bits: np.ndarray) -> np.ndarray:
+    """The ``(m, k)`` 0/1 matrix ``bits`` as ``(k, ceil(m / 64))`` key
+    words, column c's row j at key bit j, laid out as :func:`count_keys`
+    reads them."""
+    kw = (len(bits) + 63) >> 6
+    packed = np.zeros((8 * kw, bits.shape[1]), dtype=np.uint8)
+    packed[: (len(bits) + 7) >> 3] = np.packbits(bits, axis=0)
+    return packed.T.copy().view(">u8").astype(np.uint64)
 
 
 def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> Counts:
     """Counts keyed by bit string, sorted by key.
 
-    Each part is a ``(rows, n_cbits)`` array of 0/1 classical registers,
-    row-major or the transpose of per-bit rows, and the number of shots
-    that ended in each row.  Rows are packed into :func:`count_keys`'s
-    key words.
+    Each part is a ``(rows, n_cbits)`` array of 0/1 classical registers
+    and the number of shots that ended in each row.  Rows are packed into
+    :func:`count_keys`'s key words.
     """
     bits_parts, weight_parts = zip(*parts)
     weights = np.concatenate(weight_parts).astype(np.int64)
-    m = bits_parts[0].shape[1]
-    block = np.zeros((len(weights), 8 * ((m + 63) // 64)), dtype=np.uint8)
-    lo = 0
-    for bits in bits_parts:
-        _pack_rows(bits, block[lo : lo + len(bits)])
-        lo += len(bits)
-    return count_keys(block.view(">u8").astype(np.uint64), m, weights)
+    words = np.concatenate([key_words(bits.T) for bits in bits_parts])
+    return count_keys(words, bits_parts[0].shape[1], weights)
 
 
 def count_keys(words: np.ndarray, m: int, weights: np.ndarray) -> Counts:

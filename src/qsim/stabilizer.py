@@ -79,7 +79,7 @@ from .circuit import (
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
 from .rng import RNG_ID, shot_coin_bytes
-from .result import RunResult, count_keys
+from .result import RunResult, count_keys, key_words
 from .statevector import PureState
 
 _ONE = np.uint64(1)
@@ -492,6 +492,8 @@ def measure_pauli(
     _require_constant(t, "measure_pauli")
     if not 0 <= qubit < t.n:
         raise ValueError(f"qubit q{qubit} out of range")
+    if force_bit not in (None, 0, 1):
+        raise ValueError(f"force_bit must be 0 or 1, got {force_bit!r}")
     bit = force_bit
     if bit is None:
         if rng is None:
@@ -526,16 +528,6 @@ _TABLE_WORDS = 1 << 17  # key words in one chunk of byte tables (1 MB)
 _BLOCK_WORDS = 1 << 15  # key words of the shots one table pass reads (256 KB)
 
 
-def _key_words(bits: np.ndarray) -> np.ndarray:
-    """The ``(m, k)`` 0/1 matrix ``bits`` as ``(k, ceil(m / 64))`` key
-    words, column c's row j at key bit j, laid out as
-    :func:`qsim.result.count_keys` reads them."""
-    kw = (len(bits) + 63) >> 6
-    packed = np.zeros((8 * kw, bits.shape[1]), dtype=np.uint8)
-    packed[: (len(bits) + 7) >> 3] = np.packbits(bits, axis=0)
-    return packed.T.copy().view(">u8").astype(np.uint64)
-
-
 def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> None:
     """Write ``forms`` evaluated at the coins of shots ``rows`` into ``keys[rows]``.
 
@@ -555,7 +547,7 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
     if not len(forms) or not len(rows):
         return
     kw = keys.shape[1]
-    keys[rows] = _key_words(forms[:, :1] & _ONE)[0]
+    keys[rows] = key_words(forms[:, :1] & _ONE)[0]
     per, step = max(1, _TABLE_WORDS // (256 * kw)), max(1, _BLOCK_WORDS // kw)
     for lo in range(0, coins.shape[1], per):
         hi = min(lo + per, coins.shape[1])
@@ -566,7 +558,7 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
         live = np.flatnonzero(part.any(axis=0))
         if not len(live):
             continue
-        cols = _key_words(np.unpackbits(part[:, live], axis=1, bitorder="little"))
+        cols = key_words(np.unpackbits(part[:, live], axis=1, bitorder="little"))
         cols = cols.reshape(len(live), 8, kw)
         tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
         for i in range(8):

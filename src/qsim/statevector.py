@@ -379,6 +379,8 @@ def project(state: PureState, spec: MeasurementSpec, outcome: int) -> tuple[floa
     """
     if not 0 <= spec.qubit < state.n:
         raise ValueError(f"qubit q{spec.qubit} out of range")
+    if outcome not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     obs = _observable(spec.axis)
     e = float(_expectation(state.amps, state.n, spec.qubit, obs))
     p = min(max(0.5 * (1.0 + outcome * e), 0.0), 1.0)

@@ -294,6 +294,9 @@ def test_parse_oracle_table_orientation():
         ("qubits 2\ncbits 1\nmeasure q0 Z -> c0\ncif c0 measure q1 Z -> c0\n", UnknownGate, 4),
         ("qubits 2\noracle 011 q0 -> q1\n", ParseError, 2),
         ("qubits 2\nmeasure q0 W -> c0\n", ParseError, 2),
+        ("qubits 2\ncbits 0\ncbits 3\n", MalformedHeader, 3),
+        ("qubits \u00b2\n", MalformedHeader, 1),
+        ("qubits 2\ncbits \u00b2\n", MalformedHeader, 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, exc, line):
@@ -304,3 +307,54 @@ def test_parse_errors_carry_line_numbers(text, exc, line):
 
 def test_parsed_circuit_validates_clean():
     assert validate(parse_circuit(GOOD)) == []
+
+
+_RULE_ERRORS = {
+    "index_out_of_range": IndexOutOfRange,
+    "undefined_condition_bit": UndefinedConditionBit,
+    "arity_mismatch": ArityMismatch,
+    "duplicate_qubit": ArityMismatch,
+}
+
+
+@st.composite
+def any_circuits(draw):
+    """Small circuits that may break any rule: qubit and bit indices up to
+    one past the end, CNOTs on one qubit twice, conditions on bits no
+    earlier measure wrote, and oracles whose table arity differs from
+    their inputs or whose output is also an input."""
+    n = draw(st.integers(1, 4))
+    n_cbits = draw(st.integers(0, 3))
+    qubit, cbit = st.integers(0, n + 1), st.integers(0, n_cbits + 1)
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["gate", "measure", "oracle"]))
+        if kind == "measure":
+            ops.append(Measure(draw(qubit), draw(st.sampled_from(PauliAxis)), draw(cbit)))
+        elif kind == "oracle":
+            arity = draw(st.integers(1, 3))
+            table = draw(st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity))
+            inputs = draw(st.lists(qubit, min_size=1, max_size=3))
+            ops.append(OracleApp(BooleanFunction(arity, tuple(table)), tuple(inputs), draw(qubit)))
+        else:
+            gate = draw(st.sampled_from(GateKind))
+            targets = tuple(draw(qubit) for _ in range(gate.arity))
+            ops.append(GateApp(gate, targets, draw(st.none() | cbit)))
+    return Circuit(n, n_cbits, tuple(ops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=any_circuits())
+def test_parser_reports_what_validate_finds(circuit):
+    """The parser raises validate's first violation, mapped to its error
+    class, at the line of the op it names; a clean circuit round-trips."""
+    bad = validate(circuit)
+    text = format_circuit(circuit)
+    if not bad:
+        assert parse_circuit(text) == circuit
+        return
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert type(err.value) is _RULE_ERRORS[bad[0].kind]
+    header_lines = 2 if circuit.n_cbits else 1
+    assert err.value.line == header_lines + bad[0].op_index + 1

@@ -26,6 +26,7 @@ from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
 from qsim.rng import shot_coin_bytes, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
+    TableauMeasurement,
     _apply_moment,
     _apply_moments,
     _measure_axis,
@@ -169,6 +170,15 @@ def test_forcing_dead_branch_raises():
     t = init_tableau(1)
     with pytest.raises(DegenerateNorm):
         measure_pauli(t, 0, PauliAxis.Z, force_bit=1)
+
+
+def test_force_bit_must_be_a_bit():
+    t = init_tableau(1)
+    apply_clifford(t, GateApp(GateKind.H, (0,)))
+    with pytest.raises(ValueError):
+        measure_pauli(t, 0, PauliAxis.Z, force_bit=2)
+    # the tableau is untouched: the random measurement is still random
+    assert measure_pauli(t, 0, PauliAxis.Z, force_bit=1) == TableauMeasurement(-1, 0.5)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -213,6 +213,12 @@ def test_zero_probability_branch_is_none():
     assert p == 0.0 and collapsed is None
 
 
+def test_project_outcome_must_be_plus_or_minus_one():
+    plus = PureState(1, np.array([SQ2, SQ2]))
+    with pytest.raises(ValueError):
+        project(plus, MeasurementSpec(0, PauliAxis.Z), 0)
+
+
 def test_measure_raises_on_impossible_branch():
     zero = init_state(1)
 
