@@ -222,6 +222,17 @@ def validate(circuit: Circuit) -> list[Violation]:
     return out
 
 
+def check_op(op: CircuitOp, n_qubits: int) -> None:
+    """Raise ``ValueError`` with :func:`validate`'s first message unless
+    the gate or oracle ``op``, its condition dropped, keeps the circuit
+    rules on ``n_qubits`` qubits."""
+    if isinstance(op, GateApp) and op.condition is not None:
+        op = GateApp(op.kind, op.targets)
+    bad = validate(Circuit(n_qubits, 0, (op,)))
+    if bad:
+        raise ValueError(bad[0].message)
+
+
 def _qubit_out_of_range(i: int, q: int, n: int) -> Violation:
     return Violation(i, "index_out_of_range", f"qubit q{q} out of range (circuit has {n})")
 

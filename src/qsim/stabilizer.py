@@ -34,17 +34,15 @@ is one GF(2) product over them (:func:`_write_keys`), written straight
 into the histogram's key words.  Sign work does not grow with shots,
 and memory grows with shots only by the coin bytes and the keys.
 
-Gates run one moment at a time.  Between two barriers (a measurement
-or a conditioned op) :func:`run` puts every gate into the earliest
-moment after the last gate on any of its qubits, so a moment's gates
-act on disjoint qubits and commute exactly: the result is bit for bit
-that of applying them in order.  A moment is one masked kernel per gate
-kind over whole rows: H on the qubit mask M flips the signs with an odd
-``popcount(x & z & M)`` and XORs ``(x ^ z) & M`` into both x and z; R
-takes the same parity and XORs ``x & M`` into z; the Paulis take one
-parity over their masks; the CNOTs gather their control and target bit
-columns.  All the flips land in one sign update.  A lone gate (and
-:func:`apply_clifford`) is the one-gate moment.
+Gates act on bit columns.  Every gate rule reads and writes only the X
+and Z columns of its own qubits, so :func:`_apply_gates` takes a run of
+gates between two barriers (a measurement or a conditioned op) at once:
+it gathers the touched qubits' columns as Python ints over the 2n rows,
+applies each gate in program order with a few int operations (H swaps
+X and Z, R XORs X into Z, a CNOT XORs Xc into Xt and Zt into Zc, the
+Paulis change no column), folds every sign flip into one int, and
+writes back only the columns that changed.  The same kernel applies a
+lone gate, :func:`apply_clifford` and the conditioned gates.
 
 A measurement is O(n^2) bit operations worst case.  Measurement of a
 Pauli P on qubit q that anticommutes with some stabilizer row is a fair
@@ -62,7 +60,7 @@ sum of per-row terms, most of which telescope: one
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +73,7 @@ from .circuit import (
     Measure,
     OracleApp,
     PauliAxis,
+    check_op,
     validate,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
@@ -118,243 +117,147 @@ def init_tableau(n: int, coins: int = 0) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Gate conjugation, one moment at a time.  A moment is a set of gates on
-# disjoint qubits; Cliffords on disjoint qubits commute exactly, so
-# applying a moment at once is bit for bit the same as applying its
-# gates in sequence.  Every sign rule reads only the bits of its gate's
-# own qubits, which no other gate of the moment touches, so the flips of
-# all its gate kinds add up into one _flip.
+# Gate conjugation on bit columns
 
 
-_H, _R, _X, _Z, _I, _CNOT = (GateKind.H, GateKind.R, GateKind.X, GateKind.Z, GateKind.I,
-                             GateKind.CNOT)
-_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+_H, _R, _X, _Y, _Z, _I, _CNOT = (GateKind.H, GateKind.R, GateKind.X, GateKind.Y, GateKind.Z,
+                                 GateKind.I, GateKind.CNOT)
+_PAULIS = (_X, _Y, _Z)
 
 # Qubit q's bit lies in byte (q >> 3) ^ _BYTE of a row's words seen as
 # bytes, at bit q & 7.
 _BYTE = 7 if sys.byteorder == "big" else 0
 
+_BLOCK_BYTES = 1 << 20  # bytes of unpacked bits one block of columns holds
+_BIT_MASKS = (1 << np.arange(8, dtype=np.uint8))[:, None]  # bit s of a byte, s = 0..7
 
-@dataclass(slots=True)
-class _Pairs:
-    """A moment's CNOTs as gathered bit columns of the rows' bytes.
 
-    ``at``/``bits`` hold each pair's (control, target) byte and bit.  The
-    pairs are ordered so that ``x_runs`` folds them into their targets:
-    each ``(pick, to)`` XORs the shifted control X bits of the pairs
-    ``pick`` into the distinct bytes ``to``.  ``z_order`` (None for the
-    same order) and ``z_runs`` fold the target Z bits into their controls
-    the same way.
+def _bit_rows(values: list[int], count: int) -> np.ndarray:
+    """Bits 0 to ``count - 1`` of each int as a row of 0/1 bytes."""
+    size = (count + 7) >> 3
+    buf = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(values), size),
+                         axis=1, count=count, bitorder="little")
+
+
+def _apply_gates(t: Tableau, gates: Iterable[GateApp], form: np.ndarray | None = None) -> None:
+    """Conjugate every row by ``gates`` in program order, in place.
+
+    The touched qubits' columns are gathered as ints over the rows
+    (``X[q]``, ``Z[q]``, row i at bit i), and each gate applies its
+    Aaronson-Gottesman rule to them, XORing its sign flips into one int:
+    H flips ``X & Z`` and swaps X and Z; R flips ``X & Z`` and XORs X
+    into Z; X, Z and Y flip ``Z``, ``X`` and ``X ^ Z``; a CNOT flips
+    ``Xc & Zt & ~(Xt ^ Zc)``, then XORs Xc into Xt and Zt into Zc.  The
+    changed columns are written back, and the flipped rows' sign forms
+    get the constant 1, or ``form`` when it is given: a condition's form
+    makes Paulis, which change no column, a conditioned gate.
+
+    Columns move a block of words at a time, in the rows' words seen as
+    bytes (qubit q in byte column ``(q >> 3) ^ _BYTE``, at bit q & 7).  A
+    gather copies the block's byte columns out row-major, splits each
+    into its 8 bits and packs them along the rows; a write-back spreads
+    the changed columns' bits over a zeroed block, folds each 8 back
+    into a byte with one weighted sum and XORs the bytes in.
     """
-
-    at: np.ndarray  # (K, 2) intp
-    bits: np.ndarray  # (K, 2) uint8
-    x_runs: list[tuple[slice, slice | np.ndarray]]
-    z_order: list[int] | None
-    z_runs: list[tuple[slice, slice | np.ndarray]]
-
-
-@dataclass(slots=True)
-class _Moment:
-    """Gates on disjoint qubits as one masked kernel per gate kind.
-
-    The one-qubit masks cover words ``lo:hi`` of a row (``hi`` is 0 when
-    the moment holds only CNOTs).  H and R flip the sign where ``x & z``
-    on ``hr``; the Paulis flip it where ``x`` on ``x_sel`` (Z and Y) or
-    ``z`` on ``z_sel`` (X and Y).  A mask is None when no gate of its kind
-    is in the moment.
-    """
-
-    ops: list[GateApp]
-    lo: int
-    hi: int
-    hr: np.ndarray | None
-    h: np.ndarray | None
-    r: np.ndarray | None
-    x_sel: np.ndarray | None
-    z_sel: np.ndarray | None
-    pairs: _Pairs | None
-
-
-def _words_of(mask: int, lo: int, hi: int) -> np.ndarray | None:
-    if not mask:
-        return None
-    return np.frombuffer((mask >> (lo << 6)).to_bytes((hi - lo) << 3, "little"), dtype="<u8")
-
-
-def _to(at: list[int]) -> slice | np.ndarray:
-    """Distinct indices, as a slice when they are one ascending run."""
-    if len(at) == 1 or at == list(range(at[0], at[0] + len(at))):
-        return slice(at[0], at[0] + len(at))
-    return np.array(at, dtype=np.intp)
-
-
-def _layers(at: list[int]) -> tuple[list[int] | None, list[tuple[slice, slice | np.ndarray]]]:
-    """An order of the entries of ``at`` that splits them into runs of
-    distinct values (the first entry for each value, then the second, ...),
-    None when that is their own order, and the runs as ``(slice of that
-    order, values)``."""
-    if len(at) == 1:
-        return None, [(slice(0, 1), slice(at[0], at[0] + 1))]
-    seen: dict[int, int] = {}
-    keyed = []
-    for i, a in enumerate(at):
-        rank = seen.get(a, 0)
-        seen[a] = rank + 1
-        keyed.append((rank, a, i))
-    keyed.sort()
-    runs, start = [], 0
-    for k in range(1, len(keyed) + 1):
-        if k == len(keyed) or keyed[k][0] != keyed[start][0]:
-            runs.append((slice(start, k), _to([a for _, a, _ in keyed[start:k]])))
-            start = k
-    order = [i for _, _, i in keyed]
-    return (None if order == list(range(len(order))) else order), runs
-
-
-def _pairs(cnots: list[tuple[int, int]], at: np.ndarray, bits: np.ndarray, x_runs) -> _Pairs:
-    z_order, z_runs = _layers([(c >> 3) ^ _BYTE for c, _ in cnots])
-    return _Pairs(at, bits, x_runs, z_order, z_runs)
-
-
-def _moment(ops: list[GateApp], pairs: _Pairs | None) -> _Moment:
-    """The masks of one moment, whose CNOTs are already ``pairs``."""
-    if pairs is not None and len(pairs.at) == len(ops):
-        return _Moment(ops, 0, 0, None, None, None, None, None, pairs)
-    h = r = x_sel = z_sel = 0
-    for op in ops:
-        kind, q = op.kind, op.targets[0]
-        if kind is _H:
-            h |= 1 << q
-        elif kind is _R:
-            r |= 1 << q
-        elif kind is not _CNOT:
-            if kind is not _X:
-                x_sel |= 1 << q
-            if kind is not _Z:
-                z_sel |= 1 << q
-    one = h | r | x_sel | z_sel
-    lo, hi = ((one & -one).bit_length() - 1) >> 6, ((one.bit_length() - 1) >> 6) + 1
-    return _Moment(ops, lo, hi, _words_of(h | r, lo, hi), _words_of(h, lo, hi),
-                   _words_of(r, lo, hi), _words_of(x_sel, lo, hi), _words_of(z_sel, lo, hi),
-                   pairs)
-
-
-def _schedule(gates, n: int) -> Iterator[_Moment]:
-    """Unconditioned Clifford gates as moments: each gate goes into the
-    moment after the last one that touches any of its qubits.  Gates
-    sharing a qubit keep their order, so the moments' product is the
-    gates' product.  Identity gates are dropped.  The moments are built
-    one at a time, as they are applied."""
-    level = [-1] * n
-    slots: list[list[GateApp]] = []
-    cnots: list[list[tuple[int, int]]] = []
+    gates = [op for op in gates if op.kind is not _I]
+    qubits = sorted({q for op in gates for q in op.targets})
+    if not qubits:
+        return
+    rows = 2 * t.n
+    size = (rows + 7) >> 3
+    xb, zb = t.x.view(np.uint8), t.z.view(np.uint8)
+    # blocks of qubits in at most ``per`` words (128 unpacked bytes a row
+    # each), a new one after a gap of a whole word
+    per = max(1, _BLOCK_BYTES // (128 * rows))
+    groups: list[list[int]] = []
+    for q in qubits:
+        w = q >> 6
+        if not groups or w > (groups[-1][-1] >> 6) + 1 or w >= (groups[-1][0] >> 6) + per:
+            groups.append([])
+        groups[-1].append(q)
+    blocks = []  # (first byte column, column count, qubits, their X and Z columns)
+    X: dict[int, int] = {}
+    Z: dict[int, int] = {}
+    for qs in groups:
+        cols = [(q >> 3) ^ _BYTE for q in qs]
+        first, span = min(cols), max(cols) + 1 - min(cols)
+        both = np.empty((2, span, rows), dtype=np.uint8)
+        both[0] = xb[:, first : first + span].T
+        both[1] = zb[:, first : first + span].T
+        buf = memoryview(np.packbits(both[:, :, None, :] & _BIT_MASKS, axis=3,
+                                     bitorder="little").tobytes())
+        at = [size * (8 * (c - first) + (q & 7)) for q, c in zip(qs, cols)]
+        half = 8 * span * size
+        xs = [int.from_bytes(buf[i : i + size], "little") for i in at]
+        zs = [int.from_bytes(buf[half + i : half + i + size], "little") for i in at]
+        X.update(zip(qs, xs))
+        Z.update(zip(qs, zs))
+        blocks.append((first, span, qs, xs, zs))
+    flips = 0
     for op in gates:
         kind = op.kind
         if kind is _CNOT:
             c, tg = op.targets
-            m = (level[c] if level[c] > level[tg] else level[tg]) + 1
-            level[c] = level[tg] = m
-        elif kind is _I:
-            continue
+            xc, zt = X[c], Z[tg]
+            flips ^= xc & zt & ~(X[tg] ^ Z[c])
+            X[tg] ^= xc
+            Z[c] ^= zt
         else:
             q = op.targets[0]
-            m = level[q] = level[q] + 1
-        if m == len(slots):
-            slots.append([op])
-            cnots.append([])
-        else:
-            slots[m].append(op)
-        if kind is _CNOT:
-            cnots[m].append(op.targets)
-    # Every moment's CNOTs, put in their x_runs order and gathered into
-    # one array.
-    x_runs: list = [None] * len(slots)
-    for m, pairs in enumerate(cnots):
-        if pairs:
-            order, x_runs[m] = _layers([(tg >> 3) ^ _BYTE for _, tg in pairs])
-            if order is not None:
-                cnots[m] = [pairs[i] for i in order]
-    flat = [ct for pairs in cnots for ct in pairs]
-    if flat:
-        q = np.array(flat, dtype=np.intp)
-        at, bits = (q >> 3) ^ _BYTE, (q & 7).astype(np.uint8)
-    lo = 0
-    for ops, pairs, runs in zip(slots, cnots, x_runs):
-        hi = lo + len(pairs)
-        yield _moment(ops, _pairs(pairs, at[lo:hi], bits[lo:hi], runs) if pairs else None)
-        lo = hi
-
-
-def _flip(t: Tableau, rows: np.ndarray, form: np.ndarray | None = None) -> None:
-    """Flip the sign of every row flagged in ``rows``: XOR the constant 1
-    into its form, or the form ``form``."""
-    hit = rows.nonzero()[0]
-    if hit.size:
+            if kind is _H:
+                x, z = X[q], Z[q]
+                flips ^= x & z
+                X[q], Z[q] = z, x
+            elif kind is _R:
+                x = X[q]
+                flips ^= x & Z[q]
+                Z[q] ^= x
+            elif kind is _X:
+                flips ^= Z[q]
+            elif kind is _Z:
+                flips ^= X[q]
+            else:
+                flips ^= X[q] ^ Z[q]
+    # Each block's changed columns are unpacked together, the last block's
+    # with the flipped rows after them.
+    for k, (first, span, qs, xs, zs) in enumerate(blocks):
+        changed: tuple[list, list] = ([], [])  # (byte column, bit, delta) per array
+        for q, x, z in zip(qs, xs, zs):
+            if X[q] != x:
+                changed[0].append(((q >> 3) ^ _BYTE, q & 7, X[q] ^ x))
+            if Z[q] != z:
+                changed[1].append(((q >> 3) ^ _BYTE, q & 7, Z[q] ^ z))
+        deltas = [d for cs in changed for _, _, d in cs]
+        if k == len(blocks) - 1 and flips:
+            deltas.append(flips)
+        if not deltas:
+            continue
+        bits = _bit_rows(deltas, rows)
+        j = 0
+        for b, cs in zip((xb, zb), changed):
+            if len(cs) == 1:  # a lone column: XOR its bits straight in
+                (c, s, _), = cs
+                b[:, c] ^= bits[j] << s
+            elif cs:
+                spread = np.zeros((span, 8, rows), dtype=np.uint8)
+                spread[[c - first for c, _, _ in cs], [s for _, s, _ in cs]] = (
+                    bits[j : j + len(cs)])
+                b[:, first : first + span] ^= np.einsum("s,csr->rc", _BIT_MASKS[:, 0], spread)
+            j += len(cs)
+    if flips:
         if form is None:
-            t.r[hit, 0] ^= _ONE
+            t.r[:, 0] ^= bits[-1]
         else:
-            t.r[hit] ^= form
-
-
-def _apply_moment(t: Tableau, mo: _Moment, form: np.ndarray | None = None) -> None:
-    """Conjugate every row by the moment's gates, in place.
-
-    ``form`` makes the sign flips conditional on a classical bit, whose
-    form it is; that is a conditioned gate only for a moment of Paulis,
-    which change no x or z bit.
-    """
-    flips = None
-    if mo.hi:
-        x, z = t.x[:, mo.lo : mo.hi], t.z[:, mo.lo : mo.hi]
-        odd = 0
-        if mo.hr is not None:
-            odd = x & z & mo.hr
-        if mo.x_sel is not None:
-            odd = odd ^ (x & mo.x_sel)
-        if mo.z_sel is not None:
-            odd = odd ^ (z & mo.z_sel)
-        if odd.shape[1] > 1:
-            odd = np.bitwise_xor.reduce(odd, axis=1)
-        flips = np.bitwise_count(odd.reshape(-1)) & 1
-        if mo.h is not None:
-            d = x ^ z
-            d &= mo.h
-            x ^= d
-            z ^= d
-        if mo.r is not None:
-            z ^= x & mo.r
-    p = mo.pairs
-    if p is not None:
-        xb, zb = t.x.view(np.uint8), t.z.view(np.uint8)
-        gx = (xb[:, p.at] >> p.bits) & 1  # (2n, K, 2)
-        gz = (zb[:, p.at] >> p.bits) & 1
-        xc, xt, zc, zt = gx[..., 0], gx[..., 1], gz[..., 0], gz[..., 1]
-        odd = xc & zt
-        odd &= xt == zc
-        odd = np.bitwise_xor.reduce(odd, axis=1) if odd.shape[1] > 1 else odd[:, 0]
-        flips = odd if flips is None else flips ^ odd
-        dx = xc << p.bits[:, 1]
-        for pick, to in p.x_runs:
-            xb[:, to] ^= dx[:, pick]
-        dz = zt << p.bits[:, 0]
-        if p.z_order is not None:
-            dz = dz[:, p.z_order]
-        for pick, to in p.z_runs:
-            zb[:, to] ^= dz[:, pick]
-    _flip(t, flips, form)
-
-
-def _apply_moments(t: Tableau, moments: Iterable[_Moment], form: np.ndarray | None = None) -> None:
-    for mo in moments:
-        _apply_moment(t, mo, form)
+            t.r[bits[-1].nonzero()[0]] ^= form
 
 
 def apply_clifford(t: Tableau, op: CircuitOp) -> None:
     """Conjugate all rows by a Clifford gate, in place.
 
     Conditioned gates are resolved by :func:`run`; here a condition is
-    an error so nothing is silently skipped.
+    an error so nothing is silently skipped.  The gate must satisfy the
+    circuit rules of :func:`qsim.circuit.validate` on ``t.n`` qubits.
     """
     if isinstance(op, OracleApp):
         raise NonClifford("oracles are outside the stabilizer gate set")
@@ -364,11 +267,10 @@ def apply_clifford(t: Tableau, op: CircuitOp) -> None:
         raise TypeError(f"unknown op {op!r}")
     if op.condition is not None:
         raise ValueError("conditioned gate reached apply_clifford; resolve the condition first")
-    if any(not 0 <= q < t.n for q in op.targets):
-        raise ValueError(f"qubit index out of range in {op}")
+    check_op(op, t.n)
     if not op.kind.is_clifford:
         raise NonClifford(f"{op.kind.value} is outside the stabilizer gate set")
-    _apply_moments(t, _schedule((op,), t.n))
+    _apply_gates(t, (op,))
 
 
 # ---------------------------------------------------------------------------
@@ -583,31 +485,32 @@ def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray) -> lis
     describes; returns the groups after it.  A measurement's random
     outcome is variable ``k``.  A conditioned H, R or CNOT evaluates its
     condition at the coin bytes of every shot, ``coins``; nothing else
-    reads them.  A gate is applied as a one-gate moment."""
+    reads them.  A conditioned identity does nothing."""
     if isinstance(op, Measure):  # oracles cannot reach here (Clifford walk)
         for t, cb, _ in groups:
             cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, k)
         return groups
-    moments = list(_schedule((op,), groups[0][0].n))
     if op.condition is None:
         for t, _, _ in groups:
-            _apply_moments(t, moments)
+            _apply_gates(t, (op,))
         return groups
     if op.kind in _PAULIS:
         for t, cb, _ in groups:
-            _apply_moments(t, moments, cb[op.condition])
+            _apply_gates(t, (op,), cb[op.condition])
+        return groups
+    if op.kind is _I:
         return groups
     split: list[_Group] = []
     for t, cb, idx in groups:
         mask = _values(cb[op.condition, None], coins[idx])[:, 0] == 1
         if mask.all():
-            _apply_moments(t, moments)
+            _apply_gates(t, (op,))
             split.append((t, cb, idx))
         elif not mask.any():
             split.append((t, cb, idx))
         else:
             hot = t.copy()
-            _apply_moments(hot, moments)
+            _apply_gates(hot, (op,))
             split.append((hot, cb.copy(), idx[mask]))
             split.append((t, cb, idx[~mask]))
     return split
@@ -637,9 +540,10 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     One pass over the circuit, whatever ``shots`` is, keeps every sign
     and classical bit as a form over the coins.  Unconditioned gates
-    between two barriers are applied as moments (:func:`_schedule`).  A
-    classically conditioned X, Y or Z XORs its condition's form into the
-    signs it flips; a conditioned H, R or CNOT splits the shots into
+    between two barriers are applied together on bit columns
+    (:func:`_apply_gates`).  A classically conditioned X, Y or Z XORs its
+    condition's form into the signs it flips, a conditioned identity does
+    nothing, and a conditioned H, R or CNOT splits the shots into
     groups by the condition's value, since shots that took different
     branches no longer share structure.  Shot ``i`` draws from its own
     Philox counter block exactly as in the dense backend; every shot's
@@ -664,9 +568,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     ]
     k = 0
     for gates, op in segments:
-        for mo in _schedule(gates, n):
+        if gates:
             for t, _, _ in groups:
-                _apply_moment(t, mo)
+                _apply_gates(t, gates)
         if op is not None:
             k += isinstance(op, Measure)
             groups = _step(groups, op, k, coins)

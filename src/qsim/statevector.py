@@ -60,6 +60,7 @@ from .circuit import (
     Measure,
     OracleApp,
     PauliAxis,
+    check_op,
     gate_matrix,
     validate,
 )
@@ -248,20 +249,21 @@ def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:
     """Apply an unconditioned gate or an oracle in place."""
     if isinstance(op, GateApp):
         _apply_gate(amps, n, op)
-    elif isinstance(op, OracleApp):
-        _apply_oracle(amps, n, op)
-    elif isinstance(op, Measure):
-        raise ValueError("apply_op does not measure; use measure()")
     else:
-        raise TypeError(f"unknown op {op!r}")
+        _apply_oracle(amps, n, op)
 
 
 def apply_op(state: PureState, op: CircuitOp, cbits: Iterable[int] | None = None) -> PureState:
     """Apply one op, returning a fresh state (inputs are never mutated).
 
     ``cbits`` supplies the classical register for conditioned gates.
-    ``Measure`` ops are not handled here — use :func:`measure`.
+    ``Measure`` ops are not handled here — use :func:`measure`.  The op
+    must satisfy the circuit rules of :func:`qsim.circuit.validate` on
+    ``state.n`` qubits.
     """
+    if isinstance(op, Measure):
+        raise ValueError("apply_op does not measure; use measure()")
+    check_op(op, state.n)
     amps = state.amps.copy()
     if isinstance(op, GateApp) and op.condition is not None:
         if cbits is None:

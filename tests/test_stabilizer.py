@@ -27,10 +27,8 @@ from qsim.rng import shot_coin_bytes, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     TableauMeasurement,
-    _apply_moment,
-    _apply_moments,
+    _apply_gates,
     _measure_axis,
-    _schedule,
     _step,
     _values,
     apply_clifford,
@@ -132,6 +130,23 @@ def test_apply_clifford_rejections():
         apply_clifford(t, Measure(0, PauliAxis.Z, 0))
     with pytest.raises(ValueError):
         apply_clifford(t, GateApp(GateKind.X, (0,), condition=0))
+
+
+def test_apply_clifford_rejects_a_cnot_on_one_qubit():
+    # CNOT(1, 1) would leave a stabilizer row with no X part
+    t = init_tableau(2)
+    with pytest.raises(ValueError, match="cnot needs two distinct qubits"):
+        apply_clifford(t, GateApp(GateKind.CNOT, (1, 1)))
+    _assert_same(t, init_tableau(2))
+
+
+def test_apply_clifford_rejects_a_gate_of_the_wrong_arity():
+    t = init_tableau(2)
+    with pytest.raises(ValueError, match=r"h takes 1 qubit\(s\), got 2"):
+        apply_clifford(t, GateApp(GateKind.H, (0, 1)))
+    with pytest.raises(ValueError, match=r"qubit q2 out of range \(circuit has 2\)"):
+        apply_clifford(t, GateApp(GateKind.X, (2,)))
+    _assert_same(t, init_tableau(2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +408,17 @@ def test_conditioned_paulis_flip_signs_without_splitting(monkeypatch):
                            GateApp(GateKind.H, (1,), condition=0)))
     run(split, 64, seed=1)
     assert copies == [1]
+
+    # a conditioned identity changes nothing, so it neither splits the
+    # shots nor changes the counts
+    copies.clear()
+    n = 12
+    plain = [GateApp(GateKind.H, (q,)) for q in range(n)]
+    plain += [Measure(q, PauliAxis.Z, q) for q in range(n)]
+    idle = plain + [GateApp(GateKind.I, (0,), condition=k) for k in range(n)]
+    res = run(Circuit(n, n, tuple(idle)), 4096, seed=5)
+    assert copies == []
+    assert res.counts == run(Circuit(n, n, tuple(plain)), 4096, seed=5).counts
 
 
 @pytest.mark.parametrize("axis", [PauliAxis.Z, PauliAxis.X])
@@ -668,8 +694,8 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
 
 
 # ---------------------------------------------------------------------------
-# Moments against sequential gates, and direct X/Y measurement against
-# conjugation to Z.
+# The column kernel against sequential gates, and direct X/Y measurement
+# against conjugation to Z.
 
 
 @st.composite
@@ -694,21 +720,32 @@ def gate_lists(draw):
     return n, gates(draw(st.integers(0, 30))), gates(draw(st.integers(1, 120)))
 
 
-def _mixed_moment():
-    """One moment of H, R, X, Y, Z and CNOTs on 200 qubits.  Controls
-    and targets sit in different words; two targets share a byte and two
-    controls share one, and the prefix puts X, Z and Y bits under every
-    gate."""
+def _mixed_segment():
+    """H, R, X, Y, Z and CNOTs on 200 qubits.  Controls and targets sit
+    in different words; two targets share a byte and two controls share
+    one, and the prefix puts X, Z and Y bits under every gate."""
     g = lambda kind, *q: GateApp(kind, q)
     one = [3, 70, 130, 5, 199, 10, 150, 66, 0, 128, 1]
     prefix = [g(GateKind.H, q) for q in one + [140, 20, 64, 65, 71, 190]]
     prefix += [g(GateKind.R, q) for q in one[::2] + [20, 65]]
     prefix += [g(GateKind.CNOT, a, b) for a, b in zip(one, one[1:] + [140, 20, 64])]
-    moment = [g(GateKind.H, 3), g(GateKind.R, 70), g(GateKind.X, 130), g(GateKind.Y, 5),
-              g(GateKind.Z, 199), g(GateKind.CNOT, 10, 140), g(GateKind.CNOT, 150, 20),
-              g(GateKind.CNOT, 66, 64), g(GateKind.CNOT, 0, 65), g(GateKind.CNOT, 128, 71),
-              g(GateKind.CNOT, 1, 190)]
-    return 200, prefix, moment
+    segment = [g(GateKind.H, 3), g(GateKind.R, 70), g(GateKind.X, 130), g(GateKind.Y, 5),
+               g(GateKind.Z, 199), g(GateKind.CNOT, 10, 140), g(GateKind.CNOT, 150, 20),
+               g(GateKind.CNOT, 66, 64), g(GateKind.CNOT, 0, 65), g(GateKind.CNOT, 128, 71),
+               g(GateKind.CNOT, 1, 190)]
+    return 200, prefix, segment
+
+
+def _word_edges(n):
+    """Gates on the last qubits of every word and the first of the next,
+    on ``n`` qubits, so that columns cross word and byte boundaries."""
+    g = lambda kind, *q: GateApp(kind, q)
+    edge = sorted({q for w in range(0, n, 64) for q in (w, w + 1, w + 62, w + 63) if q < n})
+    prefix = [g(GateKind.H, q) for q in edge] + [g(GateKind.R, q) for q in edge[::2]]
+    prefix += [g(GateKind.CNOT, a, b) for a, b in zip(edge, edge[1:])]
+    ops = [g(kind, q) for q in edge for kind in (GateKind.H, GateKind.R, GateKind.Y)]
+    ops += [g(GateKind.CNOT, b, a) for a, b in zip(edge, edge[1:])]
+    return n, prefix, ops
 
 
 def _copy_of(t):
@@ -736,9 +773,18 @@ def _ref_gates(t, ops):
 
 
 @settings(max_examples=80, deadline=None)
-@example(case=_mixed_moment(), batch=5, seed=1)
+@example(case=_mixed_segment(), batch=5, seed=1)
+@example(case=_word_edges(63), batch=3, seed=2)
+@example(case=_word_edges(64), batch=3, seed=3)
+@example(case=_word_edges(65), batch=3, seed=4)
+@example(case=_word_edges(129), batch=3, seed=5)
+@example(case=(200, _mixed_segment()[1], [GateApp(GateKind.I, (q,)) for q in (0, 64, 199)]),
+         batch=4, seed=6)
+@example(case=(200, _mixed_segment()[1], [GateApp(GateKind.H, (130,))]), batch=2, seed=7)
+@example(case=(200, _mixed_segment()[1], [GateApp(GateKind.CNOT, (199, 0))]), batch=2, seed=8)
+@example(case=(1, [GateApp(GateKind.H, (0,))], [GateApp(GateKind.Y, (0,))]), batch=2, seed=9)
 @given(case=gate_lists(), batch=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_moments_match_sequential_gates(case, batch, seed):
+def test_column_kernel_matches_sequential_gates(case, batch, seed):
     # random sign forms over 70 coins (two words), and the reference's
     # per-shot signs: those forms at ``batch`` random coin patterns
     n, prefix, ops = case
@@ -749,24 +795,24 @@ def test_moments_match_sequential_gates(case, batch, seed):
     start.r[:] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     coins = rng.integers(0, 256, (batch, (d + 7) // 8), dtype=np.uint8)
     ref_start = Tableau(n, start.x.copy(), start.z.copy(), _values(start.r, coins).T.copy())
-    _apply_moments(start, _schedule(prefix, n))
+    _apply_gates(start, prefix)
     _ref_gates(ref_start, prefix)
     _assert_same_at(start, ref_start, coins)
-    t, ref = _copy_of(start), _copy_of(ref_start)
-    moments = list(_schedule(ops, n))
-    for mo in moments:
-        qubits = [q for op in mo.ops for q in op.targets]
-        assert len(qubits) == len(set(qubits))
-        _apply_moment(t, mo)
-        _ref_gates(ref, mo.ops)
-        _assert_same_at(t, ref, coins)
-    # the moments hold every gate but the identities, and their product
-    # is the gates' product in program order
-    assert sorted(map(id, (op for mo in moments for op in mo.ops))) == sorted(
-        id(op) for op in ops if op.kind is not GateKind.I)
-    seq = _copy_of(ref_start)
-    _ref_gates(seq, ops)
-    _assert_same_at(t, seq, coins)
+    # the whole list in one call, and each gate alone, are the gates'
+    # product in program order
+    t, one, ref = _copy_of(start), _copy_of(start), _copy_of(ref_start)
+    _apply_gates(t, ops)
+    for op in ops:
+        _apply_gates(one, (op,))
+        _ref_gates(ref, (op,))
+        _assert_same_at(one, ref, coins)
+    _assert_same_at(t, ref, coins)
+    # blocks of one word each move the same columns
+    small = _copy_of(start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stabilizer, "_BLOCK_BYTES", 1)
+        _apply_gates(small, ops)
+    _assert_same(small, t)
 
 
 def _conjugated_measure(t, q, axis, rng, force):

@@ -181,6 +181,11 @@ def test_evolve_apply_op_and_measure_leave_their_input_unchanged():
     assert np.array_equal(start.amps, before)
 
 
+def test_apply_op_rejects_a_cnot_on_one_qubit():
+    with pytest.raises(ValueError, match="cnot needs two distinct qubits"):
+        sv.apply_op(init_state(2), GateApp(GateKind.CNOT, (1, 1)))
+
+
 def test_norm_preserved_over_random_walks():
     rng = np.random.default_rng(99)
     kinds = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.R, GateKind.H, GateKind.S]
