@@ -222,6 +222,23 @@ def validate(circuit: Circuit) -> list[Violation]:
     return out
 
 
+def violations(circuit: Circuit, keep: bool = False) -> tuple[Violation, ...]:
+    """:func:`validate`'s verdict on ``circuit``.
+
+    ``keep=True`` keeps the verdict on the instance, and later calls
+    return it without evaluating the rules again.  Only a caller that
+    built ``circuit`` from tuples all the way down may keep it, as the
+    parser does: a list in ``ops`` or in an op's indices could change
+    after the verdict.  Every other circuit is judged afresh on each call.
+    """
+    verdict = circuit.__dict__.get("_violations")
+    if verdict is None:
+        verdict = tuple(validate(circuit))
+        if keep:
+            object.__setattr__(circuit, "_violations", verdict)
+    return verdict
+
+
 def check_op(op: CircuitOp, n_qubits: int) -> None:
     """Raise ``ValueError`` with :func:`validate`'s first message unless
     the gate or oracle ``op``, its condition dropped, keeps the circuit

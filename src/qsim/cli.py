@@ -308,6 +308,8 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     if args.min_n > args.max_n:
         raise ValueError("--min-n must not exceed --max-n")
+    if args.min_n < 2:  # the tableau sizes double from --min-n
+        raise ValueError("need at least two qubits")
     if args.backend == "sv":
         ns = list(range(args.min_n, args.max_n + 1))
     else:
@@ -410,63 +412,113 @@ def _cmd_lhv_simulate(args) -> int:
 # Parser and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("circuit", help="path to a .qc circuit file")
+    p.add_argument("--backend", choices=("sv", "stab"), default=None,
+                   help="force a backend (default: tableau when possible)")
+    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.set_defaults(handler=_cmd_run)
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=("sv", "stab"), required=True)
+    p.add_argument("--min-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth-scale", choices=("fixed", "linear"), default="fixed")
+    p.add_argument("--shots", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_bench)
+
+
+def _chsh_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_bell_chsh)
+
+
+def _find_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", choices=tuple(_STATES), required=True)
+    p.add_argument("--bits", type=int, default=0)
+    p.add_argument("--topology", default="",
+                   help="comma-separated 1-indexed messages, e.g. 2>1")
+    p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_lhv_find)
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_lhv_simulate)
+
+
+# The command tree: per level, the subcommand dest and its commands as
+# (name, help, arguments), where arguments declares a leaf's options or
+# is the next level.
+_BELL = ("bell_command", (("chsh", "CHSH value along a basis rotation", _chsh_args),))
+_LHV = ("lhv_command", (
+    ("find", "LP search for a local model", _find_args),
+    ("simulate", "sample a model file", _simulate_args),
+))
+_TOP = ("command", (
+    ("run", "simulate a circuit file", _run_args),
+    ("bench", "time random Clifford circuits", _bench_args),
+    ("bell", "Bell-inequality experiments", _BELL),
+    ("lhv", "local-model search and execution", _LHV),
+))
+
+
+def _add_level(parser: argparse.ArgumentParser, level, argv) -> None:
+    """Declare ``level``'s commands on ``parser``: only the one that
+    ``argv[0]`` names, or all of them when it names none.
+
+    Once a command is picked, the only text of this level that argparse
+    can print is its usage, in an "unrecognized arguments" error; the
+    metavar names every command there, as the whole tree does.
+    """
+    dest, commands = level
+    sub = parser.add_subparsers(dest=dest, required=True)
+    picked = [c for c in commands if c[0] in argv[:1]]
+    if picked:
+        sub.metavar = "{" + ",".join(name for name, _, _ in commands) + "}"
+    for name, help, arguments in picked or commands:
+        p = sub.add_parser(name, help=help)
+        if callable(arguments):
+            arguments(p)
+        else:
+            _add_level(p, arguments, argv[1:] if picked else ())
+
+
+def _parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the branch that ``argv`` names.
+
+    Built per call, it declares only the commands on ``argv``'s path and,
+    where the path stops naming one, every command below; for an argv it
+    parses exactly as :func:`build_parser` does.
+    """
     parser = argparse.ArgumentParser(
         prog="qsim", description="Multi-backend quantum circuit simulator."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate a circuit file")
-    p_run.add_argument("circuit", help="path to a .qc circuit file")
-    p_run.add_argument("--backend", choices=("sv", "stab"), default=None,
-                       help="force a backend (default: tableau when possible)")
-    p_run.add_argument("--shots", type=int, default=1024)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_run.set_defaults(handler=_cmd_run)
-
-    p_bench = sub.add_parser("bench", help="time random Clifford circuits")
-    p_bench.add_argument("--backend", choices=("sv", "stab"), required=True)
-    p_bench.add_argument("--min-n", type=int, required=True)
-    p_bench.add_argument("--max-n", type=int, required=True)
-    p_bench.add_argument("--depth", type=int, required=True)
-    p_bench.add_argument("--depth-scale", choices=("fixed", "linear"), default="fixed")
-    p_bench.add_argument("--shots", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(handler=_cmd_bench)
-
-    p_bell = sub.add_parser("bell", help="Bell-inequality experiments")
-    bell_sub = p_bell.add_subparsers(dest="bell_command", required=True)
-    p_chsh = bell_sub.add_parser("chsh", help="CHSH value along a basis rotation")
-    p_chsh.add_argument("--steps", type=int, default=16)
-    p_chsh.add_argument("--seed", type=int, default=None)
-    p_chsh.add_argument("--out", default=None)
-    p_chsh.set_defaults(handler=_cmd_bell_chsh)
-
-    p_lhv = sub.add_parser("lhv", help="local-model search and execution")
-    lhv_sub = p_lhv.add_subparsers(dest="lhv_command", required=True)
-    p_find = lhv_sub.add_parser("find", help="LP search for a local model")
-    p_find.add_argument("--state", choices=tuple(_STATES), required=True)
-    p_find.add_argument("--bits", type=int, default=0)
-    p_find.add_argument("--topology", default="",
-                        help="comma-separated 1-indexed messages, e.g. 2>1")
-    p_find.add_argument("--out", default=None)
-    p_find.set_defaults(handler=_cmd_lhv_find)
-    p_sim = lhv_sub.add_parser("simulate", help="sample a model file")
-    p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--shots", type=int, default=10000)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(handler=_cmd_lhv_simulate)
-
+    _add_level(parser, _TOP, argv)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree."""
+    return _parser()
 
 
 def cli_dispatch(argv) -> int:
     """Parse and execute one invocation; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors this way
         return int(exc.code or 0)
     try:

@@ -20,8 +20,9 @@ The parser checks syntax only: the header, each statement's shape, the
 length) and measurement axes.  The circuit rules (index ranges, a
 condition bit written by an earlier measure, distinct qubits, oracle
 arity) live in :func:`qsim.circuit.validate` alone.  The parser builds
-the circuit, validates it once, and raises the first violation at its
-op's line, by kind:
+the circuit, validates it once (the verdict stays on the circuit, so a
+backend's ``run`` does not evaluate the rules again), and raises the
+first violation at its op's line, by kind:
 
 * ``index_out_of_range`` -> :class:`IndexOutOfRange`,
 * ``undefined_condition_bit`` -> :class:`UndefinedConditionBit`,
@@ -44,7 +45,7 @@ from .circuit import (
     Measure,
     OracleApp,
     PauliAxis,
-    validate,
+    violations,
 )
 from .errors import (
     ArityMismatch,
@@ -157,7 +158,7 @@ def parse_circuit(text: str) -> Circuit:
     if n_qubits is None:
         raise MalformedHeader(max(last_line, 1), "missing 'qubits <n>' header")
     circuit = Circuit(n_qubits, n_cbits or 0, tuple(ops))
-    bad = validate(circuit)
+    bad = violations(circuit, keep=True)  # built from tuples throughout
     if bad:
         raise _RULE_ERRORS[bad[0].kind](lines[bad[0].op_index], bad[0].message)
     return circuit

@@ -74,7 +74,7 @@ from .circuit import (
     OracleApp,
     PauliAxis,
     check_op,
-    validate,
+    violations,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
 from .rng import RNG_ID, shot_coin_bytes
@@ -552,7 +552,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     ``keep_final_state`` returns the tableau of shot ``shots - 1``.
     """
     segments = _segments(circuit.ops)
-    bad = validate(circuit)
+    bad = violations(circuit)
     if bad:
         raise ValueError(f"invalid circuit: op {bad[0].op_index}: {bad[0].message}")
     if shots < 1:

@@ -63,6 +63,7 @@ from .circuit import (
     check_op,
     gate_matrix,
     validate,
+    violations,
 )
 from .errors import DegenerateNorm, TooManyQubits
 from .result import RunResult, histogram
@@ -696,7 +697,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     its ``p_plus``.  ``keep_final_state`` returns the state of shot
     ``shots - 1``.
     """
-    bad = validate(circuit)
+    bad = violations(circuit)
     if bad:
         raise ValueError(f"invalid circuit: op {bad[0].op_index}: {bad[0].message}")
     if shots < 1:

@@ -474,6 +474,14 @@ def test_cli_bench_rejects_inverted_range(capsys):
     )
     assert code == 2
     capsys.readouterr()
+    # sizes below two are refused before any is listed: the tableau sizes
+    # double from --min-n, so a 0 or a negative one would never pass --max-n
+    for backend in ("sv", "stab"):
+        for min_n in ("0", "-1"):
+            code = cli_dispatch(["bench", "--backend", backend, "--min-n", min_n,
+                                 "--max-n", "8", "--depth", "2"])
+            assert code == 2
+            assert capsys.readouterr() == ("", "error: need at least two qubits\n")
 
 
 def test_cli_bell_chsh_curve(tmp_path):
@@ -648,12 +656,69 @@ def test_module_entry_point_prints_no_runpy_warning():
     assert "RuntimeWarning" not in out.stderr
 
 
-def test_import_cli_does_not_load_scipy_optimize():
+_FOOTPRINT_PROBE = """
+import json, sys
+from qsim.cli import cli_dispatch, main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+at_import = scipy_loaded()
+circuit, workdir = sys.argv[1:]
+sys.argv = ["qsim", "run", circuit, "--shots", "64"]
+try:
+    main()
+except SystemExit as exc:
+    run_code = exc.code
+after_run = scipy_loaded()
+find = cli_dispatch(["lhv", "find", "--state", "singlet", "--out", workdir + "/find.json"])
+chsh = cli_dispatch(["bell", "chsh", "--steps", "4", "--out", workdir + "/chsh.csv"])
+import qsim
+unresolved = [name for name in qsim.__all__ if not hasattr(qsim, name)]
+star = {}
+exec("from qsim import *", star)
+print(json.dumps({"run": run_code, "at_import": at_import, "after_run": after_run, "find": find,
+                  "chsh": chsh, "unresolved": unresolved,
+                  "star_missing": sorted(set(qsim.__all__) - set(star))}), file=sys.stderr)
+"""
+
+
+def test_import_cli_does_not_load_scipy_optimize(bell_file, tmp_path):
     # scipy is only needed by the LP in the locality lab; every other
-    # command must start without paying for it
+    # command must start and run without paying for it.  A fresh
+    # interpreter runs ``qsim run`` through the console entry point; the
+    # locality-lab commands then load scipy on use, and every package
+    # name resolves
     src = str(Path(qsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, qsim.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, bell_file, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout)["shots"] == 64
+    assert json.loads(out.stderr.splitlines()[-1]) == {
+        "run": 0, "at_import": [], "after_run": [], "find": 0, "chsh": 0, "unresolved": [],
+        "star_missing": []}
+    assert (tmp_path / "chsh.csv").read_text().startswith("theta,S\n")
+    assert "strategies" in json.loads((tmp_path / "find.json").read_text())
+
+
+def test_qsim_run_evaluates_the_circuit_rules_once(bell_file, monkeypatch, capsys):
+    # the parser's verdict stays on the circuit it built, so the backend's
+    # own check does not evaluate the rules again
+    import qsim.circuit
+
+    original, calls = qsim.circuit.validate, []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qsim" or name.startswith("qsim."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    for backend in ("sv", "stab"):
+        calls.clear()
+        assert cli_dispatch(["run", bell_file, "--backend", backend, "--shots", "16"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

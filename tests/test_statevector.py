@@ -376,6 +376,23 @@ def test_run_rejects_invalid_circuit():
     bad = Circuit(1, 0, (GateApp(GateKind.H, (5,)),))
     with pytest.raises(ValueError):
         run(bad, 10, seed=0)
+    with pytest.raises(ValueError, match="op 0: qubit q5 out of range"):
+        run_stabilizer(bad, 10, seed=0)
+    # a hand-built circuit is judged on every run: a list among its ops or
+    # its indices can change after a clean run
+    ops, targets = [GateApp(GateKind.H, (0,))], [0]
+    listed = Circuit(1, 0, ops)
+    nested = Circuit(1, 0, (GateApp(GateKind.H, targets),))
+    for backend in (run, run_stabilizer):
+        backend(listed, 10, seed=0)
+        backend(nested, 10, seed=0)
+    ops.append(GateApp(GateKind.H, (5,)))
+    targets[0] = -1
+    for backend in (run, run_stabilizer):
+        with pytest.raises(ValueError, match="op 1: qubit q5 out of range"):
+            backend(listed, 10, seed=0)
+        with pytest.raises(ValueError, match="op 0: qubit q-1 out of range"):
+            backend(nested, 10, seed=0)
 
 
 def test_collapse_renormalizes():
