@@ -53,8 +53,18 @@ Z_q where its x bit at q is set, with X_q where its z bit is, and with
 Y_q where the two differ, so X and Y are measured directly, with no
 change of basis; a random outcome leaves X_q or Y_q as the new
 stabilizer row.  The flagged rows commute, so the product's phase is a
-sum of per-row terms, most of which telescope: one
-``bitwise_xor.accumulate`` and three popcounts, with no per-row loop.
+sum of per-row terms and of one term per pair of rows.
+
+A determined measurement leaves the tableau as it is, so :func:`run`
+answers a whole run of them, up to the next random measurement, gate or
+conditioned op, at once (:func:`_determined`).  A short run takes one
+pass per measurement, whose pair terms telescope into a prefix-XOR of
+the rows (:func:`_by_prefix`).  A run long against the rows it flags is
+one GF(2) product (:func:`_by_product`): with D the run's flags over the
+rows, the forms are D times the rows' forms, and the pair terms are a
+quadratic form in D over the rows' Z-times-X parities, float32 products
+of 0/1 matrices taken a bounded tile at a time.  GHZ-n measured in full
+is one coin and one product.
 """
 
 from __future__ import annotations
@@ -289,7 +299,7 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 
     The new sign is ``(2 r_h + 2 r_p + g) % 4 == 2``: ``r_h ^ r_p``,
     whose constant flips where ``g % 4 == 2``.  ``g`` is odd only for a
-    row that anticommutes with row p, and :func:`_measure_axis`, the one
+    row that anticommutes with row p, and :func:`_collapse`, the one
     caller, passes at most one such row: destabilizer ``p - n``, which
     it overwrites with the old row p right after.  So no sign is set
     for an odd ``g``.
@@ -308,65 +318,250 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 # Measurement
 
 
+def _anticommuting(t: Tableau, q: int, axis: PauliAxis, rows: slice = slice(None)) -> np.ndarray:
+    """Which of the tableau's ``rows`` (all 2n by default) anticommute with
+    the Pauli ``axis`` on qubit q, as a bool column: a row anticommutes
+    with X_q where its z bit is set, with Z_q where its x bit is, and with
+    Y_q where they differ."""
+    w, b = q >> 6, np.uint64(q & 63)
+    if axis is PauliAxis.Z:
+        col = t.x[rows, w]
+    elif axis is PauliAxis.X:
+        col = t.z[rows, w]
+    else:
+        col = t.x[rows, w] ^ t.z[rows, w]
+    return ((col >> b) & _ONE).astype(bool)
+
+
+def _collapse(t: Tableau, q: int, axis: PauliAxis, anticommutes: np.ndarray, k: int,
+              bit: int = 1) -> np.ndarray:
+    """A random measurement of the Pauli ``axis`` on qubit q, whose
+    :func:`_anticommuting` column ``anticommutes`` flags some stabilizer.
+
+    The first such stabilizer becomes the destabilizer and the measured
+    Pauli its row.  Returns the outcome's form: ``bit`` times variable
+    ``k``, a run's k-th coin, or the constant bit ``bit`` for k = 0.
+    """
+    n = t.n
+    p = n + int(anticommutes[n:].argmax())
+    rows = np.flatnonzero(anticommutes)
+    rows = rows[rows != p]
+    if rows.size:
+        _rowsum_many(t, rows, p)
+    t.x[p - n] = t.x[p]
+    t.z[p - n] = t.z[p]
+    t.r[p - n] = t.r[p]
+    t.x[p] = 0
+    t.z[p] = 0
+    w, b = q >> 6, np.uint64(q & 63)
+    if axis is not PauliAxis.Z:
+        t.x[p, w] = _ONE << b
+    if axis is not PauliAxis.X:
+        t.z[p, w] = _ONE << b
+    t.r[p] = 0
+    t.r[p, k >> 6] = bit << (k & 63)
+    return t.r[p].copy()
+
+
 def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
     """Measure the Pauli ``axis`` on qubit q.
 
     Returns ``(outcome, random)``: the outcome's form (value 0 records
-    the +1 outcome) and whether it was a fair coin.  A random outcome is
-    ``bit`` times variable ``k``: a run's k-th coin, or the constant bit
-    ``bit`` for k = 0.  A row anticommutes with X_q where its z bit is
-    set, with Z_q where its x bit is, and with Y_q where they differ.
+    the +1 outcome) and whether it was a fair coin, a random outcome
+    being :func:`_collapse`'s.
+    """
+    anticommutes = _anticommuting(t, q, axis)
+    if anticommutes[t.n:].any():
+        return _collapse(t, q, axis, anticommutes, k, bit), True
+    return _determined(t, [(q, axis)])[0], False
+
+
+# A run of J determined measurements that flag |U| stabilizer rows is one
+# product when J >= _PRODUCT_RUN and _PRODUCT_RUN * J >= |U|, and one
+# prefix pass per measurement otherwise.  The product costs about 0.2 ms
+# whatever its size, against about 0.04 ms per prefix pass plus the
+# pass's rows.
+_PRODUCT_RUN = 8
+
+
+def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
+    """The outcome forms of determined measurements ``meas``, ``(qubit,
+    axis)`` pairs that no stabilizer anticommutes with, as ``(J, F)``.
+
+    Such a measurement leaves the tableau as it is, so a run of them reads
+    one tableau: each outcome is the sign of the product of the stabilizer
+    rows its destabilizers flag (:func:`_flags`).  A run long against the
+    rows it flags is one GF(2) product (:func:`_by_product`), a short one
+    a prefix pass per measurement (:func:`_by_prefix`).
+    """
+    if len(meas) >= _PRODUCT_RUN:
+        flags = _flags(t, meas)
+        used = int(np.bitwise_count(np.bitwise_or.reduce(flags, axis=0)).sum())
+        if _PRODUCT_RUN * len(meas) >= used:
+            return _by_product(t, meas, flags)
+    return _by_prefix(t, meas)
+
+
+def _flags(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
+    """Which destabilizers anticommute with each measured Pauli, as a
+    ``(J, ceil(n / 8))`` byte matrix, destabilizer i at bit ``i & 7`` of
+    byte ``i >> 3``.  Destabilizer i flags stabilizer row ``n + i``."""
+    n = t.n
+    qs = np.array([q for q, _ in meas], dtype=np.int64)
+    on_y = np.array([a is PauliAxis.Y for _, a in meas])  # Y reads x ^ z
+    # the byte columns the qubits lie in, as rows over the destabilizers:
+    # x bytes, then z bytes; Z reads the x byte, X the z byte
+    columns, at = np.unique((qs >> 3) ^ _BYTE, return_inverse=True)
+    cols = np.vstack((t.x[:n].view(np.uint8)[:, columns].T, t.z[:n].view(np.uint8)[:, columns].T))
+    rows = at + len(columns) * np.array([a is PauliAxis.X for _, a in meas])
+    shifts = (qs & 7).astype(np.uint8)[:, None]
+    out = np.empty((len(meas), (n + 7) >> 3), dtype=np.uint8)
+    step = max(1, _BLOCK_BYTES // n)
+    for j in range(0, len(meas), step):
+        s = slice(j, j + step)
+        bits = cols[rows[s]]
+        y = on_y[s]
+        bits[y] ^= cols[len(columns) + at[s][y]]
+        out[s] = np.packbits((bits >> shifts[s]) & 1, axis=1, bitorder="little")
+    return out
+
+
+def _by_prefix(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
+    """:func:`_determined`'s forms, one measurement at a time.
+
+    Row k multiplies onto the product Q of the flagged rows before it,
+    whose x words are their exclusive prefix-XOR.  A row (x, z) stands
+    for i^|x & z| X^x Z^z, so that step's exponent of i is
+    |x_k & z_k| + |x_Q & z_Q| + 2 |z_k & x_Q| - |x_Q' & z_Q'|, Q' being
+    the new product; over all steps the Q terms telescope to minus the
+    final product's.  The rows commute, so the sum g is even: the sign is
+    the XOR of the rows' forms, its constant flipped when g % 4 == 2.  A
+    lone flagged row is the measured Pauli itself, and its form the
+    outcome.
     """
     n = t.n
-    w, b = q >> 6, np.uint64(q & 63)
-    if axis is PauliAxis.Z:
-        col = t.x[:, w]
-    elif axis is PauliAxis.X:
-        col = t.z[:, w]
-    else:
-        col = t.x[:, w] ^ t.z[:, w]
-    anticommutes = ((col >> b) & _ONE).astype(bool)
-    anti = np.flatnonzero(anticommutes[n:])
-    if anti.size:
-        # Some stabilizer anticommutes with the Pauli: a fair coin.  The
-        # first one becomes the destabilizer, the measured Pauli its row.
-        p = n + int(anti[0])
-        rows = np.flatnonzero(anticommutes)
-        rows = rows[rows != p]
-        if rows.size:
-            _rowsum_many(t, rows, p)
-        t.x[p - n] = t.x[p]
-        t.z[p - n] = t.z[p]
-        t.r[p - n] = t.r[p]
-        t.x[p] = 0
-        t.z[p] = 0
-        if axis is not PauliAxis.Z:
-            t.x[p, w] = _ONE << b
-        if axis is not PauliAxis.X:
-            t.z[p, w] = _ONE << b
-        t.r[p] = 0
-        t.r[p, k >> 6] = bit << (k & 63)
-        return t.r[p].copy(), True
-    # Determined: the sign of the product of the stabilizer rows the
-    # destabilizers flag.  Row k multiplies onto the product Q of the rows
-    # before it, whose x words are their exclusive prefix-XOR.  A row
-    # (x, z) stands for i^|x & z| X^x Z^z, so that step's exponent of i is
-    # |x_k & z_k| + |x_Q & z_Q| + 2 |z_k & x_Q| - |x_Q' & z_Q'|, Q' being
-    # the new product; over all steps the Q terms telescope to minus the
-    # final product's.  The rows commute, so the sum g is even: the sign
-    # is the XOR of the rows' forms, its constant flipped when g % 4 == 2.
-    rows = n + np.flatnonzero(anticommutes[:n])
-    xs, zs = t.x[rows], t.z[rows]
-    prefix = np.bitwise_xor.accumulate(xs, axis=0)
-    x_q = prefix ^ xs
-    last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
-    g = (int(np.bitwise_count(xs & zs).sum()) + 2 * int(np.bitwise_count(zs & x_q).sum())
-         - int(np.bitwise_count(last).sum()))
-    # The forms' XOR is read off an accumulate: numpy reduces a few words
-    # per row down axis 0 about half as fast.
-    outcome = np.bitwise_xor.accumulate(t.r[rows], axis=0)[-1]
-    outcome[0] ^= (g & 3) == 2
-    return outcome, False
+    out = np.empty((len(meas), t.r.shape[1]), dtype=np.uint64)
+    for j, (q, axis) in enumerate(meas):
+        rows = n + np.flatnonzero(_anticommuting(t, q, axis, slice(n)))
+        if len(rows) == 1:
+            out[j] = t.r[rows[0]]
+            continue
+        xs, zs = t.x[rows], t.z[rows]
+        prefix = np.bitwise_xor.accumulate(xs, axis=0)
+        x_q = prefix ^ xs
+        last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
+        g = (int(np.bitwise_count(xs & zs).sum()) + 2 * int(np.bitwise_count(zs & x_q).sum())
+             - int(np.bitwise_count(last).sum()))
+        # The forms' XOR is read off an accumulate: numpy reduces a few
+        # words per row down axis 0 about half as fast.
+        out[j] = np.bitwise_xor.accumulate(t.r[rows], axis=0)[-1]
+        out[j, 0] ^= (g & 3) == 2
+    return out
+
+
+def _bits(packed: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of each row of little-endian bytes, as
+    float32 0/1."""
+    return np.unpackbits(packed, axis=1, count=count, bitorder="little").astype(np.float32)
+
+
+def _odd(sums: np.ndarray) -> np.ndarray:
+    """Integer-valued float32 sums mod 2, as uint8 (a float remainder is
+    about a hundred times slower)."""
+    return (sums.astype(np.int32) & 1).astype(np.uint8)
+
+
+def _row_bytes(words: np.ndarray) -> np.ndarray:
+    """Rows of uint64 words as their little-endian bytes, bit v of a row
+    at bit ``v & 7`` of byte ``v >> 3``."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _by_product(t: Tableau, meas: list[tuple[int, PauliAxis]], flags: np.ndarray) -> np.ndarray:
+    """:func:`_determined`'s forms as one GF(2) product for the whole run.
+
+    Let U be the stabilizer rows that some measurement flags and D the
+    ``J x |U|`` flags.  The forms are ``D R_U`` over GF(2), R_U being the
+    rows' forms, taken on the byte columns that hold a live variable.
+    Multiplying the flagged rows in order, the exponent of i is
+    ``g = D |x & z| + 2 diag(D L D^T) - [axis is Y]``: the terms of
+    :func:`_by_prefix`, where L is the strictly lower-triangular part of
+    ``Z_U X_U^T`` mod 2 (:func:`_cross_parity`) and the product of the
+    flagged rows is the measured Pauli, whose |x & z| is 1 for Y only.
+    The constant flips where ``g % 4 == 2``.  Products are float32 over
+    0/1 matrices, exact below 2^24 rows, in tiles of at most
+    ``_BLOCK_BYTES`` bytes.
+    """
+    n, count = t.n, len(meas)
+    used = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(flags, axis=0), count=n,
+                                        bitorder="little"))
+    u = len(used)
+    d = np.empty((count, (u + 7) >> 3), dtype=np.uint8)  # D, packed along U
+    step = max(1, _BLOCK_BYTES // n)
+    for j in range(0, count, step):
+        d[j : j + step] = np.packbits(
+            np.unpackbits(flags[j : j + step], axis=1, count=n, bitorder="little")[:, used],
+            axis=1, bitorder="little")
+    rows = n + used
+    x, z, r = t.x[rows], t.z[rows], _row_bytes(t.r[rows])
+    live = np.flatnonzero(r.any(axis=0))
+    r = r[:, live]
+    weights = (np.bitwise_count(x & z).sum(axis=1) & 3).astype(np.float32)  # |x & z| mod 4
+    out = np.zeros((count, 8 * t.r.shape[1]), dtype=np.uint8)
+    g = np.empty(count, dtype=np.int64)
+    per = max(1, _BLOCK_BYTES // (32 * u))  # live bytes in one tile of R_U
+    step = max(1, _BLOCK_BYTES // (4 * max(u, 8 * min(per, len(live)))))
+    for j in range(0, count, step):
+        dj = _bits(d[j : j + step], u)
+        g[j : j + step] = dj @ weights
+        for c in range(0, len(live), per):
+            sums = dj @ _bits(r[:, c : c + per], 8 * len(live[c : c + per]))
+            out[j : j + step, live[c : c + per]] = np.packbits(
+                _odd(sums), axis=1, bitorder="little")
+    y = np.array([a is PauliAxis.Y for _, a in meas])
+    g += 2 * _cross_parity(x, z, d) - y
+    forms = out.view("<u8").astype(np.uint64)
+    forms[:, 0] ^= ((g & 3) == 2).astype(np.uint64)
+    return forms
+
+
+def _cross_parity(x: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``diag(D L D^T)`` mod 2 for :func:`_by_product`: for each row of D,
+    the parity of ``|z_k & x_l|`` summed over pairs l < k of rows it
+    flags.
+
+    L is built a tile at a time over blocks of rows, and a tile only over
+    the qubits where block k's rows carry a Z bit and block l's an X bit;
+    a tile with none is zero and skipped.  For GHZ measured in Z or X
+    every tile is.
+    """
+    u, count = len(x), len(d)
+    size = max(8, (_BLOCK_BYTES // (256 * x.shape[1])) & ~7)  # rows whose bits fill a block
+    starts = range(0, u, size)
+    xb, zb = _row_bytes(x), _row_bytes(z)
+    or_x = [np.bitwise_or.reduce(xb[s : s + size], axis=0) for s in starts]
+    or_z = [np.bitwise_or.reduce(zb[s : s + size], axis=0) for s in starts]
+    step = max(1, _BLOCK_BYTES // (4 * size))
+    parity = np.zeros(count, dtype=np.int64)
+    for a, k in enumerate(starts):
+        for b, l in enumerate(starts[: a + 1]):
+            both = or_z[a] & or_x[b]
+            if not both.any():
+                continue
+            qubits = np.flatnonzero(np.unpackbits(both, bitorder="little"))
+            zk = np.unpackbits(zb[k : k + size], axis=1, bitorder="little")[:, qubits]
+            xl = np.unpackbits(xb[l : l + size], axis=1, bitorder="little")[:, qubits]
+            tile = _odd(zk.astype(np.float32) @ xl.T.astype(np.float32)).astype(np.float32)
+            if a == b:
+                tile = np.tril(tile, -1)
+            if not tile.any():
+                continue
+            kn, ln = len(zk), len(xl)
+            for j in range(0, count, step):
+                dk = _bits(d[j : j + step, k >> 3 : (k + kn + 7) >> 3], kn)
+                dl = _bits(d[j : j + step, l >> 3 : (l + ln + 7) >> 3], ln)
+                parity[j : j + step] += ((dk @ tile) * dl).sum(axis=1).astype(np.int64)
+    return parity & 1
 
 
 @dataclass(frozen=True)
@@ -480,16 +675,11 @@ def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=len(forms))
 
 
-def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray) -> list[_Group]:
-    """Apply one op to every group, conditioned ops as :func:`run`
-    describes; returns the groups after it.  A measurement's random
-    outcome is variable ``k``.  A conditioned H, R or CNOT evaluates its
-    condition at the coin bytes of every shot, ``coins``; nothing else
-    reads them.  A conditioned identity does nothing."""
-    if isinstance(op, Measure):  # oracles cannot reach here (Clifford walk)
-        for t, cb, _ in groups:
-            cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, k)
-        return groups
+def _step(groups: list[_Group], op: GateApp, coins: np.ndarray) -> list[_Group]:
+    """Apply one gate to every group, conditioned gates as :func:`run`
+    describes; returns the groups after it.  A conditioned H, R or CNOT
+    evaluates its condition at the coin bytes of every shot, ``coins``;
+    nothing else reads them.  A conditioned identity does nothing."""
     if op.condition is None:
         for t, _, _ in groups:
             _apply_gates(t, (op,))
@@ -514,6 +704,17 @@ def _step(groups: list[_Group], op: CircuitOp, k: int, coins: np.ndarray) -> lis
             split.append((hot, cb.copy(), idx[mask]))
             split.append((t, cb, idx[~mask]))
     return split
+
+
+def _flush(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis, int]]) -> None:
+    """Write a group's pending determined outcomes ``(qubit, axis, dest)``
+    into its bits ``cb`` in program order, so that a later write to a bit
+    wins, and empty ``pending``."""
+    if pending:
+        forms = _determined(t, [(q, axis) for q, axis, _ in pending])
+        for (_, _, dest), form in zip(pending, forms):
+            cb[dest] = form
+        pending.clear()
 
 
 def _segments(ops) -> list[tuple[tuple[GateApp, ...], CircuitOp | None]]:
@@ -541,9 +742,14 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     One pass over the circuit, whatever ``shots`` is, keeps every sign
     and classical bit as a form over the coins.  Unconditioned gates
     between two barriers are applied together on bit columns
-    (:func:`_apply_gates`).  A classically conditioned X, Y or Z XORs its
-    condition's form into the signs it flips, a conditioned identity does
-    nothing, and a conditioned H, R or CNOT splits the shots into
+    (:func:`_apply_gates`).  Each measurement is classified by one
+    column test: a random one updates the rows at once
+    (:func:`_collapse`), and a determined one joins its group's pending
+    run, evaluated whole (:func:`_determined`) when a random measurement,
+    a gate, a conditioned op or the end of the circuit closes it.  A
+    classically conditioned X, Y or Z XORs its condition's form into the
+    signs it flips, a conditioned identity does nothing, and a
+    conditioned H, R or CNOT splits the shots into
     groups by the condition's value, since shots that took different
     branches no longer share structure.  Shot ``i`` draws from its own
     Philox counter block exactly as in the dense backend; every shot's
@@ -566,14 +772,31 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
          np.arange(shots))
     ]
+    # Each group's pending run of determined measurements, (qubit, axis,
+    # dest): they leave the tableau as it is, so a run is evaluated at once
+    # when a random measurement, a gate, a conditioned op or the end of the
+    # circuit closes it.
+    runs: list[list[tuple[int, PauliAxis, int]]] = [[]]
     k = 0
     for gates, op in segments:
+        if gates or not isinstance(op, Measure):
+            for (t, cb, _), pending in zip(groups, runs):
+                _flush(t, cb, pending)
         if gates:
             for t, _, _ in groups:
                 _apply_gates(t, gates)
-        if op is not None:
-            k += isinstance(op, Measure)
-            groups = _step(groups, op, k, coins)
+        if isinstance(op, Measure):
+            k += 1
+            for (t, cb, _), pending in zip(groups, runs):
+                anticommutes = _anticommuting(t, op.qubit, op.axis)
+                if anticommutes[n:].any():
+                    _flush(t, cb, pending)
+                    cb[op.dest] = _collapse(t, op.qubit, op.axis, anticommutes, k)
+                else:
+                    pending.append((op.qubit, op.axis, op.dest))
+        elif op is not None:
+            groups = _step(groups, op, coins)
+            runs = [[] for _ in groups]
 
     final: Tableau | None = None
     if keep_final_state:

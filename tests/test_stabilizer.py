@@ -27,7 +27,12 @@ from qsim.rng import shot_coin_bytes, shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     TableauMeasurement,
+    _anticommuting,
     _apply_gates,
+    _by_prefix,
+    _by_product,
+    _cross_parity,
+    _flags,
     _measure_axis,
     _step,
     _values,
@@ -327,6 +332,57 @@ def test_one_shot_readout_memory_is_bounded():
     assert sum(res.counts.values()) == 1
     words = (3 * 2 * n + n) * ((n >> 6) + 1)
     assert peak < 2 * 8 * words + 4_000_000
+
+
+def _ghz_measured(n, axis):
+    """GHZ-n measured in full along ``axis``, the state rotated there first
+    (H on every qubit for X, then R for Y): one coin, then a run of n - 1
+    determined outcomes."""
+    ops = list(ghz(n).ops)
+    if axis is not PauliAxis.Z:
+        ops += [GateApp(GateKind.H, (q,)) for q in range(n)]
+    if axis is PauliAxis.Y:
+        ops += [GateApp(GateKind.R, (q,)) for q in range(n)]
+    ops += [Measure(q, axis, q) for q in range(n)]
+    return Circuit(n, n, tuple(ops))
+
+
+def test_determined_run_memory_is_bounded():
+    # GHZ-2000 along Y at one shot: after the first coin, 1999 determined
+    # outcomes whose flagged rows carry an X and a Z bit on every qubit,
+    # so the product reads the 1999 x 2000 flags, L (2000 x 2000) and the
+    # rows' bits.  It reads them a bounded tile at a time; whole, they
+    # peaked at 91 MiB.  The bound is about 1.5 times the peak before the
+    # product existed (10.3 MiB in a fresh process, in the H and R layers).
+    n = 2000
+    res, peak = _traced_run(_ghz_measured(n, PauliAxis.Y), 1)
+    assert set(res.counts) <= {"0" * n, "1" * n} and sum(res.counts.values()) == 1
+    assert peak < 15 * 2**20
+
+
+def test_a_run_of_determined_outcomes_is_one_product(monkeypatch):
+    # One GF(2) product answers every determined outcome of a GHZ-n
+    # measured in full.  A measurement closed by a gate is a run of one,
+    # which takes the prefix pass.
+    calls = []
+    product = stabilizer._by_product
+
+    def counting(t, meas, flags):
+        calls.append(len(meas))
+        return product(t, meas, flags)
+
+    monkeypatch.setattr(stabilizer, "_by_product", counting)
+    n = 100
+    for axis in PauliAxis:
+        calls.clear()
+        res = run(_ghz_measured(n, axis), 1, seed=4)
+        assert calls == [n - 1] and set(res.counts) <= {"0" * n, "1" * n}
+    calls.clear()
+    ops = list(ghz(n).ops)
+    for q in range(n):
+        ops += [Measure(q, PauliAxis.Z, q), GateApp(GateKind.Z, (q,))]
+    res = run(Circuit(n, n, tuple(ops)), 16, seed=4)
+    assert calls == [] and set(res.counts) == {"0" * n, "1" * n}
 
 
 @pytest.mark.parametrize("table_words, block_words", [(256, 1), (3 * 256 * 3, 7)])
@@ -643,26 +699,56 @@ def _constant_flip_circuit():
     return Circuit(3, 4, ops)
 
 
+def _y_phase_ops():
+    """Gates after which Y on qubit 64 is determined and its flagged rows
+    multiply with a phase sum of 2 mod 4: the product's own Y term then
+    decides the outcome."""
+    h = lambda q: GateApp(GateKind.H, (q,))
+    r = lambda q: GateApp(GateKind.R, (q,))
+    cx = lambda p, q: GateApp(GateKind.CNOT, (p, q))
+    return [h(64), r(64), cx(129, 5), cx(5, 64), h(129), r(129), cx(129, 5), h(129),
+            Measure(64, PauliAxis.Y, 0)]
+
+
 def _after_64_determined(c):
     """``c`` after 64 determined Z measurements of qubit 0, so that its
     own coins are variables in the second word of every form."""
     return Circuit(c.n_qubits, c.n_cbits, (Measure(0, PauliAxis.Z, 0),) * 64 + c.ops)
 
 
+def _rewritten_bit():
+    """GHZ-130 measured along Z, an X on qubit 7, then one run of 40
+    determined outcomes: qubit 7 twice into bit 0, 37 qubits into their
+    own bits again, and last qubit 3 into bit 0, which must win."""
+    c = _ghz_measured(130, PauliAxis.Z)
+    ops = [GateApp(GateKind.X, (7,))] + [Measure(7, PauliAxis.Z, 0)] * 2
+    ops += [Measure(q, PauliAxis.Z, q) for q in range(10, 47)] + [Measure(3, PauliAxis.Z, 0)]
+    return Circuit(130, 130, c.ops + tuple(ops))
+
+
 @settings(max_examples=60, deadline=None)
 @example(circuit=_phase_circuit(), shots=16, seed=3)
 @example(circuit=_after_64_determined(_phase_circuit()), shots=16, seed=3)
 @example(circuit=_after_64_determined(_constant_flip_circuit()), shots=16, seed=3)
+@example(circuit=_ghz_measured(130, PauliAxis.Z), shots=8, seed=5)
+@example(circuit=_ghz_measured(130, PauliAxis.X), shots=8, seed=5)
+@example(circuit=_ghz_measured(130, PauliAxis.Y), shots=8, seed=5)
+@example(circuit=_after_64_determined(_ghz_measured(130, PauliAxis.Y)), shots=8, seed=5)
+@example(circuit=_rewritten_bit(), shots=8, seed=5)
+@example(circuit=Circuit(130, 1, tuple(_y_phase_ops()) + (Measure(64, PauliAxis.Y, 0),) * 7),
+         shots=4, seed=5)
 @given(
     circuit=clifford_feedback_circuits(),
     shots=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
-    # _step keeps signs and bits as forms over the coins; the reference
-    # keeps one sign column per shot and bits as (shots, m), and
-    # thresholds the uniforms itself.  Every form evaluated at each
-    # shot's coins must give that shot's reference bit.
+    # _step and _measure_axis keep signs and bits as forms over the coins;
+    # the reference keeps one sign column per shot and bits as (shots, m),
+    # and thresholds the uniforms itself.  Every form evaluated at each
+    # shot's coins must give that shot's reference bit.  Here each op is
+    # applied alone; run, checked last, answers each run of determined
+    # measurements at once, the GHZ examples with one product.
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
     uniforms, coins = shot_uniforms(seed, shots, n_meas), shot_coin_bytes(seed, shots, n_meas)
@@ -675,7 +761,11 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
         if isinstance(op, Measure):
             u = uniforms[:, mi]
             mi += 1
-        groups, ref = _step(groups, op, mi, coins), ref_step(ref, op, u)
+            for t, cb, _ in groups:
+                cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, mi)
+        else:
+            groups = _step(groups, op, coins)
+        ref = ref_step(ref, op, u)
         assert len(groups) == len(ref)
         for (t, cb, idx), (rt, rcb, ridx) in zip(groups, ref):
             assert np.array_equal(idx, ridx)
@@ -857,17 +947,6 @@ def measured_cliffords(draw):
     return n, ops
 
 
-def _y_phase_ops():
-    """Gates after which Y on qubit 64 is determined and its flagged rows
-    multiply with a phase sum of 2 mod 4: the product's own Y term then
-    decides the outcome."""
-    h = lambda q: GateApp(GateKind.H, (q,))
-    r = lambda q: GateApp(GateKind.R, (q,))
-    cx = lambda p, q: GateApp(GateKind.CNOT, (p, q))
-    return [h(64), r(64), cx(129, 5), cx(5, 64), h(129), r(129), cx(129, 5), h(129),
-            Measure(64, PauliAxis.Y, 0)]
-
-
 @settings(max_examples=80, deadline=None)
 @example(case=(130, [(op, None) for op in _phase_circuit().ops]), seed=0)
 @example(case=(130, [(op, None) for op in _y_phase_ops()]), seed=0)
@@ -923,9 +1002,9 @@ def _odd_phase_rows(n, ops, seed):
 @settings(max_examples=80, deadline=None)
 @given(case=measured_cliffords(), seed=st.integers(0, 2**32 - 1))
 def test_rowsum_many_gets_an_odd_phase_only_on_the_overwritten_row(case, seed):
-    # _rowsum_many sets no sign where g is odd: of the rows _measure_axis
+    # _rowsum_many sets no sign where g is odd: of the rows _collapse
     # passes it, only destabilizer p - n can anticommute with row p, and
-    # _measure_axis overwrites that row right after
+    # _collapse overwrites that row right after
     _odd_phase_rows(*case, seed)
 
 
@@ -958,3 +1037,119 @@ def test_phase_examples_reach_phase_two(ops):
     pz = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
     assert int(_g_sum(xs, zs, px, pz).sum()) % 4 == 2
     assert measure_pauli(t, last.qubit, last.axis, rng).p_plus in (0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# A run of determined measurements: the GF(2) product against the prefix
+# pass, on the same tableau.
+
+
+@st.composite
+def determined_runs(draw):
+    """A tableau on 1-130 qubits with coin forms, and a run of 1-40
+    determined measurements on it, repeats allowed.
+
+    A GHZ state on 1-40 qubits spread over the register is turned by
+    local H and R gates, so that its equal outcomes lie along X, Y or Z
+    qubit by qubit.  Clifford gates and X/Y/Z measurements among those
+    qubits follow, each measurement drawing a coin (its own variable),
+    and a last measurement collapses what is left.  Last, random pairs of
+    generators are multiplied, stabilizer i by stabilizer j and
+    destabilizer j by destabilizer i, which keeps the state and the
+    tableau's pairing but leaves generators with X and Z bits all over.
+    The run is drawn from every (qubit, axis) that no stabilizer then
+    anticommutes with: the product of up to 130 flagged rows, their forms
+    carrying the coins."""
+    n = draw(st.integers(1, 130))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 40), unique=True))
+    gates = [GateApp(GateKind.H, (active[0],))]
+    gates += [GateApp(GateKind.CNOT, pair) for pair in zip(active, active[1:])]
+    for q in active:
+        gates += [GateApp(kind, (q,)) for kind in
+                  draw(st.lists(st.sampled_from([GateKind.H, GateKind.R]), max_size=3))]
+    steps = draw(st.lists(st.tuples(st.sampled_from(_CLIFFORD_KINDS + [None]),
+                                    st.sampled_from(active), st.sampled_from(active),
+                                    st.sampled_from(PauliAxis)), max_size=12))
+    t = init_tableau(n, len(steps) + 1)
+    _apply_gates(t, gates)
+    for k, (kind, a, b, axis) in enumerate(steps, start=1):
+        if kind is None:
+            _measure_axis(t, a, axis, k)
+        elif kind is not GateKind.CNOT:
+            _apply_gates(t, [GateApp(kind, (a,))])
+        elif a != b:
+            _apply_gates(t, [GateApp(kind, (a, b))])
+    _measure_axis(t, active[-1], draw(st.sampled_from(PauliAxis)), len(steps) + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for i, j in rng.integers(0, n, (draw(st.integers(0, 3 * n)), 2)).tolist():
+        if i != j:
+            stabilizer._rowsum_many(t, np.array([n + i]), n + j)
+            stabilizer._rowsum_many(t, np.array([j]), i)
+    stable = [(q, a) for q in active for a in PauliAxis
+              if not _anticommuting(t, q, a, slice(n, None)).any()]
+    meas = draw(st.lists(st.sampled_from(stable), min_size=1, max_size=40))
+    return t, meas
+
+
+def _ghz_y_run(n):
+    """GHZ-n rotated to Y with its first Y coin drawn, and the Y
+    measurements of the other qubits: their flagged rows carry an X and a
+    Z bit on every qubit, over three words at n = 130."""
+    t = init_tableau(n, 1)
+    _apply_gates(t, [op for op in _ghz_measured(n, PauliAxis.Y).ops if isinstance(op, GateApp)])
+    _measure_axis(t, 0, PauliAxis.Y, 1)
+    return t, [(q, PauliAxis.Y) for q in range(1, n)]
+
+
+def _y_phase_run():
+    """The tableau after :func:`_y_phase_ops`' gates and its Y measurement
+    eight times: flagged rows whose phase sum is 2 mod 4."""
+    t = init_tableau(130)
+    _apply_gates(t, _y_phase_ops()[:-1])
+    return t, [(64, PauliAxis.Y)] * 8
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=_y_phase_run(), block=1 << 20)
+@example(case=_ghz_y_run(130), block=1 << 20)
+@example(case=_ghz_y_run(130), block=512)
+@given(case=determined_runs(), block=st.sampled_from([64, 512, 4096, 1 << 20]))
+def test_product_and_prefix_give_the_same_forms(case, block):
+    # Both branches of _determined, called directly on one tableau, give
+    # the same forms word for word; blocks down to 64 bytes make the
+    # product take its flags, rows, L and R_U in many tiles.
+    t, meas = case
+    before = _copy_of(t)
+    want = _by_prefix(t, meas)
+    saved = stabilizer._BLOCK_BYTES
+    stabilizer._BLOCK_BYTES = block
+    try:
+        got = _by_product(t, meas, _flags(t, meas))
+    finally:
+        stabilizer._BLOCK_BYTES = saved
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    _assert_same(t, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 70), count=st.integers(1, 20), words=st.integers(1, 3),
+       density=st.sampled_from([0.03, 0.5]), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([64, 512, 1 << 20]))
+def test_cross_parity_is_the_pairwise_sum(rows, count, words, density, seed, block):
+    # For each row d of D, the parity of |z_k & x_l| over the pairs l < k
+    # that d flags, on random bits: sparse bits leave most tiles of L
+    # empty, so a tile skipped by mistake shows.
+    rng = np.random.default_rng(seed)
+    bits = lambda shape: rng.random(shape) < density
+    pack = lambda b: np.packbits(b, axis=1, bitorder="little")
+    x, z = (pack(bits((rows, 64 * words))).view("<u8").astype(np.uint64) for _ in range(2))
+    d = bits((count, rows))
+    pairs = np.tril(np.bitwise_count(z[:, None] & x[None, :]).sum(axis=2, dtype=np.int64), -1)
+    want = np.einsum("jk,kl,jl->j", d.astype(np.int64), pairs, d.astype(np.int64)) & 1
+    saved = stabilizer._BLOCK_BYTES
+    stabilizer._BLOCK_BYTES = block
+    try:
+        got = _cross_parity(x, z, pack(d))
+    finally:
+        stabilizer._BLOCK_BYTES = saved
+    assert np.array_equal(got, want)
