@@ -90,19 +90,20 @@ def _render_json(payload: dict) -> str:
     return json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _counts_block(counts: Counts) -> str:
-    """``counts`` as :func:`_render_json` nests it one level down.
+def _counts_rows(counts: Counts) -> memoryview:
+    """The entries of ``counts`` as :func:`_render_json` nests them one
+    level down, as ASCII bytes.
 
     The keys are written from the arrays without a ``str`` per key: each
     entry is one fixed-width byte row (a comma, a newline, four spaces
     and a quote, the key, a quote, a colon and a space, then the count's
     digits zero-padded to the widest count); one boolean mask drops the
-    padding zeros, and the kept bytes, less the first comma, are decoded
-    once.
+    padding zeros, and the kept bytes, less the first comma, are returned
+    as a view.
     """
     n, m = counts.rows.shape
     if n == 0:
-        return "{}"
+        return memoryview(b"")
     width = len(str(counts.tallies.max()))
     quotients = counts.tallies[:, None] // _POWERS_OF_TEN[-width:]
     lines = np.empty((n, m + width + 10), dtype=np.uint8)
@@ -117,30 +118,24 @@ def _counts_block(counts: Counts) -> str:
         flat = lines[keep]
     else:
         flat = lines.ravel()
-    return "{" + str(memoryview(flat)[1:], "ascii") + "\n  }"
+    return memoryview(flat)[1:]
 
 
-def _render_run(result: RunResult) -> str:
-    """A run report, byte-identical to :func:`_render_json` of its fields.
-
-    A :class:`~qsim.result.Counts` histogram is written from its arrays by
-    :func:`_counts_block` into the fixed layout of the five sorted keys;
-    any other mapping goes through :func:`_render_json` whole.
+def _run_pieces(result: RunResult) -> tuple[str, memoryview, str]:
+    """A run report with a :class:`~qsim.result.Counts` histogram,
+    byte-identical to :func:`_render_json` of its fields: the text before
+    the counts' entries, the entries' bytes (:func:`_counts_rows`) and
+    the text after, in the fixed layout of the five sorted keys.
     """
-    if not isinstance(result.counts, Counts):
-        return _render_json({
-            "backend": result.backend,
-            "shots": result.shots,
-            "seed": result.seed,
-            "rng_id": result.rng_id,
-            "counts": result.counts,
-        })
     backend, rng_id, seed, shots = (
         json.dumps(_clean(v)) for v in (result.backend, result.rng_id, result.seed, result.shots)
     )
+    rows = _counts_rows(result.counts)
+    close = "\n  }" if len(rows) else "}"
     return (
-        f'{{\n  "backend": {backend},\n  "counts": {_counts_block(result.counts)},\n'
-        f'  "rng_id": {rng_id},\n  "seed": {seed},\n  "shots": {shots}\n}}\n'
+        f'{{\n  "backend": {backend},\n  "counts": {{',
+        rows,
+        f'{close},\n  "rng_id": {rng_id},\n  "seed": {seed},\n  "shots": {shots}\n}}\n',
     )
 
 
@@ -246,10 +241,25 @@ def write_report(payload, format: str, path: str | None) -> None:
     JSON gets sorted keys and 12-significant-digit floats; CSV the same
     float format — identical inputs give identical bytes.
     """
-    if format == "json" and isinstance(payload, RunResult):
-        text = _render_run(payload)
+    if format == "json" and isinstance(payload, RunResult) and isinstance(payload.counts, Counts):
+        head, rows, tail = _run_pieces(payload)
+        if path is not None:  # the counts' bytes go to the file as they are, never decoded
+            with open(path, "wb") as f:
+                f.write(head.encode("ascii"))
+                f.write(rows)
+                f.write(tail.encode("ascii"))
+            return
+        text = head + str(rows, "ascii") + tail
     elif format == "json":
-        if isinstance(payload, BenchReport):
+        if isinstance(payload, RunResult):
+            payload = {
+                "backend": payload.backend,
+                "shots": payload.shots,
+                "seed": payload.seed,
+                "rng_id": payload.rng_id,
+                "counts": payload.counts,
+            }
+        elif isinstance(payload, BenchReport):
             payload = {
                 "backend": payload.backend,
                 "growth": payload.growth,

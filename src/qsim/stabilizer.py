@@ -28,10 +28,10 @@ are forms too.  A single tableau (:func:`init_tableau` with no coins)
 has constant forms, and its signs are plain bits.
 
 Shots meet only at the ends of :func:`run`: the coins of every shot are
-drawn first as packed bytes (:func:`qsim.rng.shot_coin_bytes`, under the
-same stream discipline as the dense backend), and every classical bit
-is one GF(2) product over them (:func:`_write_keys`), written straight
-into the histogram's key words.  Sign work does not grow with shots,
+drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
+under the same stream discipline as the dense backend), and every
+classical bit is one GF(2) product over them (:func:`_write_keys`),
+written straight into the histogram's key words.  Sign work does not grow with shots,
 and memory grows with shots only by the coin bytes and the keys.
 
 Gates act on bit columns.  Every gate rule reads and writes only the X
@@ -87,7 +87,7 @@ from .circuit import (
     violations,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, shot_coin_bytes
+from .rng import RNG_ID, shot_uniforms
 from .result import RunResult, count_keys, key_words
 from .statevector import PureState
 
@@ -629,7 +629,7 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
     """Write ``forms`` evaluated at the coins of shots ``rows`` into ``keys[rows]``.
 
     ``forms`` is ``(m, F)``, ``coins`` the run's ``(shots, coin_bytes)``
-    coin bytes (:func:`qsim.rng.shot_coin_bytes`) and ``keys`` its
+    coin bytes (``qsim.rng.shot_uniforms(..., coins=True)``) and ``keys`` its
     ``(shots, ceil(m / 64))`` key words, form j at key bit j.  A shot's
     key is the constants' column XOR the key column of every coin it drew
     as 1.  Every coin byte that some form reads gets a table: for each of
@@ -766,7 +766,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    coins = shot_coin_bytes(seed, shots, n_meas)
+    coins = shot_uniforms(seed, shots, n_meas, coins=True)
 
     groups: list[_Group] = [
         (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),

@@ -1,6 +1,8 @@
 """The shared histogram helper against a per-row Counter, and the run
 report written from its arrays against ``json.dumps``."""
 
+import contextlib
+import io
 import json
 from collections import Counter
 
@@ -93,6 +95,11 @@ def test_counts_report_and_mapping(parts, backend, shots, seed, tmp_path_factory
     payload = {"backend": backend, "shots": shots, "seed": seed, "rng_id": "philox4x64-10",
                "counts": want}
     assert out.read_text() == json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
+    # the file gets the counts as bytes, stdout as text: the same report
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        write_report(RunResult(backend, shots, seed, "philox4x64-10", got), "json", None)
+    assert stdout.getvalue() == out.read_text()
 
     assert list(got) == sorted(want)
     assert all(type(c) is int for c in got.values())

@@ -23,7 +23,7 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
-from qsim.rng import shot_coin_bytes, shot_uniforms, stream
+from qsim.rng import shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
     TableauMeasurement,
@@ -751,7 +751,8 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
     # measurements at once, the GHZ examples with one product.
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
-    uniforms, coins = shot_uniforms(seed, shots, n_meas), shot_coin_bytes(seed, shots, n_meas)
+    uniforms = shot_uniforms(seed, shots, n_meas)
+    coins = shot_uniforms(seed, shots, n_meas, coins=True)
     forms = (n_meas >> 6) + 1
     groups = [(init_tableau(n, n_meas), np.zeros((m, forms), dtype=np.uint64), np.arange(shots))]
     ref = [(ref_init(n, shots), np.zeros((shots, m), dtype=np.uint8), np.arange(shots))]
