@@ -669,10 +669,16 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
 
 
 def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
-    """``forms`` evaluated at each row of coin bytes, as ``(shots, m)`` bits."""
-    keys = np.empty((len(coins), (len(forms) + 63) >> 6), dtype=np.uint64)
-    _write_keys(forms, coins, np.arange(len(coins)), keys)
-    return np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=len(forms))
+    """``forms`` evaluated at each row of coin bytes, as ``(shots, m)`` bits:
+    a form's constant XOR the parity of its coin bits (shifted down one,
+    coin k at bit k, as :func:`_write_keys` reads them) AND the coins."""
+    words = forms >> _ONE
+    words[:, :-1] |= forms[:, 1:] << np.uint64(63)
+    reads = words.astype("<u8", copy=False).view(np.uint8)[:, : coins.shape[1]]
+    acc = np.zeros((len(coins), len(forms)), dtype=np.uint8)
+    for b in np.flatnonzero(reads.any(axis=0)).tolist():
+        acc ^= coins[:, b, None] & reads[:, b]
+    return (np.bitwise_count(acc) & 1) ^ (forms[:, 0] & _ONE).astype(np.uint8)
 
 
 def _step(groups: list[_Group], op: GateApp, coins: np.ndarray) -> list[_Group]:

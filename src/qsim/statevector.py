@@ -38,9 +38,9 @@ control, an oracle, or an X or Y measurement).  Qubits never measured
 stay live.  Every nonzero amplitude is bit-identical to evolving full
 2^n-amplitude rows.  Shot ``i`` draws its measurement randomness from
 the Philox counter block reserved for shot ``i`` (see :mod:`qsim.rng`),
-so a fixed seed gives the same counts (see :func:`run` for the one
-rounding caveat).  Histogram keys are classical-bit strings, bit 0
-first, with ``0`` recording the +1 outcome.
+so a fixed seed gives the same counts, whatever the batch.  Histogram
+keys are classical-bit strings, bit 0 first, with ``0`` recording the
++1 outcome.
 """
 
 from __future__ import annotations
@@ -315,6 +315,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D temporary ``x`` (overwritten) summed term by term
+    in index order: ``sum`` adds Fortran-ordered rows so, a lone row pairwise."""
+    if len(x) == 1:
+        return np.cumsum(x, axis=-1, out=x)[:, -1]
+    return np.asfortranarray(x).sum(axis=-1)
+
+
 def _expectation(
     amps: np.ndarray, n: int, q: int, obs: np.ndarray, order: str = "F"
 ) -> np.ndarray:
@@ -323,10 +331,10 @@ def _expectation(
     v = _split(amps, n, q)
     a0, a1 = v[..., 0, :], v[..., 1, :]
     n0, n1 = _norms(a0), _norms(a1)
-    # In ``order="F"`` rows are the fastest axis of ``per_pair``, so ``sum``
-    # adds a batch row's pairs one after another in basis-index order and a
-    # single row's pairwise; ``run``'s ``p_plus`` is reproducible only in
-    # this order.  ``order="C"`` sums every row pairwise, as a single row.
+    # ``order="F"`` sums each row of a batch in order (``_row_sums``), so a
+    # row's ``p_plus`` in ``run`` does not depend on the rows beside it, and
+    # zero pairs left out of it change no bit.  A 1-D state, and every row
+    # in ``order="C"``, is summed pairwise.
     per_pair = np.empty(amps.shape[:-1] + (1 << (n - 1),), order=order)
     out = per_pair.reshape(n0.shape)
     if _is_z(obs):
@@ -337,7 +345,7 @@ def _expectation(
             2.0 * (np.conj(a0) * a1 * obs[0, 1]).real,
             out=out,
         )
-    return per_pair.sum(axis=-1)
+    return _row_sums(per_pair) if order == "F" and per_pair.ndim == 2 else per_pair.sum(axis=-1)
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, obs: np.ndarray, outcome, p) -> None:
@@ -638,14 +646,11 @@ class _Histories:
         if not z and q not in self.at:
             self._insert(q)
         j, k = self.at.get(q), len(self.live)
-        if len(self.amps) == 1 and k < self.n:
-            # one row sums its pairs pairwise, so it sums over the full vector
-            e = _expectation(self.state(0)[None], self.n, q, obs)
-        elif j is not None:
+        if j is not None:
             e = _expectation(self.amps, k, j, obs)
         else:
-            # the same sequential sum of every row's pairs, signed by its bit
-            e = np.asfortranarray(_norms(self.amps)).sum(axis=-1)
+            # the same sum of every row's pairs, in order, signed by its bit
+            e = _row_sums(_norms(self.amps))
             e[self._bit(q) == 1] *= -1.0
         p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
         # A shot's new history is (row, outcome); number them in that order.
@@ -688,14 +693,11 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     leaves the amplitude array until a gate needs it in superposition
     again (see :class:`_Histories`); a qubit never measured stays in it.
 
-    Shot ``i`` draws from its own counter block, so a fixed seed gives
-    the same counts however the shots are grouped or chunked, with one
-    caveat: a batch of one row sums ``<O>`` pairwise, and a batch of
-    several rows sums each row's pairs in order (see
-    :func:`_expectation`).  The two sums may differ in the last bit, so
-    the counts agree unless a shot's uniform lands within that ulp of
-    its ``p_plus``.  ``keep_final_state`` returns the state of shot
-    ``shots - 1``.
+    Shot ``i`` draws from its own counter block, and every row sums
+    ``<O>`` in the same order however many rows share its batch (see
+    :func:`_expectation`), so a fixed seed gives the same counts however
+    the shots are grouped or chunked.  ``keep_final_state`` returns the
+    state of shot ``shots - 1``.
     """
     bad = violations(circuit)
     if bad:
@@ -710,7 +712,6 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     uniforms = shot_uniforms(seed, shots, n_meas)
     chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    final_state: PureState | None = None
 
     for start in range(0, shots, chunk):
         u = uniforms[start : start + chunk]
@@ -726,8 +727,6 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
                 group = rows.measure(op, u[:, m], group)
                 m += 1
         parts.append((rows.cbits, np.bincount(group, minlength=len(rows.cbits))))
-        if keep_final_state:
-            final_state = PureState(n, rows.state(group[-1]))
 
     return RunResult(
         backend="sv",
@@ -735,5 +734,5 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         seed=seed,
         rng_id=RNG_ID,
         counts=histogram(parts),
-        final_state=final_state,
+        final_state=PureState(n, rows.state(group[-1])) if keep_final_state else None,
     )

@@ -502,6 +502,22 @@ def test_ghz_measure_all_one_coin_then_determined(axis):
         assert not random and np.array_equal(bits, first)
 
 
+def test_values_read_every_coin_across_words():
+    """Form bit k + 1 is coin k's variable, so coins 63 and 127 sit at bit 0
+    of the next form word; a form is its constant XOR the parity of the
+    coins it reads, bit by bit."""
+    rng = np.random.default_rng(5)
+    forms = np.frombuffer(rng.bytes(6 * 3 * 8), dtype=np.uint64).reshape(6, 3).copy()
+    forms[:, 2] &= np.uint64(7)  # 130 coins: form bits 0..130
+    forms[1] = [0, 1, 0]  # coin 63 alone
+    forms[2] = [1, 0, 1]  # the constant and coin 127
+    coins = np.frombuffer(rng.bytes(20 * 17), dtype=np.uint8).reshape(20, 17)
+    bit = lambda words, k: (int(words[k >> 6]) >> (k & 63)) & 1
+    want = [[bit(f, 0) ^ sum(bit(f, k + 1) & (int(c[k >> 3]) >> (k & 7)) for k in range(130)) & 1
+             for f in forms] for c in coins]
+    assert np.array_equal(_values(forms, coins), want)
+
+
 # ---------------------------------------------------------------------------
 # Differential test: the vectorized sign paths against a sequential
 # Aaronson-Gottesman reference that XORs whole sign matrices, computes

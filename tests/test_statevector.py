@@ -310,6 +310,49 @@ def test_batched_run_matches_unbatched(monkeypatch):
     assert whole.counts == pieces.counts
 
 
+def _scrambled_10() -> tuple:
+    """40 H, S and CNOT gates on 10 qubits, for a state whose sums of <O>
+    round differently pairwise and in order."""
+    ops = []
+    for i in range(40):
+        q = (3 * i + 1) % 10
+        if i % 3 == 2:
+            ops.append(GateApp(GateKind.CNOT, (q, (q + 1 + i % 9) % 10)))
+        else:
+            ops.append(GateApp((GateKind.H, GateKind.S)[i % 3], (q,)))
+    return tuple(ops)
+
+
+def test_a_shots_outcome_does_not_depend_on_its_batch(monkeypatch):
+    """Shot 0's uniform at the second measurement lies strictly between its
+    row's ``p_plus`` summed pairwise and summed in order.  Run alone, the
+    row is its batch's only one; beside the shots that the first
+    measurement sends the other way, it is one of two.  Either way, and in
+    one-shot chunks, shot 0 takes the outcome of the sum in order."""
+    n, ops = 10, _scrambled_10()
+    first, second = Measure(0, PauliAxis.Z, 0), Measure(2, PauliAxis.X, 1)
+    u = np.full((8, 2), 0.99)
+    u[0, 0] = 0.0  # shot 0 gives +1 first (p_plus ~ 0.85), every other shot -1
+    monkeypatch.setattr(sv, "shot_uniforms", lambda seed, shots, n_meas: u[:shots, :n_meas].copy())
+    row = run(Circuit(n, 2, (*ops, first)), 1, seed=0, keep_final_state=True).final_state.amps
+    obs = sv._observable(second.axis)
+    pairwise = 0.5 * (1.0 + ref_expectation(row, n, second.qubit, obs))
+    in_order = 0.5 * (1.0 + ref_expectation(row[None], n, second.qubit, obs)[0])
+    lo, hi = sorted((pairwise, in_order))
+    u[0, 1] = np.nextafter(lo, 1.0)
+    assert lo < u[0, 1] < hi
+    want = "0" + str(int(u[0, 1] >= in_order))
+
+    circuit = Circuit(n, 2, (*ops, first, second))
+    alone = run(circuit, 1, seed=0).counts
+    among = run(circuit, 8, seed=0).counts
+    monkeypatch.setattr(sv, "_BATCH_BYTES", 16 << n)  # one shot per chunk
+    chunked = run(circuit, 8, seed=0).counts
+    shot_0 = [[(k, c) for k, c in counts.items() if k[0] == "0"] for counts in (alone, among, chunked)]
+    assert shot_0 == [[(want, 1)]] * 3
+    assert dict(chunked) == dict(among)
+
+
 @pytest.mark.parametrize(
     "table,want",
     [("00", "1"), ("11", "1"), ("01", "0"), ("10", "0")],
@@ -568,9 +611,10 @@ def _run_or_error(fn, circuit, shots, seed):
 
 def _pairwise_row_circuit() -> Circuit:
     """H, S and CNOT on 8 qubits, then q6 and q7 measured in Z and q7 once
-    more.  Run as one row, that last, determined measurement sums <Z>
-    pairwise over the row's full vector; a sum over its live amplitudes
-    rounds differently here, and the collapse factor 1/sqrt(p) with it."""
+    more.  Run as one row, that last, determined measurement's <Z> rounds
+    differently summed pairwise than summed in order, and the collapse
+    factor 1/sqrt(p) with it: the live row, without q6 and q7, must sum in
+    order as the full vector does."""
     ops = []
     for i in range(40):
         q = (5 * i + 1) % 8
@@ -606,6 +650,20 @@ def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
         want = _run_or_error(full_vector_run, circuit, shots, seed)
     assert (got is None) == (want is None)
     if got is not None:
+        assert got.counts == want.counts
+        assert np.array_equal(got.final_state.amps, want.final_state.amps)
+
+
+def test_fixed_qubit_norms_are_summed_in_order():
+    """Measuring q0 in Z again, once it is fixed, sums each row's norms.
+    One row or several, that sum must run in order, as the full vector's
+    does, or the collapse factor 1/sqrt(p) moves; summed pairwise over the
+    live norms, each run below ends on other amplitudes."""
+    z0 = Measure(0, PauliAxis.Z, 0)
+    circuit = Circuit(10, 2, (*_scrambled_10(), z0, Measure(2, PauliAxis.X, 1), z0))
+    for shots, seed in ((1, 0), (1, 1), (8, 0), (8, 1)):
+        got = run(circuit, shots, seed, keep_final_state=True)
+        want = full_vector_run(circuit, shots, seed, keep_final_state=True)
         assert got.counts == want.counts
         assert np.array_equal(got.final_state.amps, want.final_state.amps)
 
@@ -677,6 +735,8 @@ def ref_expectation(amps, n, q, obs):
         + obs[1, 1].real * (a1.real * a1.real + a1.imag * a1.imag)
         + 2.0 * (np.conj(a0) * a1 * obs[0, 1]).real
     )
+    if per_pair.ndim == 2:  # a batch sums each row term by term, in order
+        return np.cumsum(per_pair, axis=-1)[:, -1]
     return per_pair.sum(axis=-1)
 
 
