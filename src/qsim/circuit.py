@@ -10,6 +10,12 @@ and a sequence of ops.  Three op kinds exist:
 * ``Measure`` — a single-qubit Pauli-basis measurement writing one
   classical bit.
 
+Beside its ops, a circuit has an op table (:class:`OpTable`): the same
+ops as int columns over a flat target array.  Validation, the
+Gottesman-Knill classification and both backends' runs read the table, and
+the text parser builds the table alone; ``ops`` is the public view, built
+from the table when first read.
+
 Conventions fixed here and relied on everywhere else: qubit 0 is the
 leftmost tensor factor, so the basis index of a computational state is
 the big-endian reading of the bit string ``q0 q1 ... q_{n-1}``.
@@ -143,11 +149,154 @@ class Measure:
 CircuitOp = Union[GateApp, OracleApp, Measure]
 
 
+# ---------------------------------------------------------------------------
+# The op table
+
+# An op's code in a circuit's op table: a gate's is its kind's place in
+# GateKind, then come oracles, measurements and, from the API only, any
+# other object.  A measurement axis's code is its place in PauliAxis.
+GATE_KINDS = tuple(GateKind)
+ORACLE, MEASURE, _OTHER = range(len(GATE_KINDS), len(GATE_KINDS) + 3)
+AXES = tuple(PauliAxis)
+_CODES = {k: i for i, k in enumerate(GATE_KINDS)}
+_AXIS_CODES = {a: i for i, a in enumerate(AXES)}
+# qubits by op code: a gate's arity, -1 for an oracle (its function's
+# arity plus one), one measured qubit, and none for any other object
+_ARITIES = np.array([k.arity for k in GATE_KINDS] + [-1, 1, 0])
+_S, _CNOT = _CODES[GateKind.S], _CODES[GateKind.CNOT]
+
+
+def index_column(values) -> np.ndarray:
+    """``values`` as an int64 column, or as Python ints (dtype object)
+    when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class OpTable:
+    """A circuit's ops as columns, one row per op: instructions over a flat
+    target array, as in Stim (Gidney, arXiv:2103.02202).
+
+    ``kind`` holds the op codes, and op i's qubits are ``targets[start[i] :
+    start[i + 1]]``: a gate's targets, the measured qubit, or an oracle's
+    inputs then its output.  ``cond`` is a gate's condition bit, -1 for
+    none (a negative bit b is stored as b - 1); ``axis`` and ``dest`` are a
+    measurement's axis code and bit, -1 for other ops; ``functions`` maps
+    each oracle's index to its function.
+    """
+
+    kind: np.ndarray
+    start: np.ndarray
+    targets: np.ndarray
+    cond: np.ndarray
+    axis: np.ndarray
+    dest: np.ndarray
+    functions: dict[int, BooleanFunction]
+
+    @classmethod
+    def of(cls, ops) -> tuple["OpTable", bool]:
+        """The table of ``ops``, and whether nothing in them can change: a
+        tuple of ops whose qubit sequences are tuples."""
+        kind, targets, cond, axis, dest, functions = [], [], [], [], [], {}
+        start = [0]
+        fixed = type(ops) is tuple
+        for i, op in enumerate(ops):
+            c = a = d = -1
+            if isinstance(op, GateApp):
+                k, qs = _CODES[op.kind], op.targets
+                if op.condition is not None:
+                    c = op.condition if op.condition >= 0 else op.condition - 1
+            elif isinstance(op, Measure):
+                k, qs, a, d = MEASURE, (op.qubit,), _AXIS_CODES.get(op.axis, -1), op.dest
+            elif isinstance(op, OracleApp):
+                k, qs = ORACLE, op.inputs
+                functions[i] = op.function
+            else:
+                k, qs = _OTHER, ()
+            fixed = fixed and type(qs) is tuple
+            kind.append(k)
+            targets += qs
+            if k == ORACLE:
+                targets.append(op.output)
+            start.append(len(targets))
+            cond.append(c)
+            axis.append(a)
+            dest.append(d)
+        table = cls(np.array(kind, dtype=np.uint8), np.array(start, dtype=np.int64),
+                    index_column(targets), index_column(cond), index_column(axis),
+                    index_column(dest), functions)
+        return table, fixed
+
+    def rows(self) -> list[tuple[int, list[int], int, int, int]]:
+        """Each op as a ``(code, qubits, cond, axis, dest)`` row of Python
+        ints, its qubits a list."""
+        targets, start = self.targets.tolist(), self.start.tolist()
+        return list(zip(self.kind.tolist(), (targets[a:b] for a, b in zip(start, start[1:])),
+                        self.cond.tolist(), self.axis.tolist(), self.dest.tolist()))
+
+    def ops(self) -> tuple[CircuitOp, ...]:
+        """The ops of this table, built afresh."""
+        out: list[CircuitOp] = []
+        for i, (k, qs, c, a, d) in enumerate(self.rows()):
+            if k == MEASURE:
+                out.append(Measure(qs[0], AXES[a], d))
+            elif k == ORACLE:
+                out.append(OracleApp(self.functions[i], tuple(qs[:-1]), qs[-1]))
+            else:
+                condition = None if c == -1 else c if c >= 0 else c + 1
+                out.append(GateApp(GATE_KINDS[k], tuple(qs), condition))
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class Circuit:
+    """A qubit count, a classical-bit count and the ops, in program order.
+
+    ``ops`` is the public view.  The rules, the classification and the
+    backends read the circuit's :class:`OpTable` instead (:func:`op_table`).
+    The text parser builds the table alone (:meth:`from_table`), and
+    ``ops`` from it on first access; a circuit built from ops builds its
+    table on first use.  Either, once built, is kept on the instance.
+    """
+
     n_qubits: int
     n_cbits: int
     ops: tuple[CircuitOp, ...]
+
+    @classmethod
+    def from_table(cls, n_qubits: int, n_cbits: int, table: OpTable) -> "Circuit":
+        """The circuit whose ops ``table`` holds; its ``ops`` are built
+        from the table when first read."""
+        circuit = cls.__new__(cls)
+        object.__setattr__(circuit, "n_qubits", n_qubits)
+        object.__setattr__(circuit, "n_cbits", n_cbits)
+        object.__setattr__(circuit, "_table", table)
+        return circuit
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the ops of a
+        # circuit built from_table, until they are first read.
+        table = self.__dict__.get("_table")
+        if name != "ops" or table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = table.ops()
+        object.__setattr__(self, "ops", ops)
+        return ops
+
+
+def op_table(circuit: Circuit) -> OpTable:
+    """``circuit``'s op table.  A table built from ``ops`` is kept on the
+    instance when nothing in them can change (:meth:`OpTable.of`), and is
+    built afresh on each call otherwise."""
+    table = circuit.__dict__.get("_table")
+    if table is None:
+        table, fixed = OpTable.of(circuit.ops)
+        if fixed:
+            object.__setattr__(circuit, "_table", table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -165,9 +314,11 @@ def validate(circuit: Circuit) -> list[Violation]:
     condition must name a classical bit already written by an earlier
     ``Measure``; a gate's targets must match its arity and be distinct;
     an oracle's inputs must match its function's arity, be distinct and
-    not include the output qubit.  Each op is type-tested once and
-    indices are tested by ``range`` membership, since every run validates
-    its circuit.
+    not include the output qubit.  Each rule but an oracle's own is one
+    pass over the columns of the op table (:func:`op_table`), since every
+    run validates its circuit.  The violations come op by op; an op's come
+    in the order above for an oracle, and as arity, distinct qubits, qubit
+    range, then condition or bit for the other ops.
     """
     out: list[Violation] = []
     n, m = circuit.n_qubits, circuit.n_cbits
@@ -175,66 +326,87 @@ def validate(circuit: Circuit) -> list[Violation]:
         out.append(Violation(-1, "bad_counts", "circuit needs at least one qubit"))
     if m < 0:
         out.append(Violation(-1, "bad_counts", "negative classical bit count"))
-    qubits, cbits = range(n), range(m)
-    written: set[int] = set()
-    for i, op in enumerate(circuit.ops):
-        if isinstance(op, GateApp):
-            kind, targets = op.kind, op.targets
-            if len(targets) != kind.arity:
-                out.append(Violation(i, "arity_mismatch",
-                                     f"{kind.value} takes {kind.arity} qubit(s), got {len(targets)}"))
-            elif len(targets) == 2 and targets[0] == targets[1]:
-                out.append(Violation(i, "duplicate_qubit", f"{kind.value} needs two distinct qubits"))
-            for q in targets:
-                if q not in qubits:
-                    out.append(_qubit_out_of_range(i, q, n))
-                    break
-            c = op.condition
-            if c is not None:
-                if c not in cbits:
-                    out.append(_cbit_out_of_range(i, c, m))
-                elif c not in written:
-                    out.append(Violation(i, "undefined_condition_bit",
-                                         f"condition bit c{c} is not written by any earlier measure"))
-        elif isinstance(op, Measure):
-            if op.qubit not in qubits:
-                out.append(_qubit_out_of_range(i, op.qubit, n))
-            if op.dest not in cbits:
-                out.append(_cbit_out_of_range(i, op.dest, m))
-            else:
-                written.add(op.dest)
-        elif isinstance(op, OracleApp):
-            inputs, output, arity = op.inputs, op.output, op.function.arity
-            if len(inputs) != arity:
-                out.append(Violation(i, "arity_mismatch",
-                                     f"truth table has {1 << arity} entries but {len(inputs)} "
-                                     f"input(s) need {1 << len(inputs)}"))
-            if len(set(inputs)) != len(inputs):
-                out.append(Violation(i, "duplicate_qubit", "oracle input qubits must be distinct"))
-            if output in inputs:
-                out.append(Violation(i, "duplicate_qubit", f"oracle output q{output} is also an input"))
-            for q in (*inputs, output):
-                if q not in qubits:
-                    out.append(_qubit_out_of_range(i, q, n))
-                    break
-        else:  # pragma: no cover - defensive
-            out.append(Violation(i, "unknown_op", f"unrecognized op {op!r}"))
+    t = op_table(circuit)
+    kind, start, targets, cond, dest = t.kind, t.start, t.targets, t.cond, t.dest
+    count = start[1:] - start[:-1]
+    present = np.bincount(kind, minlength=_OTHER + 1)  # ops of each code
+    found: list[tuple[int, int, Violation]] = []  # (op, its check's place, violation)
+
+    def add(ops: np.ndarray, place: int, violation) -> None:
+        found.extend((i, place, violation(i)) for i in ops.tolist())
+
+    # a gate's arity (an oracle's is checked below), and a CNOT's two qubits
+    arity = _ARITIES[kind]
+    wrong = np.flatnonzero(count != arity)
+    if len(wrong):
+        add(wrong[kind[wrong] < ORACLE], 0, lambda i: Violation(
+            i, "arity_mismatch",
+            f"{GATE_KINDS[kind[i]].value} takes {arity[i]} qubit(s), got {count[i]}"))
+    if present[_CNOT]:
+        pairs = np.flatnonzero((kind == _CNOT) & (count == 2))
+        add(pairs[targets[start[pairs]] == targets[start[pairs] + 1]], 0, lambda i: Violation(
+            i, "duplicate_qubit", f"{GATE_KINDS[kind[i]].value} needs two distinct qubits"))
+    for i, function in t.functions.items():
+        *inputs, output = targets[start[i] : start[i + 1]].tolist()
+        if len(inputs) != function.arity:
+            found.append((i, 0, Violation(i, "arity_mismatch",
+                                          f"truth table has {1 << function.arity} entries but "
+                                          f"{len(inputs)} input(s) need {1 << len(inputs)}")))
+        if len(set(inputs)) != len(inputs):
+            found.append((i, 1, Violation(i, "duplicate_qubit",
+                                          "oracle input qubits must be distinct")))
+        if output in inputs:
+            found.append((i, 2, Violation(i, "duplicate_qubit",
+                                          f"oracle output q{output} is also an input")))
+    if present[_OTHER]:
+        add(np.flatnonzero(kind == _OTHER), 0,
+            lambda i: Violation(i, "unknown_op", f"unrecognized op {circuit.ops[i]!r}"))
+
+    # each op's first qubit out of range
+    bad = np.flatnonzero((targets < 0) | (targets >= n))
+    if len(bad):
+        owners, first = np.unique(np.searchsorted(start, bad, side="right") - 1, return_index=True)
+        found += [(i, 3, _qubit_out_of_range(i, targets[j], n))
+                  for i, j in zip(owners.tolist(), bad[first].tolist())]
+
+    # bits in range, and a condition written by an earlier measurement
+    writers = start[:0]  # the measurements, those whose bit is in range
+    if present[MEASURE]:
+        writers = np.flatnonzero(kind == MEASURE)
+        lost = (dest[writers] < 0) | (dest[writers] >= m)
+        add(writers[lost], 4, lambda i: _cbit_out_of_range(i, dest[i], m))
+        writers = writers[~lost]
+    gated = np.flatnonzero(cond != -1)
+    if len(gated):
+        c = cond[gated]
+        wild = (c < 0) | (c >= m)
+        add(gated[wild], 4,
+            lambda i: _cbit_out_of_range(i, cond[i] if cond[i] >= 0 else cond[i] + 1, m))
+        gated, c = gated[~wild], c[~wild]
+        bits, first = np.unique(dest[writers], return_index=True)  # each bit's first writer
+        at = np.minimum(np.searchsorted(bits, c), max(len(bits) - 1, 0))
+        written = (bits[at] == c) & (writers[first[at]] < gated) if len(bits) else gated < 0
+        add(gated[~written], 4, lambda i: Violation(
+            i, "undefined_condition_bit",
+            f"condition bit c{cond[i]} is not written by any earlier measure"))
+
+    found.sort(key=lambda f: f[:2])
+    out += [v for _, _, v in found]
     return out
 
 
-def violations(circuit: Circuit, keep: bool = False) -> tuple[Violation, ...]:
+def violations(circuit: Circuit) -> tuple[Violation, ...]:
     """:func:`validate`'s verdict on ``circuit``.
 
-    ``keep=True`` keeps the verdict on the instance, and later calls
-    return it without evaluating the rules again.  Only a caller that
-    built ``circuit`` from tuples all the way down may keep it, as the
-    parser does: a list in ``ops`` or in an op's indices could change
-    after the verdict.  Every other circuit is judged afresh on each call.
+    The verdict is kept on the instance with its op table, and later
+    calls return it without evaluating the rules again.  A circuit whose
+    table is not kept, its ops in a list or its qubits in one, could
+    change after the verdict, and is judged afresh on each call.
     """
     verdict = circuit.__dict__.get("_violations")
     if verdict is None:
         verdict = tuple(validate(circuit))
-        if keep:
+        if "_table" in circuit.__dict__:
             object.__setattr__(circuit, "_violations", verdict)
     return verdict
 
@@ -271,15 +443,15 @@ class GKReport:
     first_offender: int | None = None
 
 
+def first_outside_fragment(table: OpTable) -> int | None:
+    """The index of the first S gate or oracle in ``table``, or None."""
+    outside = np.flatnonzero((table.kind == _S) | (table.kind == ORACLE))
+    return int(outside[0]) if len(outside) else None
+
+
 def classify_gottesman_knill(circuit: Circuit) -> GKReport:
-    for i, op in enumerate(circuit.ops):
-        if isinstance(op, GateApp):
-            if not op.kind.is_clifford:
-                return GKReport(False, i)
-        elif isinstance(op, OracleApp):
-            return GKReport(False, i)
-        # Pauli-basis measurements are always inside the fragment.
-    return GKReport(True, None)
+    first = first_outside_fragment(op_table(circuit))
+    return GKReport(first is None, first)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,14 @@ classical bit is one GF(2) product over them (:func:`_write_keys`),
 written straight into the histogram's key words.  Sign work does not grow with shots,
 and memory grows with shots only by the coin bytes and the keys.
 
+:func:`run` reads the circuit's op table (:func:`qsim.circuit.op_table`),
+never its op objects: the gates between two barriers (a measurement or
+a conditioned op) as ``(kind, q, r)`` rows, a run of consecutive
+measurements as ``(qubit, axis, dest)`` rows (:func:`_segments`).
+
 Gates act on bit columns.  Every gate rule reads and writes only the X
 and Z columns of its own qubits, so :func:`_apply_gates` takes a run of
-gates between two barriers (a measurement or a conditioned op) at once:
+gates between two barriers at once:
 it gathers the touched qubits' columns as Python ints over the 2n rows,
 applies each gate in program order with a few int operations (H swaps
 X and Z, R XORs X into Z, a CNOT XORs Xc into Xt and Zt into Zc, the
@@ -55,9 +60,11 @@ change of basis; a random outcome leaves X_q or Y_q as the new
 stabilizer row.  The flagged rows commute, so the product's phase is a
 sum of per-row terms and of one term per pair of rows.
 
-A determined measurement leaves the tableau as it is, so :func:`run`
-answers a whole run of them, up to the next random measurement, gate or
-conditioned op, at once (:func:`_determined`).  A short run takes one
+A run of consecutive measurements is classified a window at a time from
+one gather of its qubits' columns (:func:`_measure_run`).  A determined
+measurement leaves the tableau as it is, so :func:`run` answers a whole
+run of them, up to the next random measurement, gate or conditioned op,
+at once (:func:`_determined`).  A short run takes one
 pass per measurement, whose pair terms telescope into a prefix-XOR of
 the rows (:func:`_by_prefix`).  A run long against the rows it flags is
 one GF(2) product (:func:`_by_product`): with D the run's flags over the
@@ -72,18 +79,25 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
+    AXES,
+    GATE_KINDS,
+    MEASURE,
     Circuit,
     CircuitOp,
     GateApp,
     GateKind,
     Measure,
+    OpTable,
     OracleApp,
     PauliAxis,
     check_op,
+    first_outside_fragment,
+    op_table,
     violations,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
@@ -133,6 +147,8 @@ def init_tableau(n: int, coins: int = 0) -> Tableau:
 _H, _R, _X, _Y, _Z, _I, _CNOT = (GateKind.H, GateKind.R, GateKind.X, GateKind.Y, GateKind.Z,
                                  GateKind.I, GateKind.CNOT)
 _PAULIS = (_X, _Y, _Z)
+_ROW_KINDS = GATE_KINDS + (None, None)  # op codes to gate kinds: None for oracles, measurements
+_ROW_AXES = AXES + (None,)  # axis codes to axes: -1, no axis, to None
 
 # Qubit q's bit lies in byte (q >> 3) ^ _BYTE of a row's words seen as
 # bytes, at bit q & 7.
@@ -150,10 +166,13 @@ def _bit_rows(values: list[int], count: int) -> np.ndarray:
                          axis=1, count=count, bitorder="little")
 
 
-def _apply_gates(t: Tableau, gates: Iterable[GateApp], form: np.ndarray | None = None) -> None:
+def _apply_gates(t: Tableau, gates: Iterable[tuple[GateKind, int, int]],
+                 form: np.ndarray | None = None) -> None:
     """Conjugate every row by ``gates`` in program order, in place.
 
-    The touched qubits' columns are gathered as ints over the rows
+    A gate is a ``(kind, q, r)`` row: its kind, its qubit (a CNOT's
+    control) and a CNOT's target, which other gates ignore.  The touched
+    qubits' columns are gathered as ints over the rows
     (``X[q]``, ``Z[q]``, row i at bit i), and each gate applies its
     Aaronson-Gottesman rule to them, XORing its sign flips into one int:
     H flips ``X & Z`` and swaps X and Z; R flips ``X & Z`` and XORs X
@@ -170,8 +189,8 @@ def _apply_gates(t: Tableau, gates: Iterable[GateApp], form: np.ndarray | None =
     the changed columns' bits over a zeroed block, folds each 8 back
     into a byte with one weighted sum and XORs the bytes in.
     """
-    gates = [op for op in gates if op.kind is not _I]
-    qubits = sorted({q for op in gates for q in op.targets})
+    gates = [g for g in gates if g[0] is not _I]
+    qubits = sorted({q for _, q, _ in gates} | {r for kind, _, r in gates if kind is _CNOT})
     if not qubits:
         return
     rows = 2 * t.n
@@ -205,30 +224,26 @@ def _apply_gates(t: Tableau, gates: Iterable[GateApp], form: np.ndarray | None =
         Z.update(zip(qs, zs))
         blocks.append((first, span, qs, xs, zs))
     flips = 0
-    for op in gates:
-        kind = op.kind
+    for kind, q, r in gates:
         if kind is _CNOT:
-            c, tg = op.targets
-            xc, zt = X[c], Z[tg]
-            flips ^= xc & zt & ~(X[tg] ^ Z[c])
-            X[tg] ^= xc
-            Z[c] ^= zt
+            xc, zt = X[q], Z[r]
+            flips ^= xc & zt & ~(X[r] ^ Z[q])
+            X[r] ^= xc
+            Z[q] ^= zt
+        elif kind is _H:
+            x, z = X[q], Z[q]
+            flips ^= x & z
+            X[q], Z[q] = z, x
+        elif kind is _R:
+            x = X[q]
+            flips ^= x & Z[q]
+            Z[q] ^= x
+        elif kind is _X:
+            flips ^= Z[q]
+        elif kind is _Z:
+            flips ^= X[q]
         else:
-            q = op.targets[0]
-            if kind is _H:
-                x, z = X[q], Z[q]
-                flips ^= x & z
-                X[q], Z[q] = z, x
-            elif kind is _R:
-                x = X[q]
-                flips ^= x & Z[q]
-                Z[q] ^= x
-            elif kind is _X:
-                flips ^= Z[q]
-            elif kind is _Z:
-                flips ^= X[q]
-            else:
-                flips ^= X[q] ^ Z[q]
+            flips ^= X[q] ^ Z[q]
     # Each block's changed columns are unpacked together, the last block's
     # with the flipped rows after them.
     for k, (first, span, qs, xs, zs) in enumerate(blocks):
@@ -280,7 +295,7 @@ def apply_clifford(t: Tableau, op: CircuitOp) -> None:
     check_op(op, t.n)
     if not op.kind.is_clifford:
         raise NonClifford(f"{op.kind.value} is outside the stabilizer gate set")
-    _apply_gates(t, (op,))
+    _apply_gates(t, ((op.kind, op.targets[0], op.targets[-1]),))
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +696,21 @@ def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(acc) & 1) ^ (forms[:, 0] & _ONE).astype(np.uint8)
 
 
-def _step(groups: list[_Group], op: GateApp, coins: np.ndarray) -> list[_Group]:
+def _step(groups: list[_Group], op, coins: np.ndarray) -> list[_Group]:
     """Apply one gate to every group, conditioned gates as :func:`run`
-    describes; returns the groups after it.  A conditioned H, R or CNOT
-    evaluates its condition at the coin bytes of every shot, ``coins``;
-    nothing else reads them.  A conditioned identity does nothing."""
+    describes; returns the groups after it.  ``op`` is a GateApp, or a
+    conditioned gate of the op table (:class:`_Conditioned`), read the
+    same way.  A conditioned H, R or CNOT evaluates its condition at the
+    coin bytes of every shot, ``coins``; nothing else reads them.  A
+    conditioned identity does nothing."""
+    gate = ((op.kind, op.targets[0], op.targets[-1]),)
     if op.condition is None:
         for t, _, _ in groups:
-            _apply_gates(t, (op,))
+            _apply_gates(t, gate)
         return groups
     if op.kind in _PAULIS:
         for t, cb, _ in groups:
-            _apply_gates(t, (op,), cb[op.condition])
+            _apply_gates(t, gate, cb[op.condition])
         return groups
     if op.kind is _I:
         return groups
@@ -700,13 +718,13 @@ def _step(groups: list[_Group], op: GateApp, coins: np.ndarray) -> list[_Group]:
     for t, cb, idx in groups:
         mask = _values(cb[op.condition, None], coins[idx])[:, 0] == 1
         if mask.all():
-            _apply_gates(t, (op,))
+            _apply_gates(t, gate)
             split.append((t, cb, idx))
         elif not mask.any():
             split.append((t, cb, idx))
         else:
             hot = t.copy()
-            _apply_gates(hot, (op,))
+            _apply_gates(hot, gate)
             split.append((hot, cb.copy(), idx[mask]))
             split.append((t, cb, idx[~mask]))
     return split
@@ -723,22 +741,99 @@ def _flush(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis, int]]
         pending.clear()
 
 
-def _segments(ops) -> list[tuple[tuple[GateApp, ...], CircuitOp | None]]:
-    """The ops as runs of unconditioned gates, each closed by the barrier
-    after it (a measurement or a conditioned gate; None after the last
-    run).  Raises :class:`NonClifford` at the first op outside the
-    stabilizer fragment, as :func:`classify_gottesman_knill` reports it."""
-    out = []
-    gates: list[GateApp] = []
-    for i, op in enumerate(ops):
-        if isinstance(op, OracleApp) or (isinstance(op, GateApp) and not op.kind.is_clifford):
-            raise NonClifford(f"op {i} is outside the stabilizer fragment", i)
-        if isinstance(op, GateApp) and op.condition is None:
-            gates.append(op)
+def _gather(t: Tableau, meas: list[tuple[int, PauliAxis, int]]) -> np.ndarray:
+    """:func:`_anticommuting`'s column for each of the measurements
+    ``meas``, ``(qubit, axis, dest)`` rows, as a ``(2n, J)`` bool matrix:
+    one gather of the byte columns the qubits lie in, or for one
+    measurement its column itself."""
+    if len(meas) == 1:
+        (q, axis, _), = meas
+        return _anticommuting(t, q, axis)[:, None]
+    cols, x_bits, z_bits = [], [], []
+    for q, axis, _ in meas:
+        bit = 1 << (q & 7)
+        cols.append((q >> 3) ^ _BYTE)
+        x_bits.append(0 if axis is PauliAxis.X else bit)  # Z and Y read the x bit
+        z_bits.append(0 if axis is PauliAxis.Z else bit)  # X and Y the z bit
+    x = t.x.view(np.uint8)[:, cols] & np.array(x_bits, dtype=np.uint8)
+    z = t.z.view(np.uint8)[:, cols] & np.array(z_bits, dtype=np.uint8)
+    return x != z
+
+
+def _measure_run(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis, int]],
+                 meas: list[tuple[int, PauliAxis, int]], k: int) -> None:
+    """Measure ``meas``, consecutive ``(qubit, axis, dest)`` rows with no
+    gate between them, on one group's tableau, the j-th with coin
+    ``k + j + 1``.
+
+    A window of them is classified from one gather (:func:`_gather`):
+    those before the first random one leave the tableau as it is and join
+    ``pending``, and the random one is collapsed (after ``pending`` is
+    flushed).  The window starts after it with one row, and doubles after
+    a window of determined ones, up to ``_BLOCK_BYTES`` of gathered bytes,
+    so a long determined run is a few gathers and a run of random ones
+    gathers no column twice.
+    """
+    j, width, most = 0, 1, max(1, _BLOCK_BYTES // (2 * t.n))
+    while j < len(meas):
+        window = meas[j : j + width]
+        hits = _gather(t, window)
+        random = np.flatnonzero(hits[t.n :].any(axis=0))
+        if not len(random):
+            pending += window
+            j += len(window)
+            width = min(2 * width, most)
+            continue
+        r = int(random[0])
+        pending += window[:r]
+        q, axis, dest = window[r]
+        _flush(t, cb, pending)
+        cb[dest] = _collapse(t, q, axis, hits[:, r], k + j + r + 1)
+        j += r + 1
+        width = 1
+
+
+class _Conditioned(NamedTuple):
+    """A conditioned gate of the op table, as :func:`_step` reads a GateApp."""
+
+    kind: GateKind
+    targets: tuple[int, ...]
+    condition: int
+
+
+_Barrier = list[tuple[int, PauliAxis, int]] | _Conditioned | None
+
+
+def _segments(table: OpTable) -> list[tuple[list[tuple[GateKind, int, int]], _Barrier]]:
+    """A valid Clifford circuit's ops, read off its table, as runs of
+    unconditioned gates, ``(kind, q, r)`` rows for :func:`_apply_gates`,
+    each closed by the barrier after it: a run of consecutive
+    measurements as ``(qubit, axis, dest)`` rows, a conditioned gate, or
+    None after the last run."""
+    kind, cond, start, targets = table.kind, table.cond, table.start[:-1], table.targets
+    meas = kind == MEASURE
+    # a measurement right after another joins its run
+    heads = np.flatnonzero((meas | (cond >= 0)) & ~(meas & np.r_[False, meas[:-1]]))
+    others = np.flatnonzero(~meas)
+    ends = np.where(meas[heads], np.append(others, len(kind))[np.searchsorted(others, heads)],
+                    heads + 1)
+    kinds = list(map(_ROW_KINDS.__getitem__, kind.tolist()))
+    qs = targets[start].tolist()
+    rs = targets[np.minimum(start + 1, len(targets) - 1)].tolist()  # a CNOT's target
+    axes = list(map(_ROW_AXES.__getitem__, table.axis.tolist()))
+    dests, conds = table.dest.tolist(), cond.tolist()
+    rows = list(zip(kinds, qs, rs))
+    out: list[tuple[list[tuple[GateKind, int, int]], _Barrier]] = []
+    at = 0
+    for h, e in zip(heads.tolist(), ends.tolist()):
+        if meas[h]:
+            barrier: _Barrier = list(zip(qs[h:e], axes[h:e], dests[h:e]))
         else:
-            out.append((tuple(gates), op))
-            gates = []
-    out.append((tuple(gates), None))
+            targets_h = (qs[h], rs[h]) if kinds[h] is _CNOT else (qs[h],)
+            barrier = _Conditioned(kinds[h], targets_h, conds[h])
+        out.append((rows[at:h], barrier))
+        at = e
+    out.append((rows[at:], None))
     return out
 
 
@@ -748,8 +843,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     One pass over the circuit, whatever ``shots`` is, keeps every sign
     and classical bit as a form over the coins.  Unconditioned gates
     between two barriers are applied together on bit columns
-    (:func:`_apply_gates`).  Each measurement is classified by one
-    column test: a random one updates the rows at once
+    (:func:`_apply_gates`).  Consecutive measurements are classified a
+    window at a time from one gather of their columns
+    (:func:`_measure_run`): a random one updates the rows at once
     (:func:`_collapse`), and a determined one joins its group's pending
     run, evaluated whole (:func:`_determined`) when a random measurement,
     a gate, a conditioned op or the end of the circuit closes it.  A
@@ -762,8 +858,14 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     coins are drawn first and held packed, eight to a byte, and each
     group's outcomes are one GF(2) product over them (:func:`_write_keys`).
     ``keep_final_state`` returns the tableau of shot ``shots - 1``.
+
+    The circuit is read off its op table (:func:`qsim.circuit.op_table`),
+    so a parsed circuit runs without one op object being built.
     """
-    segments = _segments(circuit.ops)
+    table = op_table(circuit)
+    outside = first_outside_fragment(table)
+    if outside is not None:
+        raise NonClifford(f"op {outside} is outside the stabilizer fragment", outside)
     bad = violations(circuit)
     if bad:
         raise ValueError(f"invalid circuit: op {bad[0].op_index}: {bad[0].message}")
@@ -771,7 +873,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         raise ValueError("shots must be positive")
 
     n, m = circuit.n_qubits, circuit.n_cbits
-    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    n_meas = int(np.count_nonzero(table.kind == MEASURE))
     coins = shot_uniforms(seed, shots, n_meas, coins=True)
 
     groups: list[_Group] = [
@@ -784,24 +886,19 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     # circuit closes it.
     runs: list[list[tuple[int, PauliAxis, int]]] = [[]]
     k = 0
-    for gates, op in segments:
-        if gates or not isinstance(op, Measure):
+    for gates, barrier in _segments(table):
+        if gates or not isinstance(barrier, list):
             for (t, cb, _), pending in zip(groups, runs):
                 _flush(t, cb, pending)
         if gates:
             for t, _, _ in groups:
                 _apply_gates(t, gates)
-        if isinstance(op, Measure):
-            k += 1
+        if isinstance(barrier, list):
             for (t, cb, _), pending in zip(groups, runs):
-                anticommutes = _anticommuting(t, op.qubit, op.axis)
-                if anticommutes[n:].any():
-                    _flush(t, cb, pending)
-                    cb[op.dest] = _collapse(t, op.qubit, op.axis, anticommutes, k)
-                else:
-                    pending.append((op.qubit, op.axis, op.dest))
-        elif op is not None:
-            groups = _step(groups, op, coins)
+                _measure_run(t, cb, pending, barrier, k)
+            k += len(barrier)
+        elif barrier is not None:
+            groups = _step(groups, barrier, coins)
             runs = [[] for _ in groups]
 
     final: Tableau | None = None

@@ -53,6 +53,11 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .circuit import (
+    AXES,
+    GATE_KINDS,
+    MEASURE,
+    ORACLE,
+    BooleanFunction,
     Circuit,
     CircuitOp,
     GateApp,
@@ -62,6 +67,7 @@ from .circuit import (
     PauliAxis,
     check_op,
     gate_matrix,
+    op_table,
     validate,
     violations,
 )
@@ -599,10 +605,12 @@ class _Histories:
         full[at] = self.amps[row].reshape((2,) * len(self.live))
         return full.reshape(-1)
 
-    def gate(self, op: GateApp) -> None:
-        mask = None if op.condition is None else self.cbits[:, op.condition] == 1
-        if op.kind is GateKind.CNOT:
-            c, q = op.targets
+    def gate(self, kind: GateKind, targets: list[int], condition: int) -> None:
+        """Apply a gate, on the rows whose bit ``condition`` is 1 unless
+        that is -1."""
+        mask = None if condition == -1 else self.cbits[:, condition] == 1
+        if kind is GateKind.CNOT:
+            c, q = targets
             if c in self.at:
                 if q not in self.at:
                     self._insert(q)
@@ -613,8 +621,8 @@ class _Histories:
             mask = on if mask is None else mask & on
             u = _MATRIX[GateKind.X]
         else:
-            q, u = op.targets[0], _MATRIX[op.kind]
-        if q in self.at or op.kind is GateKind.H:
+            q, u = targets[0], _MATRIX[kind]
+        if q in self.at or kind is GateKind.H:
             if q not in self.at:
                 self._insert(q)
             self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
@@ -630,18 +638,19 @@ class _Histories:
         if flip:
             self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, q)
 
-    def oracle(self, op: OracleApp) -> None:
-        for q in op.inputs + (op.output,):
+    def oracle(self, function: BooleanFunction, qubits: list[int]) -> None:
+        """Apply the oracle of ``function`` on ``qubits``, its inputs then its output."""
+        for q in qubits:
             if q not in self.at:
                 self._insert(q)
-        at = self.at
-        _apply_oracle(self.amps, len(self.live),
-                      OracleApp(op.function, tuple(at[q] for q in op.inputs), at[op.output]))
+        at = [self.at[q] for q in qubits]
+        _apply_oracle(self.amps, len(self.live), OracleApp(function, tuple(at[:-1]), at[-1]))
 
-    def measure(self, op: Measure, u: np.ndarray, group: np.ndarray) -> np.ndarray:
-        """Measure every shot with its uniform ``u``; returns the new ``group``."""
-        q = op.qubit
-        obs = _observable(op.axis)
+    def measure(self, q: int, axis: PauliAxis, dest: int, u: np.ndarray,
+                group: np.ndarray) -> np.ndarray:
+        """Measure qubit q along ``axis`` into bit ``dest``, every shot with
+        its uniform ``u``; returns the new ``group``."""
+        obs = _observable(axis)
         z = _is_z(obs)
         if not z and q not in self.at:
             self._insert(q)
@@ -678,7 +687,7 @@ class _Histories:
             _dust(self.amps)
             pos = _bitpos(self.n, q)
             self.base = self.base & ~(1 << pos) | bit.astype(np.int64) << pos
-        self.cbits[:, op.dest] = bit
+        self.cbits[:, dest] = bit
         return group
 
 
@@ -697,7 +706,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     ``<O>`` in the same order however many rows share its batch (see
     :func:`_expectation`), so a fixed seed gives the same counts however
     the shots are grouped or chunked.  ``keep_final_state`` returns the
-    state of shot ``shots - 1``.
+    state of shot ``shots - 1``.  The ops are read as the rows of the
+    circuit's op table (:meth:`qsim.circuit.OpTable.rows`), so a parsed
+    circuit's op objects are never built.
     """
     bad = violations(circuit)
     if bad:
@@ -708,7 +719,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     if n > MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds the dense limit of {MAX_QUBITS}")
 
-    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    table = op_table(circuit)
+    program = table.rows()
+    n_meas = int(np.count_nonzero(table.kind == MEASURE))
     uniforms = shot_uniforms(seed, shots, n_meas)
     chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -718,14 +731,14 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         group = np.zeros(len(u), dtype=np.intp)
         rows = _Histories(n, circuit.n_cbits)
         m = 0
-        for op in circuit.ops:
-            if isinstance(op, GateApp):
-                rows.gate(op)
-            elif isinstance(op, OracleApp):
-                rows.oracle(op)
-            else:
-                group = rows.measure(op, u[:, m], group)
+        for i, (kind, qubits, condition, axis, dest) in enumerate(program):
+            if kind == MEASURE:
+                group = rows.measure(qubits[0], AXES[axis], dest, u[:, m], group)
                 m += 1
+            elif kind == ORACLE:
+                rows.oracle(table.functions[i], qubits)
+            else:
+                rows.gate(GATE_KINDS[kind], qubits, condition)
         parts.append((rows.cbits, np.bincount(group, minlength=len(rows.cbits))))
 
     return RunResult(

@@ -859,6 +859,11 @@ def _copy_of(t):
     return Tableau(t.n, t.x.copy(), t.z.copy(), t.r.copy())
 
 
+def _rows(ops):
+    """GateApp ops as the ``(kind, q, r)`` rows ``_apply_gates`` reads."""
+    return [(op.kind, op.targets[0], op.targets[-1]) for op in ops]
+
+
 def _assert_same(a, b):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.z, b.z)
@@ -902,15 +907,15 @@ def test_column_kernel_matches_sequential_gates(case, batch, seed):
     start.r[:] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     coins = rng.integers(0, 256, (batch, (d + 7) // 8), dtype=np.uint8)
     ref_start = Tableau(n, start.x.copy(), start.z.copy(), _values(start.r, coins).T.copy())
-    _apply_gates(start, prefix)
+    _apply_gates(start, _rows(prefix))
     _ref_gates(ref_start, prefix)
     _assert_same_at(start, ref_start, coins)
     # the whole list in one call, and each gate alone, are the gates'
     # product in program order
     t, one, ref = _copy_of(start), _copy_of(start), _copy_of(ref_start)
-    _apply_gates(t, ops)
+    _apply_gates(t, _rows(ops))
     for op in ops:
-        _apply_gates(one, (op,))
+        _apply_gates(one, _rows((op,)))
         _ref_gates(ref, (op,))
         _assert_same_at(one, ref, coins)
     _assert_same_at(t, ref, coins)
@@ -918,7 +923,7 @@ def test_column_kernel_matches_sequential_gates(case, batch, seed):
     small = _copy_of(start)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stabilizer, "_BLOCK_BYTES", 1)
-        _apply_gates(small, ops)
+        _apply_gates(small, _rows(ops))
     _assert_same(small, t)
 
 
@@ -1088,14 +1093,14 @@ def determined_runs(draw):
                                     st.sampled_from(active), st.sampled_from(active),
                                     st.sampled_from(PauliAxis)), max_size=12))
     t = init_tableau(n, len(steps) + 1)
-    _apply_gates(t, gates)
+    _apply_gates(t, _rows(gates))
     for k, (kind, a, b, axis) in enumerate(steps, start=1):
         if kind is None:
             _measure_axis(t, a, axis, k)
         elif kind is not GateKind.CNOT:
-            _apply_gates(t, [GateApp(kind, (a,))])
+            _apply_gates(t, [(kind, a, a)])
         elif a != b:
-            _apply_gates(t, [GateApp(kind, (a, b))])
+            _apply_gates(t, [(kind, a, b)])
     _measure_axis(t, active[-1], draw(st.sampled_from(PauliAxis)), len(steps) + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for i, j in rng.integers(0, n, (draw(st.integers(0, 3 * n)), 2)).tolist():
@@ -1113,7 +1118,7 @@ def _ghz_y_run(n):
     measurements of the other qubits: their flagged rows carry an X and a
     Z bit on every qubit, over three words at n = 130."""
     t = init_tableau(n, 1)
-    _apply_gates(t, [op for op in _ghz_measured(n, PauliAxis.Y).ops if isinstance(op, GateApp)])
+    _apply_gates(t, _rows(op for op in _ghz_measured(n, PauliAxis.Y).ops if isinstance(op, GateApp)))
     _measure_axis(t, 0, PauliAxis.Y, 1)
     return t, [(q, PauliAxis.Y) for q in range(1, n)]
 
@@ -1122,7 +1127,7 @@ def _y_phase_run():
     """The tableau after :func:`_y_phase_ops`' gates and its Y measurement
     eight times: flagged rows whose phase sum is 2 mod 4."""
     t = init_tableau(130)
-    _apply_gates(t, _y_phase_ops()[:-1])
+    _apply_gates(t, _rows(_y_phase_ops()[:-1]))
     return t, [(64, PauliAxis.Y)] * 8
 
 

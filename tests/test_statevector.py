@@ -672,12 +672,12 @@ def test_outcome_against_a_measured_bit_collapses_the_row_to_zero():
     # A row whose norm fell short of 1 by more than 2e-12 gives the outcome
     # that its measured qubit's bit rules out a weight above the dust.  The
     # full vector collapses onto its zero half, so the row must too.
-    z = Measure(0, PauliAxis.Z, 0)
+    z = (0, PauliAxis.Z, 0)  # qubit, axis, bit
     rows = sv._Histories(1, 1)
-    group = rows.measure(z, np.array([0.5]), np.zeros(1, dtype=np.intp))
+    group = rows.measure(*z, np.array([0.5]), np.zeros(1, dtype=np.intp))
     rows.amps *= 1.0 - 1e-11
     full = rows.state(0)[None]
-    rows.measure(z, np.array([1.0 - 1e-13]), group)
+    rows.measure(*z, np.array([1.0 - 1e-13]), group)
     p = 1.0 - np.clip(0.5 * (1.0 + sv._expectation(full, 1, 0, sv._observable(PauliAxis.Z))), 0, 1)
     assert p[0] > sv._DUST
     sv._collapse(full, 1, 0, sv._observable(PauliAxis.Z), -1.0, p)
