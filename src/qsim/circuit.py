@@ -339,25 +339,16 @@ def validate(circuit: Circuit) -> list[Violation]:
     arity = _ARITIES[kind]
     wrong = np.flatnonzero(count != arity)
     if len(wrong):
-        add(wrong[kind[wrong] < ORACLE], 0, lambda i: Violation(
-            i, "arity_mismatch",
-            f"{GATE_KINDS[kind[i]].value} takes {arity[i]} qubit(s), got {count[i]}"))
+        add(wrong[kind[wrong] < ORACLE], 0,
+            lambda i: _gate_arity(i, GATE_KINDS[kind[i]], arity[i], count[i]))
     if present[_CNOT]:
         pairs = np.flatnonzero((kind == _CNOT) & (count == 2))
-        add(pairs[targets[start[pairs]] == targets[start[pairs] + 1]], 0, lambda i: Violation(
-            i, "duplicate_qubit", f"{GATE_KINDS[kind[i]].value} needs two distinct qubits"))
+        add(pairs[targets[start[pairs]] == targets[start[pairs] + 1]], 0,
+            lambda i: _same_qubit_twice(i, GATE_KINDS[kind[i]]))
     for i, function in t.functions.items():
         *inputs, output = targets[start[i] : start[i + 1]].tolist()
-        if len(inputs) != function.arity:
-            found.append((i, 0, Violation(i, "arity_mismatch",
-                                          f"truth table has {1 << function.arity} entries but "
-                                          f"{len(inputs)} input(s) need {1 << len(inputs)}")))
-        if len(set(inputs)) != len(inputs):
-            found.append((i, 1, Violation(i, "duplicate_qubit",
-                                          "oracle input qubits must be distinct")))
-        if output in inputs:
-            found.append((i, 2, Violation(i, "duplicate_qubit",
-                                          f"oracle output q{output} is also an input")))
+        rules = _oracle_rules(i, function, inputs, output)
+        found += [(i, place, v) for place, v in enumerate(rules) if v is not None]
     if present[_OTHER]:
         add(np.flatnonzero(kind == _OTHER), 0,
             lambda i: Violation(i, "unknown_op", f"unrecognized op {circuit.ops[i]!r}"))
@@ -414,12 +405,57 @@ def violations(circuit: Circuit) -> tuple[Violation, ...]:
 def check_op(op: CircuitOp, n_qubits: int) -> None:
     """Raise ``ValueError`` with :func:`validate`'s first message unless
     the gate or oracle ``op``, its condition dropped, keeps the circuit
-    rules on ``n_qubits`` qubits."""
-    if isinstance(op, GateApp) and op.condition is not None:
-        op = GateApp(op.kind, op.targets)
-    bad = validate(Circuit(n_qubits, 0, (op,)))
-    if bad:
-        raise ValueError(bad[0].message)
+    rules on ``n_qubits`` qubits.
+
+    The op is judged alone, by :func:`validate`'s rules in its order, with
+    no circuit or op table built for it.
+    """
+    if n_qubits < 1:
+        raise ValueError("circuit needs at least one qubit")
+    if isinstance(op, GateApp):
+        qubits = op.targets
+        if len(qubits) != op.kind.arity:
+            raise ValueError(_gate_arity(0, op.kind, op.kind.arity, len(qubits)).message)
+        if op.kind is GateKind.CNOT and qubits[0] == qubits[1]:
+            raise ValueError(_same_qubit_twice(0, op.kind).message)
+    elif isinstance(op, OracleApp):
+        inputs = list(op.inputs)
+        for v in _oracle_rules(0, op.function, inputs, op.output):
+            if v is not None:
+                raise ValueError(v.message)
+        qubits = (*inputs, op.output)
+    elif isinstance(op, Measure):
+        qubits = (op.qubit,)
+    else:
+        raise ValueError(f"unrecognized op {op!r}")
+    for q in qubits:
+        if not 0 <= q < n_qubits:
+            raise ValueError(_qubit_out_of_range(0, q, n_qubits).message)
+    if isinstance(op, Measure):  # no classical bit is in range of a lone op
+        raise ValueError(_cbit_out_of_range(0, op.dest, 0).message)
+
+
+def _gate_arity(i: int, kind: GateKind, arity: int, count: int) -> Violation:
+    return Violation(i, "arity_mismatch", f"{kind.value} takes {arity} qubit(s), got {count}")
+
+
+def _same_qubit_twice(i: int, kind: GateKind) -> Violation:
+    return Violation(i, "duplicate_qubit", f"{kind.value} needs two distinct qubits")
+
+
+def _oracle_rules(i: int, function: BooleanFunction, inputs: list[int],
+                  output: int) -> tuple[Violation | None, ...]:
+    """An oracle's own rules in order, each its violation or None: its
+    table's arity, distinct inputs, and an output that is no input."""
+    return (
+        None if len(inputs) == function.arity else Violation(
+            i, "arity_mismatch", f"truth table has {1 << function.arity} entries but "
+                                 f"{len(inputs)} input(s) need {1 << len(inputs)}"),
+        None if len(set(inputs)) == len(inputs) else Violation(
+            i, "duplicate_qubit", "oracle input qubits must be distinct"),
+        None if output not in inputs else Violation(
+            i, "duplicate_qubit", f"oracle output q{output} is also an input"),
+    )
 
 
 def _qubit_out_of_range(i: int, q: int, n: int) -> Violation:

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -90,53 +91,62 @@ def _render_json(payload: dict) -> str:
     return json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _counts_rows(counts: Counts) -> memoryview:
+_REPORT_BYTES = 1 << 18  # bytes of entries one block of a run report holds
+
+
+def _counts_blocks(counts: Counts) -> Iterator[memoryview]:
     """The entries of ``counts`` as :func:`_render_json` nests them one
-    level down, as ASCII bytes.
+    level down, as ASCII bytes, a bounded block of entries at a time.
 
-    The keys are written from the arrays without a ``str`` per key: each
-    entry is one fixed-width byte row (a comma, a newline, four spaces
-    and a quote, the key, a quote, a colon and a space, then the count's
-    digits zero-padded to the widest count); one boolean mask drops the
-    padding zeros, and the kept bytes, less the first comma, are returned
-    as a view.
+    The keys are written from the packed words without a ``str`` per key:
+    each entry is one fixed-width byte row (a comma, a newline, four
+    spaces and a quote, the key's bits (:meth:`Counts.bits`) as ASCII
+    digits, a quote, a colon and a space, then the count's digits
+    zero-padded to the widest count); one boolean mask drops the padding
+    zeros, and the kept bytes are yielded as a view, the very first comma
+    left out.  A block holds about ``_REPORT_BYTES`` bytes.  Every block
+    is rendered into one buffer, whose fixed bytes are written once, so a
+    block's bytes hold only until the next block is made.
     """
-    n, m = counts.rows.shape
+    n, m = len(counts), counts.m
     if n == 0:
-        return memoryview(b"")
+        return
     width = len(str(counts.tallies.max()))
-    quotients = counts.tallies[:, None] // _POWERS_OF_TEN[-width:]
-    lines = np.empty((n, m + width + 10), dtype=np.uint8)
+    per = min(n, max(1, _REPORT_BYTES // (m + width + 10)))
+    lines = np.empty((per, m + width + 10), dtype=np.uint8)
     lines[:, :7] = _ENTRY_OPEN
-    lines[:, 7 : 7 + m] = counts.rows
     lines[:, 7 + m : 10 + m] = _ENTRY_COLON
-    lines[:, 10 + m :] = quotients % 10 + ord("0")
-    padding = quotients[:, :-1] == 0
-    if padding.any():
-        keep = np.ones(lines.shape, dtype=bool)
-        keep[:, 10 + m : 9 + m + width] = ~padding
-        flat = lines[keep]
-    else:
-        flat = lines.ravel()
-    return memoryview(flat)[1:]
+    for start in range(0, n, per):
+        tallies = counts.tallies[start : start + per]
+        block = lines[: len(tallies)]
+        np.add(counts.bits(start, start + per), ord("0"), out=block[:, 7 : 7 + m])
+        quotients = tallies[:, None] // _POWERS_OF_TEN[-width:]
+        np.add(quotients % 10, ord("0"), out=block[:, 10 + m :], casting="unsafe")
+        padding = quotients[:, :-1] == 0
+        if padding.any():
+            keep = np.ones(block.shape, dtype=bool)
+            keep[:, 10 + m : 9 + m + width] = ~padding
+            flat = block[keep]
+        else:
+            flat = block.ravel()
+        yield memoryview(flat)[1:] if start == 0 else memoryview(flat)
 
 
-def _run_pieces(result: RunResult) -> tuple[str, memoryview, str]:
-    """A run report with a :class:`~qsim.result.Counts` histogram,
-    byte-identical to :func:`_render_json` of its fields: the text before
-    the counts' entries, the entries' bytes (:func:`_counts_rows`) and
-    the text after, in the fixed layout of the five sorted keys.
+def _run_pieces(result: RunResult) -> Iterator[bytes | memoryview]:
+    """A run report with a :class:`~qsim.result.Counts` histogram as ASCII
+    pieces, byte-identical to :func:`_render_json` of its fields: the text
+    before the counts' entries, the entries' blocks
+    (:func:`_counts_blocks`) and the text after, in the fixed layout of
+    the five sorted keys.
     """
     backend, rng_id, seed, shots = (
         json.dumps(_clean(v)) for v in (result.backend, result.rng_id, result.seed, result.shots)
     )
-    rows = _counts_rows(result.counts)
-    close = "\n  }" if len(rows) else "}"
-    return (
-        f'{{\n  "backend": {backend},\n  "counts": {{',
-        rows,
-        f'{close},\n  "rng_id": {rng_id},\n  "seed": {seed},\n  "shots": {shots}\n}}\n',
-    )
+    yield f'{{\n  "backend": {backend},\n  "counts": {{'.encode("ascii")
+    yield from _counts_blocks(result.counts)
+    close = "\n  }" if len(result.counts) else "}"
+    yield f'{close},\n  "rng_id": {rng_id},\n  "seed": {seed},\n  "shots": {shots}\n}}\n'.encode(
+        "ascii")
 
 
 def _render_csv(header: tuple[str, ...], rows) -> str:
@@ -239,17 +249,23 @@ def write_report(payload, format: str, path: str | None) -> None:
     """Render a result object and write it (stdout when path is None).
 
     JSON gets sorted keys and 12-significant-digit floats; CSV the same
-    float format — identical inputs give identical bytes.
+    float format — identical inputs give identical bytes.  A run whose
+    counts are a :class:`~qsim.result.Counts` is rendered from its packed
+    keys and written a bounded block of entries at a time
+    (:func:`_counts_blocks`), to a file as the bytes they are and to
+    stdout decoded, the same bytes as :func:`_render_json` of its fields.
     """
     if format == "json" and isinstance(payload, RunResult) and isinstance(payload.counts, Counts):
-        head, rows, tail = _run_pieces(payload)
-        if path is not None:  # the counts' bytes go to the file as they are, never decoded
+        # the report is written a block of entries at a time: to a file as
+        # the bytes they are, to stdout decoded
+        if path is not None:
             with open(path, "wb") as f:
-                f.write(head.encode("ascii"))
-                f.write(rows)
-                f.write(tail.encode("ascii"))
-            return
-        text = head + str(rows, "ascii") + tail
+                for piece in _run_pieces(payload):
+                    f.write(piece)
+        else:
+            for piece in _run_pieces(payload):
+                sys.stdout.write(str(piece, "ascii"))
+        return
     elif format == "json":
         if isinstance(payload, RunResult):
             payload = {

@@ -18,26 +18,37 @@ import numpy as np
 class Counts(Mapping[str, int]):
     """A read-only histogram, sorted by key, held as arrays.
 
-    ``rows`` is the ``(n_keys, n_cbits)`` uint8 matrix of distinct rows
-    spelled as ASCII ``'0'``/``'1'`` codes, in ascending key order, and
-    ``tallies`` their int64 counts.  ``len()`` reads the array length;
-    lookups, iteration and comparison build the ``str -> int`` dict once,
-    on first use, so iteration is sorted and values are Python ``int``.
+    ``words`` is the ``(n_keys, ceil(m / 64))`` uint64 matrix of the
+    distinct keys as :func:`count_keys` sorts them (bit j of a key at
+    value bit ``63 - (j & 63)`` of word ``j >> 6``), in ascending key
+    order, ``m`` the key width in bits and ``tallies`` the keys' int64
+    counts.  :meth:`bits` unpacks a block of keys with one
+    ``np.unpackbits`` over their bytes, so a run report is rendered and
+    written a bounded block of keys at a time (:func:`qsim.cli.write_report`).
+    ``len()`` reads the array length; lookups, iteration and comparison
+    build the ``str -> int`` dict once, on first use, so iteration is
+    sorted and values are Python ``int``.
     """
 
-    __slots__ = ("rows", "tallies", "_dict")
+    __slots__ = ("words", "m", "tallies", "_dict")
 
-    def __init__(self, rows: np.ndarray, tallies: np.ndarray):
-        rows.flags.writeable = False
+    def __init__(self, words: np.ndarray, m: int, tallies: np.ndarray):
+        words.flags.writeable = False
         tallies.flags.writeable = False
-        self.rows = rows
+        self.words = words
+        self.m = m
         self.tallies = tallies
         self._dict: dict[str, int] | None = None
 
+    def bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Keys ``start`` to ``stop`` as a ``(keys, m)`` 0/1 uint8 matrix."""
+        keys = self.words[start:stop].astype(">u8").view(np.uint8)
+        return np.unpackbits(keys, axis=1, count=self.m)
+
     def _as_dict(self) -> dict[str, int]:
         if self._dict is None:
-            m = self.rows.shape[1]
-            text = self.rows.tobytes().decode("ascii")
+            m = self.m
+            text = (self.bits() + ord("0")).tobytes().decode("ascii")
             self._dict = {text[i * m : i * m + m]: c for i, c in enumerate(self.tallies.tolist())}
         return self._dict
 
@@ -95,29 +106,34 @@ def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> Counts:
     return count_keys(words, bits_parts[0].shape[1], weights)
 
 
-def count_keys(words: np.ndarray, m: int, weights: np.ndarray) -> Counts:
+def count_keys(words: np.ndarray, m: int, weights: np.ndarray | None = None) -> Counts:
     """Counts of ``m``-bit keys held as ``(rows, ceil(m / 64))`` uint64 words.
 
     Bit ``j`` of a key is the value bit ``63 - (j & 63)`` of word
     ``j >> 6``, zero-padded: the words of big-endian bytes packed bit 0
     first, whose order is the bit strings' order.  Row ``i`` counts
-    ``weights[i]`` shots.  The rows are sorted (``lexsort`` from the last
-    word to the first; ``argsort`` when there is one), and cut where
-    adjacent sorted rows differ; ``np.add.reduceat`` sums each run's
-    weights.
+    ``weights[i]`` shots, or one shot when ``weights`` is None.  The rows
+    are sorted and cut where adjacent sorted rows differ.  One key word
+    with unit weights, as every tableau run has, is sorted directly;
+    otherwise an ``argsort`` (``lexsort`` from the last word to the first
+    for wider keys) orders the rows and the weights, and
+    ``np.add.reduceat`` sums each run's weights.
     """
     if m == 0:  # no register: every shot has the empty key
-        return Counts(np.zeros((1, 0), dtype=np.uint8), weights.sum(keepdims=True))
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0])
+        total = len(words) if weights is None else weights.sum()
+        return Counts(np.zeros((1, 1), dtype=np.uint64), 0, np.array([total], dtype=np.int64))
+    if weights is None and words.shape[1] == 1:
+        words = np.sort(words, axis=0)
     else:
-        order = np.lexsort(words.T[::-1])
-    words = words[order]
+        order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+        words = words[order]
+        if weights is not None:
+            weights = weights[order]
     first = np.ones(len(words), dtype=bool)  # first row of each run of equal rows
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    tallies = np.add.reduceat(weights[order], starts) if len(starts) else weights[:0]
-    keys = words[starts].astype(">u8").view(np.uint8)
-    rows = np.unpackbits(keys, axis=1, count=m)
-    rows += ord("0")
-    return Counts(rows, tallies)
+    starts = first.nonzero()[0]
+    if weights is None:
+        tallies = np.diff(np.append(starts, len(words)))
+    else:
+        tallies = np.add.reduceat(weights, starts) if len(starts) else weights[:0]
+    return Counts(words[starts], m, tallies)

@@ -63,7 +63,9 @@ def _at_shot(seed: int, first_shot: int, draws_per_shot: int) -> np.random.Gener
 
 
 def _workers(shots: int, words: int) -> int:
-    """Threads for a draw: one per usable core, one block of words each."""
+    """Threads for a pass over ``shots`` shots that touches ``words``
+    words: one per usable core, one block of ``_COIN_BLOCK_DRAWS`` words
+    each, one shot at least."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
@@ -110,14 +112,25 @@ def shot_uniforms(
         out = np.empty((shots, (draws_per_shot + 7) >> 3), dtype=np.uint8)
     else:
         out = np.empty((shots, draws_per_shot))
-    workers = _workers(shots, shots * draws_per_shot)
-    block = max(1, _COIN_BLOCK_DRAWS // workers)
+    count = _workers(shots, shots * draws_per_shot)
+    block = max(1, _COIN_BLOCK_DRAWS // count)
+    in_shot_ranges(lambda lo, hi: _fill(out, seed, draws_per_shot, first_shot, lo, hi, block),
+                   shots, count)
+    return out
+
+
+def in_shot_ranges(fill, shots: int, workers: int) -> None:
+    """Call ``fill(lo, hi)`` on ``workers`` contiguous ranges that cover
+    ``range(shots)``: the calling thread fills the first range and one
+    thread each the others, all joined before this returns; the first
+    exception a range raised is re-raised.  ``fill`` must write only its
+    own range, so the output does not depend on ``workers``."""
     bounds = [shots * j // workers for j in range(workers + 1)]
     failures: list[BaseException] = []
 
     def work(lo: int, hi: int) -> None:
         try:
-            _fill(out, seed, draws_per_shot, first_shot, lo, hi, block)
+            fill(lo, hi)
         except BaseException as exc:  # re-raised by the calling thread
             failures.append(exc)
 
@@ -127,10 +140,9 @@ def shot_uniforms(
             thread = threading.Thread(target=work, args=(bounds[j], bounds[j + 1]))
             thread.start()
             threads.append(thread)
-        _fill(out, seed, draws_per_shot, first_shot, bounds[0], bounds[1], block)
+        fill(bounds[0], bounds[1])
     finally:
         for thread in threads:
             thread.join()
     if failures:
         raise failures[0]
-    return out

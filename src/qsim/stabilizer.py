@@ -11,7 +11,13 @@ encodes a signed Pauli string: ``x``/``z`` hold its X and Z bit vectors
 packed 64 qubits per ``uint64`` word (qubit q lives in word ``q >> 6``
 at bit ``q & 63``), and ``r[i]`` holds the sign (1 means the string
 carries a leading minus; signs are always real — that is the tableau
-invariant that makes measurement dichotomic).
+invariant that makes measurement dichotomic).  The three are column
+views of one row block, ``(2n, 2W + F)`` words with a row's X words, Z
+words and sign form side by side, the layout the row product wants (as
+in Stim, Gidney, arXiv:2103.02202): a random measurement's row products
+are one gather of the flagged rows, one XOR with the pivot row and one
+scatter (:func:`_rowsum_many`), and the pivot moves to its destabilizer
+as one row copy (:func:`_collapse`).
 
 A sign is not a bit but a GF(2) affine form over the coin bits, so one
 structural tableau serves every shot of a run.  Variable 0 is the
@@ -30,14 +36,17 @@ has constant forms, and its signs are plain bits.
 Shots meet only at the ends of :func:`run`: the coins of every shot are
 drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
 under the same stream discipline as the dense backend), and every
-classical bit is one GF(2) product over them (:func:`_write_keys`),
-written straight into the histogram's key words.  Sign work does not grow with shots,
-and memory grows with shots only by the coin bytes and the keys.
+classical bit is one GF(2) product over them (:func:`_write_keys`, one
+contiguous shot range per usable core), written straight into the
+histogram's packed key words, which :func:`qsim.result.count_keys`
+sorts as they are.  Sign work does not grow with shots, and memory
+grows with shots only by the coin bytes and the keys.
 
 :func:`run` reads the circuit's op table (:func:`qsim.circuit.op_table`),
 never its op objects: the gates between two barriers (a measurement or
-a conditioned op) as ``(kind, q, r)`` rows, a run of consecutive
-measurements as ``(qubit, axis, dest)`` rows (:func:`_segments`).
+a conditioned op) as slices of the kind, qubit and target columns, a
+run of consecutive measurements as ``(qubit, axis, dest)`` rows
+(:func:`_segments`).
 
 Gates act on bit columns.  Every gate rule reads and writes only the X
 and Z columns of its own qubits, so :func:`_apply_gates` takes a run of
@@ -62,22 +71,38 @@ sum of per-row terms and of one term per pair of rows.
 
 A run of consecutive measurements is classified a window at a time from
 one gather of its qubits' columns (:func:`_measure_run`).  A determined
-measurement leaves the tableau as it is, so :func:`run` answers a whole
-run of them, up to the next random measurement, gate or conditioned op,
-at once (:func:`_determined`).  A short run takes one
-pass per measurement, whose pair terms telescope into a prefix-XOR of
-the rows (:func:`_by_prefix`).  A run long against the rows it flags is
-one GF(2) product (:func:`_by_product`): with D the run's flags over the
-rows, the forms are D times the rows' forms, and the pair terms are a
-quadratic form in D over the rows' Z-times-X parities, float32 products
-of 0/1 matrices taken a bounded tile at a time.  GHZ-n measured in full
-is one coin and one product.
+measurement leaves the tableau as it is, and its outcome waits
+(:class:`_Pending`): :func:`run` answers the determined outcomes of a
+whole run of measurements at once (:func:`_determined`) when a gate, a
+conditioned op or the end of the circuit closes the run.  Deferring
+them past the run's random measurements is exact.  A determined Pauli P
+is in the stabilizer group with some sign form s.  A random measurement
+of a Pauli Q on another qubit commutes with P, so P stays in the group
+after the collapse, with the same sign for every value of the coins:
+read from the later tableau, its form is an affine form equal to s as
+a function of the coins, and affine forms over GF(2) that agree
+everywhere are the same form.  Only a random measurement of P's own
+qubit (along another axis, since P itself is determined) takes P out
+of the group, so a pending run that measured the collapsing qubit is
+answered first; a pending outcome whose bit the random outcome
+overwrites is dropped.
+
+A short run of determined outcomes takes one pass per measurement,
+whose pair terms telescope into a prefix-XOR of the rows
+(:func:`_by_prefix`).  A run long against the rows it flags, or whose
+rows hold X and Z on no one qubit, is one GF(2) product
+(:func:`_by_product`): with D the run's flags over the rows, the forms
+are D times the rows' forms, and the pair terms are a quadratic form in
+D over the rows' Z-times-X parities, float32 products of 0/1 matrices
+taken a bounded tile at a time.  GHZ-n measured in full is one coin and
+one product.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,26 +126,43 @@ from .circuit import (
     violations,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, shot_uniforms
+from .rng import RNG_ID, _workers, in_shot_ranges, shot_uniforms
 from .result import RunResult, count_keys, key_words
 from .statevector import PureState
 
 _ONE = np.uint64(1)
 
 
-@dataclass
 class Tableau:
-    n: int
-    x: np.ndarray  # (2n, W) uint64
-    z: np.ndarray  # (2n, W) uint64
-    r: np.ndarray  # (2n, F) uint64 sign forms
+    """A tableau on ``n`` qubits: ``x`` and ``z`` ``(2n, W)`` uint64 bit
+    words and ``r`` the ``(2n, F)`` sign forms, held as column views of
+    one ``(2n, 2W + F)`` uint64 row block (:attr:`block`), so that a row
+    operation gathers, XORs and scatters whole rows once.  The
+    constructor packs its three arrays into a new block."""
+
+    __slots__ = ("n", "block", "x", "z", "r")
+
+    def __init__(self, n: int, x: np.ndarray, z: np.ndarray, r: np.ndarray):
+        self._hold(n, np.concatenate((x, z, r), axis=1, dtype=np.uint64), x.shape[1])
+
+    def _hold(self, n: int, block: np.ndarray, words: int) -> None:
+        self.n, self.block = n, block
+        self.x, self.z = block[:, :words], block[:, words : 2 * words]
+        self.r = block[:, 2 * words :]
+
+    @classmethod
+    def _of(cls, n: int, block: np.ndarray, words: int) -> "Tableau":
+        """The tableau whose row block is ``block`` itself."""
+        t = cls.__new__(cls)
+        t._hold(n, block, words)
+        return t
 
     @property
     def words(self) -> int:
         return self.x.shape[1]
 
     def copy(self) -> "Tableau":
-        return Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
+        return Tableau._of(self.n, self.block.copy(), self.words)
 
 
 def init_tableau(n: int, coins: int = 0) -> Tableau:
@@ -131,13 +173,12 @@ def init_tableau(n: int, coins: int = 0) -> Tableau:
     if coins < 0:
         raise ValueError("coins must not be negative")
     words = (n + 63) >> 6
-    x = np.zeros((2 * n, words), dtype=np.uint64)
-    z = np.zeros((2 * n, words), dtype=np.uint64)
+    block = np.zeros((2 * n, 2 * words + (coins >> 6) + 1), dtype=np.uint64)
     rows = np.arange(n)
-    x[rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
-    z[n + rows, rows >> 6] = _ONE << (rows & 63).astype(np.uint64)
-    r = np.zeros((2 * n, (coins >> 6) + 1), dtype=np.uint64)
-    return Tableau(n, x, z, r)
+    bits = _ONE << (rows & 63).astype(np.uint64)
+    block[rows, rows >> 6] = bits
+    block[n + rows, words + (rows >> 6)] = bits
+    return Tableau._of(n, block, words)
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +207,33 @@ def _bit_rows(values: list[int], count: int) -> np.ndarray:
                          axis=1, count=count, bitorder="little")
 
 
-def _apply_gates(t: Tableau, gates: Iterable[tuple[GateKind, int, int]],
+class _Gates(NamedTuple):
+    """A run of gates as columns, one entry per gate: its kind, its qubit
+    (a CNOT's control) and its last target (a CNOT's target, the qubit
+    itself for the other gates)."""
+
+    kinds: Sequence[GateKind]
+    qs: Sequence[int]
+    rs: Sequence[int]
+
+
+def _apply_gates(t: Tableau, gates: _Gates | Iterable[tuple[GateKind, int, int]],
                  form: np.ndarray | None = None) -> None:
     """Conjugate every row by ``gates`` in program order, in place.
 
-    A gate is a ``(kind, q, r)`` row: its kind, its qubit (a CNOT's
-    control) and a CNOT's target, which other gates ignore.  The touched
-    qubits' columns are gathered as ints over the rows
+    ``gates`` holds each gate's kind, its qubit (a CNOT's control) and
+    its last target, as the columns of a :class:`_Gates` (as
+    :func:`_segments` hands a run of them) or as ``(kind, q, r)`` rows.
+    The touched qubits' columns are gathered as ints over the rows
     (``X[q]``, ``Z[q]``, row i at bit i), and each gate applies its
     Aaronson-Gottesman rule to them, XORing its sign flips into one int:
     H flips ``X & Z`` and swaps X and Z; R flips ``X & Z`` and XORs X
     into Z; X, Z and Y flip ``Z``, ``X`` and ``X ^ Z``; a CNOT flips
-    ``Xc & Zt & ~(Xt ^ Zc)``, then XORs Xc into Xt and Zt into Zc.  The
-    changed columns are written back, and the flipped rows' sign forms
-    get the constant 1, or ``form`` when it is given: a condition's form
-    makes Paulis, which change no column, a conditioned gate.
+    ``Xc & Zt & ~(Xt ^ Zc)``, then XORs Xc into Xt and Zt into Zc; the
+    identity does nothing.  The changed columns are written back, and the
+    flipped rows' sign forms get the constant 1, or ``form`` when it is
+    given: a condition's form makes Paulis, which change no column, a
+    conditioned gate.
 
     Columns move a block of words at a time, in the rows' words seen as
     bytes (qubit q in byte column ``(q >> 3) ^ _BYTE``, at bit q & 7).  A
@@ -189,8 +242,10 @@ def _apply_gates(t: Tableau, gates: Iterable[tuple[GateKind, int, int]],
     the changed columns' bits over a zeroed block, folds each 8 back
     into a byte with one weighted sum and XORs the bytes in.
     """
-    gates = [g for g in gates if g[0] is not _I]
-    qubits = sorted({q for _, q, _ in gates} | {r for kind, _, r in gates if kind is _CNOT})
+    if not isinstance(gates, _Gates):
+        gates = _Gates(*(tuple(zip(*gates)) or ((), (), ())))
+    kinds, qs, rs = gates
+    qubits = sorted(set(qs).union(rs))
     if not qubits:
         return
     rows = 2 * t.n
@@ -208,23 +263,23 @@ def _apply_gates(t: Tableau, gates: Iterable[tuple[GateKind, int, int]],
     blocks = []  # (first byte column, column count, qubits, their X and Z columns)
     X: dict[int, int] = {}
     Z: dict[int, int] = {}
-    for qs in groups:
-        cols = [(q >> 3) ^ _BYTE for q in qs]
+    for group in groups:
+        cols = [(q >> 3) ^ _BYTE for q in group]
         first, span = min(cols), max(cols) + 1 - min(cols)
         both = np.empty((2, span, rows), dtype=np.uint8)
         both[0] = xb[:, first : first + span].T
         both[1] = zb[:, first : first + span].T
         buf = memoryview(np.packbits(both[:, :, None, :] & _BIT_MASKS, axis=3,
                                      bitorder="little").tobytes())
-        at = [size * (8 * (c - first) + (q & 7)) for q, c in zip(qs, cols)]
+        at = [size * (8 * (c - first) + (q & 7)) for q, c in zip(group, cols)]
         half = 8 * span * size
         xs = [int.from_bytes(buf[i : i + size], "little") for i in at]
         zs = [int.from_bytes(buf[half + i : half + i + size], "little") for i in at]
-        X.update(zip(qs, xs))
-        Z.update(zip(qs, zs))
-        blocks.append((first, span, qs, xs, zs))
+        X.update(zip(group, xs))
+        Z.update(zip(group, zs))
+        blocks.append((first, span, group, xs, zs))
     flips = 0
-    for kind, q, r in gates:
+    for kind, q, r in zip(kinds, qs, rs):
         if kind is _CNOT:
             xc, zt = X[q], Z[r]
             flips ^= xc & zt & ~(X[r] ^ Z[q])
@@ -242,13 +297,13 @@ def _apply_gates(t: Tableau, gates: Iterable[tuple[GateKind, int, int]],
             flips ^= Z[q]
         elif kind is _Z:
             flips ^= X[q]
-        else:
+        elif kind is _Y:
             flips ^= X[q] ^ Z[q]
     # Each block's changed columns are unpacked together, the last block's
     # with the flipped rows after them.
-    for k, (first, span, qs, xs, zs) in enumerate(blocks):
+    for k, (first, span, group, xs, zs) in enumerate(blocks):
         changed: tuple[list, list] = ([], [])  # (byte column, bit, delta) per array
-        for q, x, z in zip(qs, xs, zs):
+        for q, x, z in zip(group, xs, zs):
             if X[q] != x:
                 changed[0].append(((q >> 3) ^ _BYTE, q & 7, X[q] ^ x))
             if Z[q] != z:
@@ -295,7 +350,7 @@ def apply_clifford(t: Tableau, op: CircuitOp) -> None:
     check_op(op, t.n)
     if not op.kind.is_clifford:
         raise NonClifford(f"{op.kind.value} is outside the stabilizer gate set")
-    _apply_gates(t, ((op.kind, op.targets[0], op.targets[-1]),))
+    _apply_gates(t, _Gates((op.kind,), op.targets[:1], op.targets[-1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +360,44 @@ def apply_clifford(t: Tableau, op: CircuitOp) -> None:
 # (Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1); only g mod 4 matters.
 
 
-def _weight(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _g_columns(w: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For :func:`_rowsum_many` on rows of ``w`` X words and ``width``
+    words in all, side by side with their products: the X columns
+    ``[xh | xh | x']``, the Z columns ``[zh | z' | z']`` and their
+    weights mod 4, 3, 2 and 3, as uint8."""
+    x, z = np.arange(w), np.arange(w, 2 * w)
+    return (np.concatenate((x, x, width + x)), np.concatenate((z, width + z, width + z)),
+            np.repeat(np.array([3, 2, 3], dtype=np.uint8), w))
 
 
 def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
     """row_h <- row_p * row_h for every h in ``rows`` (vectorized).
 
+    One gather of the rows' block, one XOR with row p and one scatter.
     The new sign is ``(2 r_h + 2 r_p + g) % 4 == 2``: ``r_h ^ r_p``,
-    whose constant flips where ``g % 4 == 2``.  ``g`` is odd only for a
-    row that anticommutes with row p, and :func:`_collapse`, the one
-    caller, passes at most one such row: destabilizer ``p - n``, which
-    it overwrites with the old row p right after.  So no sign is set
-    for an odd ``g``.
+    whose constant flips where ``g % 4 == 2``.  Mod 4, ``g`` is
+    ``|xh & zh| + 2 |zp & xh| - |x' & z'| + |xp & zp|``, and since
+    ``zp = zh ^ z'`` and a popcount's parity is linear over XOR,
+    ``2 |zp & xh|`` is ``2 |xh & zh| + 2 |xh & z'|``: so ``g`` is one
+    popcount of ``[xh & zh | xh & z' | x' & z']``, read off the gathered
+    rows and their products side by side, weighted 3, 2 and 3 (-1 is 3
+    mod 4) in uint8, whose wrap-around keeps every sum mod 4, plus row
+    p's own ``|xp & zp|``.  ``g`` is odd only for a row that
+    anticommutes with row p, and :func:`_collapse`, the one caller,
+    passes at most one such row: destabilizer ``p - n``, which it
+    overwrites with the old row p right after.  So no sign is set for an
+    odd ``g``.
     """
-    xp, zp, xh, zh = t.x[p], t.z[p], t.x[rows], t.z[rows]
-    x, z = xh ^ xp, zh ^ zp
-    g = _weight(xp & zp) + _weight(xh & zh) + 2 * _weight(zp & xh) - _weight(x & z)  # (k,)
-    signs = t.r[rows] ^ t.r[p]
-    signs[:, 0] ^= (g & 3) == 2
-    t.r[rows] = signs
-    t.x[rows] = x
-    t.z[rows] = z
+    w, width = t.words, t.block.shape[1]
+    xs, zs, weights = _g_columns(w, width)
+    pivot = t.block[p]
+    h = t.block[rows]
+    both = np.concatenate((h, h ^ pivot), axis=1)
+    g = np.bitwise_count(both[:, xs] & both[:, zs]) @ weights
+    g += np.uint8(np.bitwise_count(pivot[:w] & pivot[w : 2 * w]).sum() & 3)
+    both[:, width + 2 * w] ^= (g & 3) == 2
+    t.block[rows] = both[:, width:]
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +424,26 @@ def _collapse(t: Tableau, q: int, axis: PauliAxis, anticommutes: np.ndarray, k: 
     """A random measurement of the Pauli ``axis`` on qubit q, whose
     :func:`_anticommuting` column ``anticommutes`` flags some stabilizer.
 
-    The first such stabilizer becomes the destabilizer and the measured
-    Pauli its row.  Returns the outcome's form: ``bit`` times variable
-    ``k``, a run's k-th coin, or the constant bit ``bit`` for k = 0.
+    The first such stabilizer, row p, multiplies onto every other flagged
+    row (:func:`_rowsum_many`), moves to its destabilizer as one row
+    copy, and takes the measured Pauli as its row.  Returns the outcome's
+    form: ``bit`` times variable ``k``, a run's k-th coin, or the
+    constant bit ``bit`` for k = 0.
     """
-    n = t.n
+    n, w, block = t.n, t.words, t.block
     p = n + int(anticommutes[n:].argmax())
-    rows = np.flatnonzero(anticommutes)
+    rows = anticommutes.nonzero()[0]
     rows = rows[rows != p]
     if rows.size:
         _rowsum_many(t, rows, p)
-    t.x[p - n] = t.x[p]
-    t.z[p - n] = t.z[p]
-    t.r[p - n] = t.r[p]
-    t.x[p] = 0
-    t.z[p] = 0
-    w, b = q >> 6, np.uint64(q & 63)
+    block[p - n] = block[p]
+    block[p] = 0
+    at, b = q >> 6, _ONE << np.uint64(q & 63)
     if axis is not PauliAxis.Z:
-        t.x[p, w] = _ONE << b
+        block[p, at] = b
     if axis is not PauliAxis.X:
-        t.z[p, w] = _ONE << b
-    t.r[p] = 0
-    t.r[p, k >> 6] = bit << (k & 63)
+        block[p, w + at] = b
+    block[p, 2 * w + (k >> 6)] = bit << (k & 63)
     return t.r[p].copy()
 
 
@@ -392,10 +461,12 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
 
 
 # A run of J determined measurements that flag |U| stabilizer rows is one
-# product when J >= _PRODUCT_RUN and _PRODUCT_RUN * J >= |U|, and one
+# product when J >= _PRODUCT_RUN and either _PRODUCT_RUN * J >= |U| or no
+# qubit carries both an X and a Z bit among the flagged rows, and one
 # prefix pass per measurement otherwise.  The product costs about 0.2 ms
-# whatever its size, against about 0.04 ms per prefix pass plus the
-# pass's rows.
+# whatever its size when the rows' X and Z bits meet nowhere (its
+# pair terms are then all zero tiles), against about 0.04 ms per prefix
+# pass plus the pass's rows; where they meet, its tiles grow with |U|.
 _PRODUCT_RUN = 8
 
 
@@ -406,13 +477,19 @@ def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     Such a measurement leaves the tableau as it is, so a run of them reads
     one tableau: each outcome is the sign of the product of the stabilizer
     rows its destabilizers flag (:func:`_flags`).  A run long against the
-    rows it flags is one GF(2) product (:func:`_by_product`), a short one
-    a prefix pass per measurement (:func:`_by_prefix`).
+    rows it flags, or whose flagged rows hold X and Z on no one qubit, is
+    one GF(2) product (:func:`_by_product`), another a prefix pass per
+    measurement (:func:`_by_prefix`).
     """
     if len(meas) >= _PRODUCT_RUN:
+        n, w = t.n, t.words
         flags = _flags(t, meas)
-        used = int(np.bitwise_count(np.bitwise_or.reduce(flags, axis=0)).sum())
-        if _PRODUCT_RUN * len(meas) >= used:
+        used = n + np.unpackbits(np.bitwise_or.reduce(flags, axis=0), count=n,
+                                 bitorder="little").nonzero()[0]
+        if _PRODUCT_RUN * len(meas) >= len(used):
+            return _by_product(t, meas, flags)
+        rows = np.bitwise_or.reduce(t.block[used, : 2 * w], axis=0)
+        if not (rows[:w] & rows[w:]).any():
             return _by_product(t, meas, flags)
     return _by_prefix(t, meas)
 
@@ -427,7 +504,8 @@ def _flags(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     # the byte columns the qubits lie in, as rows over the destabilizers:
     # x bytes, then z bytes; Z reads the x byte, X the z byte
     columns, at = np.unique((qs >> 3) ^ _BYTE, return_inverse=True)
-    cols = np.vstack((t.x[:n].view(np.uint8)[:, columns].T, t.z[:n].view(np.uint8)[:, columns].T))
+    z_at = 8 * t.words  # the z words' first byte in a row of the block
+    cols = t.block[:n].view(np.uint8)[:, np.append(columns, z_at + columns)].T.copy()
     rows = at + len(columns) * np.array([a is PauliAxis.X for _, a in meas])
     shifts = (qs & 7).astype(np.uint8)[:, None]
     out = np.empty((len(meas), (n + 7) >> 3), dtype=np.uint8)
@@ -454,14 +532,15 @@ def _by_prefix(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     lone flagged row is the measured Pauli itself, and its form the
     outcome.
     """
-    n = t.n
+    n, w = t.n, t.words
     out = np.empty((len(meas), t.r.shape[1]), dtype=np.uint64)
     for j, (q, axis) in enumerate(meas):
         rows = n + np.flatnonzero(_anticommuting(t, q, axis, slice(n)))
         if len(rows) == 1:
             out[j] = t.r[rows[0]]
             continue
-        xs, zs = t.x[rows], t.z[rows]
+        h = t.block[rows]
+        xs, zs = h[:, :w], h[:, w : 2 * w]
         prefix = np.bitwise_xor.accumulate(xs, axis=0)
         x_q = prefix ^ xs
         last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
@@ -469,7 +548,7 @@ def _by_prefix(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
              - int(np.bitwise_count(last).sum()))
         # The forms' XOR is read off an accumulate: numpy reduces a few
         # words per row down axis 0 about half as fast.
-        out[j] = np.bitwise_xor.accumulate(t.r[rows], axis=0)[-1]
+        out[j] = np.bitwise_xor.accumulate(h[:, 2 * w :], axis=0)[-1]
         out[j, 0] ^= (g & 3) == 2
     return out
 
@@ -517,8 +596,8 @@ def _by_product(t: Tableau, meas: list[tuple[int, PauliAxis]], flags: np.ndarray
         d[j : j + step] = np.packbits(
             np.unpackbits(flags[j : j + step], axis=1, count=n, bitorder="little")[:, used],
             axis=1, bitorder="little")
-    rows = n + used
-    x, z, r = t.x[rows], t.z[rows], _row_bytes(t.r[rows])
+    w, h = t.words, t.block[n + used]
+    x, z, r = h[:, :w], h[:, w : 2 * w], _row_bytes(h[:, 2 * w :])
     live = np.flatnonzero(r.any(axis=0))
     r = r[:, live]
     weights = (np.bitwise_count(x & z).sum(axis=1) & 3).astype(np.float32)  # |x & z| mod 4
@@ -654,12 +733,20 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
     and each chunk reads only the form words that hold its coins (shifted
     down one bit, coin k at bit k), so beyond the forms themselves the
     readout holds bounded pieces, whatever the number of forms, coins and
-    shots.
+    shots.  A chunk's tables are read by one contiguous range of ``rows``
+    per usable core, in threads started and joined here
+    (:func:`qsim.rng.in_shot_ranges`); each range writes only its own
+    shots' keys, so the keys do not depend on the number of threads.
+    ``rows`` ascend; when they are every shot from the first to the last,
+    as for a run that never split, a block of them is a slice, and its
+    keys are XORed in place.
     """
     if not len(forms) or not len(rows):
         return
     kw = keys.shape[1]
-    keys[rows] = key_words(forms[:, :1] & _ONE)[0]
+    start = int(rows[0])
+    whole = int(rows[-1]) - start == len(rows) - 1
+    keys[slice(start, start + len(rows)) if whole else rows] = key_words(forms[:, :1] & _ONE)[0]
     per, step = max(1, _TABLE_WORDS // (256 * kw)), max(1, _BLOCK_WORDS // kw)
     for lo in range(0, coins.shape[1], per):
         hi = min(lo + per, coins.shape[1])
@@ -675,12 +762,19 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
         tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
         for i in range(8):
             tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[:, i, None]
-        for s in range(0, len(rows), step):
-            r = rows[s : s + step]
-            c, out = coins[r, lo:hi], keys[r]
-            for b, table in zip(live.tolist(), tables):
-                out ^= table[c[:, b]]
-            keys[r] = out
+        reads = list(zip(live.tolist(), tables))
+
+        def read(first: int, last: int) -> None:
+            for s in range(first, last, step):
+                e = min(s + step, last)
+                r = slice(start + s, start + e) if whole else rows[s:e]
+                c, out = coins[r, lo:hi], keys[r]
+                for b, table in reads:
+                    out ^= table[c[:, b]]
+                if not whole:
+                    keys[r] = out
+
+        in_shot_ranges(read, len(rows), _workers(len(rows), len(rows) * len(live) * kw))
 
 
 def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
@@ -703,7 +797,7 @@ def _step(groups: list[_Group], op, coins: np.ndarray) -> list[_Group]:
     same way.  A conditioned H, R or CNOT evaluates its condition at the
     coin bytes of every shot, ``coins``; nothing else reads them.  A
     conditioned identity does nothing."""
-    gate = ((op.kind, op.targets[0], op.targets[-1]),)
+    gate = _Gates((op.kind,), op.targets[:1], op.targets[-1:])
     if op.condition is None:
         for t, _, _ in groups:
             _apply_gates(t, gate)
@@ -730,21 +824,36 @@ def _step(groups: list[_Group], op, coins: np.ndarray) -> list[_Group]:
     return split
 
 
-def _flush(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis, int]]) -> None:
-    """Write a group's pending determined outcomes ``(qubit, axis, dest)``
-    into its bits ``cb`` in program order, so that a later write to a bit
-    wins, and empty ``pending``."""
-    if pending:
-        forms = _determined(t, [(q, axis) for q, axis, _ in pending])
-        for (_, _, dest), form in zip(pending, forms):
-            cb[dest] = form
-        pending.clear()
+class _Pending:
+    """A group's determined outcomes not yet written into its bits.
+
+    ``meas`` maps each bit to the ``(qubit, axis)`` whose outcome it gets
+    last, and ``qubits`` holds every qubit measured since the last flush.
+    A determined Pauli stays in the stabilizer group, with the same sign
+    form, while later random measurements collapse other qubits, so an
+    outcome may wait for the end of its run of measurements; the module
+    docstring says why.
+    """
+
+    __slots__ = ("meas", "qubits")
+
+    def __init__(self) -> None:
+        self.meas: dict[int, tuple[int, PauliAxis]] = {}
+        self.qubits: set[int] = set()
+
+    def flush(self, t: Tableau, cb: np.ndarray) -> None:
+        """Write the outcomes into the bits ``cb`` (one :func:`_determined`
+        call on ``t``) and empty this run."""
+        if self.meas:
+            cb[list(self.meas)] = _determined(t, list(self.meas.values()))
+            self.meas.clear()
+        self.qubits.clear()
 
 
 def _gather(t: Tableau, meas: list[tuple[int, PauliAxis, int]]) -> np.ndarray:
     """:func:`_anticommuting`'s column for each of the measurements
     ``meas``, ``(qubit, axis, dest)`` rows, as a ``(2n, J)`` bool matrix:
-    one gather of the byte columns the qubits lie in, or for one
+    one gather of the X and Z byte columns the qubits lie in, or for one
     measurement its column itself."""
     if len(meas) == 1:
         (q, axis, _), = meas
@@ -755,12 +864,13 @@ def _gather(t: Tableau, meas: list[tuple[int, PauliAxis, int]]) -> np.ndarray:
         cols.append((q >> 3) ^ _BYTE)
         x_bits.append(0 if axis is PauliAxis.X else bit)  # Z and Y read the x bit
         z_bits.append(0 if axis is PauliAxis.Z else bit)  # X and Y the z bit
-    x = t.x.view(np.uint8)[:, cols] & np.array(x_bits, dtype=np.uint8)
-    z = t.z.view(np.uint8)[:, cols] & np.array(z_bits, dtype=np.uint8)
-    return x != z
+    z_at = 8 * t.words  # the z words' first byte in a row of the block
+    both = t.block.view(np.uint8)[:, cols + [z_at + c for c in cols]]
+    both &= np.array(x_bits + z_bits, dtype=np.uint8)
+    return both[:, : len(cols)] != both[:, len(cols) :]
 
 
-def _measure_run(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis, int]],
+def _measure_run(t: Tableau, cb: np.ndarray, pending: _Pending,
                  meas: list[tuple[int, PauliAxis, int]], k: int) -> None:
     """Measure ``meas``, consecutive ``(qubit, axis, dest)`` rows with no
     gate between them, on one group's tableau, the j-th with coin
@@ -768,26 +878,31 @@ def _measure_run(t: Tableau, cb: np.ndarray, pending: list[tuple[int, PauliAxis,
 
     A window of them is classified from one gather (:func:`_gather`):
     those before the first random one leave the tableau as it is and join
-    ``pending``, and the random one is collapsed (after ``pending`` is
-    flushed).  The window starts after it with one row, and doubles after
-    a window of determined ones, up to ``_BLOCK_BYTES`` of gathered bytes,
-    so a long determined run is a few gathers and a run of random ones
-    gathers no column twice.
+    ``pending``, and the random one is collapsed.  ``pending`` is flushed
+    first only when it measured the collapsing qubit, whose Pauli there
+    the collapse takes out of the group; an entry whose bit the random
+    outcome overwrites is dropped.  The window starts after it with one
+    row, and doubles after a window of determined ones, up to
+    ``_BLOCK_BYTES`` of gathered bytes, so a long determined run is a few
+    gathers and a run of random ones gathers no column twice.
     """
     j, width, most = 0, 1, max(1, _BLOCK_BYTES // (2 * t.n))
     while j < len(meas):
         window = meas[j : j + width]
         hits = _gather(t, window)
-        random = np.flatnonzero(hits[t.n :].any(axis=0))
-        if not len(random):
-            pending += window
-            j += len(window)
+        random = hits[t.n :].any(axis=0).nonzero()[0]
+        r = int(random[0]) if len(random) else len(window)
+        for q, axis, dest in window[:r]:
+            pending.meas[dest] = (q, axis)
+            pending.qubits.add(q)
+        if r == len(window):
+            j += r
             width = min(2 * width, most)
             continue
-        r = int(random[0])
-        pending += window[:r]
         q, axis, dest = window[r]
-        _flush(t, cb, pending)
+        if q in pending.qubits:
+            pending.flush(t, cb)
+        pending.meas.pop(dest, None)
         cb[dest] = _collapse(t, q, axis, hits[:, r], k + j + r + 1)
         j += r + 1
         width = 1
@@ -804,26 +919,25 @@ class _Conditioned(NamedTuple):
 _Barrier = list[tuple[int, PauliAxis, int]] | _Conditioned | None
 
 
-def _segments(table: OpTable) -> list[tuple[list[tuple[GateKind, int, int]], _Barrier]]:
+def _segments(table: OpTable) -> list[tuple[_Gates, _Barrier]]:
     """A valid Clifford circuit's ops, read off its table, as runs of
-    unconditioned gates, ``(kind, q, r)`` rows for :func:`_apply_gates`,
-    each closed by the barrier after it: a run of consecutive
-    measurements as ``(qubit, axis, dest)`` rows, a conditioned gate, or
-    None after the last run."""
-    kind, cond, start, targets = table.kind, table.cond, table.start[:-1], table.targets
+    unconditioned gates, column slices for :func:`_apply_gates`, each
+    closed by the barrier after it: a run of consecutive measurements as
+    ``(qubit, axis, dest)`` rows, a conditioned gate, or None after the
+    last run."""
+    kind, cond, start, targets = table.kind, table.cond, table.start, table.targets
     meas = kind == MEASURE
     # a measurement right after another joins its run
-    heads = np.flatnonzero((meas | (cond >= 0)) & ~(meas & np.r_[False, meas[:-1]]))
-    others = np.flatnonzero(~meas)
+    heads = ((meas | (cond >= 0)) & ~(meas & np.r_[False, meas[:-1]])).nonzero()[0]
+    others = (~meas).nonzero()[0]
     ends = np.where(meas[heads], np.append(others, len(kind))[np.searchsorted(others, heads)],
                     heads + 1)
     kinds = list(map(_ROW_KINDS.__getitem__, kind.tolist()))
-    qs = targets[start].tolist()
-    rs = targets[np.minimum(start + 1, len(targets) - 1)].tolist()  # a CNOT's target
+    qs = targets[start[:-1]].tolist()
+    rs = targets[start[1:] - 1].tolist()  # a CNOT's target, the qubit of other ops
     axes = list(map(_ROW_AXES.__getitem__, table.axis.tolist()))
     dests, conds = table.dest.tolist(), cond.tolist()
-    rows = list(zip(kinds, qs, rs))
-    out: list[tuple[list[tuple[GateKind, int, int]], _Barrier]] = []
+    out: list[tuple[_Gates, _Barrier]] = []
     at = 0
     for h, e in zip(heads.tolist(), ends.tolist()):
         if meas[h]:
@@ -831,9 +945,9 @@ def _segments(table: OpTable) -> list[tuple[list[tuple[GateKind, int, int]], _Ba
         else:
             targets_h = (qs[h], rs[h]) if kinds[h] is _CNOT else (qs[h],)
             barrier = _Conditioned(kinds[h], targets_h, conds[h])
-        out.append((rows[at:h], barrier))
+        out.append((_Gates(kinds[at:h], qs[at:h], rs[at:h]), barrier))
         at = e
-    out.append((rows[at:], None))
+    out.append((_Gates(kinds[at:], qs[at:], rs[at:]), None))
     return out
 
 
@@ -847,8 +961,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     window at a time from one gather of their columns
     (:func:`_measure_run`): a random one updates the rows at once
     (:func:`_collapse`), and a determined one joins its group's pending
-    run, evaluated whole (:func:`_determined`) when a random measurement,
-    a gate, a conditioned op or the end of the circuit closes it.  A
+    run, evaluated whole (:func:`_determined`) when a gate, a
+    conditioned op or the end of the circuit closes it, or earlier when
+    a random measurement collapses a qubit the run measured.  A
     classically conditioned X, Y or Z XORs its condition's form into the
     signs it flips, a conditioned identity does nothing, and a
     conditioned H, R or CNOT splits the shots into
@@ -880,17 +995,13 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
          np.arange(shots))
     ]
-    # Each group's pending run of determined measurements, (qubit, axis,
-    # dest): they leave the tableau as it is, so a run is evaluated at once
-    # when a random measurement, a gate, a conditioned op or the end of the
-    # circuit closes it.
-    runs: list[list[tuple[int, PauliAxis, int]]] = [[]]
+    runs = [_Pending()]  # each group's pending determined outcomes
     k = 0
     for gates, barrier in _segments(table):
-        if gates or not isinstance(barrier, list):
+        if gates.kinds or not isinstance(barrier, list):
             for (t, cb, _), pending in zip(groups, runs):
-                _flush(t, cb, pending)
-        if gates:
+                pending.flush(t, cb)
+        if gates.kinds:
             for t, _, _ in groups:
                 _apply_gates(t, gates)
         if isinstance(barrier, list):
@@ -899,7 +1010,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
             k += len(barrier)
         elif barrier is not None:
             groups = _step(groups, barrier, coins)
-            runs = [[] for _ in groups]
+            runs = [_Pending() for _ in groups]
 
     final: Tableau | None = None
     if keep_final_state:
@@ -915,7 +1026,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         shots=shots,
         seed=seed,
         rng_id=RNG_ID,
-        counts=count_keys(keys, m, np.ones(shots, dtype=np.int64)),
+        counts=count_keys(keys, m),
         final_state=final,
     )
 

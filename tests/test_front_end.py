@@ -25,6 +25,7 @@ from qsim.circuit import (
     Measure,
     OracleApp,
     PauliAxis,
+    check_op,
     validate,
 )
 from qsim.lang import format_circuit, parse_circuit
@@ -198,3 +199,33 @@ def test_parsed_ops_are_built_once_and_compare_as_api_ops():
     rnd = random.Random(5)
     shuffled = Circuit(api.n_qubits, api.n_cbits, tuple(rnd.sample(api.ops, len(api.ops))))
     assert shuffled != parsed
+
+
+def _first_rule_broken(op, n):
+    """The message :func:`validate_reference` gives first for ``op`` alone
+    on ``n`` qubits, its condition dropped, or None."""
+    if isinstance(op, GateApp):
+        op = GateApp(op.kind, op.targets)
+    bad = validate_reference(Circuit(n, 0, (op,)))
+    return bad[0].message if bad else None
+
+
+def _check_op_message(op, n):
+    try:
+        check_op(op, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("op, n", [(op, c.n_qubits) for c in _MALFORMED for op in c.ops]
+                         + [(Measure(0, PauliAxis.X, 0), 1), (GateApp(GateKind.H, (0,)), 0)])
+def test_check_op_judges_one_op_as_validate_does_on_malformed_ops(op, n):
+    assert _check_op_message(op, n) == _first_rule_broken(op, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=any_circuits() | valid_circuits())
+def test_check_op_judges_one_op_as_validate_does(circuit):
+    for op in circuit.ops:
+        assert _check_op_message(op, circuit.n_qubits) == _first_rule_broken(op, circuit.n_qubits)

@@ -7,10 +7,12 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.cli import _clean, write_report
+from qsim import cli
+from qsim.cli import _clean, _render_json, write_report
 from qsim.result import Counts, RunResult, histogram
 
 
@@ -110,3 +112,25 @@ def test_counts_report_and_mapping(parts, backend, shots, seed, tmp_path_factory
     if want:
         key = next(iter(want))
         assert key in got and got[key] == want[key] and got.get(key + "x") is None
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 300])
+def test_report_blocks_match_render_json(monkeypatch, tmp_path, block_bytes):
+    # A report rendered one, two or eight entries to a block: every entry
+    # but the very first opens with a comma, and each block pads its
+    # counts to its own widest count before the padding is dropped.
+    monkeypatch.setattr(cli, "_REPORT_BYTES", block_bytes)
+    rng = np.random.default_rng(3)
+    bits = np.unpackbits(np.arange(32, dtype=np.uint8)[:, None], axis=1)[:, 3:]
+    weights = 10 ** rng.integers(0, 8, 32) + rng.integers(0, 10, 32)
+    counts = histogram([(bits, weights)])
+    result = RunResult("stab", 7, 5, "philox4x64-10", counts)
+    out = tmp_path / "run.json"
+    write_report(result, "json", str(out))
+    payload = {"backend": "stab", "shots": 7, "seed": 5, "rng_id": "philox4x64-10",
+               "counts": dict(counts)}
+    assert out.read_text() == _render_json(payload)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        write_report(result, "json", None)
+    assert stdout.getvalue() == out.read_text()

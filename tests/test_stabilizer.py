@@ -2,8 +2,10 @@
 dichotomy, dense reconstruction, and batched sampling."""
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qsim.circuit import (
     gk_entangler,
 )
 from qsim.errors import DegenerateNorm, NonClifford, TooManyQubits
+from qsim.result import key_words
 from qsim.rng import shot_uniforms, stream
 from qsim.stabilizer import (
     Tableau,
@@ -36,6 +39,7 @@ from qsim.stabilizer import (
     _measure_axis,
     _step,
     _values,
+    _write_keys,
     apply_clifford,
     init_tableau,
     measure_pauli,
@@ -1175,3 +1179,127 @@ def test_cross_parity_is_the_pairwise_sum(rows, count, words, density, seed, blo
     finally:
         stabilizer._BLOCK_BYTES = saved
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Runs of measurements: run defers each determined outcome to the end of
+# its run, across random measurements of other qubits, against one
+# measure_pauli replay per shot.
+
+
+@st.composite
+def measurement_runs(draw):
+    """Clifford circuits on 1-70 qubits of rounds of a few gates, some
+    conditioned on bits already written, then a run of consecutive X/Y/Z
+    measurements on 1-4 active qubits into 1-4 bits: a qubit measured
+    again in the same axis (determined) or another (random), and bits
+    written by a determined outcome and then a random one, or the
+    reverse."""
+    n = draw(st.integers(1, 70))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True))
+    m = draw(st.integers(1, 4))
+    written: list[int] = []
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(_CLIFFORD_KINDS))
+            if kind is GateKind.CNOT:
+                if len(active) < 2:
+                    continue
+                targets = tuple(draw(st.permutations(active))[:2])
+            else:
+                targets = (draw(st.sampled_from(active)),)
+            cond = draw(st.sampled_from(written)) if written and draw(st.booleans()) else None
+            ops.append(GateApp(kind, targets, condition=cond))
+        for _ in range(draw(st.integers(1, 10))):
+            dest = draw(st.integers(0, m - 1))
+            axis = draw(st.sampled_from(PauliAxis))
+            ops.append(Measure(draw(st.sampled_from(active)), axis, dest))
+            written.append(dest)
+    return Circuit(n, m, tuple(ops))
+
+
+_H0, _H1 = GateApp(GateKind.H, (0,)), GateApp(GateKind.H, (1,))
+# Z on q0 determined, then X on q0 random: the pending outcome must be
+# written before the collapse takes Z_0 out of the group
+_REMEASURED = Circuit(1, 3, (_H0, Measure(0, PauliAxis.Z, 0), Measure(0, PauliAxis.Z, 1),
+                             Measure(0, PauliAxis.X, 2)))
+# a determined outcome, then a random one, into c0: the random one wins
+_OVERWRITTEN = Circuit(2, 1, (_H1, Measure(0, PauliAxis.Z, 0), Measure(1, PauliAxis.Z, 0)))
+# a random outcome, then a determined one, into c0: the determined one wins
+_REWRITTEN = Circuit(2, 1, (_H0, Measure(0, PauliAxis.Z, 0), Measure(1, PauliAxis.Z, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(circuit=_REMEASURED, shots=16, seed=1)
+@example(circuit=_OVERWRITTEN, shots=16, seed=1)
+@example(circuit=_REWRITTEN, shots=16, seed=1)
+@example(circuit=_constant_flip_circuit(), shots=16, seed=3)
+@given(circuit=measurement_runs(), shots=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_measurement_runs_match_a_measure_pauli_replay(circuit, shots, seed):
+    # Each shot replayed op by op on one tableau, measure_pauli drawing
+    # the shot's own uniforms in order: the counts, and the last shot's
+    # tableau as keep_final_state returns it.
+    n, m = circuit.n_qubits, circuit.n_cbits
+    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    uniforms = shot_uniforms(seed, shots, n_meas)
+    want: Counter = Counter()
+    for i in range(shots):
+        t, bits = init_tableau(n), [0] * m
+        draws = SimpleNamespace(random=iter(uniforms[i].tolist()).__next__)
+        for op in circuit.ops:
+            if isinstance(op, Measure):
+                bits[op.dest] = (1 - measure_pauli(t, op.qubit, op.axis, draws).outcome) // 2
+            elif op.condition is None or bits[op.condition]:
+                apply_clifford(t, GateApp(op.kind, op.targets))
+        want["".join(map(str, bits))] += 1
+    res = run(circuit, shots, seed, keep_final_state=True)
+    assert res.counts == dict(sorted(want.items()))
+    _assert_same(res.final_state, t)
+
+
+def test_a_run_defers_its_determined_outcomes_to_one_call(monkeypatch):
+    # GHZ-n with a random X measurement of a fresh qubit between every
+    # determined Z outcome: the determined ones wait past the collapses
+    # and are answered by one _determined call at the end of the run.
+    calls = []
+    determined = stabilizer._determined
+
+    def counting(t, meas):
+        calls.append(len(meas))
+        return determined(t, meas)
+
+    monkeypatch.setattr(stabilizer, "_determined", counting)
+    n = 20
+    ops = list(ghz(n).ops) + [GateApp(GateKind.H, (q,)) for q in range(n, 2 * n)]
+    for q in range(n):
+        ops += [Measure(q, PauliAxis.Z, q), Measure(n + q, PauliAxis.Z, n + q)]
+    res = run(Circuit(2 * n, 2 * n, tuple(ops)), 8, seed=2)
+    assert calls == [n - 1]
+    assert all(key[:n] in ("0" * n, "1" * n) for key in res.counts)
+
+
+@pytest.mark.parametrize("subset", [False, True])
+def test_write_keys_do_not_depend_on_the_shot_ranges(monkeypatch, subset):
+    # One, two and three shot ranges, read in blocks of two shots, write
+    # the same keys: each form's constant XOR its coins' parity.
+    rng = np.random.default_rng(11)
+    coins_count, m, shots = 100, 70, 41
+    bits = rng.integers(0, 2, (m, 128), dtype=np.uint8)
+    bits[:, coins_count + 1 :] = 0
+    forms = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    coins = rng.integers(0, 256, (shots, (coins_count + 7) // 8), dtype=np.uint8)
+    rows = np.arange(shots)[rng.random(shots) < 0.6] if subset else np.arange(shots)
+    want = np.zeros((shots, 2), dtype=np.uint64)
+    want[rows] = key_words(_values(forms, coins[rows]).T)
+    monkeypatch.setattr(stabilizer, "_BLOCK_WORDS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch between every few numpy calls
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(stabilizer, "_workers", lambda shots, words: workers)
+            keys = np.zeros((shots, 2), dtype=np.uint64)
+            _write_keys(forms, coins, rows, keys)
+            assert np.array_equal(keys, want)
+    finally:
+        sys.setswitchinterval(interval)
