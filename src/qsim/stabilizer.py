@@ -89,12 +89,11 @@ overwrites is dropped.
 
 A short run of determined outcomes takes one pass per measurement,
 whose pair terms telescope into a prefix-XOR of the rows
-(:func:`_by_prefix`).  A run long against the rows it flags, or whose
-rows hold X and Z on no one qubit, is one GF(2) product
-(:func:`_by_product`): with D the run's flags over the rows, the forms
-are D times the rows' forms, and the pair terms are a quadratic form in
-D over the rows' Z-times-X parities, float32 products of 0/1 matrices
-taken a bounded tile at a time.  GHZ-n measured in full is one coin and
+(:func:`_by_prefix`).  A run long against the rows it flags is one
+GF(2) product (:func:`_by_product`): with D the run's flags over the
+rows, the forms are D times the rows' forms, and the pair terms are a
+quadratic form in D over the rows' Z-times-X parities, float32 products
+of 0/1 matrices taken a bounded tile at a time.  GHZ-n measured in full is one coin and
 one product.
 """
 
@@ -102,7 +101,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,18 +136,20 @@ class Tableau:
     """A tableau on ``n`` qubits: ``x`` and ``z`` ``(2n, W)`` uint64 bit
     words and ``r`` the ``(2n, F)`` sign forms, held as column views of
     one ``(2n, 2W + F)`` uint64 row block (:attr:`block`), so that a row
-    operation gathers, XORs and scatters whole rows once.  The
-    constructor packs its three arrays into a new block."""
+    operation gathers, XORs and scatters whole rows once.  Assigning
+    ``x``, ``z`` or ``r`` writes the values into the block, so the views
+    never drift from it.  The constructor packs copies of its three
+    arrays into a new block."""
 
-    __slots__ = ("n", "block", "x", "z", "r")
+    __slots__ = ("n", "block", "_x", "_z", "_r")
 
     def __init__(self, n: int, x: np.ndarray, z: np.ndarray, r: np.ndarray):
         self._hold(n, np.concatenate((x, z, r), axis=1, dtype=np.uint64), x.shape[1])
 
     def _hold(self, n: int, block: np.ndarray, words: int) -> None:
         self.n, self.block = n, block
-        self.x, self.z = block[:, :words], block[:, words : 2 * words]
-        self.r = block[:, 2 * words :]
+        self._x, self._z = block[:, :words], block[:, words : 2 * words]
+        self._r = block[:, 2 * words :]
 
     @classmethod
     def _of(cls, n: int, block: np.ndarray, words: int) -> "Tableau":
@@ -157,12 +158,19 @@ class Tableau:
         t._hold(n, block, words)
         return t
 
+    x = property(lambda t: t._x, lambda t, v: t._x.__setitem__(..., v))
+    z = property(lambda t: t._z, lambda t, v: t._z.__setitem__(..., v))
+    r = property(lambda t: t._r, lambda t, v: t._r.__setitem__(..., v))
+
     @property
     def words(self) -> int:
-        return self.x.shape[1]
+        return self._x.shape[1]
 
     def copy(self) -> "Tableau":
         return Tableau._of(self.n, self.block.copy(), self.words)
+
+    def __repr__(self) -> str:
+        return f"Tableau(n={self.n}, x={self._x!r}, z={self._z!r}, r={self._r!r})"
 
 
 def init_tableau(n: int, coins: int = 0) -> Tableau:
@@ -217,13 +225,12 @@ class _Gates(NamedTuple):
     rs: Sequence[int]
 
 
-def _apply_gates(t: Tableau, gates: _Gates | Iterable[tuple[GateKind, int, int]],
-                 form: np.ndarray | None = None) -> None:
+def _apply_gates(t: Tableau, gates: _Gates, form: np.ndarray | None = None) -> None:
     """Conjugate every row by ``gates`` in program order, in place.
 
     ``gates`` holds each gate's kind, its qubit (a CNOT's control) and
-    its last target, as the columns of a :class:`_Gates` (as
-    :func:`_segments` hands a run of them) or as ``(kind, q, r)`` rows.
+    its last target as the columns of a :class:`_Gates`, as
+    :func:`_segments` hands a run of them.
     The touched qubits' columns are gathered as ints over the rows
     (``X[q]``, ``Z[q]``, row i at bit i), and each gate applies its
     Aaronson-Gottesman rule to them, XORing its sign flips into one int:
@@ -242,8 +249,6 @@ def _apply_gates(t: Tableau, gates: _Gates | Iterable[tuple[GateKind, int, int]]
     the changed columns' bits over a zeroed block, folds each 8 back
     into a byte with one weighted sum and XORs the bytes in.
     """
-    if not isinstance(gates, _Gates):
-        gates = _Gates(*(tuple(zip(*gates)) or ((), (), ())))
     kinds, qs, rs = gates
     qubits = sorted(set(qs).union(rs))
     if not qubits:
@@ -461,12 +466,10 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
 
 
 # A run of J determined measurements that flag |U| stabilizer rows is one
-# product when J >= _PRODUCT_RUN and either _PRODUCT_RUN * J >= |U| or no
-# qubit carries both an X and a Z bit among the flagged rows, and one
+# product when J >= _PRODUCT_RUN and _PRODUCT_RUN * J >= |U|, and one
 # prefix pass per measurement otherwise.  The product costs about 0.2 ms
-# whatever its size when the rows' X and Z bits meet nowhere (its
-# pair terms are then all zero tiles), against about 0.04 ms per prefix
-# pass plus the pass's rows; where they meet, its tiles grow with |U|.
+# whatever its size, against about 0.04 ms per prefix pass plus the
+# pass's rows.
 _PRODUCT_RUN = 8
 
 
@@ -477,19 +480,13 @@ def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     Such a measurement leaves the tableau as it is, so a run of them reads
     one tableau: each outcome is the sign of the product of the stabilizer
     rows its destabilizers flag (:func:`_flags`).  A run long against the
-    rows it flags, or whose flagged rows hold X and Z on no one qubit, is
-    one GF(2) product (:func:`_by_product`), another a prefix pass per
-    measurement (:func:`_by_prefix`).
+    rows it flags is one GF(2) product (:func:`_by_product`), a short one
+    a prefix pass per measurement (:func:`_by_prefix`).
     """
     if len(meas) >= _PRODUCT_RUN:
-        n, w = t.n, t.words
         flags = _flags(t, meas)
-        used = n + np.unpackbits(np.bitwise_or.reduce(flags, axis=0), count=n,
-                                 bitorder="little").nonzero()[0]
-        if _PRODUCT_RUN * len(meas) >= len(used):
-            return _by_product(t, meas, flags)
-        rows = np.bitwise_or.reduce(t.block[used, : 2 * w], axis=0)
-        if not (rows[:w] & rows[w:]).any():
+        used = int(np.bitwise_count(np.bitwise_or.reduce(flags, axis=0)).sum())
+        if _PRODUCT_RUN * len(meas) >= used:
             return _by_product(t, meas, flags)
     return _by_prefix(t, meas)
 

@@ -32,6 +32,7 @@ from qsim.stabilizer import (
     TableauMeasurement,
     _anticommuting,
     _apply_gates,
+    _Gates,
     _by_prefix,
     _by_product,
     _cross_parity,
@@ -95,6 +96,25 @@ def test_initial_tableau_rows():
         assert (int(t.x[q, 0]) >> q) & 1 == 1 and int(t.z[q, 0]) == 0
         assert (int(t.z[3 + q, 0]) >> q) & 1 == 1 and int(t.x[3 + q, 0]) == 0
     assert not t.r.any()
+
+
+def test_tableau_views_write_through_to_the_row_block():
+    # x, z and r are views of one row block: assigning one writes its
+    # values into the block, which the row kernels read; the constructor
+    # copies its arrays.
+    x, z, r = np.zeros((4, 1), np.uint64), np.zeros((4, 1), np.uint64), np.zeros((4, 1), np.uint64)
+    t = Tableau(2, x, z, r)
+    x[0, 0] = 1
+    assert not t.block.any()
+    view = t.x
+    t.x = np.arange(4, dtype=np.uint64)[:, None]
+    t.r ^= np.uint64(1)
+    t.z = 5
+    assert t.x is view and np.array_equal(t.block[:, 0], np.arange(4))
+    assert (t.block[:, 1] == 5).all() and (t.block[:, 2] == 1).all()
+    assert "Tableau(n=2, x=array(" in repr(t)
+    with pytest.raises(ValueError):
+        t.x = np.zeros((4, 2), dtype=np.uint64)
 
 
 def test_word_packing_beyond_64_qubits():
@@ -864,8 +884,11 @@ def _copy_of(t):
 
 
 def _rows(ops):
-    """GateApp ops as the ``(kind, q, r)`` rows ``_apply_gates`` reads."""
-    return [(op.kind, op.targets[0], op.targets[-1]) for op in ops]
+    """GateApp ops as the kind, qubit and last-target columns
+    ``_apply_gates`` reads."""
+    ops = list(ops)
+    return _Gates([op.kind for op in ops], [op.targets[0] for op in ops],
+                  [op.targets[-1] for op in ops])
 
 
 def _assert_same(a, b):
@@ -1102,9 +1125,9 @@ def determined_runs(draw):
         if kind is None:
             _measure_axis(t, a, axis, k)
         elif kind is not GateKind.CNOT:
-            _apply_gates(t, [(kind, a, a)])
+            _apply_gates(t, _Gates((kind,), (a,), (a,)))
         elif a != b:
-            _apply_gates(t, [(kind, a, b)])
+            _apply_gates(t, _Gates((kind,), (a,), (b,)))
     _measure_axis(t, active[-1], draw(st.sampled_from(PauliAxis)), len(steps) + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for i, j in rng.integers(0, n, (draw(st.integers(0, 3 * n)), 2)).tolist():
