@@ -561,6 +561,9 @@ def cli_dispatch(argv) -> int:
     except QsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,22 +70,22 @@ stabilizer row.  The flagged rows commute, so the product's phase is a
 sum of per-row terms and of one term per pair of rows.
 
 A run of consecutive measurements is classified a window at a time from
-one gather of its qubits' columns (:func:`_measure_run`).  A determined
-measurement leaves the tableau as it is, and its outcome waits
-(:class:`_Pending`): :func:`run` answers the determined outcomes of a
-whole run of measurements at once (:func:`_determined`) when a gate, a
-conditioned op or the end of the circuit closes the run.  Deferring
-them past the run's random measurements is exact.  A determined Pauli P
-is in the stabilizer group with some sign form s.  A random measurement
-of a Pauli Q on another qubit commutes with P, so P stays in the group
-after the collapse, with the same sign for every value of the coins:
-read from the later tableau, its form is an affine form equal to s as
-a function of the coins, and affine forms over GF(2) that agree
+one read of which rows anticommute with them (:func:`_anticommuting`,
+the one reader of that question), in :func:`_measure_run`.  A determined
+measurement leaves the tableau as it is, and its outcome waits inside
+its run of measurements, which answers its waiting outcomes at once
+(:func:`_determined`) when it ends.  Deferring them past the run's
+random measurements is exact.  A determined Pauli P is in the
+stabilizer group with some sign form s.  A random measurement of a
+Pauli Q on another qubit commutes with P, so P stays in the group after
+the collapse, with the same sign for every value of the coins: read
+from the later tableau, its form is an affine form equal to s as a
+function of the coins, and affine forms over GF(2) that agree
 everywhere are the same form.  Only a random measurement of P's own
-qubit (along another axis, since P itself is determined) takes P out
-of the group, so a pending run that measured the collapsing qubit is
-answered first; a pending outcome whose bit the random outcome
-overwrites is dropped.
+qubit (along another axis, since P itself is determined) takes P out of
+the group, so the waiting outcomes are answered first when the run has
+measured the collapsing qubit; a waiting outcome whose bit the random
+outcome overwrites is dropped.
 
 A short run of determined outcomes takes one pass per measurement,
 whose pair terms telescope into a prefix-XOR of the rows
@@ -409,35 +409,52 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 # Measurement
 
 
-def _anticommuting(t: Tableau, q: int, axis: PauliAxis, rows: slice = slice(None)) -> np.ndarray:
+def _anticommuting(t: Tableau, meas: Sequence[tuple], rows: slice = slice(None)) -> np.ndarray:
     """Which of the tableau's ``rows`` (all 2n by default) anticommute with
-    the Pauli ``axis`` on qubit q, as a bool column: a row anticommutes
-    with X_q where its z bit is set, with Z_q where its x bit is, and with
-    Y_q where they differ."""
-    w, b = q >> 6, np.uint64(q & 63)
-    if axis is PauliAxis.Z:
-        col = t.x[rows, w]
-    elif axis is PauliAxis.X:
-        col = t.z[rows, w]
-    else:
-        col = t.x[rows, w] ^ t.z[rows, w]
-    return ((col >> b) & _ONE).astype(bool)
+    each measured Pauli, ``(qubit, axis, ...)`` rows, as a ``(rows, J)``
+    bool matrix: a row anticommutes with X_q where its z bit is set, with
+    Z_q where its x bit is, and with Y_q where they differ.
+
+    Several Paulis are one gather of the X and Z byte columns their
+    qubits lie in.  One Pauli reads its word column instead, in well
+    under half the gather's time.
+    """
+    if len(meas) == 1:
+        q, axis = meas[0][0], meas[0][1]
+        w = q >> 6
+        if axis is PauliAxis.Z:
+            col = t.x[rows, w]
+        elif axis is PauliAxis.X:
+            col = t.z[rows, w]
+        else:
+            col = t.x[rows, w] ^ t.z[rows, w]
+        return (col & (1 << (q & 63))).astype(bool)[:, None]
+    cols, x_bits, z_bits = [], [], []
+    for q, axis, *_ in meas:
+        bit = 1 << (q & 7)
+        cols.append((q >> 3) ^ _BYTE)
+        x_bits.append(0 if axis is PauliAxis.X else bit)  # Z and Y read the x bit
+        z_bits.append(0 if axis is PauliAxis.Z else bit)  # X and Y the z bit
+    z_at = 8 * t.words  # the z words' first byte in a row of the block
+    both = t.block.view(np.uint8)[rows, cols + [z_at + c for c in cols]]
+    both &= np.array(x_bits + z_bits, dtype=np.uint8)
+    return both[:, : len(cols)] != both[:, len(cols) :]
 
 
-def _collapse(t: Tableau, q: int, axis: PauliAxis, anticommutes: np.ndarray, k: int,
+def _collapse(t: Tableau, q: int, axis: PauliAxis, rows: np.ndarray, k: int,
               bit: int = 1) -> np.ndarray:
     """A random measurement of the Pauli ``axis`` on qubit q, whose
-    :func:`_anticommuting` column ``anticommutes`` flags some stabilizer.
+    :func:`_anticommuting` column flags ``rows``, ascending, some of them
+    stabilizers.
 
-    The first such stabilizer, row p, multiplies onto every other flagged
-    row (:func:`_rowsum_many`), moves to its destabilizer as one row
-    copy, and takes the measured Pauli as its row.  Returns the outcome's
-    form: ``bit`` times variable ``k``, a run's k-th coin, or the
-    constant bit ``bit`` for k = 0.
+    The first flagged stabilizer, row p, multiplies onto every other
+    flagged row (:func:`_rowsum_many`), moves to its destabilizer as one
+    row copy, and takes the measured Pauli as its row.  Returns the
+    outcome's form: ``bit`` times variable ``k``, a run's k-th coin, or
+    the constant bit ``bit`` for k = 0.
     """
     n, w, block = t.n, t.words, t.block
-    p = n + int(anticommutes[n:].argmax())
-    rows = anticommutes.nonzero()[0]
+    p = int(rows[rows.searchsorted(n)])
     rows = rows[rows != p]
     if rows.size:
         _rowsum_many(t, rows, p)
@@ -459,9 +476,9 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
     the +1 outcome) and whether it was a fair coin, a random outcome
     being :func:`_collapse`'s.
     """
-    anticommutes = _anticommuting(t, q, axis)
-    if anticommutes[t.n:].any():
-        return _collapse(t, q, axis, anticommutes, k, bit), True
+    rows = _anticommuting(t, [(q, axis)])[:, 0].nonzero()[0]
+    if rows[-1] >= t.n:
+        return _collapse(t, q, axis, rows, k, bit), True
     return _determined(t, [(q, axis)])[0], False
 
 
@@ -494,25 +511,15 @@ def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
 def _flags(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     """Which destabilizers anticommute with each measured Pauli, as a
     ``(J, ceil(n / 8))`` byte matrix, destabilizer i at bit ``i & 7`` of
-    byte ``i >> 3``.  Destabilizer i flags stabilizer row ``n + i``."""
+    byte ``i >> 3``: :func:`_anticommuting`'s columns over the
+    destabilizers, packed, ``_BLOCK_BYTES`` of them at a time.
+    Destabilizer i flags stabilizer row ``n + i``."""
     n = t.n
-    qs = np.array([q for q, _ in meas], dtype=np.int64)
-    on_y = np.array([a is PauliAxis.Y for _, a in meas])  # Y reads x ^ z
-    # the byte columns the qubits lie in, as rows over the destabilizers:
-    # x bytes, then z bytes; Z reads the x byte, X the z byte
-    columns, at = np.unique((qs >> 3) ^ _BYTE, return_inverse=True)
-    z_at = 8 * t.words  # the z words' first byte in a row of the block
-    cols = t.block[:n].view(np.uint8)[:, np.append(columns, z_at + columns)].T.copy()
-    rows = at + len(columns) * np.array([a is PauliAxis.X for _, a in meas])
-    shifts = (qs & 7).astype(np.uint8)[:, None]
     out = np.empty((len(meas), (n + 7) >> 3), dtype=np.uint8)
     step = max(1, _BLOCK_BYTES // n)
     for j in range(0, len(meas), step):
-        s = slice(j, j + step)
-        bits = cols[rows[s]]
-        y = on_y[s]
-        bits[y] ^= cols[len(columns) + at[s][y]]
-        out[s] = np.packbits((bits >> shifts[s]) & 1, axis=1, bitorder="little")
+        hits = _anticommuting(t, meas[j : j + step], slice(n))
+        out[j : j + step] = np.packbits(hits, axis=0, bitorder="little").T
     return out
 
 
@@ -527,12 +534,13 @@ def _by_prefix(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     final product's.  The rows commute, so the sum g is even: the sign is
     the XOR of the rows' forms, its constant flipped when g % 4 == 2.  A
     lone flagged row is the measured Pauli itself, and its form the
-    outcome.
+    outcome.  Every measurement's flags are read by one
+    :func:`_anticommuting` call.
     """
     n, w = t.n, t.words
     out = np.empty((len(meas), t.r.shape[1]), dtype=np.uint64)
-    for j, (q, axis) in enumerate(meas):
-        rows = n + np.flatnonzero(_anticommuting(t, q, axis, slice(n)))
+    for j, flagged in enumerate(_anticommuting(t, meas, slice(n)).T):
+        rows = n + flagged.nonzero()[0]
         if len(rows) == 1:
             out[j] = t.r[rows[0]]
             continue
@@ -787,27 +795,22 @@ def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(acc) & 1) ^ (forms[:, 0] & _ONE).astype(np.uint8)
 
 
-def _step(groups: list[_Group], op, coins: np.ndarray) -> list[_Group]:
-    """Apply one gate to every group, conditioned gates as :func:`run`
-    describes; returns the groups after it.  ``op`` is a GateApp, or a
-    conditioned gate of the op table (:class:`_Conditioned`), read the
-    same way.  A conditioned H, R or CNOT evaluates its condition at the
-    coin bytes of every shot, ``coins``; nothing else reads them.  A
-    conditioned identity does nothing."""
-    gate = _Gates((op.kind,), op.targets[:1], op.targets[-1:])
-    if op.condition is None:
-        for t, _, _ in groups:
-            _apply_gates(t, gate)
-        return groups
-    if op.kind in _PAULIS:
+def _step(groups: list[_Group], gate: _Gates, condition: int, coins: np.ndarray) -> list[_Group]:
+    """Apply the one gate ``gate``, conditioned on bit ``condition``, to
+    every group as :func:`run` describes; returns the groups after it.
+    A conditioned H, R or CNOT evaluates its condition at the coin bytes
+    of every shot, ``coins``; nothing else reads them.  A conditioned
+    identity does nothing."""
+    kind = gate.kinds[0]
+    if kind in _PAULIS:
         for t, cb, _ in groups:
-            _apply_gates(t, gate, cb[op.condition])
+            _apply_gates(t, gate, cb[condition])
         return groups
-    if op.kind is _I:
+    if kind is _I:
         return groups
     split: list[_Group] = []
     for t, cb, idx in groups:
-        mask = _values(cb[op.condition, None], coins[idx])[:, 0] == 1
+        mask = _values(cb[condition, None], coins[idx])[:, 0] == 1
         if mask.all():
             _apply_gates(t, gate)
             split.append((t, cb, idx))
@@ -821,110 +824,71 @@ def _step(groups: list[_Group], op, coins: np.ndarray) -> list[_Group]:
     return split
 
 
-class _Pending:
-    """A group's determined outcomes not yet written into its bits.
-
-    ``meas`` maps each bit to the ``(qubit, axis)`` whose outcome it gets
-    last, and ``qubits`` holds every qubit measured since the last flush.
-    A determined Pauli stays in the stabilizer group, with the same sign
-    form, while later random measurements collapse other qubits, so an
-    outcome may wait for the end of its run of measurements; the module
-    docstring says why.
-    """
-
-    __slots__ = ("meas", "qubits")
-
-    def __init__(self) -> None:
-        self.meas: dict[int, tuple[int, PauliAxis]] = {}
-        self.qubits: set[int] = set()
-
-    def flush(self, t: Tableau, cb: np.ndarray) -> None:
-        """Write the outcomes into the bits ``cb`` (one :func:`_determined`
-        call on ``t``) and empty this run."""
-        if self.meas:
-            cb[list(self.meas)] = _determined(t, list(self.meas.values()))
-            self.meas.clear()
-        self.qubits.clear()
-
-
-def _gather(t: Tableau, meas: list[tuple[int, PauliAxis, int]]) -> np.ndarray:
-    """:func:`_anticommuting`'s column for each of the measurements
-    ``meas``, ``(qubit, axis, dest)`` rows, as a ``(2n, J)`` bool matrix:
-    one gather of the X and Z byte columns the qubits lie in, or for one
-    measurement its column itself."""
-    if len(meas) == 1:
-        (q, axis, _), = meas
-        return _anticommuting(t, q, axis)[:, None]
-    cols, x_bits, z_bits = [], [], []
-    for q, axis, _ in meas:
-        bit = 1 << (q & 7)
-        cols.append((q >> 3) ^ _BYTE)
-        x_bits.append(0 if axis is PauliAxis.X else bit)  # Z and Y read the x bit
-        z_bits.append(0 if axis is PauliAxis.Z else bit)  # X and Y the z bit
-    z_at = 8 * t.words  # the z words' first byte in a row of the block
-    both = t.block.view(np.uint8)[:, cols + [z_at + c for c in cols]]
-    both &= np.array(x_bits + z_bits, dtype=np.uint8)
-    return both[:, : len(cols)] != both[:, len(cols) :]
-
-
-def _measure_run(t: Tableau, cb: np.ndarray, pending: _Pending,
-                 meas: list[tuple[int, PauliAxis, int]], k: int) -> None:
+def _measure_run(t: Tableau, cb: np.ndarray, meas: list[tuple[int, PauliAxis, int]],
+                 k: int) -> None:
     """Measure ``meas``, consecutive ``(qubit, axis, dest)`` rows with no
     gate between them, on one group's tableau, the j-th with coin
-    ``k + j + 1``.
+    ``k + j + 1``, and write their outcomes' forms into the bits ``cb``.
 
-    A window of them is classified from one gather (:func:`_gather`):
-    those before the first random one leave the tableau as it is and join
-    ``pending``, and the random one is collapsed.  ``pending`` is flushed
-    first only when it measured the collapsing qubit, whose Pauli there
-    the collapse takes out of the group; an entry whose bit the random
-    outcome overwrites is dropped.  The window starts after it with one
-    row, and doubles after a window of determined ones, up to
-    ``_BLOCK_BYTES`` of gathered bytes, so a long determined run is a few
-    gathers and a run of random ones gathers no column twice.
+    A window of them is classified from one :func:`_anticommuting` read:
+    those before the first random one leave the tableau as it is, and
+    their outcomes wait, each bit for the last ``(qubit, axis)`` written
+    to it; the random one is collapsed.  The waiting outcomes are
+    answered by one :func:`_determined` call when the run ends, or before
+    a collapse of a qubit the run has measured since the last answer,
+    whose Pauli there the collapse takes out of the group; a waiting
+    outcome whose bit the random outcome overwrites is dropped.  The
+    window starts after it with one row, and doubles after a window of
+    determined ones, up to ``_BLOCK_BYTES`` of gathered bytes, so a long
+    determined run is a few gathers and a run of random ones gathers no
+    column twice.
     """
-    j, width, most = 0, 1, max(1, _BLOCK_BYTES // (2 * t.n))
+    n = t.n
+    waiting: dict[int, tuple[int, PauliAxis]] = {}
+    qubits: set[int] = set()  # measured since the last answer
+
+    def answer() -> None:
+        if waiting:
+            cb[list(waiting)] = _determined(t, list(waiting.values()))
+            waiting.clear()
+        qubits.clear()
+
+    j, width, most = 0, 1, max(1, _BLOCK_BYTES // (2 * n))
     while j < len(meas):
         window = meas[j : j + width]
-        hits = _gather(t, window)
-        random = hits[t.n :].any(axis=0).nonzero()[0]
+        hits = _anticommuting(t, window)
+        random = hits[n:].any(axis=0).nonzero()[0]
         r = int(random[0]) if len(random) else len(window)
         for q, axis, dest in window[:r]:
-            pending.meas[dest] = (q, axis)
-            pending.qubits.add(q)
+            waiting[dest] = (q, axis)
+            qubits.add(q)
         if r == len(window):
             j += r
             width = min(2 * width, most)
             continue
         q, axis, dest = window[r]
-        if q in pending.qubits:
-            pending.flush(t, cb)
-        pending.meas.pop(dest, None)
-        cb[dest] = _collapse(t, q, axis, hits[:, r], k + j + r + 1)
+        if q in qubits:
+            answer()
+        waiting.pop(dest, None)
+        cb[dest] = _collapse(t, q, axis, hits[:, r].nonzero()[0], k + j + r + 1)
         j += r + 1
         width = 1
+    answer()
 
 
-class _Conditioned(NamedTuple):
-    """A conditioned gate of the op table, as :func:`_step` reads a GateApp."""
-
-    kind: GateKind
-    targets: tuple[int, ...]
-    condition: int
-
-
-_Barrier = list[tuple[int, PauliAxis, int]] | _Conditioned | None
+_Barrier = list[tuple[int, PauliAxis, int]] | tuple[_Gates, int] | None
 
 
 def _segments(table: OpTable) -> list[tuple[_Gates, _Barrier]]:
     """A valid Clifford circuit's ops, read off its table, as runs of
     unconditioned gates, column slices for :func:`_apply_gates`, each
     closed by the barrier after it: a run of consecutive measurements as
-    ``(qubit, axis, dest)`` rows, a conditioned gate, or None after the
-    last run."""
+    ``(qubit, axis, dest)`` rows, a conditioned gate as a one-gate
+    :class:`_Gates` and its condition bit, or None after the last run.
+    A measurement right after another joins its run, so two runs of
+    measurements are never next to each other."""
     kind, cond, start, targets = table.kind, table.cond, table.start, table.targets
     meas = kind == MEASURE
-    # a measurement right after another joins its run
     heads = ((meas | (cond >= 0)) & ~(meas & np.r_[False, meas[:-1]])).nonzero()[0]
     others = (~meas).nonzero()[0]
     ends = np.where(meas[heads], np.append(others, len(kind))[np.searchsorted(others, heads)],
@@ -940,8 +904,7 @@ def _segments(table: OpTable) -> list[tuple[_Gates, _Barrier]]:
         if meas[h]:
             barrier: _Barrier = list(zip(qs[h:e], axes[h:e], dests[h:e]))
         else:
-            targets_h = (qs[h], rs[h]) if kinds[h] is _CNOT else (qs[h],)
-            barrier = _Conditioned(kinds[h], targets_h, conds[h])
+            barrier = (_Gates(kinds[h:e], qs[h:e], rs[h:e]), conds[h])
         out.append((_Gates(kinds[at:h], qs[at:h], rs[at:h]), barrier))
         at = e
     out.append((_Gates(kinds[at:], qs[at:], rs[at:]), None))
@@ -954,21 +917,19 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     One pass over the circuit, whatever ``shots`` is, keeps every sign
     and classical bit as a form over the coins.  Unconditioned gates
     between two barriers are applied together on bit columns
-    (:func:`_apply_gates`).  Consecutive measurements are classified a
-    window at a time from one gather of their columns
-    (:func:`_measure_run`): a random one updates the rows at once
-    (:func:`_collapse`), and a determined one joins its group's pending
-    run, evaluated whole (:func:`_determined`) when a gate, a
-    conditioned op or the end of the circuit closes it, or earlier when
-    a random measurement collapses a qubit the run measured.  A
-    classically conditioned X, Y or Z XORs its condition's form into the
-    signs it flips, a conditioned identity does nothing, and a
-    conditioned H, R or CNOT splits the shots into
-    groups by the condition's value, since shots that took different
-    branches no longer share structure.  Shot ``i`` draws from its own
-    Philox counter block exactly as in the dense backend; every shot's
-    coins are drawn first and held packed, eight to a byte, and each
-    group's outcomes are one GF(2) product over them (:func:`_write_keys`).
+    (:func:`_apply_gates`).  Each group measures a run of consecutive
+    measurements in one call (:func:`_measure_run`): a random one updates
+    the rows at once (:func:`_collapse`), and a determined one waits to
+    be answered with the others of its run, which the call does before
+    it returns.  A classically conditioned gate is one step
+    (:func:`_step`): an X, Y or Z XORs its condition's form into the
+    signs it flips, an identity does nothing, and an H, R or CNOT splits
+    the shots into groups by the condition's value, since shots that
+    took different branches no longer share structure.  Shot ``i``
+    draws from its own Philox counter block exactly as in the dense
+    backend; every shot's coins are drawn first and held packed, eight
+    to a byte, and each group's outcomes are one GF(2) product over them
+    (:func:`_write_keys`).
     ``keep_final_state`` returns the tableau of shot ``shots - 1``.
 
     The circuit is read off its op table (:func:`qsim.circuit.op_table`),
@@ -992,22 +953,17 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
         (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
          np.arange(shots))
     ]
-    runs = [_Pending()]  # each group's pending determined outcomes
     k = 0
     for gates, barrier in _segments(table):
-        if gates.kinds or not isinstance(barrier, list):
-            for (t, cb, _), pending in zip(groups, runs):
-                pending.flush(t, cb)
         if gates.kinds:
             for t, _, _ in groups:
                 _apply_gates(t, gates)
         if isinstance(barrier, list):
-            for (t, cb, _), pending in zip(groups, runs):
-                _measure_run(t, cb, pending, barrier, k)
+            for t, cb, _ in groups:
+                _measure_run(t, cb, barrier, k)
             k += len(barrier)
         elif barrier is not None:
-            groups = _step(groups, barrier, coins)
-            runs = [_Pending() for _ in groups]
+            groups = _step(groups, *barrier, coins)
 
     final: Tableau | None = None
     if keep_final_state:

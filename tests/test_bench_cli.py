@@ -407,6 +407,21 @@ def test_cli_run_non_clifford_on_tableau_exits_3(tmp_path, capsys):
     assert "stab" in capsys.readouterr().err or True
 
 
+@pytest.mark.parametrize("text, backend", [
+    ("qubits 2\ncbits 100000000000000000\nh q0\nmeasure q0 Z -> c0\n", ["--backend", "stab"]),
+    ("qubits 2\ncbits 100000000000000000\nh q0\nmeasure q0 Z -> c0\n", ["--backend", "sv"]),
+    ("qubits 300000000\nh q0\n", []),
+], ids=["cbits-stab", "cbits-sv", "qubits-auto"])
+def test_cli_run_register_too_large_to_allocate_exits_3(tmp_path, capsys, text, backend):
+    # Each register needs petabytes, past a 48-bit address space, so numpy
+    # refuses the allocation at once and no memory is touched.
+    path = tmp_path / "huge.qc"
+    path.write_text(text)
+    assert cli_dispatch(["run", str(path), "--shots", "4", *backend]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_cli_usage_error_exits_2(bell_file, capsys):
     assert cli_dispatch(["run", bell_file, "--backend", "qasm"]) == 2
     capsys.readouterr()

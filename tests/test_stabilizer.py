@@ -805,7 +805,12 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
             for t, cb, _ in groups:
                 cb[op.dest], _ = _measure_axis(t, op.qubit, op.axis, mi)
         else:
-            groups = _step(groups, op, coins)
+            gate = _rows((op,))
+            if op.condition is None:
+                for t, _, _ in groups:
+                    _apply_gates(t, gate)
+            else:
+                groups = _step(groups, gate, op.condition, coins)
         ref = ref_step(ref, op, u)
         assert len(groups) == len(ref)
         for (t, cb, idx), (rt, rcb, ridx) in zip(groups, ref):
@@ -1135,7 +1140,7 @@ def determined_runs(draw):
             stabilizer._rowsum_many(t, np.array([n + i]), n + j)
             stabilizer._rowsum_many(t, np.array([j]), i)
     stable = [(q, a) for q in active for a in PauliAxis
-              if not _anticommuting(t, q, a, slice(n, None)).any()]
+              if not _anticommuting(t, [(q, a)], slice(n, None)).any()]
     meas = draw(st.lists(st.sampled_from(stable), min_size=1, max_size=40))
     return t, meas
 
@@ -1156,6 +1161,34 @@ def _y_phase_run():
     t = init_tableau(130)
     _apply_gates(t, _rows(_y_phase_ops()[:-1]))
     return t, [(64, PauliAxis.Y)] * 8
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=_ghz_y_run(130), picks=[(64, PauliAxis.X)], rows="stabilizers")
+@example(case=_ghz_y_run(130), picks=[(129, PauliAxis.Y)], rows="destabilizers")
+@example(case=_ghz_y_run(130), picks=[(q, a) for q in (0, 63, 64, 127, 128, 129)
+                                      for a in PauliAxis] * 2 + [(5, PauliAxis.Y)] * 4,
+         rows="all")
+@given(case=determined_runs(),
+       picks=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(PauliAxis)),
+                      min_size=1, max_size=40),
+       rows=st.sampled_from(["all", "destabilizers", "stabilizers"]))
+def test_anticommuting_matches_per_bit_reads(case, picks, rows):
+    # The reader's (rows, J) bools against each row's x and z bits at the
+    # qubit, read as Python ints: Z reads x, X reads z, Y their XOR.  One
+    # Pauli takes the word-column branch, more the byte gather; qubits
+    # repeat and lie in every word of a 130-qubit tableau.
+    t, _ = case
+    n = t.n
+    meas = [(q % n, axis) for q, axis in picks]
+    span = {"all": slice(None), "destabilizers": slice(n), "stabilizers": slice(n, None)}[rows]
+    bit = lambda a, i, q: (int(a[i, q >> 6]) >> (q & 63)) & 1
+    want = [[bool((axis is not PauliAxis.X and bit(t.x, i, q))
+                  ^ (axis is not PauliAxis.Z and bit(t.z, i, q))) for q, axis in meas]
+            for i in range(2 * n)[span]]
+    got = _anticommuting(t, meas, span)
+    assert got.dtype == bool and got.shape == (len(want), len(meas))
+    assert got.tolist() == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1253,10 +1286,25 @@ _OVERWRITTEN = Circuit(2, 1, (_H1, Measure(0, PauliAxis.Z, 0), Measure(1, PauliA
 _REWRITTEN = Circuit(2, 1, (_H0, Measure(0, PauliAxis.Z, 0), Measure(1, PauliAxis.Z, 0)))
 
 
+def _determined_then(*after):
+    """GHZ-3 measured in Z, one coin and then two determined outcomes,
+    the last into c2, followed by ``after``, whose first op reads c2: the
+    run must have answered its waiting outcomes by then."""
+    z = lambda q, c: Measure(q, PauliAxis.Z, c)
+    return Circuit(3, 3, ghz(3).ops + (z(0, 0), z(1, 1), z(2, 2)) + after)
+
+
 @settings(max_examples=150, deadline=None)
 @example(circuit=_REMEASURED, shots=16, seed=1)
 @example(circuit=_OVERWRITTEN, shots=16, seed=1)
 @example(circuit=_REWRITTEN, shots=16, seed=1)
+@example(circuit=_determined_then(GateApp(GateKind.H, (0,), condition=2),
+                                  Measure(0, PauliAxis.X, 0)), shots=16, seed=1)
+@example(circuit=_determined_then(GateApp(GateKind.CNOT, (2, 1), condition=2),
+                                  Measure(1, PauliAxis.Z, 1)), shots=16, seed=1)
+@example(circuit=_determined_then(GateApp(GateKind.X, (1,), condition=2),
+                                  Measure(1, PauliAxis.Z, 1)), shots=16, seed=1)
+@example(circuit=_determined_then(), shots=16, seed=1)
 @example(circuit=_constant_flip_circuit(), shots=16, seed=3)
 @given(circuit=measurement_runs(), shots=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_measurement_runs_match_a_measure_pauli_replay(circuit, shots, seed):
