@@ -36,11 +36,11 @@ has constant forms, and its signs are plain bits.
 Shots meet only at the ends of :func:`run`: the coins of every shot are
 drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
 under the same stream discipline as the dense backend), and every
-classical bit is one GF(2) product over them (:func:`_write_keys`, one
-contiguous shot range per usable core), written straight into the
-histogram's packed key words, which :func:`qsim.result.count_keys`
-sorts as they are.  Sign work does not grow with shots, and memory
-grows with shots only by the coin bytes and the keys.
+classical bit is one GF(2) product over them (:func:`_write_keys`),
+written straight into the histogram's packed key words, which
+:func:`qsim.result.count_keys` sorts as they are.  Sign work does not
+grow with shots, and memory grows with shots only by the coin bytes and
+the keys.
 
 :func:`run` reads the circuit's op table (:func:`qsim.circuit.op_table`),
 never its op objects: the gates between two barriers (a measurement or
@@ -87,14 +87,15 @@ the group, so the waiting outcomes are answered first when the run has
 measured the collapsing qubit; a waiting outcome whose bit the random
 outcome overwrites is dropped.
 
-A short run of determined outcomes takes one pass per measurement,
-whose pair terms telescope into a prefix-XOR of the rows
-(:func:`_by_prefix`).  A run long against the rows it flags is one
-GF(2) product (:func:`_by_product`): with D the run's flags over the
-rows, the forms are D times the rows' forms, and the pair terms are a
-quadratic form in D over the rows' Z-times-X parities, float32 products
-of 0/1 matrices taken a bounded tile at a time.  GHZ-n measured in full is one coin and
-one product.
+Every GF(2) product of the backend is one kernel, :func:`_product`, the
+Method of Four Russians (Albrecht, Bard & Hart, arXiv:0811.1714): byte
+tables of every XOR of 8 rows of the right factor, read by each row's
+bytes of the left, in bounded chunks and one contiguous range of rows
+per usable core.  The shot keys are the coins times the bits' forms.
+The waiting outcomes of a run, with D their flags over the stabilizer
+rows, are D times the rows' forms, and their phases are a quadratic
+form in D over the rows' X-times-Z parities, two more products.  GHZ-n
+measured in full is one coin and one :func:`_determined` call.
 """
 
 from __future__ import annotations
@@ -406,6 +407,68 @@ def _rowsum_many(t: Tableau, rows: np.ndarray, p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# GF(2) products
+
+
+_TABLE_WORDS = 1 << 17  # words in one chunk of byte tables (1 MB)
+_BLOCK_WORDS = 1 << 15  # output words one table pass reads (256 KB)
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, rows: np.ndarray | slice) -> None:
+    """``out[rows] ^= a[rows] · b`` over GF(2), by the Method of Four
+    Russians (Albrecht, Bard & Hart, arXiv:0811.1714).
+
+    ``a`` is a matrix of bytes and ``b`` one of uint64 words: bit i of
+    byte c of a row of ``a`` selects row ``8c + i`` of ``b`` (rows past
+    its end are zero), whose words are XORed in as they are, so ``b``'s
+    bit order is ``out``'s.  Every group of 8 rows of ``b`` that is not
+    all zero gets a table: for each of the 256 byte values, the XOR of the
+    rows set in it, so a row of ``out`` XORs one row of each table.  The
+    groups are taken a chunk at a time, its tables at most
+    ``_TABLE_WORDS`` words.  A chunk's tables are read by one contiguous
+    range of ``rows`` per usable core, in threads started and joined here
+    (:func:`qsim.rng.in_shot_ranges`), ``_BLOCK_WORDS`` words of ``out``
+    at a time; each range writes only its own rows, so ``out`` does not
+    depend on the number of threads.  ``rows`` is a slice, whose blocks
+    are XORed in place, or ascending row indices.
+    """
+    kw = b.shape[1]
+    if isinstance(rows, slice):
+        first, last, _ = rows.indices(len(out))
+        count = last - first
+        at = lambda s, e: slice(first + s, first + e)
+    else:
+        count = len(rows)
+        at = lambda s, e: rows[s:e]
+    per, step = max(1, _TABLE_WORDS // (256 * kw)), max(1, _BLOCK_WORDS // kw)
+    groups = min(a.shape[1], (len(b) + 7) >> 3)
+    for lo in range(0, groups, per):
+        hi = min(lo + per, groups)
+        cols = np.zeros((hi - lo, 8, kw), dtype=np.uint64)
+        piece = b[8 * lo : 8 * hi]
+        cols.reshape(-1, kw)[: len(piece)] = piece
+        live = cols.reshape(hi - lo, -1).any(axis=1).nonzero()[0]
+        if not len(live):
+            continue
+        cols = cols[live]
+        tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
+        for i in range(8):
+            np.bitwise_xor(tables[:, : 1 << i], cols[:, i, None], out=tables[:, 1 << i : 2 << i])
+        reads = list(zip(live.tolist(), tables))
+
+        def read(begin: int, end: int) -> None:
+            for s in range(begin, end, step):
+                r = at(s, min(s + step, end))
+                c, o = a[r, lo:hi], out[r]
+                for g, table in reads:
+                    o ^= table[c[:, g]]
+                if not isinstance(r, slice):
+                    out[r] = o
+
+        in_shot_ranges(read, count, _workers(count, count * len(live) * kw))
+
+
+# ---------------------------------------------------------------------------
 # Measurement
 
 
@@ -482,185 +545,84 @@ def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
     return _determined(t, [(q, axis)])[0], False
 
 
-# A run of J determined measurements that flag |U| stabilizer rows is one
-# product when J >= _PRODUCT_RUN and _PRODUCT_RUN * J >= |U|, and one
-# prefix pass per measurement otherwise.  The product costs about 0.2 ms
-# whatever its size, against about 0.04 ms per prefix pass plus the
-# pass's rows.
-_PRODUCT_RUN = 8
-
-
 def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
     """The outcome forms of determined measurements ``meas``, ``(qubit,
     axis)`` pairs that no stabilizer anticommutes with, as ``(J, F)``.
 
     Such a measurement leaves the tableau as it is, so a run of them reads
     one tableau: each outcome is the sign of the product of the stabilizer
-    rows its destabilizers flag (:func:`_flags`).  A run long against the
-    rows it flags is one GF(2) product (:func:`_by_product`), a short one
-    a prefix pass per measurement (:func:`_by_prefix`).
+    rows its destabilizers flag (:func:`_anticommuting`).  Let U be the
+    stabilizer rows that some measurement flags and D the ``J x |U|``
+    flags.  The forms are ``D R_U``, R_U being the rows' forms, with the
+    product's phase on the constant.  A row (x, z) stands for
+    i^|x & z| X^x Z^z, so multiplying the flagged rows in order, the
+    exponent of i is ``g = D |x & z| + 2 diag(D L D^T) - [axis is Y]``, L
+    being the strictly lower-triangular part of ``Z_U X_U^T`` mod 2 (row
+    k's Z bits against the X bits of each row l before it), since the
+    product of the flagged rows is the measured Pauli, whose |x & z| is 1
+    for Y only.  The rows commute, so g is even, and the constant flips
+    where g / 2 is odd.
+
+    Write ``|x & z|`` as ``w0 + 2 w1`` mod 4.  The s flagged rows with w0
+    set make ``s - [axis is Y]`` even, and mod 4 it is twice the parity
+    of their s(s - 1)/2 pairs.  So g / 2 is, mod 2, the parity of D AND
+    ``w1 + D L'^T``, L'^T being the strict upper triangle of
+    ``M = X_U Z_U^T + w0 w0^T``: no weight is summed on its own, and the
+    axis drops out.  That is three :func:`_product` calls, ``D R_U``, M and
+    ``D L'^T``, and one popcount.  M and the phase are skipped when no
+    qubit carries both an X and a Z bit in U, as for GHZ measured in Z or
+    X, since every |x & z| and M are zero then.  D and ``Z_U^T`` are
+    built ``_BLOCK_BYTES`` of unpacked bits at a time.
     """
-    if len(meas) >= _PRODUCT_RUN:
-        flags = _flags(t, meas)
-        used = int(np.bitwise_count(np.bitwise_or.reduce(flags, axis=0)).sum())
-        if _PRODUCT_RUN * len(meas) >= used:
-            return _by_product(t, meas, flags)
-    return _by_prefix(t, meas)
-
-
-def _flags(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
-    """Which destabilizers anticommute with each measured Pauli, as a
-    ``(J, ceil(n / 8))`` byte matrix, destabilizer i at bit ``i & 7`` of
-    byte ``i >> 3``: :func:`_anticommuting`'s columns over the
-    destabilizers, packed, ``_BLOCK_BYTES`` of them at a time.
-    Destabilizer i flags stabilizer row ``n + i``."""
-    n = t.n
-    out = np.empty((len(meas), (n + 7) >> 3), dtype=np.uint8)
+    n, w, count = t.n, t.words, len(meas)
     step = max(1, _BLOCK_BYTES // n)
-    for j in range(0, len(meas), step):
-        hits = _anticommuting(t, meas[j : j + step], slice(n))
-        out[j : j + step] = np.packbits(hits, axis=0, bitorder="little").T
-    return out
-
-
-def _by_prefix(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
-    """:func:`_determined`'s forms, one measurement at a time.
-
-    Row k multiplies onto the product Q of the flagged rows before it,
-    whose x words are their exclusive prefix-XOR.  A row (x, z) stands
-    for i^|x & z| X^x Z^z, so that step's exponent of i is
-    |x_k & z_k| + |x_Q & z_Q| + 2 |z_k & x_Q| - |x_Q' & z_Q'|, Q' being
-    the new product; over all steps the Q terms telescope to minus the
-    final product's.  The rows commute, so the sum g is even: the sign is
-    the XOR of the rows' forms, its constant flipped when g % 4 == 2.  A
-    lone flagged row is the measured Pauli itself, and its form the
-    outcome.  Every measurement's flags are read by one
-    :func:`_anticommuting` call.
-    """
-    n, w = t.n, t.words
-    out = np.empty((len(meas), t.r.shape[1]), dtype=np.uint64)
-    for j, flagged in enumerate(_anticommuting(t, meas, slice(n)).T):
-        rows = n + flagged.nonzero()[0]
-        if len(rows) == 1:
-            out[j] = t.r[rows[0]]
-            continue
-        h = t.block[rows]
-        xs, zs = h[:, :w], h[:, w : 2 * w]
-        prefix = np.bitwise_xor.accumulate(xs, axis=0)
-        x_q = prefix ^ xs
-        last = prefix[-1] & np.bitwise_xor.reduce(zs, axis=0)
-        g = (int(np.bitwise_count(xs & zs).sum()) + 2 * int(np.bitwise_count(zs & x_q).sum())
-             - int(np.bitwise_count(last).sum()))
-        # The forms' XOR is read off an accumulate: numpy reduces a few
-        # words per row down axis 0 about half as fast.
-        out[j] = np.bitwise_xor.accumulate(h[:, 2 * w :], axis=0)[-1]
-        out[j, 0] ^= (g & 3) == 2
-    return out
-
-
-def _bits(packed: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` bits of each row of little-endian bytes, as
-    float32 0/1."""
-    return np.unpackbits(packed, axis=1, count=count, bitorder="little").astype(np.float32)
-
-
-def _odd(sums: np.ndarray) -> np.ndarray:
-    """Integer-valued float32 sums mod 2, as uint8 (a float remainder is
-    about a hundred times slower)."""
-    return (sums.astype(np.int32) & 1).astype(np.uint8)
-
-
-def _row_bytes(words: np.ndarray) -> np.ndarray:
-    """Rows of uint64 words as their little-endian bytes, bit v of a row
-    at bit ``v & 7`` of byte ``v >> 3``."""
-    return words.astype("<u8", copy=False).view(np.uint8)
-
-
-def _by_product(t: Tableau, meas: list[tuple[int, PauliAxis]], flags: np.ndarray) -> np.ndarray:
-    """:func:`_determined`'s forms as one GF(2) product for the whole run.
-
-    Let U be the stabilizer rows that some measurement flags and D the
-    ``J x |U|`` flags.  The forms are ``D R_U`` over GF(2), R_U being the
-    rows' forms, taken on the byte columns that hold a live variable.
-    Multiplying the flagged rows in order, the exponent of i is
-    ``g = D |x & z| + 2 diag(D L D^T) - [axis is Y]``: the terms of
-    :func:`_by_prefix`, where L is the strictly lower-triangular part of
-    ``Z_U X_U^T`` mod 2 (:func:`_cross_parity`) and the product of the
-    flagged rows is the measured Pauli, whose |x & z| is 1 for Y only.
-    The constant flips where ``g % 4 == 2``.  Products are float32 over
-    0/1 matrices, exact below 2^24 rows, in tiles of at most
-    ``_BLOCK_BYTES`` bytes.
-    """
-    n, count = t.n, len(meas)
-    used = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(flags, axis=0), count=n,
-                                        bitorder="little"))
-    u = len(used)
-    d = np.empty((count, (u + 7) >> 3), dtype=np.uint8)  # D, packed along U
-    step = max(1, _BLOCK_BYTES // n)
+    flags = np.empty((count, (n + 7) >> 3), dtype=np.uint8)  # destabilizer i at bit i
     for j in range(0, count, step):
-        d[j : j + step] = np.packbits(
+        flags[j : j + step] = np.packbits(_anticommuting(t, meas[j : j + step], slice(n)),
+                                          axis=0, bitorder="little").T
+    used = np.unpackbits(np.bitwise_or.reduce(flags, axis=0), count=n,
+                         bitorder="little").nonzero()[0]
+    u, uw = len(used), (len(used) + 63) >> 6
+    d = np.zeros((count, 8 * uw), dtype=np.uint8)  # D, packed along U into whole words
+    for j in range(0, count, step):
+        d[j : j + step, : (u + 7) >> 3] = np.packbits(
             np.unpackbits(flags[j : j + step], axis=1, count=n, bitorder="little")[:, used],
             axis=1, bitorder="little")
-    w, h = t.words, t.block[n + used]
-    x, z, r = h[:, :w], h[:, w : 2 * w], _row_bytes(h[:, 2 * w :])
-    live = np.flatnonzero(r.any(axis=0))
-    r = r[:, live]
-    weights = (np.bitwise_count(x & z).sum(axis=1) & 3).astype(np.float32)  # |x & z| mod 4
-    out = np.zeros((count, 8 * t.r.shape[1]), dtype=np.uint8)
-    g = np.empty(count, dtype=np.int64)
-    per = max(1, _BLOCK_BYTES // (32 * u))  # live bytes in one tile of R_U
-    step = max(1, _BLOCK_BYTES // (4 * max(u, 8 * min(per, len(live)))))
-    for j in range(0, count, step):
-        dj = _bits(d[j : j + step], u)
-        g[j : j + step] = dj @ weights
-        for c in range(0, len(live), per):
-            sums = dj @ _bits(r[:, c : c + per], 8 * len(live[c : c + per]))
-            out[j : j + step, live[c : c + per]] = np.packbits(
-                _odd(sums), axis=1, bitorder="little")
-    y = np.array([a is PauliAxis.Y for _, a in meas])
-    g += 2 * _cross_parity(x, z, d) - y
-    forms = out.view("<u8").astype(np.uint64)
-    forms[:, 0] ^= ((g & 3) == 2).astype(np.uint64)
+    del flags  # freed before the products, which set the peak
+    h = t.block[n + used]
+    r = h[:, 2 * w :]
+    top = r.shape[1] - int(r.any(axis=0)[::-1].argmax())  # words past the last live one are 0
+    forms = np.zeros((count, t.r.shape[1]), dtype=np.uint64)
+    _product(d, r[:, :top], forms[:, :top], slice(count))
+    ors = np.bitwise_or.reduce(h[:, : 2 * w], axis=0)
+    both = (ors[:w] & ors[w:]).astype("<u8", copy=False).view(np.uint8).nonzero()[0]
+    if len(both):
+        x, z = h[:, :w], h[:, w : 2 * w]
+        weight = np.bitwise_count(x & z).sum(axis=1)  # |x & z|
+        # qubit q at bit q & 7 of byte q >> 3
+        xb, zb = (a.astype("<u8", copy=False).view(np.uint8) for a in (x, z))
+        zt = np.zeros((8 * len(both), 8 * uw), dtype=np.uint8)  # Z_U^T on those bytes' qubits
+        per = max(1, _BLOCK_BYTES // (8 * u))
+        for c in range(0, len(both), per):
+            bits = np.unpackbits(zb[:, both[c : c + per]], axis=1, bitorder="little")
+            zt[8 * c : 8 * (c + per), : (u + 7) >> 3] = np.packbits(bits.T, axis=1,
+                                                                   bitorder="little")
+        m = np.zeros((u, uw), dtype=np.uint64)
+        _product(xb[:, both], zt.view("<u8").astype(np.uint64, copy=False), m, slice(u))
+        del zt
+        planes = np.zeros((2, 8 * uw), dtype=np.uint8)  # w0 and w1 over U
+        planes[:, : (u + 7) >> 3] = np.packbits([weight & 1, (weight >> 1) & 1], axis=1,
+                                                bitorder="little")
+        low, high = planes.view("<u8").astype(np.uint64, copy=False)
+        m[(weight & 1).nonzero()[0]] ^= low
+        k = np.arange(u)
+        m[np.arange(uw) < (k >> 6)[:, None]] = 0  # L'^T: bits k > l of row l
+        m[k, k >> 6] &= ~((np.uint64(2) << (k & 63).astype(np.uint64)) - _ONE)
+        pairs = np.tile(high, (count, 1))
+        _product(d, m, pairs, slice(count))
+        dw = d.view("<u8").astype(np.uint64, copy=False)
+        forms[:, 0] ^= np.bitwise_count(dw & pairs).sum(axis=1) & 1
     return forms
-
-
-def _cross_parity(x: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``diag(D L D^T)`` mod 2 for :func:`_by_product`: for each row of D,
-    the parity of ``|z_k & x_l|`` summed over pairs l < k of rows it
-    flags.
-
-    L is built a tile at a time over blocks of rows, and a tile only over
-    the qubits where block k's rows carry a Z bit and block l's an X bit;
-    a tile with none is zero and skipped.  For GHZ measured in Z or X
-    every tile is.
-    """
-    u, count = len(x), len(d)
-    size = max(8, (_BLOCK_BYTES // (256 * x.shape[1])) & ~7)  # rows whose bits fill a block
-    starts = range(0, u, size)
-    xb, zb = _row_bytes(x), _row_bytes(z)
-    or_x = [np.bitwise_or.reduce(xb[s : s + size], axis=0) for s in starts]
-    or_z = [np.bitwise_or.reduce(zb[s : s + size], axis=0) for s in starts]
-    step = max(1, _BLOCK_BYTES // (4 * size))
-    parity = np.zeros(count, dtype=np.int64)
-    for a, k in enumerate(starts):
-        for b, l in enumerate(starts[: a + 1]):
-            both = or_z[a] & or_x[b]
-            if not both.any():
-                continue
-            qubits = np.flatnonzero(np.unpackbits(both, bitorder="little"))
-            zk = np.unpackbits(zb[k : k + size], axis=1, bitorder="little")[:, qubits]
-            xl = np.unpackbits(xb[l : l + size], axis=1, bitorder="little")[:, qubits]
-            tile = _odd(zk.astype(np.float32) @ xl.T.astype(np.float32)).astype(np.float32)
-            if a == b:
-                tile = np.tril(tile, -1)
-            if not tile.any():
-                continue
-            kn, ln = len(zk), len(xl)
-            for j in range(0, count, step):
-                dk = _bits(d[j : j + step, k >> 3 : (k + kn + 7) >> 3], kn)
-                dl = _bits(d[j : j + step, l >> 3 : (l + ln + 7) >> 3], ln)
-                parity[j : j + step] += ((dk @ tile) * dl).sum(axis=1).astype(np.int64)
-    return parity & 1
 
 
 @dataclass(frozen=True)
@@ -720,10 +682,6 @@ def _require_constant(t: Tableau, caller: str) -> None:
 _Group = tuple[Tableau, np.ndarray, np.ndarray]
 
 
-_TABLE_WORDS = 1 << 17  # key words in one chunk of byte tables (1 MB)
-_BLOCK_WORDS = 1 << 15  # key words of the shots one table pass reads (256 KB)
-
-
 def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> None:
     """Write ``forms`` evaluated at the coins of shots ``rows`` into ``keys[rows]``.
 
@@ -731,55 +689,35 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
     coin bytes (``qsim.rng.shot_uniforms(..., coins=True)``) and ``keys`` its
     ``(shots, ceil(m / 64))`` key words, form j at key bit j.  A shot's
     key is the constants' column XOR the key column of every coin it drew
-    as 1.  Every coin byte that some form reads gets a table: for each of
-    the 256 byte values, the XOR of the key columns of the coins set in
-    it, so a shot's key XORs one row of each table.  The coin bytes are
-    taken a chunk at a time, its tables at most ``_TABLE_WORDS`` words,
-    and each chunk reads only the form words that hold its coins (shifted
-    down one bit, coin k at bit k), so beyond the forms themselves the
-    readout holds bounded pieces, whatever the number of forms, coins and
-    shots.  A chunk's tables are read by one contiguous range of ``rows``
-    per usable core, in threads started and joined here
-    (:func:`qsim.rng.in_shot_ranges`); each range writes only its own
-    shots' keys, so the keys do not depend on the number of threads.
-    ``rows`` ascend; when they are every shot from the first to the last,
-    as for a run that never split, a block of them is a slice, and its
-    keys are XORed in place.
+    as 1: the shots' coin bytes times the coins' key columns, one
+    :func:`_product` per chunk of coin bytes whose tables fill
+    ``_TABLE_WORDS``.  Each chunk reads only the form words that hold its
+    coins (shifted down one bit, coin k at bit k) and builds key columns
+    only for the coin bytes some form reads, so beyond the forms
+    themselves the readout holds bounded pieces, whatever the number of
+    forms, coins and shots.  ``rows`` ascend; when they are every shot
+    from the first to the last, as for a run that never split, they are
+    passed as a slice, whose keys are XORed in place.
     """
     if not len(forms) or not len(rows):
         return
-    kw = keys.shape[1]
     start = int(rows[0])
-    whole = int(rows[-1]) - start == len(rows) - 1
-    keys[slice(start, start + len(rows)) if whole else rows] = key_words(forms[:, :1] & _ONE)[0]
-    per, step = max(1, _TABLE_WORDS // (256 * kw)), max(1, _BLOCK_WORDS // kw)
+    if int(rows[-1]) - start == len(rows) - 1:
+        rows = slice(start, start + len(rows))
+    keys[rows] = key_words(forms[:, :1] & _ONE)[0]
+    kw = keys.shape[1]
+    per = max(1, _TABLE_WORDS // (256 * kw))
     for lo in range(0, coins.shape[1], per):
         hi = min(lo + per, coins.shape[1])
         words = forms[:, lo >> 3 : (hi >> 3) + 1]  # variable 64 * (lo >> 3) at bit 0
         shifted = words >> _ONE
         shifted[:, :-1] |= words[:, 1:] << np.uint64(63)
         part = shifted.astype("<u8", copy=False).view(np.uint8)[:, lo & 7 : (lo & 7) + hi - lo]
-        live = np.flatnonzero(part.any(axis=0))
-        if not len(live):
-            continue
-        cols = key_words(np.unpackbits(part[:, live], axis=1, bitorder="little"))
-        cols = cols.reshape(len(live), 8, kw)
-        tables = np.zeros((len(live), 256, kw), dtype=np.uint64)
-        for i in range(8):
-            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[:, i, None]
-        reads = list(zip(live.tolist(), tables))
-
-        def read(first: int, last: int) -> None:
-            for s in range(first, last, step):
-                e = min(s + step, last)
-                r = slice(start + s, start + e) if whole else rows[s:e]
-                c, out = coins[r, lo:hi], keys[r]
-                for b, table in reads:
-                    out ^= table[c[:, b]]
-                if not whole:
-                    keys[r] = out
-
-        in_shot_ranges(read, len(rows), _workers(len(rows), len(rows) * len(live) * kw))
+        live = part.any(axis=0).nonzero()[0]  # coin bytes some form reads
+        cols = np.zeros((hi - lo, 8, kw), dtype=np.uint64)
+        cols[live] = key_words(np.unpackbits(part[:, live], axis=1,
+                                             bitorder="little")).reshape(len(live), 8, kw)
+        _product(coins[:, lo:hi], cols.reshape(-1, kw), keys, rows)
 
 
 def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:

@@ -33,11 +33,9 @@ from qsim.stabilizer import (
     _anticommuting,
     _apply_gates,
     _Gates,
-    _by_prefix,
-    _by_product,
-    _cross_parity,
-    _flags,
+    _determined,
     _measure_axis,
+    _product,
     _step,
     _values,
     _write_keys,
@@ -385,28 +383,21 @@ def test_determined_run_memory_is_bounded():
 
 
 def test_a_run_of_determined_outcomes_is_one_product(monkeypatch):
-    # One GF(2) product answers every determined outcome of a GHZ-n
-    # measured in full.  A measurement closed by a gate is a run of one,
-    # which takes the prefix pass.
+    # One _determined call, one set of GF(2) products, answers every
+    # determined outcome of a GHZ-n measured in full.
     calls = []
-    product = stabilizer._by_product
+    determined = stabilizer._determined
 
-    def counting(t, meas, flags):
+    def counting(t, meas):
         calls.append(len(meas))
-        return product(t, meas, flags)
+        return determined(t, meas)
 
-    monkeypatch.setattr(stabilizer, "_by_product", counting)
+    monkeypatch.setattr(stabilizer, "_determined", counting)
     n = 100
     for axis in PauliAxis:
         calls.clear()
         res = run(_ghz_measured(n, axis), 1, seed=4)
         assert calls == [n - 1] and set(res.counts) <= {"0" * n, "1" * n}
-    calls.clear()
-    ops = list(ghz(n).ops)
-    for q in range(n):
-        ops += [Measure(q, PauliAxis.Z, q), GateApp(GateKind.Z, (q,))]
-    res = run(Circuit(n, n, tuple(ops)), 16, seed=4)
-    assert calls == [] and set(res.counts) == {"0" * n, "1" * n}
 
 
 @pytest.mark.parametrize("table_words, block_words", [(256, 1), (3 * 256 * 3, 7)])
@@ -1094,8 +1085,64 @@ def test_phase_examples_reach_phase_two(ops):
 
 
 # ---------------------------------------------------------------------------
-# A run of determined measurements: the GF(2) product against the prefix
-# pass, on the same tableau.
+# GF(2) products: the kernel against integer matrix products, and a run of
+# determined measurements against row products taken one at a time.
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 40), size=st.integers(1, 70), extra=st.integers(0, 1),
+       words=st.integers(1, 3), density=st.sampled_from([0.03, 0.5]),
+       empty=st.lists(st.integers(0, 8), max_size=3), subset=st.booleans(),
+       table=st.sampled_from([256, 1 << 17]), block=st.sampled_from([1, 3, 1 << 15]),
+       workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_product_is_the_matrix_product_mod_2(count, size, extra, words, density, empty, subset,
+                                              table, block, workers, seed):
+    # out[rows] ^= a[rows] b over GF(2), against (A @ B) & 1 in int64: b's
+    # rows need not fill their last byte group, a may carry bytes past
+    # b's end, some groups of 8 rows of b are all zero, and the rows are a
+    # slice or a subset, read in tables of one group and blocks of a few
+    # rows by 1-3 shot ranges.
+    rng = np.random.default_rng(seed)
+    a_bits = rng.random((count, 8 * ((size + 7) // 8 + extra))) < density
+    b_bits = rng.random((size, 64 * words)) < density
+    for g in empty:
+        b_bits[8 * g : 8 * g + 8] = False
+    a = np.packbits(a_bits, axis=1, bitorder="little")
+    b = np.packbits(b_bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    out = rng.integers(0, 2**63, (count, words), dtype=np.uint64)
+    rows = np.flatnonzero(rng.random(count) < 0.6) if subset else slice(count // 3, count)
+    want = out.copy()
+    prod = (a_bits[:, :size].astype(np.int64) @ b_bits.astype(np.int64)) & 1
+    want[rows] ^= np.packbits(prod.astype(bool), axis=1, bitorder="little").view("<u8")[rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stabilizer, "_TABLE_WORDS", table)
+        mp.setattr(stabilizer, "_BLOCK_WORDS", block)
+        mp.setattr(stabilizer, "_workers", lambda shots, words: workers)
+        _product(a, b, out, rows)
+    assert np.array_equal(out, want)
+
+
+def ref_determined(t, meas):
+    """The outcome forms of determined measurements, one at a time: the
+    stabilizer rows whose destabilizers anticommute with the measured
+    Pauli, read bit by bit, multiplied into a scratch row in ascending
+    order as :func:`ref_rowsum` does, the forms XORed and the constant
+    flipped at each product whose exponent of i is 2 mod 4."""
+    n = t.n
+    bit = lambda a, i, q: (int(a[i, q >> 6]) >> (q & 63)) & 1
+    out = np.zeros((len(meas), t.r.shape[1]), dtype=np.uint64)
+    for j, (q, axis) in enumerate(meas):
+        x, z = np.zeros(t.words, dtype=np.uint64), np.zeros(t.words, dtype=np.uint64)
+        for i in range(n):
+            if (axis is not PauliAxis.X and bit(t.x, i, q)) ^ (axis is not PauliAxis.Z
+                                                             and bit(t.z, i, q)):
+                g = int(_g_sum(t.x[n + i], t.z[n + i], x, z))
+                assert g % 2 == 0  # the flagged rows commute
+                out[j] ^= t.r[n + i]
+                out[j, 0] ^= np.uint64(g % 4 == 2)
+                x ^= t.x[n + i]
+                z ^= t.z[n + i]
+    return out
 
 
 @st.composite
@@ -1192,49 +1239,24 @@ def test_anticommuting_matches_per_bit_reads(case, picks, rows):
 
 
 @settings(max_examples=150, deadline=None)
-@example(case=_y_phase_run(), block=1 << 20)
-@example(case=_ghz_y_run(130), block=1 << 20)
-@example(case=_ghz_y_run(130), block=512)
-@given(case=determined_runs(), block=st.sampled_from([64, 512, 4096, 1 << 20]))
-def test_product_and_prefix_give_the_same_forms(case, block):
-    # Both branches of _determined, called directly on one tableau, give
-    # the same forms word for word; blocks down to 64 bytes make the
-    # product take its flags, rows, L and R_U in many tiles.
+@example(case=_y_phase_run(), table=1 << 17, block=1 << 20)
+@example(case=_ghz_y_run(130), table=1 << 17, block=1 << 20)
+@example(case=_ghz_y_run(130), table=256, block=512)
+@given(case=determined_runs(), table=st.sampled_from([256, 4096, 1 << 17]),
+       block=st.sampled_from([64, 512, 4096, 1 << 20]))
+def test_determined_matches_sequential_row_products(case, table, block):
+    # _determined on one tableau against the rows multiplied one at a
+    # time, word for word; tables of one byte group and blocks down to
+    # 64 bytes make it build D, Z_U^T and its products in many pieces.
     t, meas = case
     before = _copy_of(t)
-    want = _by_prefix(t, meas)
-    saved = stabilizer._BLOCK_BYTES
-    stabilizer._BLOCK_BYTES = block
-    try:
-        got = _by_product(t, meas, _flags(t, meas))
-    finally:
-        stabilizer._BLOCK_BYTES = saved
+    want = ref_determined(t, meas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stabilizer, "_TABLE_WORDS", table)
+        mp.setattr(stabilizer, "_BLOCK_BYTES", block)
+        got = _determined(t, meas)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     _assert_same(t, before)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.integers(1, 70), count=st.integers(1, 20), words=st.integers(1, 3),
-       density=st.sampled_from([0.03, 0.5]), seed=st.integers(0, 2**32 - 1),
-       block=st.sampled_from([64, 512, 1 << 20]))
-def test_cross_parity_is_the_pairwise_sum(rows, count, words, density, seed, block):
-    # For each row d of D, the parity of |z_k & x_l| over the pairs l < k
-    # that d flags, on random bits: sparse bits leave most tiles of L
-    # empty, so a tile skipped by mistake shows.
-    rng = np.random.default_rng(seed)
-    bits = lambda shape: rng.random(shape) < density
-    pack = lambda b: np.packbits(b, axis=1, bitorder="little")
-    x, z = (pack(bits((rows, 64 * words))).view("<u8").astype(np.uint64) for _ in range(2))
-    d = bits((count, rows))
-    pairs = np.tril(np.bitwise_count(z[:, None] & x[None, :]).sum(axis=2, dtype=np.int64), -1)
-    want = np.einsum("jk,kl,jl->j", d.astype(np.int64), pairs, d.astype(np.int64)) & 1
-    saved = stabilizer._BLOCK_BYTES
-    stabilizer._BLOCK_BYTES = block
-    try:
-        got = _cross_parity(x, z, pack(d))
-    finally:
-        stabilizer._BLOCK_BYTES = saved
-    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
