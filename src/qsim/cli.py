@@ -6,6 +6,10 @@ curves), ``bell chsh`` (the rotated-basis CHSH sweep), ``lhv find``
 (LP search for a communication-assisted local model) and ``lhv
 simulate`` (execute a found model shot by shot).
 
+The package ``qsim`` does not import this module, so ``python -m
+qsim.cli`` runs it without runpy's warning; the console script is
+``qsim.cli:main``.
+
 Exit codes: 0 success, 2 for usage/input problems (bad flags, missing
 or malformed files), 3 for simulation-domain failures (non-Clifford op
 sent to the tableau backend, qubit caps, strategy caps).

@@ -196,7 +196,7 @@ def init_tableau(n: int, coins: int = 0) -> Tableau:
 
 _H, _R, _X, _Y, _Z, _I, _CNOT = (GateKind.H, GateKind.R, GateKind.X, GateKind.Y, GateKind.Z,
                                  GateKind.I, GateKind.CNOT)
-_PAULIS = (_X, _Y, _Z)
+_PAULIS = {_X: PauliAxis.X, _Y: PauliAxis.Y, _Z: PauliAxis.Z}
 _ROW_KINDS = GATE_KINDS + (None, None)  # op codes to gate kinds: None for oracles, measurements
 _ROW_AXES = AXES + (None,)  # axis codes to axes: -1, no axis, to None
 
@@ -226,7 +226,7 @@ class _Gates(NamedTuple):
     rs: Sequence[int]
 
 
-def _apply_gates(t: Tableau, gates: _Gates, form: np.ndarray | None = None) -> None:
+def _apply_gates(t: Tableau, gates: _Gates) -> None:
     """Conjugate every row by ``gates`` in program order, in place.
 
     ``gates`` holds each gate's kind, its qubit (a CNOT's control) and
@@ -239,9 +239,7 @@ def _apply_gates(t: Tableau, gates: _Gates, form: np.ndarray | None = None) -> N
     into Z; X, Z and Y flip ``Z``, ``X`` and ``X ^ Z``; a CNOT flips
     ``Xc & Zt & ~(Xt ^ Zc)``, then XORs Xc into Xt and Zt into Zc; the
     identity does nothing.  The changed columns are written back, and the
-    flipped rows' sign forms get the constant 1, or ``form`` when it is
-    given: a condition's form makes Paulis, which change no column, a
-    conditioned gate.
+    flipped rows' sign forms get the constant 1.
 
     Columns move a block of words at a time, in the rows' words seen as
     bytes (qubit q in byte column ``(q >> 3) ^ _BYTE``, at bit q & 7).  A
@@ -332,10 +330,7 @@ def _apply_gates(t: Tableau, gates: _Gates, form: np.ndarray | None = None) -> N
                 b[:, first : first + span] ^= np.einsum("s,csr->rc", _BIT_MASKS[:, 0], spread)
             j += len(cs)
     if flips:
-        if form is None:
-            t.r[:, 0] ^= bits[-1]
-        else:
-            t.r[bits[-1].nonzero()[0]] ^= form
+        t.r[:, 0] ^= bits[-1]
 
 
 def apply_clifford(t: Tableau, op: CircuitOp) -> None:
@@ -736,13 +731,16 @@ def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
 def _step(groups: list[_Group], gate: _Gates, condition: int, coins: np.ndarray) -> list[_Group]:
     """Apply the one gate ``gate``, conditioned on bit ``condition``, to
     every group as :func:`run` describes; returns the groups after it.
-    A conditioned H, R or CNOT evaluates its condition at the coin bytes
-    of every shot, ``coins``; nothing else reads them.  A conditioned
-    identity does nothing."""
+    A conditioned X, Y or Z flips exactly the rows that anticommute with
+    it (:func:`_anticommuting`), so it XORs its condition's form into
+    their sign forms.  A conditioned H, R or CNOT evaluates its condition
+    at the coin bytes of every shot, ``coins``; nothing else reads them.
+    A conditioned identity does nothing."""
     kind = gate.kinds[0]
     if kind in _PAULIS:
+        pauli = [(gate.qs[0], _PAULIS[kind])]
         for t, cb, _ in groups:
-            _apply_gates(t, gate, cb[condition])
+            t.r[_anticommuting(t, pauli)[:, 0].nonzero()[0]] ^= cb[condition]
         return groups
     if kind is _I:
         return groups

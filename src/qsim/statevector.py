@@ -702,7 +702,9 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     leaves the amplitude array until a gate needs it in superposition
     again (see :class:`_Histories`); a qubit never measured stays in it.
 
-    Shot ``i`` draws from its own counter block, and every row sums
+    Shot ``i`` draws from its own counter block (each chunk draws its
+    shots' blocks when it starts, ``shot_uniforms(..., first_shot=)``, so
+    the uniforms held never exceed one chunk's), and every row sums
     ``<O>`` in the same order however many rows share its batch (see
     :func:`_expectation`), so a fixed seed gives the same counts however
     the shots are grouped or chunked.  ``keep_final_state`` returns the
@@ -722,12 +724,11 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     table = op_table(circuit)
     program = table.rows()
     n_meas = int(np.count_nonzero(table.kind == MEASURE))
-    uniforms = shot_uniforms(seed, shots, n_meas)
     chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
     parts: list[tuple[np.ndarray, np.ndarray]] = []
 
     for start in range(0, shots, chunk):
-        u = uniforms[start : start + chunk]
+        u = shot_uniforms(seed, min(chunk, shots - start), n_meas, first_shot=start)
         group = np.zeros(len(u), dtype=np.intp)
         rows = _Histories(n, circuit.n_cbits)
         m = 0

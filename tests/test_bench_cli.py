@@ -1,11 +1,14 @@
 """Backend dispatch, scaling benchmarks, report rendering, and the
 command-line entry point (exercised in-process via cli_dispatch)."""
 
+import ast
 import copy
 import hashlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -714,6 +717,32 @@ def test_import_cli_does_not_load_scipy_optimize(bell_file, tmp_path):
         "star_missing": []}
     assert (tmp_path / "chsh.csv").read_text().startswith("theta,S\n")
     assert "strategies" in json.loads((tmp_path / "find.json").read_text())
+
+
+def _names_taken_from_qsim(path):
+    """Every name that ``path`` imports from ``qsim`` or reads as ``qsim.<name>``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "qsim":
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "qsim"):
+            yield node.attr
+
+
+def test_the_api_is_the_readme_list():
+    # one source for the package's names: README's "Python API" list is
+    # ``__all__``, every name in it resolves, and demos/ and perfbench/
+    # take from ``qsim`` only listed names and submodules
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Python API\n")[1].split("\n## ")[0]
+    listed = [name for line in section.splitlines() if line.startswith("- ")
+              for name in re.findall(r"`([A-Za-z_]\w*)`", line)]
+    assert sorted(listed) == sorted(qsim.__all__)
+    assert [name for name in qsim.__all__ if not hasattr(qsim, name)] == []
+    submodules = {m.name for m in pkgutil.iter_modules(qsim.__path__)}
+    taken = {name for folder in ("demos", "perfbench") for path in (root / folder).glob("*.py")
+             for name in _names_taken_from_qsim(path)}
+    assert taken - submodules <= set(qsim.__all__)
 
 
 def test_qsim_run_evaluates_the_circuit_rules_once(bell_file, monkeypatch, capsys):

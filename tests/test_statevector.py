@@ -5,6 +5,7 @@ recursive projection tree."""
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -333,7 +334,8 @@ def test_a_shots_outcome_does_not_depend_on_its_batch(monkeypatch):
     first, second = Measure(0, PauliAxis.Z, 0), Measure(2, PauliAxis.X, 1)
     u = np.full((8, 2), 0.99)
     u[0, 0] = 0.0  # shot 0 gives +1 first (p_plus ~ 0.85), every other shot -1
-    monkeypatch.setattr(sv, "shot_uniforms", lambda seed, shots, n_meas: u[:shots, :n_meas].copy())
+    monkeypatch.setattr(sv, "shot_uniforms", lambda seed, shots, n_meas, first_shot=0:
+                        u[first_shot : first_shot + shots, :n_meas].copy())
     row = run(Circuit(n, 2, (*ops, first)), 1, seed=0, keep_final_state=True).final_state.amps
     obs = sv._observable(second.axis)
     pairwise = 0.5 * (1.0 + ref_expectation(row, n, second.qubit, obs))
@@ -351,6 +353,25 @@ def test_a_shots_outcome_does_not_depend_on_its_batch(monkeypatch):
     shot_0 = [[(k, c) for k, c in counts.items() if k[0] == "0"] for counts in (alone, among, chunked)]
     assert shot_0 == [[(want, 1)]] * 3
     assert dict(chunked) == dict(among)
+
+
+def test_run_holds_one_chunk_of_uniforms():
+    # At n = 13 a chunk is 1024 shots, so 10^5 shots are 98 chunks, and
+    # each draws its shots' uniforms (64 KiB for 8 measurements) when it
+    # starts.  The whole run's uniforms would be 6.1 MiB alone; a chunk
+    # at a time the run peaks at about 1.6 MiB.
+    n = 13
+    c = Circuit(n, 8, tuple(GateApp(GateKind.H, (q,)) for q in range(n))
+                + tuple(Measure(q, PauliAxis.Z, q) for q in range(8)))
+    run(c, 2, seed=1)  # numpy imports some modules on a first draw
+    tracemalloc.start()
+    try:
+        res = run(c, 10**5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.counts) == 256 and sum(res.counts.values()) == 10**5
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize(
