@@ -12,9 +12,15 @@ checkout's ``perfbench/``, so the benchmark code is identical; each
 imports qsim from its own ``src``.
 
 For every workload and end-to-end metric of ``BENCHMARK.json`` the file
-records each side's runs, median and quartiles, how many pairs the change
-won (ties count for neither), and whether every run was correct, plus
-the machine the runs were taken on.
+records each side's runs, median, quartiles and spread (the quartiles'
+distance over the median), how many pairs the change won (ties count for
+neither), and whether every run was correct, plus the machine the runs
+were taken on.  Each metric is also judged as a comparison of the two
+sides is: ``resolved`` when both spreads are within the metric's bound
+or every change run beats every parent run, and ``within_bound`` when
+the change's median is no worse than the parent's by more than the
+bound.  The metrics that are unresolved or outside their bound are
+printed to stderr.
 """
 
 from __future__ import annotations
@@ -66,7 +72,9 @@ def spread(values: list[float]) -> dict:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     else:
         q1 = q3 = values[0]
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+    median = statistics.median(values)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values,
+            "spread": (q3 - q1) / median if median else None}
 
 
 def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
@@ -75,14 +83,33 @@ def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
+        bound = metric["bound"]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         p, c = spread(parent), spread(change)
+        dominates = min(change) > max(parent) if higher else max(change) < min(parent)
+        tight = all(side["spread"] is not None and side["spread"] <= bound for side in (p, c))
+        worst = p["median"] * (1 - bound if higher else 1 + bound)
         out[name] = {
-            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "unit": metric["unit"], "better": metric["better"], "bound": bound,
             "parent": p, "change": c, "wins": wins, "pairs": len(parent),
             "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+            "resolved": tight or dominates,
+            "within_bound": c["median"] >= worst if higher else c["median"] <= worst,
         }
     return out
+
+
+def flagged(workload: str, metrics: dict) -> list[str]:
+    """One line for each metric of ``summarise`` that is unresolved or
+    outside its bound."""
+    def g(x):
+        return "-" if x is None else f"{x:.3g}"
+
+    return [f"# {workload} {name}: {'resolved' if m['resolved'] else 'unresolved'}, "
+            f"{'within' if m['within_bound'] else 'outside'} its bound {m['bound']}; "
+            f"change/parent {g(m['change_over_parent'])}, spread {g(m['parent']['spread'])} "
+            f"parent and {g(m['change']['spread'])} change"
+            for name, m in metrics.items() if not (m["resolved"] and m["within_bound"])]
 
 
 def main(argv=None) -> int:
@@ -121,11 +148,14 @@ def main(argv=None) -> int:
                 print(f"# {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{s} {runs[s][-1]['metrics']['jobs_per_s']['value']:.3f} jobs/s"
                     for s in runs), file=sys.stderr)
+            metrics = summarise(spec["end_to_end"], runs)
             report["workloads"][workload] = {
                 "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
                 "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-                "metrics": summarise(spec["end_to_end"], runs),
+                "metrics": metrics,
             }
+            for line in flagged(workload, metrics):
+                print(line, file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -14,7 +14,8 @@ Beside its ops, a circuit has an op table (:class:`OpTable`): the same
 ops as int columns over a flat target array.  Validation, the
 Gottesman-Knill classification and both backends' runs read the table, and
 the text parser builds the table alone; ``ops`` is the public view, built
-from the table when first read.
+from the table when first read.  The circuit rules are written once, in
+``_judge``: :func:`validate` judges the ops its screen picks, :func:`check_op` one op.
 
 Conventions fixed here and relied on everywhere else: qubit 0 is the
 leftmost tensor factor, so the basis index of a computational state is
@@ -160,9 +161,9 @@ ORACLE, MEASURE, _OTHER = range(len(GATE_KINDS), len(GATE_KINDS) + 3)
 AXES = tuple(PauliAxis)
 _CODES = {k: i for i, k in enumerate(GATE_KINDS)}
 _AXIS_CODES = {a: i for i, a in enumerate(AXES)}
-# qubits by op code: a gate's arity, -1 for an oracle (its function's
-# arity plus one), one measured qubit, and none for any other object
-_ARITIES = np.array([k.arity for k in GATE_KINDS] + [-1, 1, 0])
+# qubits by op code: a gate's arity, one measured qubit, and -1, which no
+# count matches, for an oracle and for any other object
+_ARITIES = np.array([k.arity for k in GATE_KINDS] + [-1, 1, -1])
 _S, _CNOT = _CODES[GateKind.S], _CODES[GateKind.CNOT]
 
 
@@ -309,16 +310,13 @@ class Violation:
 def validate(circuit: Circuit) -> list[Violation]:
     """Check every op invariant; an empty list means the circuit is well formed.
 
-    These are the circuit rules, held here alone (the text parser reports
-    their violations at the op's line).  All indices must be in range; a
-    condition must name a classical bit already written by an earlier
-    ``Measure``; a gate's targets must match its arity and be distinct;
-    an oracle's inputs must match its function's arity, be distinct and
-    not include the output qubit.  Each rule but an oracle's own is one
-    pass over the columns of the op table (:func:`op_table`), since every
-    run validates its circuit.  The violations come op by op; an op's come
-    in the order above for an oracle, and as arity, distinct qubits, qubit
-    range, then condition or bit for the other ops.
+    The rules live in :func:`_judge` alone (the text parser reports their
+    violations at the op's line).  A screen over the columns of the op
+    table (:func:`op_table`) picks the ops that may break one: oracles,
+    unknown objects, gates of the wrong arity, CNOTs on one qubit twice,
+    ops with a qubit out of range, measurements with a bit out of range,
+    and gates conditioned on a bit no earlier measurement in range writes.
+    Only those are judged, in op order, so the violations come op by op.
     """
     out: list[Violation] = []
     n, m = circuit.n_qubits, circuit.n_cbits
@@ -329,60 +327,35 @@ def validate(circuit: Circuit) -> list[Violation]:
     t = op_table(circuit)
     kind, start, targets, cond, dest = t.kind, t.start, t.targets, t.cond, t.dest
     count = start[1:] - start[:-1]
-    present = np.bincount(kind, minlength=_OTHER + 1)  # ops of each code
-    found: list[tuple[int, int, Violation]] = []  # (op, its check's place, violation)
-
-    def add(ops: np.ndarray, place: int, violation) -> None:
-        found.extend((i, place, violation(i)) for i in ops.tolist())
-
-    # a gate's arity (an oracle's is checked below), and a CNOT's two qubits
-    arity = _ARITIES[kind]
-    wrong = np.flatnonzero(count != arity)
-    if len(wrong):
-        add(wrong[kind[wrong] < ORACLE], 0,
-            lambda i: _gate_arity(i, GATE_KINDS[kind[i]], arity[i], count[i]))
-    if present[_CNOT]:
-        pairs = np.flatnonzero((kind == _CNOT) & (count == 2))
-        add(pairs[targets[start[pairs]] == targets[start[pairs] + 1]], 0,
-            lambda i: _same_qubit_twice(i, GATE_KINDS[kind[i]]))
-    for i, function in t.functions.items():
-        *inputs, output = targets[start[i] : start[i + 1]].tolist()
-        rules = _oracle_rules(i, function, inputs, output)
-        found += [(i, place, v) for place, v in enumerate(rules) if v is not None]
-    if present[_OTHER]:
-        add(np.flatnonzero(kind == _OTHER), 0,
-            lambda i: Violation(i, "unknown_op", f"unrecognized op {circuit.ops[i]!r}"))
-
-    # each op's first qubit out of range
+    suspect = count != _ARITIES[kind]  # a gate of the wrong arity, an oracle or an unknown object
+    pairs = np.flatnonzero((kind == _CNOT) & (count == 2))
+    suspect[pairs[targets[start[pairs]] == targets[start[pairs] + 1]]] = True
     bad = np.flatnonzero((targets < 0) | (targets >= n))
     if len(bad):
-        owners, first = np.unique(np.searchsorted(start, bad, side="right") - 1, return_index=True)
-        found += [(i, 3, _qubit_out_of_range(i, targets[j], n))
-                  for i, j in zip(owners.tolist(), bad[first].tolist())]
-
-    # bits in range, and a condition written by an earlier measurement
-    writers = start[:0]  # the measurements, those whose bit is in range
-    if present[MEASURE]:
-        writers = np.flatnonzero(kind == MEASURE)
-        lost = (dest[writers] < 0) | (dest[writers] >= m)
-        add(writers[lost], 4, lambda i: _cbit_out_of_range(i, dest[i], m))
-        writers = writers[~lost]
+        suspect[np.searchsorted(start, bad, side="right") - 1] = True
+    writers = np.flatnonzero(kind == MEASURE)  # then only those whose bit is in range
+    lost = (dest[writers] < 0) | (dest[writers] >= m)
+    suspect[writers[lost]] = True
+    writers = writers[~lost]
+    unwritten: set[int] = set()  # the gates conditioned on a bit in range no earlier op writes
     gated = np.flatnonzero(cond != -1)
     if len(gated):
         c = cond[gated]
         wild = (c < 0) | (c >= m)
-        add(gated[wild], 4,
-            lambda i: _cbit_out_of_range(i, cond[i] if cond[i] >= 0 else cond[i] + 1, m))
+        suspect[gated[wild]] = True
         gated, c = gated[~wild], c[~wild]
         bits, first = np.unique(dest[writers], return_index=True)  # each bit's first writer
         at = np.minimum(np.searchsorted(bits, c), max(len(bits) - 1, 0))
         written = (bits[at] == c) & (writers[first[at]] < gated) if len(bits) else gated < 0
-        add(gated[~written], 4, lambda i: Violation(
-            i, "undefined_condition_bit",
-            f"condition bit c{cond[i]} is not written by any earlier measure"))
-
-    found.sort(key=lambda f: f[:2])
-    out += [v for _, _, v in found]
+        gated = gated[~written]
+        suspect[gated] = True
+        unwritten = set(gated.tolist())
+    for i in np.flatnonzero(suspect).tolist():
+        if kind[i] == _OTHER:
+            out.append(Violation(i, "unknown_op", f"unrecognized op {circuit.ops[i]!r}"))
+        else:
+            out += _judge(i, int(kind[i]), targets[start[i] : start[i + 1]].tolist(), int(cond[i]),
+                          int(dest[i]), t.functions.get(i), n, m, i not in unwritten)
     return out
 
 
@@ -407,63 +380,65 @@ def check_op(op: CircuitOp, n_qubits: int) -> None:
     the gate or oracle ``op``, its condition dropped, keeps the circuit
     rules on ``n_qubits`` qubits.
 
-    The op is judged alone, by :func:`validate`'s rules in its order, with
-    no circuit or op table built for it.
+    :func:`_judge` judges the op as a row of its own with no classical
+    bits, so a lone ``Measure`` fails on its bit.
     """
     if n_qubits < 1:
         raise ValueError("circuit needs at least one qubit")
+    dest, function = -1, None
     if isinstance(op, GateApp):
-        qubits = op.targets
-        if len(qubits) != op.kind.arity:
-            raise ValueError(_gate_arity(0, op.kind, op.kind.arity, len(qubits)).message)
-        if op.kind is GateKind.CNOT and qubits[0] == qubits[1]:
-            raise ValueError(_same_qubit_twice(0, op.kind).message)
+        code, qubits = _CODES[op.kind], op.targets
     elif isinstance(op, OracleApp):
-        inputs = list(op.inputs)
-        for v in _oracle_rules(0, op.function, inputs, op.output):
-            if v is not None:
-                raise ValueError(v.message)
-        qubits = (*inputs, op.output)
+        code, qubits, function = ORACLE, (*op.inputs, op.output), op.function
     elif isinstance(op, Measure):
-        qubits = (op.qubit,)
+        code, qubits, dest = MEASURE, (op.qubit,), op.dest
     else:
         raise ValueError(f"unrecognized op {op!r}")
+    bad = _judge(0, code, qubits, -1, dest, function, n_qubits, 0, True)
+    if bad:
+        raise ValueError(bad[0].message)
+
+
+def _judge(i: int, code: int, qubits, cond: int, dest: int, function: BooleanFunction | None,
+           n: int, m: int, written: bool) -> list[Violation]:
+    """The circuit rules op ``i`` breaks, a row of its op table (``cond``
+    and ``dest`` as the table holds them) on ``n`` qubits and ``m`` bits;
+    ``written`` says an earlier measurement in range writes its condition.
+    In order: an oracle's arity, distinct inputs and an output that is no
+    input, or a gate's arity, else a CNOT's two distinct qubits; its first
+    qubit out of range; a measurement's bit or a condition out of range,
+    else a condition that no earlier measurement writes.
+    """
+    out = []  # (kind, message) pairs
+    if code == ORACLE:
+        *inputs, output = qubits
+        if len(inputs) != function.arity:
+            out.append(("arity_mismatch", f"truth table has {1 << function.arity} entries but "
+                                          f"{len(inputs)} input(s) need {1 << len(inputs)}"))
+        if len(set(inputs)) != len(inputs):
+            out.append(("duplicate_qubit", "oracle input qubits must be distinct"))
+        if output in inputs:
+            out.append(("duplicate_qubit", f"oracle output q{output} is also an input"))
+    elif code < ORACLE:
+        kind = GATE_KINDS[code]
+        if len(qubits) != kind.arity:
+            out.append(("arity_mismatch",
+                        f"{kind.value} takes {kind.arity} qubit(s), got {len(qubits)}"))
+        elif code == _CNOT and qubits[0] == qubits[1]:
+            out.append(("duplicate_qubit", f"{kind.value} needs two distinct qubits"))
     for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(_qubit_out_of_range(0, q, n_qubits).message)
-    if isinstance(op, Measure):  # no classical bit is in range of a lone op
-        raise ValueError(_cbit_out_of_range(0, op.dest, 0).message)
-
-
-def _gate_arity(i: int, kind: GateKind, arity: int, count: int) -> Violation:
-    return Violation(i, "arity_mismatch", f"{kind.value} takes {arity} qubit(s), got {count}")
-
-
-def _same_qubit_twice(i: int, kind: GateKind) -> Violation:
-    return Violation(i, "duplicate_qubit", f"{kind.value} needs two distinct qubits")
-
-
-def _oracle_rules(i: int, function: BooleanFunction, inputs: list[int],
-                  output: int) -> tuple[Violation | None, ...]:
-    """An oracle's own rules in order, each its violation or None: its
-    table's arity, distinct inputs, and an output that is no input."""
-    return (
-        None if len(inputs) == function.arity else Violation(
-            i, "arity_mismatch", f"truth table has {1 << function.arity} entries but "
-                                 f"{len(inputs)} input(s) need {1 << len(inputs)}"),
-        None if len(set(inputs)) == len(inputs) else Violation(
-            i, "duplicate_qubit", "oracle input qubits must be distinct"),
-        None if output not in inputs else Violation(
-            i, "duplicate_qubit", f"oracle output q{output} is also an input"),
-    )
-
-
-def _qubit_out_of_range(i: int, q: int, n: int) -> Violation:
-    return Violation(i, "index_out_of_range", f"qubit q{q} out of range (circuit has {n})")
-
-
-def _cbit_out_of_range(i: int, c: int, m: int) -> Violation:
-    return Violation(i, "index_out_of_range", f"classical bit c{c} out of range (circuit has {m})")
+        if not 0 <= q < n:
+            out.append(("index_out_of_range", f"qubit q{q} out of range (circuit has {n})"))
+            break
+    if code == MEASURE or cond != -1:
+        bit = dest if code == MEASURE else cond if cond >= 0 else cond + 1
+        if not 0 <= bit < m:
+            out.append(("index_out_of_range",
+                        f"classical bit c{bit} out of range (circuit has {m})"))
+        elif code != MEASURE and not written:
+            out.append(("undefined_condition_bit",
+                        f"condition bit c{bit} is not written by any earlier measure"))
+    return [Violation(i, *v) for v in out]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .lang import parse_circuit
 from .lhv import (
     PAULI_ALPHABET,
     CommTopology,
-    CorrelationTable,
     DeterministicStrategy,
     Infeasible,
     LocalModel,
@@ -180,21 +179,6 @@ def _axis_from_json(v):
     raise ValueError(f"bad axis entry {v!r} in model file")
 
 
-def _table_to_json(table: CorrelationTable) -> dict:
-    profiles = {}
-    for profile in table.profiles():
-        label = "|".join(_axis_label(a) for a in profile)
-        dist = table._dist(profile)
-        profiles[label] = {
-            "".join("+" if o == 1 else "-" for o in index_outcomes(i, table.parties)): float(p)
-            for i, p in enumerate(dist)
-        }
-    return {
-        "alphabets": [[_axis_to_json(a) for a in alpha] for alpha in table.alphabets],
-        "profiles": profiles,
-    }
-
-
 def model_to_json(model: LocalModel) -> dict:
     """Model file schema: topology (0-indexed parties), strategies as
     nested output/message tables, weights, plus the setting alphabets
@@ -279,17 +263,6 @@ def write_report(payload, format: str, path: str | None) -> None:
                 "rng_id": payload.rng_id,
                 "counts": payload.counts,
             }
-        elif isinstance(payload, BenchReport):
-            payload = {
-                "backend": payload.backend,
-                "growth": payload.growth,
-                "rows": [
-                    {"n": r.n, "depth": r.depth, "shots": r.shots, "seconds": r.seconds}
-                    for r in payload.rows
-                ],
-            }
-        elif isinstance(payload, CorrelationTable):
-            payload = _table_to_json(payload)
         elif isinstance(payload, LocalModel):
             payload = model_to_json(payload)
         elif not isinstance(payload, dict):
@@ -554,9 +527,6 @@ def cli_dispatch(argv) -> int:
     try:
         return args.handler(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -29,10 +29,10 @@ The parser checks syntax only: the header, each statement's shape, the
 ``q<i>``/``c<k>`` tokens, truth tables (0s and 1s, of a power-of-two
 length) and measurement axes.  The circuit rules (index ranges, a
 condition bit written by an earlier measure, distinct qubits, oracle
-arity) live in :func:`qsim.circuit.validate` alone.  The parser builds
-the circuit, validates it once (the verdict stays on the circuit, so a
-backend's ``run`` does not evaluate the rules again), and raises the
-first violation at its op's line, by kind:
+arity) live in :mod:`qsim.circuit` alone, behind its ``validate``.  The
+parser builds the circuit, validates it once (the verdict stays on the
+circuit, so a backend's ``run`` does not evaluate the rules again), and
+raises the first violation at its op's line, by kind:
 
 * ``index_out_of_range`` -> :class:`IndexOutOfRange`,
 * ``undefined_condition_bit`` -> :class:`UndefinedConditionBit`,

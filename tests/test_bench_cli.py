@@ -341,6 +341,11 @@ def test_csv_headers(tmp_path):
 def test_write_report_rejects_unknown_combinations(tmp_path):
     with pytest.raises(ValueError):
         write_report({"x": 1}, "csv", str(tmp_path / "x.csv"))
+    # no command renders a benchmark or a correlation table as json
+    report = BenchReport("sv", (BenchRow(2, 5, 1, 0.1),), None)
+    for payload in (report, model_table(singlet_pauli_lhv())):
+        with pytest.raises(ValueError, match="cannot render .* as json"):
+            write_report(payload, "json", str(tmp_path / "x.json"))
     with pytest.raises(ValueError):
         write_report([1.0, 2.0], "yaml", str(tmp_path / "x.yaml"))
 
@@ -401,6 +406,29 @@ def test_cli_run_malformed_circuit_exits_2(tmp_path, capsys):
     bad.write_text("qubits 2\nwobble q0\n")
     assert cli_dispatch(["run", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("qubits 2\ncnot q0 q0\n", 2, "cnot needs two distinct qubits"),
+    ("qubits 2\nh q5\n", 2, "qubit q5 out of range (circuit has 2)"),
+    ("qubits 1\ncbits 1\nmeasure q0 Z -> c3\n", 3,
+     "classical bit c3 out of range (circuit has 1)"),
+    ("qubits 1\ncbits 1\ncif c0 x q0\n", 3,
+     "condition bit c0 is not written by any earlier measure"),
+    ("qubits 2\noracle 0110 q0 -> q1\n", 2, "truth table has 4 entries but 1 input(s) need 2"),
+    ("qubits 3\noracle 0110 q0 q0 -> q1\n", 2, "oracle input qubits must be distinct"),
+    ("qubits 1\noracle 01 q0 -> q0\n", 2, "oracle output q0 is also an input"),
+    # the qubit's range comes before the unwritten condition, and the blank
+    # and comment lines count
+    ("qubits 2\ncbits 1\n\n# a comment\n\ncif c0 cnot q0 q7\n", 6,
+     "qubit q7 out of range (circuit has 2)"),
+], ids=["cnot-twice", "qubit", "bit", "condition", "oracle-arity", "oracle-inputs",
+        "oracle-output", "rule-order"])
+def test_cli_run_reports_each_broken_rule_at_its_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "rule.qc"
+    path.write_text(text)
+    assert cli_dispatch(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
 def test_cli_run_non_clifford_on_tableau_exits_3(tmp_path, capsys):

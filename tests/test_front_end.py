@@ -9,6 +9,7 @@ run on the tableau without one op object being built.
 """
 
 import random
+import sys
 
 import pytest
 from front_end_reference import line_parse_reference, validate_reference
@@ -29,6 +30,7 @@ from qsim.circuit import (
     validate,
 )
 from qsim.lang import format_circuit, parse_circuit
+from qsim.statevector import evolve
 
 # whitespace str.split splits on, inside a line
 _SPACES = [" ", "  ", "\t", " \t", "\x1f", "\xa0", "\u2003", "\u3000"]
@@ -229,3 +231,24 @@ def test_check_op_judges_one_op_as_validate_does_on_malformed_ops(op, n):
 def test_check_op_judges_one_op_as_validate_does(circuit):
     for op in circuit.ops:
         assert _check_op_message(op, circuit.n_qubits) == _first_rule_broken(op, circuit.n_qubits)
+
+
+def test_evolve_reads_the_verdict_kept_on_the_circuit(monkeypatch):
+    # the parser judges the circuit once, and evolve reads that verdict
+    import qsim.circuit
+
+    original, calls = qsim.circuit.validate, []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qsim" or name.startswith("qsim."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    circuit = parse_circuit("qubits 2\nh q0\ncnot q0 q1\nr q1\n")
+    evolve(circuit)
+    evolve(circuit)
+    assert len(calls) == 1

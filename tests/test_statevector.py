@@ -29,7 +29,7 @@ from qsim.circuit import (
     ghz,
     gk_entangler,
 )
-from qsim.errors import DegenerateNorm, TooManyQubits
+from qsim.errors import TooManyQubits
 from qsim.lhv import chsh_sweep, chsh_value, quantum_table, singlet_state, table_vector
 from qsim.result import RunResult, histogram
 from qsim.rng import RNG_ID, shot_uniforms, stream
@@ -235,6 +235,32 @@ def test_measure_raises_on_impossible_branch():
     # Z on |0> is deterministic +1; the rng draw cannot pick the dead branch
     out = measure(zero, MeasurementSpec(0, PauliAxis.Z), AlwaysHigh())
     assert out.outcome == 1 and out.p_plus == 1.0
+
+
+class _Fixed:
+    """A generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("s_gates, outcome", [(8, 1), (4, -1)])
+def test_a_branch_below_the_dust_is_never_drawn(s_gates, outcome, monkeypatch):
+    # S^8 = I and S^4 = Z, so H S^k H leaves q0 in a Z eigenstate, yet
+    # rounding leaves the other branch 3e-16 or 2e-16 of weight: no
+    # uniform, however close to it, may draw that branch
+    gates = (GateApp(GateKind.H, (0,)), *[GateApp(GateKind.S, (0,))] * s_gates,
+             GateApp(GateKind.H, (0,)))
+    circuit = Circuit(1, 1, (*gates, Measure(0, PauliAxis.Z, 0)))
+    state = evolve(Circuit(1, 0, gates))
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        monkeypatch.setattr(sv, "shot_uniforms", lambda seed, shots, n_meas, first_shot=0:
+                            np.full((shots, n_meas), u))
+        assert run(circuit, 16, 1).counts == {str((1 - outcome) // 2): 16}
+        assert measure(state, MeasurementSpec(0, PauliAxis.Z), _Fixed(u)).outcome == outcome
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, 2.0, math.pi])
@@ -491,11 +517,14 @@ def replay_shots(circuit: Circuit, shots: int, seed: int) -> tuple[dict[str, int
                 obs = sv._observable(op.axis)
                 e = float(sv._expectation(amps, n, op.qubit, obs))
                 p_plus = min(max(0.5 * (1.0 + e), 0.0), 1.0)
-                outcome = 1 if u[i, m] < p_plus else -1
+                if p_plus < sv._DUST:  # a branch below the dust is never drawn
+                    outcome = -1
+                elif 1.0 - p_plus < sv._DUST:
+                    outcome = 1
+                else:
+                    outcome = 1 if u[i, m] < p_plus else -1
                 m += 1
                 p = p_plus if outcome == 1 else 1.0 - p_plus
-                if p < sv._DUST:
-                    raise DegenerateNorm("collapse onto a zero-weight branch")
                 sv._collapse(amps, n, op.qubit, obs, outcome, p)
                 bits[op.dest] = (1 - outcome) // 2
         counts["".join(map(str, bits))] += 1
@@ -541,13 +570,6 @@ def feedback_circuits(draw, max_ops=16):
     return Circuit(n, n_cbits, tuple(ops))
 
 
-def _counts_or_error(fn):
-    try:
-        return fn()
-    except DegenerateNorm:
-        return DegenerateNorm
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     circuit=feedback_circuits(),
@@ -558,9 +580,8 @@ def _counts_or_error(fn):
 def test_grouped_run_matches_shot_by_shot_replay(circuit, shots, seed, chunk):
     n = circuit.n_qubits
     with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << n)):
-        got = _counts_or_error(lambda: run(circuit, shots, seed).counts)
-    want = _counts_or_error(lambda: replay_shots(circuit, shots, seed)[0])
-    assert got == want
+        got = run(circuit, shots, seed).counts
+    assert got == replay_shots(circuit, shots, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +624,9 @@ def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: b
                 obs = sv._observable(op.axis)
                 e = sv._expectation(amps, n, op.qubit, obs)
                 p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
-                minus = u[:, m] >= p_plus[group]
+                # a branch below the dust is never drawn
+                q = p_plus[group]
+                minus = np.where(q < sv._DUST, True, np.where(1.0 - q < sv._DUST, False, u[:, m] >= q))
                 m += 1
                 keys, group = np.unique(2 * group + minus, return_inverse=True)
                 rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
@@ -611,8 +634,6 @@ def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: b
                     amps = amps[rows]
                     cbits = cbits[rows]
                 p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
-                if (p < sv._DUST).any():
-                    raise DegenerateNorm("collapse onto a zero-weight branch")
                 sv._collapse(amps, n, op.qubit, obs, 1.0 - 2.0 * bit, p)
                 cbits[:, op.dest] = bit
         parts.append((cbits, np.bincount(group, minlength=len(cbits))))
@@ -621,13 +642,6 @@ def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: b
 
     return RunResult(backend="sv", shots=shots, seed=seed, rng_id=RNG_ID,
                      counts=histogram(parts), final_state=final_state)
-
-
-def _run_or_error(fn, circuit, shots, seed):
-    try:
-        return fn(circuit, shots, seed, keep_final_state=True)
-    except DegenerateNorm:
-        return None
 
 
 def _pairwise_row_circuit() -> Circuit:
@@ -667,12 +681,10 @@ _ONE_AMPLITUDE_ROWS = Circuit(1, 1, (
 @example(circuit=_ONE_AMPLITUDE_ROWS, shots=8, seed=6, chunk=120)
 def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
     with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << circuit.n_qubits)):
-        got = _run_or_error(run, circuit, shots, seed)
-        want = _run_or_error(full_vector_run, circuit, shots, seed)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.counts == want.counts
-        assert np.array_equal(got.final_state.amps, want.final_state.amps)
+        got = run(circuit, shots, seed, keep_final_state=True)
+        want = full_vector_run(circuit, shots, seed, keep_final_state=True)
+    assert got.counts == want.counts
+    assert np.array_equal(got.final_state.amps, want.final_state.amps)
 
 
 def test_fixed_qubit_norms_are_summed_in_order():
