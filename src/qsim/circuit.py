@@ -50,6 +50,10 @@ class GateKind(Enum):
     S = "s"
     CNOT = "cnot"
 
+    # Members are singletons, so identity hashing is equality hashing, and
+    # a dict keyed by kind (``_CODES``) looks one up without Enum.__hash__.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return 2 if self is GateKind.CNOT else 1
@@ -163,7 +167,8 @@ _CODES = {k: i for i, k in enumerate(GATE_KINDS)}
 _AXIS_CODES = {a: i for i, a in enumerate(AXES)}
 # qubits by op code: a gate's arity, one measured qubit, and -1, which no
 # count matches, for an oracle and for any other object
-_ARITIES = np.array([k.arity for k in GATE_KINDS] + [-1, 1, -1])
+_ARITY = tuple(k.arity for k in GATE_KINDS) + (-1, 1, -1)
+_ARITIES = np.array(_ARITY)
 _S, _CNOT = _CODES[GateKind.S], _CODES[GateKind.CNOT]
 
 
@@ -409,36 +414,37 @@ def _judge(i: int, code: int, qubits, cond: int, dest: int, function: BooleanFun
     qubit out of range; a measurement's bit or a condition out of range,
     else a condition that no earlier measurement writes.
     """
-    out = []  # (kind, message) pairs
+    out = []
     if code == ORACLE:
         *inputs, output = qubits
         if len(inputs) != function.arity:
-            out.append(("arity_mismatch", f"truth table has {1 << function.arity} entries but "
-                                          f"{len(inputs)} input(s) need {1 << len(inputs)}"))
+            out.append(Violation(i, "arity_mismatch", f"truth table has {1 << function.arity} "
+                                 f"entries but {len(inputs)} input(s) need {1 << len(inputs)}"))
         if len(set(inputs)) != len(inputs):
-            out.append(("duplicate_qubit", "oracle input qubits must be distinct"))
+            out.append(Violation(i, "duplicate_qubit", "oracle input qubits must be distinct"))
         if output in inputs:
-            out.append(("duplicate_qubit", f"oracle output q{output} is also an input"))
+            out.append(Violation(i, "duplicate_qubit", f"oracle output q{output} is also an input"))
     elif code < ORACLE:
-        kind = GATE_KINDS[code]
-        if len(qubits) != kind.arity:
-            out.append(("arity_mismatch",
-                        f"{kind.value} takes {kind.arity} qubit(s), got {len(qubits)}"))
+        if len(qubits) != _ARITY[code]:
+            kind = GATE_KINDS[code]
+            out.append(Violation(i, "arity_mismatch",
+                                 f"{kind.value} takes {kind.arity} qubit(s), got {len(qubits)}"))
         elif code == _CNOT and qubits[0] == qubits[1]:
-            out.append(("duplicate_qubit", f"{kind.value} needs two distinct qubits"))
+            out.append(Violation(i, "duplicate_qubit", "cnot needs two distinct qubits"))
     for q in qubits:
         if not 0 <= q < n:
-            out.append(("index_out_of_range", f"qubit q{q} out of range (circuit has {n})"))
+            out.append(Violation(i, "index_out_of_range",
+                                 f"qubit q{q} out of range (circuit has {n})"))
             break
     if code == MEASURE or cond != -1:
         bit = dest if code == MEASURE else cond if cond >= 0 else cond + 1
         if not 0 <= bit < m:
-            out.append(("index_out_of_range",
-                        f"classical bit c{bit} out of range (circuit has {m})"))
+            out.append(Violation(i, "index_out_of_range",
+                                 f"classical bit c{bit} out of range (circuit has {m})"))
         elif code != MEASURE and not written:
-            out.append(("undefined_condition_bit",
-                        f"condition bit c{bit} is not written by any earlier measure"))
-    return [Violation(i, *v) for v in out]
+            out.append(Violation(i, "undefined_condition_bit",
+                                 f"condition bit c{bit} is not written by any earlier measure"))
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,20 @@ X and Y swap the halves, and a Z measurement rescales one half and zeroes
 the other.  Nothing ever materializes a 2^n x 2^n matrix; the matrix
 forms in :mod:`qsim.circuit` exist for unit tests only.
 
+The kernels are memory-bound, so each makes as few passes as exact
+arithmetic allows, and each keeps every nonzero amplitude and every
+``p_plus`` bit for bit against the full 2x2 formulas:
+
+- H forms ``t = u01 a1`` once, then ``a1 = u00 a0 - t`` and
+  ``a0 = u00 a0 + t``: ``u10 = u00``, ``u11 = -u01``, and
+  ``(-s) x = -(s x)``.
+- An X or Y expectation leaves out the diagonal term
+  ``o00 n0 + o11 n1``, which is +0 and changes no bit.
+- An X or Y collapse forms ``a0 = (a0 + s o01 a1) r`` and
+  ``a1 = s o10 a0`` with ``r = 1/(2 sqrt(p))``: products with +-1 and
+  +-i are exact, ``o01 o10 = 1``, and numpy divides by ``c + 0j`` as a
+  multiply by ``1/c``.
+
 Measurement observables are single-qubit spin directions: a Pauli axis,
 or an arbitrary Bloch axis (theta, phi) meaning
 
@@ -180,13 +194,11 @@ def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
         b0 = u[0, 1] * a1
         np.multiply(u[1, 0], a0, out=a1)
         a0[...] = b0
-    else:  # H
-        t0 = u[0, 1] * a1
-        t1 = u[1, 0] * a0
+    else:  # H: u10 = u00 and u11 = -u01, and (-s) x = -(s x), so a1 = u00 a0 - u01 a1
+        t = u[0, 1] * a1
         _scale(a0, u[0, 0])
-        a0 += t0
-        _scale(a1, u[1, 1])
-        a1 += t1
+        np.subtract(a0, t, out=a1)
+        a0 += t
 
 
 def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
@@ -337,21 +349,23 @@ def _expectation(
     symmetric terms cancel exactly."""
     v = _split(amps, n, q)
     a0, a1 = v[..., 0, :], v[..., 1, :]
-    n0, n1 = _norms(a0), _norms(a1)
     # ``order="F"`` sums each row of a batch in order (``_row_sums``), so a
     # row's ``p_plus`` in ``run`` does not depend on the rows beside it, and
     # zero pairs left out of it change no bit.  A 1-D state, and every row
     # in ``order="C"``, is summed pairwise.
     per_pair = np.empty(amps.shape[:-1] + (1 << (n - 1),), order=order)
-    out = per_pair.reshape(n0.shape)
+    out = per_pair.reshape(a0.shape)
+    # Each pair's term is o00 n0 + o11 n1 + 2 Re(conj(a0) a1 o01), added in
+    # that order; the off-diagonal product stays out of place, as numpy's
+    # complex product may round differently written over an operand.
     if _is_z(obs):
-        np.subtract(n0, n1, out=out)
+        np.subtract(_norms(a0), _norms(a1), out=out)
+    elif obs[0, 0] == 0:  # X, Y: the diagonal term is +0, which changes no bit
+        np.multiply(2.0, (np.conj(a0) * a1 * obs[0, 1]).real, out=out)
     else:
-        np.add(
-            obs[0, 0].real * n0 + obs[1, 1].real * n1,
-            2.0 * (np.conj(a0) * a1 * obs[0, 1]).real,
-            out=out,
-        )
+        np.multiply(obs[0, 0].real, _norms(a0), out=out)
+        out += obs[1, 1].real * _norms(a1)
+        out += 2.0 * (np.conj(a0) * a1 * obs[0, 1]).real
     return _row_sums(per_pair) if order == "F" and per_pair.ndim == 2 else per_pair.sum(axis=-1)
 
 
@@ -372,16 +386,31 @@ def _collapse(amps: np.ndarray, n: int, q: int, obs: np.ndarray, outcome, p) -> 
         # 1/sqrt(p); the other half cancels to 0.
         a0 *= ((s > 0) / root).astype(np.complex128)
         a1 *= ((s < 0) / root).astype(np.complex128)
+    elif obs[0, 0] == 0:
+        # X (o01 = o10 = 1) or Y (o01 = -i, o10 = i): no Bloch axis has
+        # cos(theta) exactly 0.  Products with +-1 and +-i are exact and
+        # o01 o10 = 1, so the general formula's a1 is s o10 times its a0,
+        # bit for bit, and its division by 2 sqrt(p) a multiply by r.
+        r = 1.0 / (2.0 * root)
+        a0 += (s * obs[0, 1]) * a1
+        a0 *= r
+        np.multiply(s * obs[1, 0], a0, out=a1)
     else:
+        # a = (a + s t) / scale for each half.  a0 is written once t1 has
+        # read it, and t0 is freed before t1's second product, so at most
+        # two halves of temporaries are live.
         scale = 2.0 * root
         t0 = obs[0, 0] * a0
         t0 += obs[0, 1] * a1
         t1 = obs[1, 0] * a0
+        t0 *= s
+        a0 += t0
+        a0 /= scale
+        del t0
         t1 += obs[1, 1] * a1
-        for a, t in ((a0, t0), (a1, t1)):  # a = (a + s t) / scale
-            t *= s
-            a += t
-            a /= scale
+        t1 *= s
+        a1 += t1
+        a1 /= scale
     _dust(amps)
 
 

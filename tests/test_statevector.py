@@ -794,11 +794,11 @@ def ref_collapse(amps, n, q, obs, outcome, p):
 @st.composite
 def amplitude_arrays(draw):
     """Normalized amplitudes of n <= 10 qubits, 1-D or one row per
-    history: Gaussian, or multiples of 1/sqrt(2)**k by 0, +-1, +-i (where
-    symmetric terms cancel exactly), some entries zeroed or shrunk to
-    collapse dust."""
+    history (up to 16, as many as ``sv-wide``'s batches hold): Gaussian,
+    or multiples of 1/sqrt(2)**k by 0, +-1, +-i (where symmetric terms
+    cancel exactly), some entries zeroed or shrunk to collapse dust."""
     n = draw(st.integers(1, 10))
-    rows = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    rows = draw(st.sampled_from([None, 1, 2, 3, 5, 8, 16]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (1 << n,) if rows is None else (rows, 1 << n)
     if draw(st.booleans()):
@@ -816,11 +816,31 @@ def amplitude_arrays(draw):
 _ONE_QUBIT_KINDS = [k for k in GateKind if k is not GateKind.CNOT]
 
 
+def _one_qubit_rows() -> np.ndarray:
+    amps = np.array([[0.6, 0.8j], [SQ2, -SQ2], [0.28 + 0.96j, 0.0], [-0.8j, 0.6 + 0.0j]])
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def _zeros_and_dust_rows() -> np.ndarray:
+    amps = np.array([
+        [0.5, 1e-13, -0.5j, 0.5, 0.0, 2e-13j, 0.0, -3e-14],
+        [0.6, 0.0, 0.0, 0.0, 0.8j, 0.0, 4e-13 - 1e-13j, 0.0],
+    ])
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=amplitude_arrays(), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28))
 # One qubit: S scales a one-element half, where numpy's in-place complex
 # product rounds differently from ``u * a``.
 @example(case=(1, np.array([0.6, 0.48 + 0.64j]), np.random.default_rng(0)), theta=1.0, phi=2.0)
+# One-element halves through H and through X and Y collapses, with scalar
+# outcomes and with one outcome per row.
+@example(case=(1, np.array([0.28 - 0.96j, 0.0]), np.random.default_rng(1)), theta=0.5, phi=4.0)
+@example(case=(1, _one_qubit_rows(), np.random.default_rng(2)), theta=2.0, phi=1.0)
+# A half holding exact zeros and dust before an X or Y collapse; in the
+# pair q0 joins at indices 1 and 5 both amplitudes are dust.
+@example(case=(3, _zeros_and_dust_rows(), np.random.default_rng(3)), theta=1.5, phi=3.0)
 def test_kernels_match_index_array_reference(case, theta, phi):
     n, amps, rng = case
     ops = [GateApp(k, (q,)) for q in range(n) for k in _ONE_QUBIT_KINDS]
