@@ -5,9 +5,10 @@
 Run it from the root of a qsim checkout: that working tree is the change.
 The parent revision is exported with ``git archive`` into a temporary
 directory (``TMPDIR``), removed again at the end.  Every workload of
-``BENCHMARK.json`` gets ``PAIRS`` pairs at seed ``SEED``; pair ``i`` runs
-``perfbench/run.py --trace 0`` once on each side, the parent first in
-even pairs and the change first in odd ones.  Both sides run this
+``BENCHMARK.json`` gets ``PAIRS`` pairs at the benchmark seed ``--seed``
+(1 by default), both written into the file's ``settings``; pair ``i``
+runs ``perfbench/run.py --trace 0`` once on each side, the parent first
+in even pairs and the change first in odd ones.  Both sides run this
 checkout's ``perfbench/``, so the benchmark code is identical; each
 imports qsim from its own ``src``.
 
@@ -38,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 PAIRS = 10
-SEED = 1
 
 
 def _git(*args, cwd: Path) -> str:
@@ -59,9 +59,9 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def run_once(bench: Path, root: Path, workload: str, seconds: float) -> dict:
+def run_once(bench: Path, root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``root``; its final JSON report line."""
-    cmd = [sys.executable, str(bench / "run.py"), "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, str(bench / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True, help="where to write the BENCH json")
+    p.add_argument("--seed", type=int, default=1, help="benchmark seed of every run")
     args = p.parse_args(argv)
 
     root = Path.cwd()
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "change": f"working tree on {_git('rev-parse', 'HEAD', cwd=root)}",
         "machine": machine(),
-        "settings": {"pairs": PAIRS, "seed": SEED, "seconds": seconds,
+        "settings": {"pairs": PAIRS, "seed": args.seed, "seconds": seconds,
                      "order": "parent first in even pairs, change first in odd pairs"},
         "workloads": {},
     }
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
             for i in range(PAIRS):
                 sides = [("parent", parent_root), ("change", root)]
                 for side, side_root in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run_once(bench, side_root, workload, seconds))
+                    runs[side].append(run_once(bench, side_root, workload, args.seed, seconds))
                 print(f"# {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{s} {runs[s][-1]['metrics']['jobs_per_s']['value']:.3f} jobs/s"
                     for s in runs), file=sys.stderr)

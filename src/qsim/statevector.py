@@ -47,15 +47,22 @@ the *live* qubits.  A qubit measured in Z has one definite value in each
 history, so it leaves the rows and becomes a per-row bit.  X flips that
 bit, Z, R and S multiply the rows where it is 1 by one scalar, Y does
 both, and a CNOT it controls flips a target bit or acts on a live target
-only in the rows where it is 1.  It goes back into the rows, its other
-half zero, when a gate needs it in superposition (H, a CNOT from a live
-control, an oracle, or an X or Y measurement).  Qubits never measured
-stay live.  Every nonzero amplitude is bit-identical to evolving full
-2^n-amplitude rows.  Shot ``i`` draws its measurement randomness from
-the Philox counter block reserved for shot ``i`` (see :mod:`qsim.rng`),
-so a fixed seed gives the same counts, whatever the batch.  Histogram
-keys are classical-bit strings, bit 0 first, with ``0`` recording the
-+1 outcome.
+only in the rows where it is 1.  An oracle reads a fixed input as that
+row's bit, so the bits pick the part of the truth table the live inputs
+read, and a fixed output flips its bit where that part is constant.  A
+fixed qubit goes back into the rows, its other half zero, when a gate
+needs it in superposition (H, a CNOT from a live control, an X or Y
+measurement, or an oracle whose inputs are all live or whose output
+depends on a live input).
+Qubits never measured stay live.  Every nonzero amplitude is
+bit-identical to evolving full 2^n-amplitude rows, up to the sign of a
+zero real or imaginary part: X on a live qubit multiplies by 1 + 0j,
+which can turn a -0.0 part into +0.0, and on a fixed one flips a bit.
+Shot ``i`` draws its measurement randomness from the Philox counter
+block reserved for shot ``i`` (see :mod:`qsim.rng`), so a fixed seed
+gives the same counts, whatever the batch.  Histogram keys are
+classical-bit strings, bit 0 first, with ``0`` recording the +1
+outcome.
 """
 
 from __future__ import annotations
@@ -263,6 +270,14 @@ def _apply_oracle(amps: np.ndarray, n: int, op: OracleApp) -> None:
         half0 = v[i0].copy()
         v[i0] = v[i1]
         v[i1] = half0
+
+
+def _swap_halves(amps: np.ndarray, n: int, q: int) -> None:
+    """Swap qubit q's halves by copies, as an oracle whose f is 1 does."""
+    v = _split(amps, n, q)
+    half0 = v[..., 0, :].copy()
+    v[..., 0, :] = v[..., 1, :]
+    v[..., 1, :] = half0
 
 
 def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:
@@ -591,12 +606,14 @@ class _Histories:
     value in row ``r`` is one bit of ``base[r]`` (at the qubit's
     basis-index bit), and the full state of the row is its amplitudes at
     ``base[r]`` plus the live bits, zero elsewhere.  Gates that only
-    permute or phase basis states act on that bit; a gate that needs the
-    qubit in superposition first puts it back into ``amps``.
+    permute or phase basis states act on that bit, and an oracle reads a
+    fixed input as it; a gate that needs the qubit in superposition first
+    puts it back into ``amps``.
 
     Every nonzero amplitude is bit-identical to the full-vector
-    evolution: the left-out amplitudes are exact zeros, which no kernel
-    turns into anything else, and the kernels are elementwise.
+    evolution, up to the sign of a zero part: the left-out amplitudes are
+    exact zeros, which no kernel turns into anything else, and the
+    kernels are elementwise.
     """
 
     def __init__(self, n: int, n_cbits: int):
@@ -676,12 +693,59 @@ class _Histories:
             self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, q)
 
     def oracle(self, function: BooleanFunction, qubits: list[int]) -> None:
-        """Apply the oracle of ``function`` on ``qubits``, its inputs then its output."""
-        for q in qubits:
+        """Apply the oracle of ``function`` on ``qubits``, its inputs then its output.
+
+        With every input live it acts on all rows at once, the output put
+        into the rows first if it is fixed.  A fixed input stays out of
+        the rows, as a CNOT's fixed control does: its bit picks the part
+        of the truth table that the row's live inputs read.  Rows are
+        grouped by that part, and each group gets the oracle restricted
+        to the live inputs.  A part that is 0 everywhere leaves its rows
+        as they are, and one that is 1 everywhere only flips the output:
+        its bit when the output is fixed, its halves when it is live.  A
+        fixed output enters the rows only when some group's part reads a
+        live input.  The oracle only moves amplitudes, so the rows stay
+        bit-identical to the full vector's.
+        """
+        *inputs, out = qubits
+        if all(q in self.at for q in inputs):
+            if out not in self.at:
+                self._insert(out)
+            at = [self.at[q] for q in qubits]
+            _apply_oracle(self.amps, len(self.live), OracleApp(function, tuple(at[:-1]), at[-1]))
+            return
+        k = len(inputs)
+        live = [j for j, q in enumerate(inputs) if q in self.at]
+        # each row's fixed inputs, at their bits of the table index
+        x = np.zeros(len(self.base), dtype=np.int64)
+        for j, q in enumerate(inputs):
             if q not in self.at:
-                self._insert(q)
-        at = [self.at[q] for q in qubits]
-        _apply_oracle(self.amps, len(self.live), OracleApp(function, tuple(at[:-1]), at[-1]))
+                x |= self._bit(q) << (k - 1 - j)
+        reads = np.zeros(1, dtype=np.int64)  # table index of each live-input value
+        for j in live:  # the first live input is the top bit
+            reads = (reads[:, None] | np.array([0, 1 << (k - 1 - j)])).reshape(-1)
+        table = np.array(function.table, dtype=np.int8)
+        parts: dict[tuple, np.ndarray] = {}  # restricted truth table -> its rows
+        for g in set(x.tolist()):
+            key, rows = tuple(table[g + reads].tolist()), x == g
+            parts[key] = parts[key] | rows if key in parts else rows
+        # rows whose part is all 0 are left as they are; all 1 flips the output
+        parts.pop((0,) * (1 << len(live)), None)
+        ones = parts.pop((1,) * (1 << len(live)), None)
+        if out not in self.at:
+            if ones is not None:
+                self.base[ones] ^= 1 << _bitpos(self.n, out)
+                ones = None
+            if not parts:
+                return
+            self._insert(out)
+        n, j = len(self.live), self.at[out]
+        if ones is not None:
+            self._on_rows(ones, _swap_halves, n, j)
+        at = tuple(self.at[inputs[i]] for i in live)
+        for key, rows in parts.items():
+            f = BooleanFunction(len(live), key)
+            self._on_rows(rows, _apply_oracle, n, OracleApp(f, at, j))
 
     def measure(self, q: int, axis: PauliAxis, dest: int, u: np.ndarray,
                 group: np.ndarray) -> np.ndarray:

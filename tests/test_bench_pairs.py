@@ -2,6 +2,8 @@
 side's spread, and whether a metric is resolved and within its bound."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,47 @@ def test_a_loss_past_the_bound_is_outside_it():
     assert summary["job_p50_s"]["resolved"] and not summary["job_p50_s"]["within_bound"]
     assert summary["jobs_per_s"]["within_bound"] and summary["jobs_per_s"]["wins"] == 0
     assert [line.split(":")[0] for line in bench_pairs.flagged("w", summary)] == ["# w job_p50_s"]
+
+
+def _main(tmp_path, monkeypatch, *flags) -> tuple[dict, list]:
+    """``main`` on a one-workload BENCHMARK.json in ``tmp_path``, with git,
+    the machine and the benchmark runs stood in for; returns the report and, for each
+    ``perfbench/run.py`` call, its working directory and ``--seed``."""
+    spec = {"run_seconds": 2, "workloads": [{"name": "w"}], "end_to_end": _METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            out = b"" if cmd[1] == "archive" else "abc123"
+        elif cmd[0] == "tar":
+            out = None
+        else:
+            assert cmd[1].endswith("perfbench/run.py")
+            calls.append((Path(kwargs["cwd"]), cmd[cmd.index("--seed") + 1]))
+            metrics = {m["name"]: {"value": 1.0} for m in _METRICS}
+            out = "# progress\n" + json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    monkeypatch.setattr(bench_pairs, "machine", dict)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out), *flags]) == 0
+    return json.loads(out.read_text()), calls
+
+
+def test_seed_and_pairs_reach_every_run_and_the_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    report, calls = _main(tmp_path, monkeypatch, "--seed", "3")
+    assert report["settings"]["seed"] == 3 and report["settings"]["pairs"] == 2
+    assert report["workloads"]["w"]["metrics"]["jobs_per_s"]["pairs"] == 2
+    # the parent runs first in the first pair and the change in the second
+    assert calls == [(calls[0][0], "3"), (tmp_path, "3"), (tmp_path, "3"), (calls[0][0], "3")]
+    assert calls[0][0] != tmp_path
+
+
+def test_seed_and_pairs_default_to_one_and_ten(tmp_path, monkeypatch):
+    report, calls = _main(tmp_path, monkeypatch)
+    assert report["settings"]["seed"] == 1 and report["settings"]["pairs"] == 10
+    assert [seed for _, seed in calls] == ["1"] * 20

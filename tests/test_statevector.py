@@ -670,6 +670,33 @@ _ONE_AMPLITUDE_ROWS = Circuit(1, 1, (
 ))
 
 
+def _oracle_after_measuring_all(*ops) -> Circuit:
+    """H on q0..q2 and each measured in Z, then ``ops`` and q0..q2 measured
+    along X, Y and Z.  Enough shots give rows with every value of the
+    fixed bits."""
+    prefix = [GateApp(GateKind.H, (q,)) for q in range(3)]
+    prefix += [Measure(q, PauliAxis.Z, q) for q in range(3)]
+    tail = [Measure(q, axis, q) for q, axis in enumerate(PauliAxis)]
+    return Circuit(3, 3, (*prefix, *ops, *tail))
+
+
+def _oracle(table: str, inputs: tuple, output: int) -> OracleApp:
+    return OracleApp(BooleanFunction.from_string(table), inputs, output)
+
+
+# An oracle on q0 q1 -> q2 once all three are fixed: (a) every input and
+# the output fixed; (b) q0 fixed and q1 live, so the rows where q0 is 0
+# read q1 into q2 and those where it is 1 flip q2's bit before q2 enters
+# the rows; (c) the inputs fixed and q2 live in H S H|0>, whose halves
+# differ, swapped in the rows where f is 1.
+_FIXED_INPUT_ORACLES = (
+    _oracle_after_measuring_all(_oracle("0110", (0, 1), 2)),
+    _oracle_after_measuring_all(GateApp(GateKind.H, (1,)), _oracle("0111", (0, 1), 2)),
+    _oracle_after_measuring_all(GateApp(GateKind.H, (2,)), GateApp(GateKind.S, (2,)),
+                                GateApp(GateKind.H, (2,)), _oracle("0110", (0, 1), 2)),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     circuit=feedback_circuits(),
@@ -679,6 +706,9 @@ _ONE_AMPLITUDE_ROWS = Circuit(1, 1, (
 )
 @example(circuit=_pairwise_row_circuit(), shots=1, seed=3, chunk=120)
 @example(circuit=_ONE_AMPLITUDE_ROWS, shots=8, seed=6, chunk=120)
+@example(circuit=_FIXED_INPUT_ORACLES[0], shots=64, seed=1, chunk=120)
+@example(circuit=_FIXED_INPUT_ORACLES[1], shots=64, seed=2, chunk=120)
+@example(circuit=_FIXED_INPUT_ORACLES[2], shots=64, seed=3, chunk=120)
 def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
     with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << circuit.n_qubits)):
         got = run(circuit, shots, seed, keep_final_state=True)
@@ -716,6 +746,24 @@ def test_outcome_against_a_measured_bit_collapses_the_row_to_zero():
     sv._collapse(full, 1, 0, sv._observable(PauliAxis.Z), -1.0, p)
     assert rows.cbits.tolist() == [[1]]
     assert np.array_equal(rows.state(0), full[0]) and not full.any()
+
+
+def test_an_oracle_reads_fixed_inputs_as_row_bits():
+    # After H and a Z measurement on each qubit, 16 shots hold rows with
+    # several values of the three bits; an oracle on them keeps every
+    # qubit out of the rows and flips q2's bit by f(q0, q1).
+    rows = sv._Histories(3, 3)
+    group = np.zeros(16, dtype=np.intp)
+    uniforms = stream(5).random((3, 16))
+    for q in range(3):
+        rows.gate(GateKind.H, [q], -1)
+        group = rows.measure(q, PauliAxis.Z, q, uniforms[q], group)
+    bits = rows.cbits.copy()
+    assert len({tuple(b) for b in bits[:, :2]}) > 1
+    rows.oracle(BooleanFunction.from_string("0110"), [0, 1, 2])
+    assert rows.live == [] and rows.amps.shape[1] == 1
+    q2 = rows._bit(2)
+    assert q2.tolist() == (bits[:, 2] ^ bits[:, 0] ^ bits[:, 1]).tolist()
 
 
 @settings(max_examples=60, deadline=None)
