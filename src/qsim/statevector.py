@@ -47,13 +47,20 @@ the *live* qubits.  A qubit measured in Z has one definite value in each
 history, so it leaves the rows and becomes a per-row bit.  X flips that
 bit, Z, R and S multiply the rows where it is 1 by one scalar, Y does
 both, and a CNOT it controls flips a target bit or acts on a live target
-only in the rows where it is 1.  An oracle reads a fixed input as that
-row's bit, so the bits pick the part of the truth table the live inputs
-read, and a fixed output flips its bit where that part is constant.  A
-fixed qubit goes back into the rows, its other half zero, when a gate
-needs it in superposition (H, a CNOT from a live control, an X or Y
+only in the rows where it is 1.  A CNOT from a live qubit onto a fixed
+one makes the target a *copy*: its value is the control's XOR its bit,
+and no amplitude moves, so the rows do not double.  X, Z, R, S and Y act
+on a copy through its bit and its control's halves.  An oracle reads a
+fixed input as that row's bit, so the bits pick the part of the truth
+table the live inputs read, and a fixed output flips its bit where that
+part is constant.  A fixed qubit or a copy goes back into the rows at
+its value when an op needs it in superposition (H, a CNOT onto it or
+from a copy onto a live qubit, a measurement of a copy or an X or Y
 measurement, or an oracle whose inputs are all live or whose output
-depends on a live input).
+depends on a live input), and a control's copies go back before an op
+other than X, Y or a phase changes the control.  An H on a qubit no
+earlier op touched finds its 1 half zero, so it scales the 0 half and
+copies it.
 Qubits never measured stay live.  Every nonzero amplitude is
 bit-identical to evolving full 2^n-amplitude rows, up to the sign of a
 zero real or imaginary part: X on a live qubit multiplies by 1 + 0j,
@@ -67,6 +74,7 @@ outcome.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,24 +196,45 @@ def _scale(a: np.ndarray, d) -> None:
         np.multiply(d, a, out=a)
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
+# Each one-qubit gate's matrix as Python complex numbers (u00, u01, u10,
+# u11): reading them costs less than indexing an array, and they round in a
+# product exactly as the array's entries do.
+_ENTRIES = {kind: tuple(gate_matrix(kind).ravel().tolist()) for kind in GateKind
+            if kind.arity == 1}
+
+
+def _apply_1q(amps: np.ndarray, n: int, q: int, u: tuple) -> None:
     # Dropping a term whose coefficient is 0, or a factor that is 1, leaves
     # every nonzero amplitude bit-identical to the full 2x2 product.
     v = _split(amps, n, q)
     a0, a1 = v[..., 0, :], v[..., 1, :]
-    if u[0, 1] == 0 and u[1, 0] == 0:  # I, Z, R, S: scale the halves that change
-        for a, d in ((a0, u[0, 0]), (a1, u[1, 1])):
+    u00, u01, u10, u11 = u
+    if u01 == 0 and u10 == 0:  # I, Z, R, S: scale the halves that change
+        for a, d in ((a0, u00), (a1, u11)):
             if d != 1:
                 _scale(a, d)
-    elif u[0, 0] == 0 and u[1, 1] == 0:  # X, Y: swap the halves, with their phase
-        b0 = u[0, 1] * a1
-        np.multiply(u[1, 0], a0, out=a1)
+    elif u00 == 0 and u11 == 0:  # X, Y: swap the halves, with their phase
+        b0 = u01 * a1
+        np.multiply(u10, a0, out=a1)
         a0[...] = b0
     else:  # H: u10 = u00 and u11 = -u01, and (-s) x = -(s x), so a1 = u00 a0 - u01 a1
-        t = u[0, 1] * a1
-        _scale(a0, u[0, 0])
+        t = u01 * a1
+        _scale(a0, u00)
         np.subtract(a0, t, out=a1)
         a0 += t
+
+
+def _apply_h_on_zero(amps: np.ndarray, n: int, q: int, u: tuple) -> None:
+    """H on a qubit whose 1 half is zero: both halves become ``u00 a0``,
+    as :func:`_apply_1q`'s are, up to the sign of a zero part (t is +-0)."""
+    v = _split(amps, n, q)
+    _scale(v[..., 0, :], u[0])
+    v[..., 1, :] = v[..., 0, :]
+
+
+def _scale_half(amps: np.ndarray, n: int, q: int, b: int, d) -> None:
+    """Scale qubit q's half ``b`` by ``d``."""
+    _scale(_split(amps, n, q)[..., b, :], d)
 
 
 def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
@@ -227,7 +256,7 @@ def _apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
     if op.kind is GateKind.CNOT:
         _apply_cnot(amps, n, op.targets[0], op.targets[1])
     else:
-        _apply_1q(amps, n, op.targets[0], gate_matrix(op.kind))
+        _apply_1q(amps, n, op.targets[0], _ENTRIES[op.kind])
 
 
 # Inputs of an oracle fixed by plain indices: up to 2**3 table rows are
@@ -592,8 +621,7 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> 
 # Whole-circuit sampling
 
 
-# Gate matrices by kind, read-only.
-_MATRIX = {kind: gate_matrix(kind) for kind in GateKind}
+_H = GATE_KINDS.index(GateKind.H)  # H's op code
 
 
 class _Histories:
@@ -602,18 +630,32 @@ class _Histories:
 
     ``amps`` is ``(rows, 2**len(live))``, indexed as a state of the live
     qubits in their order; ``at[q]`` is live qubit q's place among them.
-    A qubit leaves ``live`` when it is measured in Z; from then on its
-    value in row ``r`` is one bit of ``base[r]`` (at the qubit's
-    basis-index bit), and the full state of the row is its amplitudes at
-    ``base[r]`` plus the live bits, zero elsewhere.  Gates that only
-    permute or phase basis states act on that bit, and an oracle reads a
-    fixed input as it; a gate that needs the qubit in superposition first
-    puts it back into ``amps``.
+    Every other qubit has a per-row bit in ``base`` (at the qubit's
+    basis-index bit), and the bits of live qubits are 0:
+
+    - A *fixed* qubit, measured in Z, has its bit as its value.
+    - A *copy* of a live qubit k, its *coordinate*, has k's value XOR its
+      bit: a CNOT from k, or from a copy of k, onto a fixed qubit records
+      one.  ``copy_of[t]`` is copy t's coordinate and ``copies[k]`` lists
+      k's copies.  A coordinate is the lowest qubit of its group, so when
+      a lower fixed qubit joins, k's axis moves to that qubit's place,
+      flipped in the rows whose new bit is 1, and k becomes its copy.
+
+    The full state of row ``r`` is thus its amplitudes at the values the
+    bits give, zero elsewhere, and the rows keep basis-index order.
+    Gates that only permute or phase basis states act on bits: X on a
+    fixed qubit or a copy flips its bit, Z, R, S and Y scale its rows or
+    its coordinate's halves by bit class, and X or Y on a coordinate also
+    flips its copies' bits.  An oracle reads a fixed input as its bit.
+    An op that needs a qubit in superposition first puts it back into
+    ``amps`` (:meth:`_insert`), and one that changes a coordinate's value
+    otherwise first inserts its copies.
 
     Every nonzero amplitude is bit-identical to the full-vector
     evolution, up to the sign of a zero part: the left-out amplitudes are
-    exact zeros, which no kernel turns into anything else, and the
-    kernels are elementwise.
+    exact zeros, which no kernel turns into anything else, the kernels
+    are elementwise, and every ``<O>`` sum adds the same nonzero terms in
+    the same order.
     """
 
     def __init__(self, n: int, n_cbits: int):
@@ -623,6 +665,8 @@ class _Histories:
         self.amps[0, 0] = 1.0
         self.base = np.zeros(1, dtype=np.int64)
         self.cbits = np.zeros((1, n_cbits), dtype=np.uint8)
+        self.copy_of: dict[int, int] = {}
+        self.copies: dict[int, list[int]] = {}
 
     def _set_live(self, live: list[int]) -> None:
         self.live = live
@@ -633,62 +677,142 @@ class _Histories:
 
     def _on_rows(self, mask, kernel, *args) -> None:
         """``kernel(amps, *args)`` on the rows ``mask`` selects (all if None)."""
-        if mask is None or mask.all():
+        count = len(self.amps) if mask is None else np.count_nonzero(mask)
+        if count == len(self.amps):
             kernel(self.amps, *args)
-        elif mask.any():
+        elif count:
             sub = self.amps[mask]
             kernel(sub, *args)
             self.amps[mask] = sub
 
     def _insert(self, q: int) -> None:
-        """Put fixed qubit q back into the amplitudes, the other half zero."""
-        live = sorted(self.live + [q])
-        j = live.index(q)
-        amps = np.zeros((len(self.amps), 2 << len(self.live)), dtype=np.complex128)
-        half = self.amps.reshape(len(amps), 1 << j, -1)
-        _split(amps, len(live), j)[np.arange(len(amps)), :, self._bit(q)] = half
+        """Put qubit q back into the amplitudes at its value.  A fixed
+        qubit is a copy of nothing: its value is its bit, and its other
+        half is zero.  A copy's value is its coordinate's XOR its bit."""
+        j = bisect.bisect(self.live, q)  # q's place among the live qubits
+        k = self.copy_of.pop(q, None)
+        if k is None:  # an axis of size 1 stands for the coordinate
+            shape = (1, 1, 1 << j)
+        else:
+            self.copies[k].remove(q)
+            if not self.copies[k]:
+                del self.copies[k]
+            i = self.at[k]  # the coordinate is above q
+            shape = (1 << i, 2, 1 << (j - 1 - i))
+        rows = len(self.amps)
+        amps = np.zeros((rows, 2 << len(self.live)), dtype=np.complex128)
+        new = amps.reshape((rows, *shape, 2, -1))
+        old = self.amps.reshape((rows, *shape, -1))
+        r, bit = np.arange(rows), self._bit(q)
+        for a in range(shape[1]):  # the coordinate's value a puts q at a XOR bit
+            new[r, :, a, :, a ^ bit] = old[:, :, a]
         self.amps = amps
-        self._set_live(live)
+        self._set_live(self.live[:j] + [q] + self.live[j:])
+        self.base &= ~(1 << _bitpos(self.n, q))
+
+    def _free(self, q: int) -> None:
+        """Make q an axis of the rows that no other qubit copies."""
+        if q not in self.at:
+            self._insert(q)
+        for t in tuple(self.copies.get(q, ())):
+            self._insert(t)
+
+    def _copy(self, c: int, q: int) -> None:
+        """CNOT from c, live or a copy, onto fixed q: q becomes a copy of
+        c's coordinate k, its bit XORed with c's.  When q is above k, k's
+        axis moves to q's place, flipped in the rows where q's bit is 1,
+        and k and its copies become copies of q."""
+        k = self.copy_of.get(c, c)
+        self.base ^= self._bit(c) << _bitpos(self.n, q)
+        if q > k:
+            self.copy_of[q] = k
+            self.copies.setdefault(k, []).append(q)
+            return
+        flip = self._bit(q)
+        i, j, rows = self.at[k], bisect.bisect(self.live, q), len(self.amps)
+        amps = np.empty_like(self.amps)
+        new = amps.reshape(rows, 1 << j, 2, 1 << (i - j), -1)
+        old = self.amps.reshape(rows, 1 << j, 1 << (i - j), 2, -1)
+        r = np.arange(rows)
+        for a in (0, 1):
+            new[r, :, a ^ flip] = old[:, :, :, a]
+        self.amps = amps
+        self._set_live(self.live[:j] + [q] + self.live[j:i] + self.live[i + 1 :])
+        group = self.copies.pop(k, []) + [k]
+        for t in group:
+            self.copy_of[t] = q
+            self.base ^= flip << _bitpos(self.n, t)
+        self.copies[q] = group
         self.base &= ~(1 << _bitpos(self.n, q))
 
     def state(self, row: int) -> np.ndarray:
-        """Row ``row`` as a full vector of 2**n amplitudes."""
+        """Row ``row`` as a full vector of 2**n amplitudes; every copy is
+        put back into the rows first."""
+        for t in tuple(self.copy_of):
+            self._insert(t)
         full = np.zeros((2,) * self.n, dtype=np.complex128)
         bits = (int(self.base[row]) >> _bitpos(self.n, q) & 1 for q in range(self.n))
         at = tuple(slice(None) if q in self.at else b for q, b in enumerate(bits))
         full[at] = self.amps[row].reshape((2,) * len(self.live))
         return full.reshape(-1)
 
-    def gate(self, kind: GateKind, targets: list[int], condition: int) -> None:
+    def gate(self, kind: GateKind, targets: list[int], condition: int,
+             fresh: bool = False) -> None:
         """Apply a gate, on the rows whose bit ``condition`` is 1 unless
-        that is -1."""
+        that is -1.  ``fresh`` says an H's qubit has seen no op before it,
+        so its 1 half is zero."""
         mask = None if condition == -1 else self.cbits[:, condition] == 1
         if kind is GateKind.CNOT:
             c, q = targets
-            if c in self.at:
-                if q not in self.at:
-                    self._insert(q)
+            if c in self.at or c in self.copy_of:
+                if (q not in self.at and q not in self.copy_of
+                        and (mask is None or np.count_nonzero(mask) == len(mask))):
+                    self._copy(c, q)
+                    return
+                if c not in self.at:
+                    self._insert(c)
+                if q not in self.at or q in self.copies:
+                    self._free(q)
                 self._on_rows(mask, _apply_cnot, len(self.live), self.at[c], self.at[q])
                 return
             # A fixed control is an X on the target in the rows where it is 1.
             on = self._bit(c) == 1
             mask = on if mask is None else mask & on
-            u = _MATRIX[GateKind.X]
+            kind = GateKind.X
         else:
-            q, u = targets[0], _MATRIX[kind]
-        if q in self.at or kind is GateKind.H:
-            if q not in self.at:
-                self._insert(q)
+            q = targets[0]
+        u = _ENTRIES[kind]
+        if q in self.at and q not in self.copies:
+            kernel = _apply_h_on_zero if fresh else _apply_1q
+            self._on_rows(mask, kernel, len(self.live), self.at[q], u)
+            return
+        if kind is GateKind.H:
+            self._free(q)
             self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
             return
-        # Every other gate maps basis state b of a fixed qubit to one basis
-        # state b2, times u[b2, b].
-        flip = int(u[0, 0] == 0)
+        flip = int(u[0] == 0)
+        if q in self.at:  # a coordinate: X and Y leave its copies' values as they were
+            self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
+            if flip:
+                for t in self.copies[q]:
+                    self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, t)
+            return
+        # Every other gate maps basis state b of a fixed qubit or a copy to
+        # one basis state b ^ flip, times its matrix entry u[b ^ flip, b].
         bit = self._bit(q)
+        k = self.copy_of.get(q)
         for b in (0, 1):
-            if u[b ^ flip, b] != 1:
-                sel = bit == b if mask is None else (bit == b) & mask
-                self._on_rows(sel, _scale, u[b ^ flip, b])
+            d = u[2 * (b ^ flip) + b]
+            if d == 1:
+                continue
+            if k is None:  # the rows where q is b
+                sel = bit == b
+                self._on_rows(sel if mask is None else sel & mask, _scale, d)
+                continue
+            for a in (0, 1):  # k's half a holds q = b in the rows whose bit is a ^ b
+                sel = bit == a ^ b
+                self._on_rows(sel if mask is None else sel & mask, _scale_half,
+                              len(self.live), self.at[k], a, d)
         if flip:
             self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, q)
 
@@ -704,10 +828,17 @@ class _Histories:
         as they are, and one that is 1 everywhere only flips the output:
         its bit when the output is fixed, its halves when it is live.  A
         fixed output enters the rows only when some group's part reads a
-        live input.  The oracle only moves amplitudes, so the rows stay
-        bit-identical to the full vector's.
+        live input.  A copy among the inputs is put back into the rows
+        first, and so are the output, if it is a copy, and its copies.
+        The oracle only moves amplitudes, so the rows stay bit-identical
+        to the full vector's.
         """
         *inputs, out = qubits
+        for q in inputs:
+            if q in self.copy_of:
+                self._insert(q)
+        if out in self.copy_of or out in self.copies:
+            self._free(out)
         if all(q in self.at for q in inputs):
             if out not in self.at:
                 self._insert(out)
@@ -753,8 +884,8 @@ class _Histories:
         its uniform ``u``; returns the new ``group``."""
         obs = _observable(axis)
         z = _is_z(obs)
-        if not z and q not in self.at:
-            self._insert(q)
+        if (not z and q not in self.at) or q in self.copy_of or q in self.copies:
+            self._free(q)
         j, k = self.at.get(q), len(self.live)
         if j is not None:
             e = _expectation(self.amps, k, j, obs)
@@ -799,7 +930,8 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     compares every shot's own uniform against its row's value, and
     splits a row only when its shots disagree.  A qubit measured in Z
     leaves the amplitude array until a gate needs it in superposition
-    again (see :class:`_Histories`); a qubit never measured stays in it.
+    again, and a CNOT onto it records it as a copy of its control (see
+    :class:`_Histories`); a qubit never measured stays in it.
 
     Shot ``i`` draws from its own counter block (each chunk draws its
     shots' blocks when it starts, ``shot_uniforms(..., first_shot=)``, so
@@ -822,6 +954,11 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     table = op_table(circuit)
     program = table.rows()
+    # An H that is its qubit's first op finds the qubit's 1 half zero.
+    targets, start = table.targets.tolist(), table.start.tolist()
+    first = dict(zip(reversed(targets), range(len(targets) - 1, -1, -1)))  # qubit -> first slot
+    fresh = {i for i, code in enumerate(table.kind.tolist())
+             if code == _H and first[targets[start[i]]] == start[i]}
     n_meas = int(np.count_nonzero(table.kind == MEASURE))
     chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -838,7 +975,7 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
             elif kind == ORACLE:
                 rows.oracle(table.functions[i], qubits)
             else:
-                rows.gate(GATE_KINDS[kind], qubits, condition)
+                rows.gate(GATE_KINDS[kind], qubits, condition, i in fresh)
         parts.append((rows.cbits, np.bincount(group, minlength=len(rows.cbits))))
 
     return RunResult(

@@ -670,14 +670,14 @@ _ONE_AMPLITUDE_ROWS = Circuit(1, 1, (
 ))
 
 
-def _oracle_after_measuring_all(*ops) -> Circuit:
-    """H on q0..q2 and each measured in Z, then ``ops`` and q0..q2 measured
-    along X, Y and Z.  Enough shots give rows with every value of the
-    fixed bits."""
+def _after_measuring_all(*ops, tail: bool = True) -> Circuit:
+    """H on q0..q2 and each measured in Z, then ``ops`` and, with ``tail``,
+    q0..q2 measured along X, Y and Z.  Enough shots give rows with every
+    value of the fixed bits."""
     prefix = [GateApp(GateKind.H, (q,)) for q in range(3)]
     prefix += [Measure(q, PauliAxis.Z, q) for q in range(3)]
-    tail = [Measure(q, axis, q) for q, axis in enumerate(PauliAxis)]
-    return Circuit(3, 3, (*prefix, *ops, *tail))
+    end = [Measure(q, axis, q) for q, axis in enumerate(PauliAxis)] if tail else []
+    return Circuit(3, 3, (*prefix, *ops, *end))
 
 
 def _oracle(table: str, inputs: tuple, output: int) -> OracleApp:
@@ -690,10 +690,48 @@ def _oracle(table: str, inputs: tuple, output: int) -> OracleApp:
 # the rows; (c) the inputs fixed and q2 live in H S H|0>, whose halves
 # differ, swapped in the rows where f is 1.
 _FIXED_INPUT_ORACLES = (
-    _oracle_after_measuring_all(_oracle("0110", (0, 1), 2)),
-    _oracle_after_measuring_all(GateApp(GateKind.H, (1,)), _oracle("0111", (0, 1), 2)),
-    _oracle_after_measuring_all(GateApp(GateKind.H, (2,)), GateApp(GateKind.S, (2,)),
-                                GateApp(GateKind.H, (2,)), _oracle("0110", (0, 1), 2)),
+    _after_measuring_all(_oracle("0110", (0, 1), 2)),
+    _after_measuring_all(GateApp(GateKind.H, (1,)), _oracle("0111", (0, 1), 2)),
+    _after_measuring_all(GateApp(GateKind.H, (2,)), GateApp(GateKind.S, (2,)),
+                         GateApp(GateKind.H, (2,)), _oracle("0110", (0, 1), 2)),
+)
+
+
+def _gate(kind: str, *qubits: int, cif: int | None = None) -> GateApp:
+    return GateApp(GateKind[kind], qubits, condition=cif)
+
+
+# A CNOT from a live qubit onto a measured one makes the target a copy:
+# its value is the control's XOR its bit.  Once all three are measured:
+# (a) q2 in S H|0> copied onto the lower q0, past the live q1, so the axis
+#     moves to q0's place, flipped where q0's bit is 1, before q1 is
+#     measured along X over the moved rows;
+# (b)-(d) R, Y and X on the copy q1 of q0, whose bit (q1's outcome)
+#     differs across rows;
+# (e) a Z measurement of the copy q2;
+# (f) H on the coordinate q0 while q1 copies it;
+# (g) a CNOT onto q2 conditioned on q1's bit, which holds in some rows only;
+# (h) an oracle reading the copy q1 and its coordinate q0;
+# (i) q1 copied onto q2, then the copy q2 onto the lower q0, so q0 is
+#     q1 XOR both bits and the axis moves by that XOR, before Y on q0;
+#     q0 and q1 measured in Z into new bits then show the XOR;
+# (j) the same copies left in place for the final state.
+_COPIES = (
+    _after_measuring_all(_gate("H", 1), _gate("H", 2), _gate("S", 2), _gate("CNOT", 2, 0),
+                         Measure(1, PauliAxis.X, 1)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("R", 1)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("Y", 1)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("X", 1),
+                         _gate("H", 1)),
+    _after_measuring_all(_gate("H", 0), _gate("CNOT", 0, 2), Measure(2, PauliAxis.Z, 2)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("H", 0)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 2, cif=1)),
+    _after_measuring_all(_gate("H", 0), _gate("CNOT", 0, 1), _oracle("0110", (1, 0), 2)),
+    Circuit(3, 5, (*_after_measuring_all(_gate("H", 1), _gate("S", 1), _gate("CNOT", 1, 2),
+                                         _gate("CNOT", 2, 0), _gate("Y", 0), tail=False).ops,
+                   Measure(0, PauliAxis.Z, 3), Measure(1, PauliAxis.Z, 4))),
+    _after_measuring_all(_gate("H", 1), _gate("S", 1), _gate("CNOT", 1, 2), _gate("CNOT", 2, 0),
+                         _gate("Y", 0), tail=False),
 )
 
 
@@ -709,12 +747,26 @@ _FIXED_INPUT_ORACLES = (
 @example(circuit=_FIXED_INPUT_ORACLES[0], shots=64, seed=1, chunk=120)
 @example(circuit=_FIXED_INPUT_ORACLES[1], shots=64, seed=2, chunk=120)
 @example(circuit=_FIXED_INPUT_ORACLES[2], shots=64, seed=3, chunk=120)
+@example(circuit=_COPIES[0], shots=64, seed=4, chunk=120)
+@example(circuit=_COPIES[1], shots=64, seed=5, chunk=120)
+@example(circuit=_COPIES[2], shots=64, seed=6, chunk=120)
+@example(circuit=_COPIES[3], shots=64, seed=7, chunk=120)
+@example(circuit=_COPIES[4], shots=64, seed=8, chunk=120)
+@example(circuit=_COPIES[5], shots=64, seed=9, chunk=120)
+@example(circuit=_COPIES[6], shots=64, seed=10, chunk=120)
+@example(circuit=_COPIES[7], shots=64, seed=11, chunk=120)
+@example(circuit=_COPIES[8], shots=64, seed=12, chunk=120)
+@example(circuit=_COPIES[9], shots=64, seed=13, chunk=120)
 def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
     with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << circuit.n_qubits)):
         got = run(circuit, shots, seed, keep_final_state=True)
         want = full_vector_run(circuit, shots, seed, keep_final_state=True)
     assert got.counts == want.counts
     assert np.array_equal(got.final_state.amps, want.final_state.amps)
+    # np.array_equal lets +0.0 equal -0.0; every other part must match bit for bit
+    g, w = got.final_state.amps.view(np.float64), want.final_state.amps.view(np.float64)
+    nonzero = (g != 0) | (w != 0)
+    assert np.array_equal(g[nonzero].view(np.int64), w[nonzero].view(np.int64))
 
 
 def test_fixed_qubit_norms_are_summed_in_order():
@@ -764,6 +816,29 @@ def test_an_oracle_reads_fixed_inputs_as_row_bits():
     assert rows.live == [] and rows.amps.shape[1] == 1
     q2 = rows._bit(2)
     assert q2.tolist() == (bits[:, 2] ^ bits[:, 0] ^ bits[:, 1]).tolist()
+
+
+def test_a_cnot_onto_a_measured_qubit_records_a_copy():
+    # After H and a Z measurement on both qubits, q1 back in superposition
+    # controls a CNOT onto the measured q0: the rows keep one axis, now
+    # q0's, and q1 is q0's copy, its bit q0's measured value.
+    rows = sv._Histories(2, 2)
+    group = np.zeros(16, dtype=np.intp)
+    uniforms = stream(5).random((2, 16))
+    for q in range(2):
+        rows.gate(GateKind.H, [q], -1)
+        group = rows.measure(q, PauliAxis.Z, q, uniforms[q], group)
+    assert len(set(rows.cbits[:, 0].tolist())) == 2
+    full = [rows.state(r) for r in range(len(rows.amps))]
+    rows.gate(GateKind.H, [1], -1)
+    rows.gate(GateKind.CNOT, [1, 0], -1)
+    assert rows.live == [0] and rows.copy_of == {1: 0}
+    assert rows._bit(1).tolist() == rows.cbits[:, 0].tolist()
+    for r, amps in enumerate(full):
+        amps = amps[None].copy()
+        sv._apply_1q(amps, 2, 1, sv._ENTRIES[GateKind.H])
+        sv._apply_cnot(amps, 2, 1, 0)
+        assert np.array_equal(rows.state(r), amps[0])
 
 
 @settings(max_examples=60, deadline=None)
