@@ -58,10 +58,15 @@ its value when an op needs it in superposition (H, a CNOT onto it or
 from a copy onto a live qubit, a measurement of a copy or an X or Y
 measurement, or an oracle whose inputs are all live or whose output
 depends on a live input), and a control's copies go back before an op
-other than X, Y or a phase changes the control.  An H on a qubit no
-earlier op touched finds its 1 half zero, so it scales the 0 half and
-copies it.
-Qubits never measured stay live.  Every nonzero amplitude is
+other than X, Y or a phase changes the control.  An unconditioned H
+on a qubit no earlier op touched makes a third kind, a *plus* qubit:
+its 1 half is zero, so both halves become the 0 half times ``u00``, and
+the rows keep that half alone.  A Z measurement of a plus qubit is a
+fair coin, as every term of ``<Z>`` is +0, so it takes no sum, and the
+qubit becomes fixed at its outcome.  Any other op on a plus qubit puts
+it back into the rows with both halves equal, and so do every other
+measurement, whose in-order sum reads its terms twice, and the final
+state.  Every other qubit stays live.  Every nonzero amplitude is
 bit-identical to evolving full 2^n-amplitude rows, up to the sign of a
 zero real or imaginary part: X on a live qubit multiplies by 1 + 0j,
 which can turn a -0.0 part into +0.0, and on a fixed one flips a bit.
@@ -224,14 +229,6 @@ def _apply_1q(amps: np.ndarray, n: int, q: int, u: tuple) -> None:
         a0 += t
 
 
-def _apply_h_on_zero(amps: np.ndarray, n: int, q: int, u: tuple) -> None:
-    """H on a qubit whose 1 half is zero: both halves become ``u00 a0``,
-    as :func:`_apply_1q`'s are, up to the sign of a zero part (t is +-0)."""
-    v = _split(amps, n, q)
-    _scale(v[..., 0, :], u[0])
-    v[..., 1, :] = v[..., 0, :]
-
-
 def _scale_half(amps: np.ndarray, n: int, q: int, b: int, d) -> None:
     """Scale qubit q's half ``b`` by ``d``."""
     _scale(_split(amps, n, q)[..., b, :], d)
@@ -380,8 +377,11 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Each row of the 2-D temporary ``x`` (overwritten) summed term by term
-    in index order: ``sum`` adds Fortran-ordered rows so, a lone row pairwise."""
-    if len(x) == 1:
+    in index order.  Up to four rows, an in-place ``cumsum`` adds each row
+    in order (``sum`` would add a lone row pairwise, and is slower on two to
+    four).  Above that, ``sum`` adds Fortran-ordered rows in order, faster
+    than a ``cumsum`` along their strided rows."""
+    if len(x) <= 4:
         return np.cumsum(x, axis=-1, out=x)[:, -1]
     return np.asfortranarray(x).sum(axis=-1)
 
@@ -622,6 +622,7 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> 
 
 
 _H = GATE_KINDS.index(GateKind.H)  # H's op code
+_FAIR = 1.0 / math.sqrt(0.5)  # the collapse factor 1/sqrt(p) of a fair coin
 
 
 class _Histories:
@@ -631,7 +632,7 @@ class _Histories:
     ``amps`` is ``(rows, 2**len(live))``, indexed as a state of the live
     qubits in their order; ``at[q]`` is live qubit q's place among them.
     Every other qubit has a per-row bit in ``base`` (at the qubit's
-    basis-index bit), and the bits of live qubits are 0:
+    basis-index bit), and the bits of live and plus qubits are 0:
 
     - A *fixed* qubit, measured in Z, has its bit as its value.
     - A *copy* of a live qubit k, its *coordinate*, has k's value XOR its
@@ -640,9 +641,16 @@ class _Histories:
       k's copies.  A coordinate is the lowest qubit of its group, so when
       a lower fixed qubit joins, k's axis moves to that qubit's place,
       flipped in the rows whose new bit is 1, and k becomes its copy.
+    - A *plus* qubit, one in ``plus``, has both halves equal to the row's
+      amplitudes: an unconditioned H that is its qubit's first op makes
+      one.  A Z measurement of it is a fair coin (:meth:`_fair_coin`).
+      Any other op on it, any other measurement, whose sum reads its
+      terms twice, and :meth:`state` first put it back into ``amps``
+      (:meth:`_unplus`).
 
     The full state of row ``r`` is thus its amplitudes at the values the
-    bits give, zero elsewhere, and the rows keep basis-index order.
+    bits give, repeated over the values of the plus qubits, zero
+    elsewhere, and the rows keep basis-index order.
     Gates that only permute or phase basis states act on bits: X on a
     fixed qubit or a copy flips its bit, Z, R, S and Y scale its rows or
     its coordinate's halves by bit class, and X or Y on a coordinate also
@@ -667,6 +675,7 @@ class _Histories:
         self.cbits = np.zeros((1, n_cbits), dtype=np.uint8)
         self.copy_of: dict[int, int] = {}
         self.copies: dict[int, list[int]] = {}
+        self.plus: set[int] = set()
 
     def _set_live(self, live: list[int]) -> None:
         self.live = live
@@ -710,6 +719,19 @@ class _Histories:
         self._set_live(self.live[:j] + [q] + self.live[j:])
         self.base &= ~(1 << _bitpos(self.n, q))
 
+    def _unplus(self, qubits) -> None:
+        """Put the plus qubits among ``qubits`` back into the rows, in one
+        pass: both halves of each are the stored amplitudes."""
+        back = self.plus.intersection(qubits)
+        if not back:
+            return
+        self.plus -= back
+        rows, live = len(self.amps), sorted(self.live + list(back))
+        amps = np.empty((rows,) + (2,) * len(live), dtype=np.complex128)
+        amps[...] = self.amps.reshape((rows,) + tuple(1 if q in back else 2 for q in live))
+        self.amps = amps.reshape(rows, -1)
+        self._set_live(live)
+
     def _free(self, q: int) -> None:
         """Make q an axis of the rows that no other qubit copies."""
         if q not in self.at:
@@ -746,8 +768,9 @@ class _Histories:
         self.base &= ~(1 << _bitpos(self.n, q))
 
     def state(self, row: int) -> np.ndarray:
-        """Row ``row`` as a full vector of 2**n amplitudes; every copy is
-        put back into the rows first."""
+        """Row ``row`` as a full vector of 2**n amplitudes; every plus
+        qubit and every copy is put back into the rows first."""
+        self._unplus(self.plus)
         for t in tuple(self.copy_of):
             self._insert(t)
         full = np.zeros((2,) * self.n, dtype=np.complex128)
@@ -759,8 +782,21 @@ class _Histories:
     def gate(self, kind: GateKind, targets: list[int], condition: int,
              fresh: bool = False) -> None:
         """Apply a gate, on the rows whose bit ``condition`` is 1 unless
-        that is -1.  ``fresh`` says an H's qubit has seen no op before it,
-        so its 1 half is zero."""
+        that is -1.  ``fresh`` says an unconditioned H's qubit has seen no
+        op before it, so its 1 half is zero and both halves become its 0
+        half times ``u00``: the rows keep that product alone, and the qubit
+        becomes a plus qubit.  Any other gate on a plus qubit puts it back
+        into the rows first."""
+        if fresh:
+            q = targets[0]
+            j, rows = self.at[q], len(self.amps)
+            half = _split(self.amps, len(self.live), j)[:, :, 0, :]
+            self.amps = (_ENTRIES[kind][0] * half).reshape(rows, -1)
+            self._set_live(self.live[:j] + self.live[j + 1 :])
+            self.plus.add(q)
+            return
+        if self.plus:
+            self._unplus(targets)
         mask = None if condition == -1 else self.cbits[:, condition] == 1
         if kind is GateKind.CNOT:
             c, q = targets
@@ -783,8 +819,7 @@ class _Histories:
             q = targets[0]
         u = _ENTRIES[kind]
         if q in self.at and q not in self.copies:
-            kernel = _apply_h_on_zero if fresh else _apply_1q
-            self._on_rows(mask, kernel, len(self.live), self.at[q], u)
+            self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
             return
         if kind is GateKind.H:
             self._free(q)
@@ -833,6 +868,8 @@ class _Histories:
         The oracle only moves amplitudes, so the rows stay bit-identical
         to the full vector's.
         """
+        if self.plus:
+            self._unplus(qubits)
         *inputs, out = qubits
         for q in inputs:
             if q in self.copy_of:
@@ -878,12 +915,37 @@ class _Histories:
             f = BooleanFunction(len(live), key)
             self._on_rows(rows, _apply_oracle, n, OracleApp(f, at, j))
 
+    def _fair_coin(self, q: int, dest: int, u: np.ndarray, group: np.ndarray) -> np.ndarray:
+        """Measure plus qubit q in Z.  Its halves are equal, so every term
+        of ``<Z>`` is +0 and ``p_plus`` is 0.5 in every row: each shot's
+        outcome is ``u >= 0.5``, every row is scaled by 1/sqrt(0.5), as
+        :func:`_collapse` scales the outcome's half, and q becomes fixed at
+        its outcome."""
+        key = 2 * group + (u >= 0.5)
+        seen = np.bincount(key, minlength=2 * len(self.amps)) > 0
+        keys, group = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        self.amps *= _FAIR
+        _dust(self.amps)
+        rows, bit = keys >> 1, keys & 1
+        if len(keys) > len(self.amps):
+            self.amps, self.base, self.cbits = self.amps[rows], self.base[rows], self.cbits[rows]
+        self.base |= bit << _bitpos(self.n, q)
+        self.cbits[:, dest] = bit
+        self.plus.remove(q)
+        return group
+
     def measure(self, q: int, axis: PauliAxis, dest: int, u: np.ndarray,
                 group: np.ndarray) -> np.ndarray:
         """Measure qubit q along ``axis`` into bit ``dest``, every shot with
-        its uniform ``u``; returns the new ``group``."""
+        its uniform ``u``; returns the new ``group``.  A plus qubit measured
+        in Z is a fair coin; every other measurement sums each row's
+        terms, so the plus qubits go back into the rows first."""
         obs = _observable(axis)
         z = _is_z(obs)
+        if self.plus:
+            if z and q in self.plus:
+                return self._fair_coin(q, dest, u, group)
+            self._unplus(self.plus)
         if (not z and q not in self.at) or q in self.copy_of or q in self.copies:
             self._free(q)
         j, k = self.at.get(q), len(self.live)
@@ -930,8 +992,10 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     compares every shot's own uniform against its row's value, and
     splits a row only when its shots disagree.  A qubit measured in Z
     leaves the amplitude array until a gate needs it in superposition
-    again, and a CNOT onto it records it as a copy of its control (see
-    :class:`_Histories`); a qubit never measured stays in it.
+    again, and a CNOT onto it records it as a copy of its control; an
+    unconditioned H on an untouched qubit leaves it out as a plus qubit,
+    whose Z measurement is a fair coin (see :class:`_Histories`).  Any
+    other qubit stays in the array.
 
     Shot ``i`` draws from its own counter block (each chunk draws its
     shots' blocks when it starts, ``shot_uniforms(..., first_shot=)``, so
@@ -954,11 +1018,11 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     table = op_table(circuit)
     program = table.rows()
-    # An H that is its qubit's first op finds the qubit's 1 half zero.
+    # An unconditioned H that is its qubit's first op makes a plus qubit.
     targets, start = table.targets.tolist(), table.start.tolist()
     first = dict(zip(reversed(targets), range(len(targets) - 1, -1, -1)))  # qubit -> first slot
-    fresh = {i for i, code in enumerate(table.kind.tolist())
-             if code == _H and first[targets[start[i]]] == start[i]}
+    fresh = {i for i, (code, cond) in enumerate(zip(table.kind.tolist(), table.cond.tolist()))
+             if code == _H and cond == -1 and first[targets[start[i]]] == start[i]}
     n_meas = int(np.count_nonzero(table.kind == MEASURE))
     chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
     parts: list[tuple[np.ndarray, np.ndarray]] = []

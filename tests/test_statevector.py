@@ -735,6 +735,46 @@ _COPIES = (
 )
 
 
+def _plus_q0(*ops) -> Circuit:
+    """H on the untouched q0, which leaves it out of the rows as a plus
+    qubit; q1 and q2 live in an entangled state (S and H on q1 first, so
+    its H is not its first op, then a CNOT onto q2); then ``ops``, and q0
+    to q2 measured along X, Y and Z."""
+    ops = (_gate("H", 0), _gate("S", 1), _gate("H", 1), _gate("CNOT", 1, 2), *ops)
+    return Circuit(3, 3, (*ops, *(Measure(q, axis, q) for q, axis in enumerate(PauliAxis))))
+
+
+# A plus qubit q0, its halves equal, that is (a) measured along X or (b)
+# along Y; (c) a CNOT control or (d) a CNOT target; (e) an oracle input or
+# (f) an oracle output; still a plus qubit when (g) the live q2, in
+# H S H S|0> with <Z> not 0, or (h) the fixed q2 is measured in Z, as
+# those sums read its terms twice (in (h) a fair coin fixed q2 first, and
+# q1 is live in H R S H S|0>); or (i) still one in the final state, with
+# q1 live and q2 its copy.  (j) A conditioned H on the untouched q0 runs on
+# some rows only, so q0 stays in the rows.  (k) q1 in H S S R H|0>, whose
+# 0 half is a rounding residue below the dust, which the fair coin of q0
+# must zero as the full vector's does.
+_PLUS = (
+    _plus_q0(Measure(0, PauliAxis.X, 0)),
+    _plus_q0(Measure(0, PauliAxis.Y, 0)),
+    _plus_q0(_gate("CNOT", 0, 2)),
+    _plus_q0(_gate("CNOT", 1, 0)),
+    _plus_q0(_oracle("0111", (0, 1), 2)),
+    _plus_q0(_oracle("0110", (1, 2), 0)),
+    Circuit(3, 3, (_gate("H", 0), *(_gate(k, 2) for k in "SHSH"), Measure(2, PauliAxis.Z, 2),
+                   Measure(0, PauliAxis.Z, 0), Measure(1, PauliAxis.X, 1))),
+    Circuit(3, 2, (_gate("H", 0), _gate("H", 2), Measure(2, PauliAxis.Z, 0),
+                   *(_gate(k, 1) for k in "SHSRH"), Measure(2, PauliAxis.Z, 1),
+                   Measure(1, PauliAxis.X, 1))),
+    Circuit(3, 2, (_gate("S", 1), _gate("H", 1), Measure(1, PauliAxis.X, 1), _gate("H", 0),
+                   _gate("H", 2), Measure(2, PauliAxis.Z, 0), _gate("CNOT", 1, 2))),
+    Circuit(3, 3, (_gate("S", 1), _gate("H", 1), Measure(1, PauliAxis.Z, 1),
+                   _gate("H", 0, cif=1), _gate("CNOT", 0, 2),
+                   *(Measure(q, axis, q) for q, axis in enumerate(PauliAxis)))),
+    Circuit(2, 1, (*(_gate(k, 1) for k in "HRSSH"), _gate("H", 0), Measure(0, PauliAxis.Z, 0))),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     circuit=feedback_circuits(),
@@ -757,6 +797,17 @@ _COPIES = (
 @example(circuit=_COPIES[7], shots=64, seed=11, chunk=120)
 @example(circuit=_COPIES[8], shots=64, seed=12, chunk=120)
 @example(circuit=_COPIES[9], shots=64, seed=13, chunk=120)
+@example(circuit=_PLUS[0], shots=64, seed=14, chunk=120)
+@example(circuit=_PLUS[1], shots=64, seed=15, chunk=120)
+@example(circuit=_PLUS[2], shots=64, seed=16, chunk=120)
+@example(circuit=_PLUS[3], shots=64, seed=17, chunk=120)
+@example(circuit=_PLUS[4], shots=64, seed=18, chunk=120)
+@example(circuit=_PLUS[5], shots=64, seed=19, chunk=120)
+@example(circuit=_PLUS[6], shots=64, seed=20, chunk=120)
+@example(circuit=_PLUS[7], shots=64, seed=21, chunk=120)
+@example(circuit=_PLUS[8], shots=64, seed=22, chunk=120)
+@example(circuit=_PLUS[9], shots=64, seed=23, chunk=120)
+@example(circuit=_PLUS[10], shots=8, seed=24, chunk=120)
 def test_live_run_matches_full_vector_run(circuit, shots, seed, chunk):
     with mock.patch.object(sv, "_BATCH_BYTES", chunk * (16 << circuit.n_qubits)):
         got = run(circuit, shots, seed, keep_final_state=True)
@@ -839,6 +890,30 @@ def test_a_cnot_onto_a_measured_qubit_records_a_copy():
         sv._apply_1q(amps, 2, 1, sv._ENTRIES[GateKind.H])
         sv._apply_cnot(amps, 2, 1, 0)
         assert np.array_equal(rows.state(r), amps[0])
+
+
+def test_a_fresh_h_leaves_its_qubit_out_of_the_rows():
+    # H on each of three untouched qubits halves the rows: all three are
+    # plus qubits, and the one row holds u00**3.  A Z measurement of q1 is
+    # a fair coin that fixes it at each shot's outcome, and the final
+    # states put q0 and q2 back with both halves equal, as the full vector
+    # holds them.
+    rows = sv._Histories(3, 1)
+    for q in range(3):
+        rows.gate(GateKind.H, [q], -1, fresh=True)
+    assert rows.live == [] and rows.plus == {0, 1, 2} and rows.amps.shape == (1, 1)
+    group = rows.measure(1, PauliAxis.Z, 0, np.array([0.2, 0.7, 0.4]), np.zeros(3, dtype=np.intp))
+    assert group.tolist() == [0, 1, 0] and rows.cbits.tolist() == [[0], [1]]
+    assert rows.plus == {0, 2} and rows._bit(1).tolist() == [0, 1]
+    full = np.zeros((1, 8), dtype=np.complex128)
+    full[0, 0] = 1.0
+    for q in range(3):
+        sv._apply_gate(full, 3, GateApp(GateKind.H, (q,)))
+    for r, outcome in enumerate((1.0, -1.0)):
+        want = full.copy()
+        sv._collapse(want, 3, 1, sv._observable(PauliAxis.Z), outcome, 0.5)
+        assert np.array_equal(rows.state(r), want[0])
+    assert rows.plus == set() and rows.live == [0, 2]
 
 
 @settings(max_examples=60, deadline=None)
