@@ -518,34 +518,3 @@ def ghz(n: int) -> Circuit:
     ops.extend(GateApp(GateKind.CNOT, (k, k + 1)) for k in range(n - 1))
     return Circuit(n, 0, tuple(ops))
 
-
-def oracle_step(f: BooleanFunction) -> Circuit:
-    """Uniform superposition over inputs followed by one oracle query."""
-    k = f.arity
-    ops: list[CircuitOp] = [GateApp(GateKind.H, (q,)) for q in range(k)]
-    ops.append(OracleApp(f, tuple(range(k)), k))
-    return Circuit(k + 1, 0, tuple(ops))
-
-
-_LIBRARY = {
-    "deutsch": deutsch,
-    "gk_entangler": gk_entangler,
-    "ghz": ghz,
-    "oracle_step": oracle_step,
-}
-
-
-def build_library_circuit(name: str, **params) -> Circuit:
-    """Build one of the named library circuits.
-
-    ``deutsch`` and ``oracle_step`` take ``f=BooleanFunction``; ``ghz``
-    takes ``n=int``; ``gk_entangler`` takes no parameters.
-    """
-    try:
-        builder = _LIBRARY[name]
-    except KeyError:
-        raise ValueError(f"unknown library circuit {name!r}; have {sorted(_LIBRARY)}") from None
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {name!r}: {exc}") from None

@@ -1,4 +1,4 @@
-"""What a sampling run returns, shared by both backends.
+"""What a sampling run returns, and the shot-block loop both backends share.
 
 Histogram keys are classical-bit strings, bit 0 first, with ``0``
 recording the +1 outcome.  A run's histogram is a :class:`Counts`: the
@@ -8,11 +8,14 @@ built only when the mapping is read key by key.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
+
+from .rng import RNG_ID
+
+_BATCH_BYTES = 1 << 27  # what a shot block may hold (~128 MB)
 
 
 class Counts(Mapping[str, int]):
@@ -93,17 +96,19 @@ def key_words(bits: np.ndarray) -> np.ndarray:
     return packed.T.copy().view(">u8").astype(np.uint64)
 
 
-def histogram(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> Counts:
-    """Counts keyed by bit string, sorted by key.
+def sample_blocks(backend: str, shots: int, seed: int, m: int, per_block: int,
+                  block: Callable[[int, int], tuple], final: Callable[[], object]) -> RunResult:
+    """Sample ``shots`` shots in blocks of at most ``per_block``.
 
-    Each part is a ``(rows, n_cbits)`` array of 0/1 classical registers
-    and the number of shots that ended in each row.  Rows are packed into
-    :func:`count_keys`'s key words.
-    """
-    bits_parts, weight_parts = zip(*parts)
-    weights = np.concatenate(weight_parts).astype(np.int64)
-    words = np.concatenate([key_words(bits.T) for bits in bits_parts])
-    return count_keys(words, bits_parts[0].shape[1], weights)
+    ``block(first_shot, count)`` returns those shots' ``m``-bit key words
+    and each key's shot count (None for one each).  Each block is counted
+    as it returns, and the blocks' counts are merged by one weighted
+    :func:`count_keys`.  ``final()``, called last, is the final state."""
+    blocks = (block(first, min(per_block, shots - first)) for first in range(0, shots, per_block))
+    parts = [count_keys(words, m, weights) for words, weights in blocks]
+    counts = parts[0] if len(parts) == 1 else count_keys(
+        np.concatenate([p.words for p in parts]), m, np.concatenate([p.tallies for p in parts]))
+    return RunResult(backend, shots, seed, RNG_ID, counts, final())
 
 
 def count_keys(words: np.ndarray, m: int, weights: np.ndarray | None = None) -> Counts:

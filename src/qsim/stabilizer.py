@@ -33,14 +33,14 @@ XORs its condition bit's form into the rows it flips.  Classical bits
 are forms too.  A single tableau (:func:`init_tableau` with no coins)
 has constant forms, and its signs are plain bits.
 
-Shots meet only at the ends of :func:`run`: the coins of every shot are
-drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
+Shots meet only at the ends of a block of :func:`run`: a block's coins
+are drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
 under the same stream discipline as the dense backend), and every
 classical bit is one GF(2) product over them (:func:`_write_keys`),
-written straight into the histogram's packed key words, which
+written straight into the block's packed key words, which
 :func:`qsim.result.count_keys` sorts as they are.  Sign work does not
-grow with shots, and memory grows with shots only by the coin bytes and
-the keys.
+grow with shots, and memory grows only with a block's coin bytes and
+keys.
 
 :func:`run` reads the circuit's op table (:func:`qsim.circuit.op_table`),
 never its op objects: the gates between two barriers (a measurement or
@@ -126,8 +126,8 @@ from .circuit import (
     violations,
 )
 from .errors import DegenerateNorm, NonClifford, QsimError, TooManyQubits
-from .rng import RNG_ID, _workers, in_shot_ranges, shot_uniforms
-from .result import RunResult, count_keys, key_words
+from .rng import _workers, in_shot_ranges, shot_uniforms
+from .result import _BATCH_BYTES, RunResult, key_words, sample_blocks
 from .statevector import PureState
 
 _ONE = np.uint64(1)
@@ -680,7 +680,7 @@ _Group = tuple[Tableau, np.ndarray, np.ndarray]
 def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> None:
     """Write ``forms`` evaluated at the coins of shots ``rows`` into ``keys[rows]``.
 
-    ``forms`` is ``(m, F)``, ``coins`` the run's ``(shots, coin_bytes)``
+    ``forms`` is ``(m, F)``, ``coins`` the block's ``(shots, coin_bytes)``
     coin bytes (``qsim.rng.shot_uniforms(..., coins=True)``) and ``keys`` its
     ``(shots, ceil(m / 64))`` key words, form j at key bit j.  A shot's
     key is the constants' column XOR the key column of every coin it drew
@@ -734,7 +734,7 @@ def _step(groups: list[_Group], gate: _Gates, condition: int, coins: np.ndarray)
     A conditioned X, Y or Z flips exactly the rows that anticommute with
     it (:func:`_anticommuting`), so it XORs its condition's form into
     their sign forms.  A conditioned H, R or CNOT evaluates its condition
-    at the coin bytes of every shot, ``coins``; nothing else reads them.
+    at its block's coin bytes, ``coins``; nothing else reads them.
     A conditioned identity does nothing."""
     kind = gate.kinds[0]
     if kind in _PAULIS:
@@ -850,8 +850,8 @@ def _segments(table: OpTable) -> list[tuple[_Gates, _Barrier]]:
 def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False) -> RunResult:
     """Sample ``shots`` executions of a Clifford/measurement circuit.
 
-    One pass over the circuit, whatever ``shots`` is, keeps every sign
-    and classical bit as a form over the coins.  Unconditioned gates
+    One pass over the circuit per block of shots keeps every sign and
+    classical bit as a form over the coins.  Unconditioned gates
     between two barriers are applied together on bit columns
     (:func:`_apply_gates`).  Each group measures a run of consecutive
     measurements in one call (:func:`_measure_run`): a random one updates
@@ -863,10 +863,11 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     the shots into groups by the condition's value, since shots that
     took different branches no longer share structure.  Shot ``i``
     draws from its own Philox counter block exactly as in the dense
-    backend; every shot's coins are drawn first and held packed, eight
-    to a byte, and each group's outcomes are one GF(2) product over them
-    (:func:`_write_keys`).
-    ``keep_final_state`` returns the tableau of shot ``shots - 1``.
+    backend.  A block of the shots whose coins and keys fit ``_BATCH_BYTES``
+    (:func:`qsim.result.sample_blocks`) draws its coins, packed eight to a
+    byte, makes the pass, and writes each group's outcomes as one GF(2)
+    product over them (:func:`_write_keys`).  ``keep_final_state``
+    returns the tableau of shot ``shots - 1``, read in the last block.
 
     The circuit is read off its op table (:func:`qsim.circuit.op_table`),
     so a parsed circuit runs without one op object being built.
@@ -883,41 +884,36 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
     n, m = circuit.n_qubits, circuit.n_cbits
     n_meas = int(np.count_nonzero(table.kind == MEASURE))
-    coins = shot_uniforms(seed, shots, n_meas, coins=True)
-
-    groups: list[_Group] = [
-        (init_tableau(n, n_meas), np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64),
-         np.arange(shots))
-    ]
-    k = 0
-    for gates, barrier in _segments(table):
-        if gates.kinds:
-            for t, _, _ in groups:
-                _apply_gates(t, gates)
-        if isinstance(barrier, list):
-            for t, cb, _ in groups:
-                _measure_run(t, cb, barrier, k)
-            k += len(barrier)
-        elif barrier is not None:
-            groups = _step(groups, *barrier, coins)
-
+    segments = _segments(table)
     final: Tableau | None = None
-    if keep_final_state:
-        t, _, _ = next(g for g in groups if g[2][-1] == shots - 1)
-        final = Tableau(n, t.x, t.z, _values(t.r, coins[-1:]).T.astype(np.uint64))
 
-    keys = np.empty((shots, (m + 63) >> 6), dtype=np.uint64)
-    for _, cb, idx in groups:
-        _write_keys(cb, coins, idx, keys)
-    del coins  # the sort below needs the room
-    return RunResult(
-        backend="stab",
-        shots=shots,
-        seed=seed,
-        rng_id=RNG_ID,
-        counts=count_keys(keys, m),
-        final_state=final,
-    )
+    def block(first: int, count: int) -> tuple[np.ndarray, None]:
+        nonlocal final
+        coins = shot_uniforms(seed, count, n_meas, first_shot=first, coins=True)
+        cb = np.zeros((m, (n_meas >> 6) + 1), dtype=np.uint64)
+        groups: list[_Group] = [(init_tableau(n, n_meas), cb, np.arange(count))]
+        k = 0
+        for gates, barrier in segments:
+            if gates.kinds:
+                for t, _, _ in groups:
+                    _apply_gates(t, gates)
+            if isinstance(barrier, list):
+                for t, cb, _ in groups:
+                    _measure_run(t, cb, barrier, k)
+                k += len(barrier)
+            elif barrier is not None:
+                groups = _step(groups, *barrier, coins)
+        if keep_final_state and first + count == shots:
+            t, _, _ = next(g for g in groups if g[2][-1] == count - 1)
+            final = Tableau(n, t.x, t.z, _values(t.r, coins[-1:]).T.astype(np.uint64))
+        keys = np.empty((count, (m + 63) >> 6), dtype=np.uint64)
+        for _, cb, idx in groups:
+            _write_keys(cb, coins, idx, keys)
+        return keys, None
+
+    per_shot = max(1, ((n_meas + 7) >> 3) + 8 * ((m + 63) >> 6))  # coin bytes and key words
+    return sample_blocks("stab", shots, seed, m, max(1, _BATCH_BYTES // per_shot), block,
+                         lambda: final)
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,12 @@ from .circuit import (
     violations,
 )
 from .errors import TooManyQubits
-from .result import RunResult, histogram
-from .rng import RNG_ID, shot_uniforms
+from .result import _BATCH_BYTES, RunResult, key_words, sample_blocks
+from .rng import shot_uniforms
 
 MAX_QUBITS = 24
 
 _DUST = 1e-12
-_BATCH_BYTES = 1 << 27  # amplitude budget per shot batch (~128 MB)
 
 
 @dataclass(frozen=True)
@@ -622,6 +621,16 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> 
 
 
 _H = GATE_KINDS.index(GateKind.H)  # H's op code
+
+
+def _number(group, bit, rows):
+    """A shot's new history is (row, outcome ``bit``): the histories seen
+    as ``2 * row + bit``, ascending, and each shot's index among them."""
+    key = 2 * group + bit
+    seen = np.bincount(key, minlength=2 * rows) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+
+
 _FAIR = 1.0 / math.sqrt(0.5)  # the collapse factor 1/sqrt(p) of a fair coin
 
 
@@ -921,9 +930,7 @@ class _Histories:
         outcome is ``u >= 0.5``, every row is scaled by 1/sqrt(0.5), as
         :func:`_collapse` scales the outcome's half, and q becomes fixed at
         its outcome."""
-        key = 2 * group + (u >= 0.5)
-        seen = np.bincount(key, minlength=2 * len(self.amps)) > 0
-        keys, group = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        keys, group = _number(group, u >= 0.5, len(self.amps))
         self.amps *= _FAIR
         _dust(self.amps)
         rows, bit = keys >> 1, keys & 1
@@ -956,10 +963,7 @@ class _Histories:
             e = _row_sums(_norms(self.amps))
             e[self._bit(q) == 1] *= -1.0
         p_plus = np.clip(0.5 * (1.0 + e), 0.0, 1.0)
-        # A shot's new history is (row, outcome); number them in that order.
-        key = 2 * group + (u >= _cut(p_plus)[group])
-        seen = np.bincount(key, minlength=2 * len(self.amps)) > 0
-        keys, group = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        keys, group = _number(group, u >= _cut(p_plus)[group], len(self.amps))
         rows, bit = keys >> 1, (keys & 1).astype(np.uint8)
         p = np.where(bit == 0, p_plus[rows], 1.0 - p_plus[rows])
         if len(keys) > len(self.amps):  # some row split: one row per new history
@@ -997,12 +1001,13 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     whose Z measurement is a fair coin (see :class:`_Histories`).  Any
     other qubit stays in the array.
 
-    Shot ``i`` draws from its own counter block (each chunk draws its
-    shots' blocks when it starts, ``shot_uniforms(..., first_shot=)``, so
-    the uniforms held never exceed one chunk's), and every row sums
-    ``<O>`` in the same order however many rows share its batch (see
+    The shots run in blocks of ``_BATCH_BYTES // (16 << n)``
+    (:func:`qsim.result.sample_blocks`), each evolved from |0...0> with
+    its own uniforms (``shot_uniforms(..., first_shot=)``).  Shot ``i``
+    draws from its own counter block, and every row sums ``<O>`` in the
+    same order however many rows share its block (see
     :func:`_expectation`), so a fixed seed gives the same counts however
-    the shots are grouped or chunked.  ``keep_final_state`` returns the
+    the shots are grouped or blocked.  ``keep_final_state`` returns the
     state of shot ``shots - 1``.  The ops are read as the rows of the
     circuit's op table (:meth:`qsim.circuit.OpTable.rows`), so a parsed
     circuit's op objects are never built.
@@ -1024,12 +1029,12 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
     fresh = {i for i, (code, cond) in enumerate(zip(table.kind.tolist(), table.cond.tolist()))
              if code == _H and cond == -1 and first[targets[start[i]]] == start[i]}
     n_meas = int(np.count_nonzero(table.kind == MEASURE))
-    chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a chunk's shots
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = group = None
 
-    for start in range(0, shots, chunk):
-        u = shot_uniforms(seed, min(chunk, shots - start), n_meas, first_shot=start)
-        group = np.zeros(len(u), dtype=np.intp)
+    def block(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal rows, group
+        u = shot_uniforms(seed, count, n_meas, first_shot=first)
+        group = np.zeros(count, dtype=np.intp)
         rows = _Histories(n, circuit.n_cbits)
         m = 0
         for i, (kind, qubits, condition, axis, dest) in enumerate(program):
@@ -1040,13 +1045,8 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
                 rows.oracle(table.functions[i], qubits)
             else:
                 rows.gate(GATE_KINDS[kind], qubits, condition, i in fresh)
-        parts.append((rows.cbits, np.bincount(group, minlength=len(rows.cbits))))
+        return key_words(rows.cbits.T), np.bincount(group, minlength=len(rows.cbits))
 
-    return RunResult(
-        backend="sv",
-        shots=shots,
-        seed=seed,
-        rng_id=RNG_ID,
-        counts=histogram(parts),
-        final_state=PureState(n, rows.state(group[-1])) if keep_final_state else None,
-    )
+    chunk = max(1, _BATCH_BYTES // (16 << n))  # rows never outnumber a block's shots
+    return sample_blocks("sv", shots, seed, circuit.n_cbits, chunk, block,
+                         lambda: PureState(n, rows.state(group[-1])) if keep_final_state else None)

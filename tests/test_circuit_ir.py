@@ -13,7 +13,6 @@ from qsim.circuit import (
     Measure,
     OracleApp,
     PauliAxis,
-    build_library_circuit,
     classify_gottesman_knill,
     deutsch,
     gate_matrix,
@@ -186,14 +185,6 @@ def test_deutsch_measures_one_bit():
     assert c.n_cbits == 1
     assert isinstance(c.ops[-1], Measure)
     assert validate(c) == []
-
-
-def test_build_library_circuit_dispatch():
-    assert build_library_circuit("ghz", n=4).n_qubits == 4
-    with pytest.raises(ValueError):
-        build_library_circuit("nope")
-    with pytest.raises(ValueError):
-        build_library_circuit("ghz", wrong_param=1)
 
 
 # ---------------------------------------------------------------------------

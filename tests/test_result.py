@@ -1,5 +1,5 @@
-"""The shared histogram helper against a per-row Counter, and the run
-report written from its arrays against ``json.dumps``."""
+"""The shot-block merge against a per-row Counter, and the run report
+written from its arrays against ``json.dumps``."""
 
 import contextlib
 import io
@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from qsim import cli
 from qsim.cli import _clean, _render_json, write_report
-from qsim.result import Counts, RunResult, histogram
+from qsim.result import Counts, RunResult, key_words, sample_blocks
+
+
+def merged(parts) -> Counts:
+    """The counts of ``parts``, each a ``(rows, m)`` array of 0/1 bits and
+    the rows' weights, taken as one block each by :func:`sample_blocks`."""
+    parts = list(parts)
+    block = lambda first, count: (key_words(parts[first][0].T), parts[first][1])
+    return sample_blocks("sv", len(parts), 0, parts[0][0].shape[1], 1, block, lambda: None).counts
 
 
 @st.composite
@@ -45,7 +53,7 @@ def test_histogram_matches_counter(parts):
             want["".join(map(str, row))] += w
     if parts[0][0].shape[1] == 0:
         want = Counter({"": sum(int(w.sum()) for _, w in parts)})
-    got = histogram(iter(parts))
+    got = merged(iter(parts))
     assert got == dict(sorted(want.items()))
     assert list(got) == sorted(want)
     assert all(type(c) is int for c in got.values())
@@ -87,7 +95,7 @@ def _reference(parts) -> dict[str, int]:
        shots=st.integers(1, 10**9), seed=st.integers(0, 2**63 - 1))
 def test_counts_report_and_mapping(parts, backend, shots, seed, tmp_path_factory):
     want = _reference(parts)
-    got = histogram(iter(parts))
+    got = merged(iter(parts))
     assert isinstance(got, Counts)
     assert len(got) == len(want)
     assert got._dict is None  # len() reads the arrays; no str keys built
@@ -108,7 +116,7 @@ def test_counts_report_and_mapping(parts, backend, shots, seed, tmp_path_factory
     assert got == want and want == got
     assert not (got != want) and not (want != got)
     assert dict(got) == want and list(dict(got)) == list(want)
-    assert got == histogram(iter(parts))
+    assert got == merged(iter(parts))
     if want:
         key = next(iter(want))
         assert key in got and got[key] == want[key] and got.get(key + "x") is None
@@ -123,7 +131,7 @@ def test_report_blocks_match_render_json(monkeypatch, tmp_path, block_bytes):
     rng = np.random.default_rng(3)
     bits = np.unpackbits(np.arange(32, dtype=np.uint8)[:, None], axis=1)[:, 3:]
     weights = 10 ** rng.integers(0, 8, 32) + rng.integers(0, 10, 32)
-    counts = histogram([(bits, weights)])
+    counts = merged([(bits, weights)])
     result = RunResult("stab", 7, 5, "philox4x64-10", counts)
     out = tmp_path / "run.json"
     write_report(result, "json", str(out))

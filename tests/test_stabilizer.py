@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,6 +339,27 @@ def test_run_memory_grows_with_shots_times_measurement_bytes(split):
     ones = {"0" * n, "1" * n, "10" + "1" * (n - 2)} if split else {"0" * n, "1" * n}
     assert set(res.counts) == ones and sum(res.counts.values()) == shots
     assert peak < 12 * shots * ((n + 7) // 8)
+
+
+def _shot_bytes(circuit):
+    """What one shot of ``circuit`` holds in a tableau block: its coin
+    bytes and its key words."""
+    n_meas = sum(isinstance(op, Measure) for op in circuit.ops)
+    return ((n_meas + 7) >> 3) + 8 * ((circuit.n_cbits + 63) >> 6)
+
+
+def test_run_memory_is_one_block_of_shots(monkeypatch):
+    # GHZ-400 measured in full at 2 * 10^5 shots holds every shot's coins
+    # and keys when it runs as one block (24.6 MiB in a fresh process);
+    # in blocks of 10^4 shots it holds one block's (2.9 MiB).  The bound
+    # is about 1.5 times that peak, and half the one-block peak.
+    n, shots = 400, 200_000
+    c = _measured(ghz(n))
+    whole, whole_peak = _traced_run(c, shots)
+    monkeypatch.setattr(stabilizer, "_BATCH_BYTES", 10_000 * _shot_bytes(c))
+    blocks, peak = _traced_run(c, shots)
+    assert set(blocks.counts) == {"0" * n, "1" * n} and blocks.counts == whole.counts
+    assert peak < 4.5 * 2**20 and peak < whole_peak / 2
 
 
 def test_one_shot_readout_memory_is_bounded():
@@ -818,6 +840,42 @@ def test_sign_paths_match_sequential_rowsum(circuit, shots, seed):
     final = res.final_state
     assert np.array_equal(final.x, rt.x[: 2 * n]) and np.array_equal(final.z, rt.z[: 2 * n])
     assert final.r.shape == (2 * n, 1) and np.array_equal(final.r[:, 0], rt.r[: 2 * n, -1])
+
+
+def _conditioned(kind, *qubits, last):
+    """q0 measured into c0 after an H, an H on q1, then ``kind`` on
+    ``qubits`` conditioned on c0 and ``last`` measured: the shots split
+    into two groups of their own tableaus and forms."""
+    ops = (GateApp(GateKind.H, (0,)), Measure(0, PauliAxis.Z, 0), GateApp(GateKind.H, (1,)),
+           GateApp(kind, qubits, condition=0)) + last
+    return Circuit(3, 3, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@example(circuit=_split_ghz(20), shots=50, block=7, seed=3)
+@example(circuit=_conditioned(GateKind.R, 1, last=(Measure(1, PauliAxis.Y, 1),)),
+         shots=40, block=3, seed=2)
+@example(circuit=_conditioned(GateKind.CNOT, 1, 2, last=(Measure(2, PauliAxis.Z, 1),
+                                                         Measure(1, PauliAxis.X, 2))),
+         shots=40, block=6, seed=2)
+@given(
+    circuit=clifford_feedback_circuits(),
+    shots=st.integers(1, 64),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_do_not_change_a_run(circuit, shots, block, seed):
+    # A run in blocks of ``block`` shots draws each block's coins, makes
+    # its own pass and writes its keys; the merged counts, as arrays, and
+    # the final tableau, read in the last block, are the one-block run's.
+    want = run(circuit, shots, seed, keep_final_state=True)
+    with mock.patch.object(stabilizer, "_BATCH_BYTES", block * _shot_bytes(circuit)):
+        got = run(circuit, shots, seed, keep_final_state=True)
+    assert got.counts.words.tobytes() == want.counts.words.tobytes()
+    assert got.counts.tallies.tobytes() == want.counts.tallies.tobytes()
+    for a, b in zip((got.final_state.x, got.final_state.z, got.final_state.r),
+                    (want.final_state.x, want.final_state.z, want.final_state.r)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qsim.circuit import (
 )
 from qsim.errors import TooManyQubits
 from qsim.lhv import chsh_sweep, chsh_value, quantum_table, singlet_state, table_vector
-from qsim.result import RunResult, histogram
+from qsim.result import RunResult, count_keys, key_words
 from qsim.rng import RNG_ID, shot_uniforms, stream
 from qsim.stabilizer import run as run_stabilizer
 from qsim.statevector import (
@@ -640,8 +640,10 @@ def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: b
         if keep_final_state:
             final_state = PureState(n, amps[group[-1]].copy())
 
+    words = np.concatenate([key_words(cbits.T) for cbits, _ in parts])
+    counts = count_keys(words, circuit.n_cbits, np.concatenate([w for _, w in parts]))
     return RunResult(backend="sv", shots=shots, seed=seed, rng_id=RNG_ID,
-                     counts=histogram(parts), final_state=final_state)
+                     counts=counts, final_state=final_state)
 
 
 def _pairwise_row_circuit() -> Circuit:
