@@ -109,9 +109,6 @@ class CorrelationTable:
         except KeyError:
             raise UnknownProfile(f"no distribution for profile {profile}") from None
 
-    def prob(self, profile: Profile, outcomes: tuple[int, ...]) -> float:
-        return float(self._dist(profile)[outcome_index(outcomes)])
-
 
 def table_vector(table: CorrelationTable) -> np.ndarray:
     """Flatten a table to one vector: profiles in canonical order, then
@@ -232,24 +229,6 @@ def mermin_correlators(table: CorrelationTable) -> tuple[float, float, float, fl
         correlator(table, (y, x, y)),
         correlator(table, (y, y, x)),
     )
-
-
-def signalling_deficit(table: CorrelationTable) -> float:
-    """Largest change in any party's marginal when only the OTHER
-    parties' settings vary.  Zero (to rounding) for quantum tables."""
-    parties = table.parties
-    worst = 0.0
-    for p in range(parties):
-        idx = np.arange(1 << parties)
-        plus_mask = ((idx >> (parties - 1 - p)) & 1) == 0
-        groups: dict[tuple[Setting, ...], list[float]] = {}
-        for profile in table.profiles():
-            marginal = float(table._dist(profile)[plus_mask].sum())
-            groups.setdefault((profile[p],), []).append(marginal)
-        # regroup: same own setting, marginal should not depend on the rest
-        for vals in groups.values():
-            worst = max(worst, max(vals) - min(vals))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -512,27 +491,6 @@ def model_table(model: LocalModel, exact: bool = False) -> CorrelationTable:
         weights = np.repeat(np.asarray(model.weights, dtype=np.float64), n_profiles)
         flat = np.bincount(keys, weights=weights, minlength=n_profiles * size)
     return _table_from_matrix(model.alphabets, flat.reshape(n_profiles, size))
-
-
-def singlet_pauli_lhv() -> LocalModel:
-    """The communication-free model reproducing the singlet's Pauli
-    statistics: a shared sign for each axis, answered directly by one
-    party and negated by the other — eight equally weighted strategies.
-    """
-    topology = CommTopology(2, ())
-    strategies = []
-    for lam in itertools.product((1, -1), repeat=3):
-        a_out = tuple((lam[i],) for i in range(3))
-        b_out = tuple((-lam[i],) for i in range(3))
-        strategies.append(DeterministicStrategy((a_out, b_out), ()))
-    eighth = Fraction(1, 8)
-    return LocalModel(
-        strategies=tuple(strategies),
-        weights=(0.125,) * 8,
-        topology=topology,
-        alphabets=(PAULI_ALPHABET, PAULI_ALPHABET),
-        exact_weights=(eighth,) * 8,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class RunResult:
     counts: Mapping[str, int]
     final_state: object | None = None
 
-    @property
-    def final_state_available(self) -> bool:
-        return self.final_state is not None
-
 
 def key_words(bits: np.ndarray) -> np.ndarray:
     """The ``(m, k)`` 0/1 matrix ``bits`` as ``(k, ceil(m / 64))`` key

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lhv import singlet_pauli_lhv
 
 import qsim
 from qsim.bench import (
@@ -44,7 +45,6 @@ from qsim.lhv import (
     PAULI_ALPHABET,
     correlator,
     model_table,
-    singlet_pauli_lhv,
     table_vector,
 )
 

@@ -33,9 +33,7 @@ from qsim.lhv import (
     model_table,
     outcome_index,
     quantum_table,
-    signalling_deficit,
     simulate_model,
-    singlet_pauli_lhv,
     singlet_state,
     strategy_table,
     table_vector,
@@ -47,6 +45,48 @@ X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
 
 NO_COMM_2 = CommTopology(2, ())
 NO_COMM_3 = CommTopology(3, ())
+
+
+def prob(table, profile, outcomes):
+    return float(table.dists[profile][outcome_index(outcomes)])
+
+
+def signalling_deficit(table: CorrelationTable) -> float:
+    """Largest change in any party's marginal when only the OTHER
+    parties' settings vary.  Zero (to rounding) for quantum tables."""
+    parties = table.parties
+    worst = 0.0
+    for p in range(parties):
+        idx = np.arange(1 << parties)
+        plus_mask = ((idx >> (parties - 1 - p)) & 1) == 0
+        groups: dict[tuple, list[float]] = {}
+        for profile in table.profiles():
+            marginal = float(table._dist(profile)[plus_mask].sum())
+            groups.setdefault((profile[p],), []).append(marginal)
+        # regroup: same own setting, marginal should not depend on the rest
+        for vals in groups.values():
+            worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+def singlet_pauli_lhv() -> LocalModel:
+    """The communication-free model reproducing the singlet's Pauli
+    statistics: a shared sign for each axis, answered directly by one
+    party and negated by the other — eight equally weighted strategies.
+    """
+    strategies = []
+    for lam in itertools.product((1, -1), repeat=3):
+        a_out = tuple((lam[i],) for i in range(3))
+        b_out = tuple((-lam[i],) for i in range(3))
+        strategies.append(DeterministicStrategy((a_out, b_out), ()))
+    eighth = Fraction(1, 8)
+    return LocalModel(
+        strategies=tuple(strategies),
+        weights=(0.125,) * 8,
+        topology=NO_COMM_2,
+        alphabets=(PAULI_ALPHABET, PAULI_ALPHABET),
+        exact_weights=(eighth,) * 8,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +135,14 @@ def test_table_rejects_non_finite_probabilities(bad):
 
 def test_unknown_profile_raises(singlet_pauli_table):
     with pytest.raises(UnknownProfile):
-        singlet_pauli_table.prob((BlochAxis(0.1, 0.2), Z), (1, 1))
+        singlet_pauli_table._dist((BlochAxis(0.1, 0.2), Z))
     with pytest.raises(UnknownProfile):
         correlator(singlet_pauli_table, (Z, BlochAxis(0.0, 0.0)))
 
 
 def test_product_state_table():
     table = quantum_table(init_state(2), ((Z,), (Z,)))
-    assert table.prob((Z, Z), (1, 1)) == 1.0
+    assert prob(table, (Z, Z), (1, 1)) == 1.0
     assert correlator(table, (Z, Z)) == 1.0
 
 
@@ -112,8 +152,8 @@ def test_singlet_pauli_joints(singlet_pauli_table):
         e = correlator(singlet_pauli_table, (a, b))
         want = -1.0 if a == b else 0.0
         assert abs(e - want) < 1e-12
-    assert abs(singlet_pauli_table.prob((Z, Z), (1, -1)) - 0.5) < 1e-12
-    assert singlet_pauli_table.prob((Z, Z), (1, 1)) < 1e-12
+    assert abs(prob(singlet_pauli_table, (Z, Z), (1, -1)) - 0.5) < 1e-12
+    assert prob(singlet_pauli_table, (Z, Z), (1, 1)) < 1e-12
 
 
 def test_singlet_bloch_cosine_law():
@@ -243,7 +283,7 @@ def test_strategy_zero_answers_all_plus():
     strat = enumerate_strategies(2, (3, 3), NO_COMM_2)[0]
     table = strategy_table(strat, NO_COMM_2, (PAULI_ALPHABET, PAULI_ALPHABET))
     for profile in table.profiles():
-        assert table.prob(profile, (1, 1)) == 1.0
+        assert prob(table, profile, (1, 1)) == 1.0
     assert chsh_value(table, X, Y, X, Y) == 2.0
 
 
@@ -251,7 +291,7 @@ def test_strategy_tables_are_deterministic():
     for strat in enumerate_strategies(2, (2, 2), NO_COMM_2):
         table = strategy_table(strat, NO_COMM_2, ((X, Y), (X, Y)))
         for profile in table.profiles():
-            dist = [table.prob(profile, index_outcomes(i, 2)) for i in range(4)]
+            dist = [prob(table, profile, index_outcomes(i, 2)) for i in range(4)]
             assert sorted(dist) == [0.0, 0.0, 0.0, 1.0]
 
 
@@ -269,9 +309,9 @@ def test_message_actually_reaches_receiver():
     table = strategy_table(
         DeterministicStrategy(outputs, messages), topo, ((X, Y), (X, Y))
     )
-    assert table.prob((X, X), (1, 1)) == 1.0
-    assert table.prob((X, Y), (-1, 1)) == 1.0
-    assert table.prob((Y, Y), (-1, 1)) == 1.0
+    assert prob(table, (X, X), (1, 1)) == 1.0
+    assert prob(table, (X, Y), (-1, 1)) == 1.0
+    assert prob(table, (Y, Y), (-1, 1)) == 1.0
 
 
 def test_evaluators_reject_invalid_strategies():
@@ -406,7 +446,7 @@ def test_hand_built_singlet_model_matches_quantum(singlet_pauli_table):
         for i in range(4):
             out = index_outcomes(i, 2)
             assert abs(
-                got.prob(profile, out) - singlet_pauli_table.prob(profile, out)
+                prob(got, profile, out) - prob(singlet_pauli_table, profile, out)
             ) < 1e-12
 
 
@@ -435,7 +475,7 @@ def test_find_singlet_model_without_communication(singlet_pauli_table):
     # exact weights give clean dyadic entries; the only residue left is
     # the float dust in the quantum table itself
     assert max_table_error(got, singlet_pauli_table) < 1e-12
-    assert got.prob((Z, Z), (1, -1)) == 0.5
+    assert prob(got, (Z, Z), (1, -1)) == 0.5
 
 
 def test_find_singlet_model_deduped(singlet_pauli_table):
@@ -514,7 +554,7 @@ def test_exact_polish_beyond_int64_denominators():
     assert model.exact_weights is not None
     got = model_table(model, exact=True)
     for b, q in zip(PAULI_ALPHABET, primes):
-        assert got.prob((Z, b), (1, 1)) == float(Fraction(1, q))
+        assert prob(got, (Z, b), (1, 1)) == float(Fraction(1, q))
 
 
 def test_exact_polish_switches_to_python_ints(monkeypatch, ghz_pauli_table, ghz_bit_model):

@@ -425,9 +425,9 @@ def test_conditioned_correction_always_resets():
 def test_keep_final_state():
     c = gk_entangler()
     res = run(c, 10, seed=0, keep_final_state=True)
-    assert res.final_state_available
+    assert res.final_state is not None
     assert equal_up_to_global_phase(res.final_state, evolve(c))
-    assert not run(c, 10, seed=0).final_state_available
+    assert run(c, 10, seed=0).final_state is None
 
 
 def test_keep_final_state_after_measurements():
