@@ -56,15 +56,9 @@ _SNAP_DENOMINATOR = 4096
 _EXACT_INT64_LIMIT = 1 << 31
 
 
-def outcome_index(outcomes: tuple[int, ...]) -> int:
-    """Pack a tuple of +1/-1 outcomes into the canonical row index."""
-    idx = 0
-    for o in outcomes:
-        idx = (idx << 1) | (1 if o == -1 else 0)
-    return idx
-
-
 def index_outcomes(index: int, parties: int) -> tuple[int, ...]:
+    """The +1/-1 outcomes of a table row: party 0 is the top bit of
+    ``index``, and a bit of 1 means -1."""
     return tuple(-1 if (index >> (parties - 1 - p)) & 1 else 1 for p in range(parties))
 
 

@@ -41,39 +41,12 @@ branch weight is bit-identical to what a recursive walk over
 :func:`project` gives it.
 
 ``run`` samples whole circuits.  It evolves one amplitude row per
-distinct classical history rather than one per shot: shots share a row
-until a measurement gives them different outcomes.  The rows span only
-the *live* qubits.  A qubit measured in Z has one definite value in each
-history, so it leaves the rows and becomes a per-row bit.  X flips that
-bit, Z, R and S multiply the rows where it is 1 by one scalar, Y does
-both, and a CNOT it controls flips a target bit or acts on a live target
-only in the rows where it is 1.  A CNOT from a live qubit onto a fixed
-one makes the target a *copy*: its value is the control's XOR its bit,
-and no amplitude moves, so the rows do not double.  X, Z, R, S and Y act
-on a copy through its bit and its control's halves.  An oracle reads a
-fixed input as that row's bit, so the bits pick the part of the truth
-table the live inputs read, and a fixed output flips its bit where that
-part is constant.  A fixed qubit or a copy goes back into the rows at
-its value when an op needs it in superposition (H, a CNOT onto it or
-from a copy onto a live qubit, a measurement of a copy or an X or Y
-measurement, or an oracle whose inputs are all live or whose output
-depends on a live input), and a control's copies go back before an op
-other than X, Y or a phase changes the control.  An unconditioned H
-on a qubit no earlier op touched makes a third kind, a *plus* qubit:
-its 1 half is zero, so both halves become the 0 half times ``u00``, and
-the rows keep that half alone.  A Z measurement of a plus qubit is a
-fair coin, as every term of ``<Z>`` is +0, so it takes no sum, and the
-qubit becomes fixed at its outcome.  Any other op on a plus qubit puts
-it back into the rows with both halves equal, and so do every other
-measurement, whose in-order sum reads its terms twice, and the final
-state.  Every other qubit stays live.  Every nonzero amplitude is
-bit-identical to evolving full 2^n-amplitude rows, up to the sign of a
-zero real or imaginary part: X on a live qubit multiplies by 1 + 0j,
-which can turn a -0.0 part into +0.0, and on a fixed one flips a bit.
-Shot ``i`` draws its measurement randomness from the Philox counter
-block reserved for shot ``i`` (see :mod:`qsim.rng`), so a fixed seed
-gives the same counts, whatever the batch.  Histogram keys are
-classical-bit strings, bit 0 first, with ``0`` recording the +1
+distinct classical history rather than one per shot, over the qubits
+that need amplitudes; :class:`_Histories` describes the rows and the
+qubits they leave out.  Shot ``i`` draws its measurement randomness from
+the Philox counter block reserved for shot ``i`` (see :mod:`qsim.rng`),
+so a fixed seed gives the same counts, whatever the batch.  Histogram
+keys are classical-bit strings, bit 0 first, with ``0`` recording the +1
 outcome.
 """
 
@@ -83,7 +56,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -94,13 +67,11 @@ from .circuit import (
     ORACLE,
     BooleanFunction,
     Circuit,
-    CircuitOp,
     GateApp,
     GateKind,
     Measure,
     OracleApp,
     PauliAxis,
-    check_op,
     gate_matrix,
     op_table,
     validate,  # unused here; perfbench's tracer self-test checks this binding
@@ -148,13 +119,6 @@ class PureState:
         if amps.shape != (1 << self.n,):
             raise ValueError(f"amplitude vector must have length {1 << self.n}")
         object.__setattr__(self, "amps", amps)
-
-
-@dataclass(frozen=True)
-class MeasureOutcome:
-    outcome: int  # +1 or -1
-    p_plus: float
-    state: PureState
 
 
 def init_state(n: int, bits: str | None = None) -> PureState:
@@ -246,15 +210,6 @@ def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
     x1[...] = tmp
 
 
-def _apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
-    if op.kind is GateKind.I:
-        return
-    if op.kind is GateKind.CNOT:
-        _apply_cnot(amps, n, op.targets[0], op.targets[1])
-    else:
-        _apply_1q(amps, n, op.targets[0], _ENTRIES[op.kind])
-
-
 # Inputs of an oracle fixed by plain indices: up to 2**3 table rows are
 # visited one by one, and index arrays pick each row's slabs over the rest.
 _ORACLE_PLAIN_INPUTS = 3
@@ -297,43 +252,6 @@ def _apply_oracle(amps: np.ndarray, n: int, op: OracleApp) -> None:
         v[i1] = half0
 
 
-def _swap_halves(amps: np.ndarray, n: int, q: int) -> None:
-    """Swap qubit q's halves by copies, as an oracle whose f is 1 does."""
-    v = _split(amps, n, q)
-    half0 = v[..., 0, :].copy()
-    v[..., 0, :] = v[..., 1, :]
-    v[..., 1, :] = half0
-
-
-def _apply(amps: np.ndarray, n: int, op: CircuitOp) -> None:
-    """Apply an unconditioned gate or an oracle in place."""
-    if isinstance(op, GateApp):
-        _apply_gate(amps, n, op)
-    else:
-        _apply_oracle(amps, n, op)
-
-
-def apply_op(state: PureState, op: CircuitOp, cbits: Iterable[int] | None = None) -> PureState:
-    """Apply one op, returning a fresh state (inputs are never mutated).
-
-    ``cbits`` supplies the classical register for conditioned gates.
-    ``Measure`` ops are not handled here — use :func:`measure`.  The op
-    must satisfy the circuit rules of :func:`qsim.circuit.validate` on
-    ``state.n`` qubits.
-    """
-    if isinstance(op, Measure):
-        raise ValueError("apply_op does not measure; use measure()")
-    check_op(op, state.n)
-    amps = state.amps.copy()
-    if isinstance(op, GateApp) and op.condition is not None:
-        if cbits is None:
-            raise ValueError("conditioned gate needs the classical register")
-        if not list(cbits)[op.condition]:
-            return PureState(state.n, amps)
-    _apply(amps, state.n, op)
-    return PureState(state.n, amps)
-
-
 def evolve(circuit: Circuit, start: PureState | None = None) -> PureState:
     """Run a measurement-free, unconditioned circuit and return the state.
 
@@ -347,7 +265,12 @@ def evolve(circuit: Circuit, start: PureState | None = None) -> PureState:
     for op in circuit.ops:
         if isinstance(op, Measure) or (isinstance(op, GateApp) and op.condition is not None):
             raise ValueError("evolve handles gate-only circuits; use run() for measurements")
-        _apply(amps, state.n, op)
+        if isinstance(op, OracleApp):
+            _apply_oracle(amps, state.n, op)
+        elif op.kind is GateKind.CNOT:
+            _apply_cnot(amps, state.n, *op.targets)
+        else:
+            _apply_1q(amps, state.n, op.targets[0], _ENTRIES[op.kind])
     return PureState(state.n, amps)
 
 
@@ -485,23 +408,6 @@ def project(state: PureState, spec: MeasurementSpec, outcome: int) -> tuple[floa
     amps = state.amps.copy()
     _collapse(amps, state.n, spec.qubit, obs, outcome, p)
     return p, PureState(state.n, amps)
-
-
-def measure(state: PureState, spec: MeasurementSpec, rng: np.random.Generator) -> MeasureOutcome:
-    """Sample one projective measurement (Born rule); returns a fresh state.
-
-    A branch that weighs less than the dust is never drawn (:func:`_cut`).
-    """
-    if not 0 <= spec.qubit < state.n:
-        raise ValueError(f"qubit q{spec.qubit} out of range")
-    obs = _observable(spec.axis)
-    e = float(_expectation(state.amps, state.n, spec.qubit, obs))
-    p_plus = min(max(0.5 * (1.0 + e), 0.0), 1.0)
-    outcome = 1 if rng.random() < _cut(p_plus) else -1
-    p = p_plus if outcome == 1 else 1.0 - p_plus
-    amps = state.amps.copy()
-    _collapse(amps, state.n, spec.qubit, obs, outcome, p)
-    return MeasureOutcome(outcome, p_plus, PureState(state.n, amps))
 
 
 def _walk(amps: np.ndarray, n: int, levels: list, w: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -672,7 +578,11 @@ class _Histories:
     evolution, up to the sign of a zero part: the left-out amplitudes are
     exact zeros, which no kernel turns into anything else, the kernels
     are elementwise, and every ``<O>`` sum adds the same nonzero terms in
-    the same order.
+    the same order.  A product with 1 + 0j can turn a -0.0 part into
+    +0.0, and the two take it in different places: X on a fixed qubit
+    flips its bit here where the full vector multiplies, and an oracle
+    part that is 1 everywhere multiplies a live output here where the
+    full vector swaps it by copies.
     """
 
     def __init__(self, n: int, n_cbits: int):
@@ -827,17 +737,12 @@ class _Histories:
         else:
             q = targets[0]
         u = _ENTRIES[kind]
-        if q in self.at and q not in self.copies:
-            self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
-            return
-        if kind is GateKind.H:
+        if kind is GateKind.H and (q not in self.at or q in self.copies):
             self._free(q)
-            self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
-            return
         flip = int(u[0] == 0)
-        if q in self.at:  # a coordinate: X and Y leave its copies' values as they were
+        if q in self.at:  # X and Y leave a coordinate's copies' values as they were
             self._on_rows(mask, _apply_1q, len(self.live), self.at[q], u)
-            if flip:
+            if flip and q in self.copies:
                 for t in self.copies[q]:
                     self.base[slice(None) if mask is None else mask] ^= 1 << _bitpos(self.n, t)
             return
@@ -918,7 +823,7 @@ class _Histories:
             self._insert(out)
         n, j = len(self.live), self.at[out]
         if ones is not None:
-            self._on_rows(ones, _swap_halves, n, j)
+            self._on_rows(ones, _apply_1q, n, j, _ENTRIES[GateKind.X])
         at = tuple(self.at[inputs[i]] for i in live)
         for key, rows in parts.items():
             f = BooleanFunction(len(live), key)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from test_statevector import draw
 
 from qsim.bench import bench_scaling, dispatch_run, random_clifford_circuit
 from qsim.circuit import (
@@ -55,11 +56,10 @@ from qsim.stabilizer import run as run_tableau
 from qsim.statevector import (
     MeasurementSpec,
     PureState,
-    apply_op,
     equal_up_to_global_phase,
     evolve,
     init_state,
-    measure,
+    project,
 )
 from qsim.statevector import run as run_dense
 
@@ -109,7 +109,7 @@ def test_criterion_01_entangler_state_both_backends(say):
 
 def test_criterion_02_born_rule_exact_and_empirical(say):
     plus = evolve(Circuit(1, 0, (GateApp(GateKind.H, (0,)),)))
-    analytic = measure(plus, MeasurementSpec(0, Z), stream(0)).p_plus
+    analytic = project(plus, MeasurementSpec(0, Z), 1)[0]
     sampled = Circuit(1, 1, (GateApp(GateKind.H, (0,)), Measure(0, Z, 0)))
     counts = run_dense(sampled, 100_000, seed=12).counts
     freq = counts.get("0", 0) / 100_000
@@ -183,19 +183,18 @@ def _trajectory_gap(circuit: Circuit, seed: int) -> float:
     worst = 0.0
     for op in circuit.ops:
         if isinstance(op, Measure):
-            out = measure(state, MeasurementSpec(op.qubit, op.axis), g)
-            state = out.state
-            bit = (1 - out.outcome) // 2
+            outcome, p_plus, state = draw(state, MeasurementSpec(op.qubit, op.axis), g.random())
+            bit = (1 - outcome) // 2
             t_out = measure_pauli(tab, op.qubit, op.axis, force_bit=bit)
-            worst = max(worst, abs(t_out.p_plus - out.p_plus))
+            worst = max(worst, abs(t_out.p_plus - p_plus))
             cbits[op.dest] = bit
         elif op.condition is not None:
             if cbits[op.condition]:
                 bare = GateApp(op.kind, op.targets)
-                state = apply_op(state, bare)
+                state = evolve(Circuit(circuit.n_qubits, 0, (bare,)), state)
                 apply_clifford(tab, bare)
         else:
-            state = apply_op(state, op)
+            state = evolve(Circuit(circuit.n_qubits, 0, (op,)), state)
             apply_clifford(tab, op)
     return worst
 

@@ -4,6 +4,7 @@ command-line entry point (exercised in-process via cli_dispatch)."""
 import ast
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from qsim.lang import format_circuit
 from qsim.result import RunResult
 from qsim.lhv import (
     PAULI_ALPHABET,
+    LocalModel,
     correlator,
     model_table,
     table_vector,
@@ -453,6 +455,21 @@ def test_cli_run_register_too_large_to_allocate_exits_3(tmp_path, capsys, text, 
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
+def test_cli_run_past_the_dense_limit_exits_3(tmp_path, capsys):
+    # an s gate keeps the circuit off the tableau, and 25 qubits are one
+    # past what the dense backend holds
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 25\ns q0\n")
+    assert cli_dispatch(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: 25 qubits exceeds the dense limit of 24\n"
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab"])
+def test_cli_run_zero_shots_exits_2(bell_file, capsys, backend):
+    assert cli_dispatch(["run", bell_file, "--shots", "0", "--backend", backend]) == 2
+    assert capsys.readouterr().err == "error: shots must be positive\n"
+
+
 def test_cli_usage_error_exits_2(bell_file, capsys):
     assert cli_dispatch(["run", bell_file, "--backend", "qasm"]) == 2
     capsys.readouterr()
@@ -650,6 +667,39 @@ def test_cli_lhv_simulate_hand_written_model(tmp_path):
     sim = json.loads(out.read_text())
     assert sim["bits_used_per_shot"] == 1
     assert sim["profiles"]["X|X"]["dist"] == {"++": 1.0}
+
+
+def test_cli_lhv_simulate_bloch_axis_model(tmp_path, capsys):
+    # A model over Bloch axes, found through the API: GHZ3 over the
+    # equatorial axes at phi = 0, pi/2 and pi has a one-bit model.  Its
+    # file holds each axis as [theta, phi], the simulation reads them
+    # back, its profiles are labelled theta,phi, and two runs give the
+    # same bytes.
+    eq = tuple(qsim.BlochAxis(math.pi / 2, phi) for phi in (0.0, math.pi / 2, math.pi))
+    table = qsim.quantum_table(qsim.ghz_state(3), (eq,) * 3)
+    model = qsim.find_local_model(table, qsim.CommTopology(3, ((1, 0),)))
+    assert isinstance(model, LocalModel)
+    path = tmp_path / "model.json"
+    write_report(model, "json", str(path))
+    doc = json.loads(path.read_text())
+    axes = [[1.57079632679, 0.0], [1.57079632679, 1.57079632679], [1.57079632679, 3.14159265359]]
+    assert doc["alphabets"] == [axes] * 3
+    outs = []
+    for rep in ("a", "b"):
+        out = tmp_path / f"sim-{rep}.json"
+        argv = ["lhv", "simulate", "--model", str(path), "--shots", "2000", "--seed", "3"]
+        assert cli_dispatch(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    labels = ("1.57079632679,0", "1.57079632679,1.57079632679", "1.57079632679,3.14159265359")
+    want = {"|".join(p) for p in itertools.product(labels, repeat=3)}
+    assert set(json.loads(outs[0])["profiles"]) == want
+    for entry, message in (([1.0], "bad axis entry [1.0] in model file"),
+                           ([4.0, 0.0], "theta must lie in [0, pi]")):
+        doc["alphabets"][0][0] = entry
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["lhv", "simulate", "--model", str(path), "--shots", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

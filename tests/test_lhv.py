@@ -31,7 +31,6 @@ from qsim.lhv import (
     index_outcomes,
     mermin_correlators,
     model_table,
-    outcome_index,
     quantum_table,
     simulate_model,
     singlet_state,
@@ -45,6 +44,14 @@ X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
 
 NO_COMM_2 = CommTopology(2, ())
 NO_COMM_3 = CommTopology(3, ())
+
+
+def outcome_index(outcomes: tuple[int, ...]) -> int:
+    """Pack a tuple of +1/-1 outcomes into the canonical row index."""
+    idx = 0
+    for o in outcomes:
+        idx = (idx << 1) | (1 if o == -1 else 0)
+    return idx
 
 
 def prob(table, profile, outcomes):
@@ -558,12 +565,53 @@ def test_exact_polish_beyond_int64_denominators():
 
 
 def test_exact_polish_switches_to_python_ints(monkeypatch, ghz_pauli_table, ghz_bit_model):
-    # entries that outgrow the int64 limit move to Python ints mid-solve
-    # and give the same weights
+    # with a limit below every target the polish runs in Python ints
+    # from the start, and gives the same weights
     monkeypatch.setattr(lhv, "_EXACT_INT64_LIMIT", 2)
     model = find_local_model(ghz_pauli_table, CommTopology(3, ((1, 0),)))
     assert model.exact_weights == ghz_bit_model.exact_weights
     assert model.strategies == ghz_bit_model.strategies
+
+
+class _OuterSpy:
+    """numpy as ``lhv`` sees it, except that ``outer`` records the dtype
+    of its first operand: one elimination step's pivot column."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def outer(self, a, b):
+        self.dtypes.append(a.dtype)
+        return np.outer(a, b)
+
+
+def test_exact_polish_switches_to_python_ints_mid_elimination(monkeypatch):
+    # The targets scale to 4, 4 and 2 over their denominator 5, and the
+    # sum row to 5, all below a limit of 6: the elimination starts in int64.  Its second step
+    # makes an entry of 6, so the last step runs in Python ints, and the
+    # weights are the same.  (A Pauli GHZ search cannot show this: its
+    # entries never outgrow the common denominator.)
+    cols = np.array([[0, 2], [1, 2], [0, 1]])
+    fracs = [Fraction(4, 5), Fraction(4, 5), Fraction(2, 5)]
+    want = [Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)]
+    assert lhv._solve_exact_support(cols, fracs, 3) == want
+    spy = _OuterSpy()
+    monkeypatch.setattr(lhv, "_EXACT_INT64_LIMIT", 6)
+    monkeypatch.setattr(lhv, "np", spy)
+    assert lhv._solve_exact_support(cols, fracs, 3) == want
+    assert spy.dtypes == [np.int64, np.int64, object]
+
+
+def test_dependent_support_columns_fall_back():
+    # two equal columns leave the second without a pivot: no exact
+    # weights, so the caller keeps the LP's float weights
+    fracs = [Fraction(1), Fraction(0), Fraction(1)]
+    cols = np.array([[0, 2], [0, 2]])
+    assert lhv._solve_exact_support(cols[:1], fracs, 3) == [Fraction(1)]
+    assert lhv._solve_exact_support(cols, fracs, 3) is None
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,29 @@ from qsim.statevector import (
     evolve,
     init_state,
     joint_probabilities,
-    measure,
     project,
     run,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def apply_gate(amps: np.ndarray, n: int, op: GateApp) -> None:
+    """One unconditioned gate in place, on a state or on the rows of a
+    batch, by the kernel ``evolve`` and ``run`` call for it."""
+    if op.kind is GateKind.CNOT:
+        sv._apply_cnot(amps, n, *op.targets)
+    else:
+        sv._apply_1q(amps, n, op.targets[0], sv._ENTRIES[op.kind])
+
+
+def draw(state: PureState, spec: MeasurementSpec, u: float) -> tuple[int, float, PureState]:
+    """One measurement, its outcome drawn as ``run`` draws it: +1 when the
+    uniform ``u`` falls below ``_cut(p_plus)``.  Returns the outcome,
+    ``p_plus`` and the state :func:`project` collapses to it."""
+    p_plus = project(state, spec, 1)[0]
+    outcome = 1 if u < sv._cut(p_plus) else -1
+    return outcome, p_plus, project(state, spec, outcome)[1]
 
 
 def kron_reference(circuit: Circuit) -> np.ndarray:
@@ -158,7 +175,7 @@ def test_evolve_rejects_measurement_and_condition():
         evolve(Circuit(1, 1, (GateApp(GateKind.X, (0,), condition=0),)))
 
 
-def test_evolve_apply_op_and_measure_leave_their_input_unchanged():
+def test_evolve_and_project_leave_their_input_unchanged():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     start = PureState(3, amps / np.linalg.norm(amps))
@@ -174,17 +191,16 @@ def test_evolve_apply_op_and_measure_leave_their_input_unchanged():
     assert np.array_equal(start.amps, before)
     stepped = start
     for op in c.ops:
-        stepped = sv.apply_op(stepped, op)
+        stepped = evolve(Circuit(3, 0, (op,)), stepped)
     assert np.array_equal(out.amps, stepped.amps)
     assert np.array_equal(start.amps, before)
     project(start, MeasurementSpec(1, PauliAxis.X), -1)
-    measure(start, MeasurementSpec(2, PauliAxis.Z), stream(3))
     assert np.array_equal(start.amps, before)
 
 
-def test_apply_op_rejects_a_cnot_on_one_qubit():
+def test_evolve_rejects_a_cnot_on_one_qubit():
     with pytest.raises(ValueError, match="cnot needs two distinct qubits"):
-        sv.apply_op(init_state(2), GateApp(GateKind.CNOT, (1, 1)))
+        evolve(Circuit(2, 0, (GateApp(GateKind.CNOT, (1, 1)),)))
 
 
 def test_norm_preserved_over_random_walks():
@@ -193,7 +209,7 @@ def test_norm_preserved_over_random_walks():
     state = init_state(4)
     for _ in range(200):
         op = GateApp(kinds[rng.integers(6)], (int(rng.integers(4)),))
-        state = sv.apply_op(state, op)
+        state = evolve(Circuit(4, 0, (op,)), state)
     assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -226,25 +242,9 @@ def test_project_outcome_must_be_plus_or_minus_one():
 
 
 def test_measure_raises_on_impossible_branch():
-    zero = init_state(1)
-
-    class AlwaysHigh:
-        def random(self):
-            return 0.999999
-
-    # Z on |0> is deterministic +1; the rng draw cannot pick the dead branch
-    out = measure(zero, MeasurementSpec(0, PauliAxis.Z), AlwaysHigh())
-    assert out.outcome == 1 and out.p_plus == 1.0
-
-
-class _Fixed:
-    """A generator whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+    # Z on |0> is deterministic +1; the draw cannot pick the dead branch
+    outcome, p_plus, _ = draw(init_state(1), MeasurementSpec(0, PauliAxis.Z), 0.999999)
+    assert outcome == 1 and p_plus == 1.0
 
 
 @pytest.mark.parametrize("s_gates, outcome", [(8, 1), (4, -1)])
@@ -260,7 +260,7 @@ def test_a_branch_below_the_dust_is_never_drawn(s_gates, outcome, monkeypatch):
         monkeypatch.setattr(sv, "shot_uniforms", lambda seed, shots, n_meas, first_shot=0:
                             np.full((shots, n_meas), u))
         assert run(circuit, 16, 1).counts == {str((1 - outcome) // 2): 16}
-        assert measure(state, MeasurementSpec(0, PauliAxis.Z), _Fixed(u)).outcome == outcome
+        assert draw(state, MeasurementSpec(0, PauliAxis.Z), u)[0] == outcome
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, 2.0, math.pi])
@@ -486,10 +486,9 @@ def test_run_rejects_invalid_circuit():
 
 
 def test_collapse_renormalizes():
-    rng = stream(2024)
     state = evolve(ghz(3))
-    out = measure(state, MeasurementSpec(1, PauliAxis.X), rng)
-    assert np.linalg.norm(out.state.amps) == pytest.approx(1.0, abs=1e-12)
+    _, _, collapsed = draw(state, MeasurementSpec(1, PauliAxis.X), stream(2024).random())
+    assert np.linalg.norm(collapsed.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +511,7 @@ def replay_shots(circuit: Circuit, shots: int, seed: int) -> tuple[dict[str, int
                 sv._apply_oracle(amps, n, op)
             elif isinstance(op, GateApp):
                 if op.condition is None or bits[op.condition]:
-                    sv._apply_gate(amps, n, op)
+                    apply_gate(amps, n, op)
             else:
                 obs = sv._observable(op.axis)
                 e = float(sv._expectation(amps, n, op.qubit, obs))
@@ -609,14 +608,14 @@ def full_vector_run(circuit: Circuit, shots: int, seed: int, keep_final_state: b
         for op in circuit.ops:
             if isinstance(op, GateApp):
                 if op.condition is None:
-                    sv._apply_gate(amps, n, op)
+                    apply_gate(amps, n, op)
                 else:
                     mask = cbits[:, op.condition] == 1
                     if mask.all():
-                        sv._apply_gate(amps, n, op)
+                        apply_gate(amps, n, op)
                     elif mask.any():
                         sub = amps[mask]
-                        sv._apply_gate(sub, n, op)
+                        apply_gate(sub, n, op)
                         amps[mask] = sub
             elif isinstance(op, OracleApp):
                 sv._apply_oracle(amps, n, op)
@@ -717,7 +716,9 @@ def _gate(kind: str, *qubits: int, cif: int | None = None) -> GateApp:
 # (i) q1 copied onto q2, then the copy q2 onto the lower q0, so q0 is
 #     q1 XOR both bits and the axis moves by that XOR, before Y on q0;
 #     q0 and q1 measured in Z into new bits then show the XOR;
-# (j) the same copies left in place for the final state.
+# (j) the same copies left in place for the final state;
+# (k), (l) X and Y on the coordinate q0 while q1 copies it, conditioned on
+#     q2's bit, which holds in some rows only.
 _COPIES = (
     _after_measuring_all(_gate("H", 1), _gate("H", 2), _gate("S", 2), _gate("CNOT", 2, 0),
                          Measure(1, PauliAxis.X, 1)),
@@ -734,6 +735,8 @@ _COPIES = (
                    Measure(0, PauliAxis.Z, 3), Measure(1, PauliAxis.Z, 4))),
     _after_measuring_all(_gate("H", 1), _gate("S", 1), _gate("CNOT", 1, 2), _gate("CNOT", 2, 0),
                          _gate("Y", 0), tail=False),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("X", 0, cif=2)),
+    _after_measuring_all(_gate("H", 0), _gate("S", 0), _gate("CNOT", 0, 1), _gate("Y", 0, cif=2)),
 )
 
 
@@ -799,6 +802,8 @@ _PLUS = (
 @example(circuit=_COPIES[7], shots=64, seed=11, chunk=120)
 @example(circuit=_COPIES[8], shots=64, seed=12, chunk=120)
 @example(circuit=_COPIES[9], shots=64, seed=13, chunk=120)
+@example(circuit=_COPIES[10], shots=64, seed=25, chunk=120)
+@example(circuit=_COPIES[11], shots=64, seed=26, chunk=120)
 @example(circuit=_PLUS[0], shots=64, seed=14, chunk=120)
 @example(circuit=_PLUS[1], shots=64, seed=15, chunk=120)
 @example(circuit=_PLUS[2], shots=64, seed=16, chunk=120)
@@ -910,7 +915,7 @@ def test_a_fresh_h_leaves_its_qubit_out_of_the_rows():
     full = np.zeros((1, 8), dtype=np.complex128)
     full[0, 0] = 1.0
     for q in range(3):
-        sv._apply_gate(full, 3, GateApp(GateKind.H, (q,)))
+        apply_gate(full, 3, GateApp(GateKind.H, (q,)))
     for r, outcome in enumerate((1.0, -1.0)):
         want = full.copy()
         sv._collapse(want, 3, 1, sv._observable(PauliAxis.Z), outcome, 0.5)
@@ -1048,7 +1053,7 @@ def test_kernels_match_index_array_reference(case, theta, phi):
     for op in ops:
         want, got = amps.copy(), amps.copy()
         ref_apply_gate(want, n, op)
-        sv._apply_gate(got, n, op)
+        apply_gate(got, n, op)
         assert np.array_equal(got, want), op
 
     axes = list(PauliAxis) + [BlochAxis(theta, phi), BlochAxis(0.0, phi)]
