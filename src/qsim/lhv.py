@@ -705,17 +705,12 @@ def find_local_model(
     distinct tables the deterministic strategies induce: strategies
     with the same table are one vertex of the polytope, so each table
     enters once, represented by its lowest-numbered strategy (which
-    keeps the returned models deterministic).  It is solved by column
-    generation (:func:`_phase_one`): a restricted phase-1 master LP
-    that minimises the target's residual over a few columns, priced
-    against every distinct table by its duals each round, so the LP
-    stays a small fraction of the strategy space.  When the residual
-    reaches zero the master's support is polished to exact rational
-    weights whenever the target snaps to small rationals (all
-    Pauli-alphabet tables do); when no column prices out first, the
-    last duals are the separating inequality, whose bound is re-taken
-    over every distinct table, hence every strategy.  One LP family
-    answers both ways.
+    keeps the returned models deterministic).  :func:`_phase_one` solves
+    it by column generation.  When it reaches the target, the support is
+    polished to exact rational weights whenever the target snaps to small
+    rationals (all Pauli-alphabet tables do); otherwise its last duals
+    are the separating inequality, whose bound is re-taken over every
+    distinct table, hence every strategy.
 
     The solver's freed working memory goes back to the operating system
     before the call returns (:func:`_release_freed_heap`).
@@ -783,29 +778,24 @@ def _search_local_model(
 
     cols = tables[support] + offsets
     fracs = _snap_dyadic(t)
-    if fracs is not None:
-        exact = _solve_exact_support(cols, fracs, n_rows)
-        if exact is not None:
-            kept = [(int(col_ids[j]), x) for j, x in zip(support, exact) if x != 0]
-            return LocalModel(
-                strategies=tuple(layout.strategy(s) for s, _ in kept),
-                weights=tuple(float(x) for _, x in kept),
-                topology=topology,
-                alphabets=alphabets,
-                exact_weights=tuple(x for _, x in kept),
-            )
-
-    w_sup = w_sup / w_sup.sum()
-    recon = np.zeros(n_rows)
-    np.add.at(recon, cols.ravel(), np.repeat(w_sup, n_profiles))
-    if np.max(np.abs(recon - t)) > 1e-9:
-        raise QsimError("feasible LP solution fails reconstruction at 1e-9")
+    exact = None if fracs is None else _solve_exact_support(cols, fracs, n_rows)
+    if exact is None:
+        w_sup = w_sup / w_sup.sum()
+        recon = np.zeros(n_rows)
+        np.add.at(recon, cols.ravel(), np.repeat(w_sup, n_profiles))
+        if np.max(np.abs(recon - t)) > 1e-9:
+            raise QsimError("feasible LP solution fails reconstruction at 1e-9")
+        weights = tuple(w_sup.tolist())
+    else:
+        support = support[[x != 0 for x in exact]]
+        exact = tuple(x for x in exact if x != 0)
+        weights = tuple(float(x) for x in exact)
     return LocalModel(
-        strategies=tuple(layout.strategy(int(s)) for s in col_ids[support]),
-        weights=tuple(float(x) for x in w_sup),
+        strategies=tuple(layout.strategy(s) for s in col_ids[support].tolist()),
+        weights=weights,
         topology=topology,
         alphabets=alphabets,
-        exact_weights=None,
+        exact_weights=exact,
     )
 
 

@@ -33,69 +33,14 @@ XORs its condition bit's form into the rows it flips.  Classical bits
 are forms too.  A single tableau (:func:`init_tableau` with no coins)
 has constant forms, and its signs are plain bits.
 
-Shots meet only at the ends of a block of :func:`run`: a block's coins
-are drawn first as packed bytes (``qsim.rng.shot_uniforms(..., coins=True)``,
-under the same stream discipline as the dense backend), and every
-classical bit is one GF(2) product over them (:func:`_write_keys`),
-written straight into the block's packed key words, which
-:func:`qsim.result.count_keys` sorts as they are.  Sign work does not
-grow with shots, and memory grows only with a block's coin bytes and
-keys.
-
-:func:`run` reads the circuit's op table (:func:`qsim.circuit.op_table`),
-never its op objects: the gates between two barriers (a measurement or
-a conditioned op) as slices of the kind, qubit and target columns, a
-run of consecutive measurements as ``(qubit, axis, dest)`` rows
-(:func:`_segments`).
-
-Gates act on bit columns.  Every gate rule reads and writes only the X
-and Z columns of its own qubits, so :func:`_apply_gates` takes a run of
-gates between two barriers at once:
-it gathers the touched qubits' columns as Python ints over the 2n rows,
-applies each gate in program order with a few int operations (H swaps
-X and Z, R XORs X into Z, a CNOT XORs Xc into Xt and Zt into Zc, the
-Paulis change no column), folds every sign flip into one int, and
-writes back only the columns that changed.  The same kernel applies a
-lone gate, :func:`apply_clifford` and the conditioned gates.
-
-A measurement is O(n^2) bit operations worst case.  Measurement of a
-Pauli P on qubit q that anticommutes with some stabilizer row is a fair
-coin (``p_plus`` is exactly 0.5); otherwise the outcome is determined
-(``p_plus`` is exactly 0 or 1) and is the sign of the product of the
-stabilizer rows flagged by the destabilizers.  A row anticommutes with
-Z_q where its x bit at q is set, with X_q where its z bit is, and with
-Y_q where the two differ, so X and Y are measured directly, with no
-change of basis; a random outcome leaves X_q or Y_q as the new
-stabilizer row.  The flagged rows commute, so the product's phase is a
-sum of per-row terms and of one term per pair of rows.
-
-A run of consecutive measurements is classified a window at a time from
-one read of which rows anticommute with them (:func:`_anticommuting`,
-the one reader of that question), in :func:`_measure_run`.  A determined
-measurement leaves the tableau as it is, and its outcome waits inside
-its run of measurements, which answers its waiting outcomes at once
-(:func:`_determined`) when it ends.  Deferring them past the run's
-random measurements is exact.  A determined Pauli P is in the
-stabilizer group with some sign form s.  A random measurement of a
-Pauli Q on another qubit commutes with P, so P stays in the group after
-the collapse, with the same sign for every value of the coins: read
-from the later tableau, its form is an affine form equal to s as a
-function of the coins, and affine forms over GF(2) that agree
-everywhere are the same form.  Only a random measurement of P's own
-qubit (along another axis, since P itself is determined) takes P out of
-the group, so the waiting outcomes are answered first when the run has
-measured the collapsing qubit; a waiting outcome whose bit the random
-outcome overwrites is dropped.
-
-Every GF(2) product of the backend is one kernel, :func:`_product`, the
-Method of Four Russians (Albrecht, Bard & Hart, arXiv:0811.1714): byte
-tables of every XOR of 8 rows of the right factor, read by each row's
-bytes of the left, in bounded chunks and one contiguous range of rows
-per usable core.  The shot keys are the coins times the bits' forms.
-The waiting outcomes of a run, with D their flags over the stabilizer
-rows, are D times the rows' forms, and their phases are a quadratic
-form in D over the rows' X-times-Z parities, two more products.  GHZ-n
-measured in full is one coin and one :func:`_determined` call.
+A block of :func:`run`'s shots shares one pass over the circuit's op
+table.  A run of gates between two barriers is one :func:`_apply_gates`
+call, and a run of consecutive measurements one :func:`_measure_run`
+call, which also measures for :func:`measure_pauli` and
+:func:`to_statevector`.  Determined outcomes wait to the end of their
+run and are answered together by :func:`_determined`.  The block's keys
+are the coins times the bits' forms (:func:`_write_keys`), and every
+GF(2) product is one kernel, :func:`_product`.
 """
 
 from __future__ import annotations
@@ -145,19 +90,10 @@ class Tableau:
     __slots__ = ("n", "block", "_x", "_z", "_r")
 
     def __init__(self, n: int, x: np.ndarray, z: np.ndarray, r: np.ndarray):
-        self._hold(n, np.concatenate((x, z, r), axis=1, dtype=np.uint64), x.shape[1])
-
-    def _hold(self, n: int, block: np.ndarray, words: int) -> None:
-        self.n, self.block = n, block
-        self._x, self._z = block[:, :words], block[:, words : 2 * words]
-        self._r = block[:, 2 * words :]
-
-    @classmethod
-    def _of(cls, n: int, block: np.ndarray, words: int) -> "Tableau":
-        """The tableau whose row block is ``block`` itself."""
-        t = cls.__new__(cls)
-        t._hold(n, block, words)
-        return t
+        words = x.shape[1]
+        self.n, self.block = n, np.concatenate((x, z, r), axis=1, dtype=np.uint64)
+        self._x, self._z = self.block[:, :words], self.block[:, words : 2 * words]
+        self._r = self.block[:, 2 * words :]
 
     x = property(lambda t: t._x, lambda t, v: t._x.__setitem__(..., v))
     z = property(lambda t: t._z, lambda t, v: t._z.__setitem__(..., v))
@@ -168,7 +104,7 @@ class Tableau:
         return self._x.shape[1]
 
     def copy(self) -> "Tableau":
-        return Tableau._of(self.n, self.block.copy(), self.words)
+        return Tableau(self.n, self._x, self._z, self._r)
 
     def __repr__(self) -> str:
         return f"Tableau(n={self.n}, x={self._x!r}, z={self._z!r}, r={self._r!r})"
@@ -187,7 +123,7 @@ def init_tableau(n: int, coins: int = 0) -> Tableau:
     bits = _ONE << (rows & 63).astype(np.uint64)
     block[rows, rows >> 6] = bits
     block[n + rows, words + (rows >> 6)] = bits
-    return Tableau._of(n, block, words)
+    return Tableau(n, block[:, :words], block[:, words : 2 * words], block[:, 2 * words :])
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +435,7 @@ def _anticommuting(t: Tableau, meas: Sequence[tuple], rows: slice = slice(None))
     return both[:, : len(cols)] != both[:, len(cols) :]
 
 
-def _collapse(t: Tableau, q: int, axis: PauliAxis, rows: np.ndarray, k: int,
-              bit: int = 1) -> np.ndarray:
+def _collapse(t: Tableau, q: int, axis: PauliAxis, rows: np.ndarray, k: int) -> np.ndarray:
     """A random measurement of the Pauli ``axis`` on qubit q, whose
     :func:`_anticommuting` column flags ``rows``, ascending, some of them
     stabilizers.
@@ -508,8 +443,7 @@ def _collapse(t: Tableau, q: int, axis: PauliAxis, rows: np.ndarray, k: int,
     The first flagged stabilizer, row p, multiplies onto every other
     flagged row (:func:`_rowsum_many`), moves to its destabilizer as one
     row copy, and takes the measured Pauli as its row.  Returns the
-    outcome's form: ``bit`` times variable ``k``, a run's k-th coin, or
-    the constant bit ``bit`` for k = 0.
+    outcome's form: variable ``k``, a run's k-th coin.
     """
     n, w, block = t.n, t.words, t.block
     p = int(rows[rows.searchsorted(n)])
@@ -523,21 +457,8 @@ def _collapse(t: Tableau, q: int, axis: PauliAxis, rows: np.ndarray, k: int,
         block[p, at] = b
     if axis is not PauliAxis.X:
         block[p, w + at] = b
-    block[p, 2 * w + (k >> 6)] = bit << (k & 63)
+    block[p, 2 * w + (k >> 6)] = 1 << (k & 63)
     return t.r[p].copy()
-
-
-def _measure_axis(t: Tableau, q: int, axis: PauliAxis, k: int, bit: int = 1):
-    """Measure the Pauli ``axis`` on qubit q.
-
-    Returns ``(outcome, random)``: the outcome's form (value 0 records
-    the +1 outcome) and whether it was a fair coin, a random outcome
-    being :func:`_collapse`'s.
-    """
-    rows = _anticommuting(t, [(q, axis)])[:, 0].nonzero()[0]
-    if rows[-1] >= t.n:
-        return _collapse(t, q, axis, rows, k, bit), True
-    return _determined(t, [(q, axis)])[0], False
 
 
 def _determined(t: Tableau, meas: list[tuple[int, PauliAxis]]) -> np.ndarray:
@@ -652,11 +573,15 @@ def measure_pauli(
         if rng is None:
             raise ValueError("need rng (or force_bit)")
         bit = int(rng.random() >= 0.5)  # u < 1/2 means +1
-    outcome, random = _measure_axis(t, qubit, axis, 0, bit)
-    got = int(outcome[0])
+    forms = np.zeros((1, t.r.shape[1]), dtype=np.uint64)
+    _measure_run(t, forms, [(qubit, axis, 0)], 0)
+    form = int(forms[0, 0])
+    if form >> 1:  # a random outcome is coin variable 1: the bit takes its place
+        t.r[:, 0] ^= ((t.r[:, 0] >> 1) & 1) * (2 | bit)
+    got = (form & 1) ^ (form >> 1) * bit
     if force_bit is not None and got != force_bit:
         raise DegenerateNorm("forced outcome has probability zero")
-    return TableauMeasurement(1 - 2 * got, 0.5 if random else float(got == 0))
+    return TableauMeasurement(1 - 2 * got, 0.5 if form >> 1 else float(got == 0))
 
 
 def _require_constant(t: Tableau, caller: str) -> None:
@@ -717,15 +642,10 @@ def _write_keys(forms: np.ndarray, coins: np.ndarray, rows: np.ndarray, keys: np
 
 def _values(forms: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """``forms`` evaluated at each row of coin bytes, as ``(shots, m)`` bits:
-    a form's constant XOR the parity of its coin bits (shifted down one,
-    coin k at bit k, as :func:`_write_keys` reads them) AND the coins."""
-    words = forms >> _ONE
-    words[:, :-1] |= forms[:, 1:] << np.uint64(63)
-    reads = words.astype("<u8", copy=False).view(np.uint8)[:, : coins.shape[1]]
-    acc = np.zeros((len(coins), len(forms)), dtype=np.uint8)
-    for b in np.flatnonzero(reads.any(axis=0)).tolist():
-        acc ^= coins[:, b, None] & reads[:, b]
-    return (np.bitwise_count(acc) & 1) ^ (forms[:, 0] & _ONE).astype(np.uint8)
+    the keys :func:`_write_keys` writes, unpacked."""
+    keys = np.zeros((len(coins), (len(forms) + 63) >> 6), dtype=np.uint64)
+    _write_keys(forms, coins, np.arange(len(coins)), keys)
+    return np.unpackbits(keys.astype(">u8", copy=False).view(np.uint8), axis=1, count=len(forms))
 
 
 def _step(groups: list[_Group], gate: _Gates, condition: int, coins: np.ndarray) -> list[_Group]:
@@ -777,7 +697,9 @@ def _measure_run(t: Tableau, cb: np.ndarray, meas: list[tuple[int, PauliAxis, in
     window starts after it with one row, and doubles after a window of
     determined ones, up to ``_BLOCK_BYTES`` of gathered bytes, so a long
     determined run is a few gathers and a run of random ones gathers no
-    column twice.
+    column twice.  Waiting is exact: a determined Pauli commutes with a
+    random measurement on another qubit, so it stays in the group, and
+    its sign, read later, is the same affine form of the coins.
     """
     n = t.n
     waiting: dict[int, tuple[int, PauliAxis]] = {}
@@ -921,21 +843,12 @@ def run(circuit: Circuit, shots: int, seed: int, keep_final_state: bool = False)
 
 
 def _apply_row_to_vector(t: Tableau, row: int, v: np.ndarray) -> np.ndarray:
-    """Apply the signed Pauli string in ``row`` to a dense vector."""
+    """Apply the signed Pauli string in ``row`` to a dense vector.  Qubit q
+    is bit n - 1 - q of a basis index, so the row's bits are reversed."""
     n = t.n
-    x_basis = 0
-    z_basis = 0
-    n_y = 0
-    for q in range(n):
-        w, b = q >> 6, q & 63
-        xq = (int(t.x[row, w]) >> b) & 1
-        zq = (int(t.z[row, w]) >> b) & 1
-        if xq:
-            x_basis |= 1 << (n - 1 - q)
-        if zq:
-            z_basis |= 1 << (n - 1 - q)
-        n_y += xq & zq
-    phase = (1j) ** (n_y % 4) * (-1.0 if int(t.r[row, 0]) else 1.0)
+    x, z = (int.from_bytes(a[row].astype("<u8").tobytes(), "little") for a in (t.x, t.z))
+    x_basis, z_basis = (int(f"{b:0{n}b}"[::-1], 2) for b in (x, z))
+    phase = (1j) ** ((x & z).bit_count() % 4) * (-1.0 if int(t.r[row, 0]) else 1.0)
     y = np.arange(1 << n)
     signs = 1.0 - 2.0 * (np.bitwise_count(y & z_basis) & 1).astype(np.float64)
     out = np.empty_like(v)
@@ -946,20 +859,20 @@ def _apply_row_to_vector(t: Tableau, row: int, v: np.ndarray) -> np.ndarray:
 def to_statevector(t: Tableau) -> PureState:
     """The unique state the stabilizer rows fix, as a dense vector (n <= 20).
 
-    A forced-outcome Z sweep finds one computational basis state in the
-    support; projecting it with (I + S_i)/2 for every stabilizer row
-    rebuilds the state, which is then verified against every row.
+    A Z sweep of every qubit (:func:`_measure_run`) on a copy with n coin
+    variables finds one computational basis state in the support, its
+    bits the outcome forms' constants, every coin at 0; projecting it
+    with (I + S_i)/2 for every stabilizer row rebuilds the state, which
+    is then verified against every row.
     """
     _require_constant(t, "to_statevector")
     n = t.n
     if n > 20:
         raise TooManyQubits(f"{n} qubits exceeds the dense reconstruction limit of 20")
-    probe = t.copy()
-    bits = []
-    for q in range(n):
-        b, _ = _measure_axis(probe, q, PauliAxis.Z, 0, 0)
-        bits.append(int(b[0]))
-    index = int("".join("01"[b] for b in bits), 2)
+    probe = Tableau(n, t.x, t.z, t.r[:, :1])  # n + 1 <= 21 variables fit one word
+    forms = np.zeros((n, 1), dtype=np.uint64)
+    _measure_run(probe, forms, [(q, PauliAxis.Z, q) for q in range(n)], 0)
+    index = int("".join(str(f & 1) for f in forms[:, 0].tolist()), 2)
     v = np.zeros(1 << n, dtype=np.complex128)
     v[index] = 1.0
     for row in range(n, 2 * n):

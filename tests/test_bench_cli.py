@@ -531,6 +531,18 @@ def test_cli_bench_writes_csv_and_growth_note(tmp_path, capsys):
     assert "growth descriptor (stab)" in capsys.readouterr().err
 
 
+def test_cli_bench_dense_writes_csv_and_growth_note(tmp_path, capsys):
+    # the dense sizes run one by one from --min-n to --max-n
+    out = tmp_path / "b.csv"
+    code = cli_dispatch(["bench", "--backend", "sv", "--min-n", "2", "--max-n", "4",
+                         "--depth", "4", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,depth,shots,seconds"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 3, 4]
+    assert "growth descriptor (sv)" in capsys.readouterr().err
+
+
 def test_cli_bench_rejects_inverted_range(capsys):
     code = cli_dispatch(
         ["bench", "--backend", "sv", "--min-n", "5", "--max-n", "3", "--depth", "2"]
@@ -621,6 +633,15 @@ def test_cli_locality_outputs_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_cli_lhv_find_writes_to_stdout_without_out(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    argv = ["lhv", "find", "--state", "singlet"]
+    assert cli_dispatch(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_cli_lhv_bits_topology_mismatch_exits_2(capsys):
     assert cli_dispatch(["lhv", "find", "--state", "ghz3", "--bits", "1"]) == 2
     capsys.readouterr()
@@ -636,6 +657,14 @@ def test_cli_lhv_bad_topology_exits_2(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_cli_lhv_topology_party_must_be_an_integer(capsys):
+    code = cli_dispatch(
+        ["lhv", "find", "--state", "ghz3", "--bits", "1", "--topology", "a>1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad topology entry 'a>1'; parties are integers\n"
 
 
 def test_cli_lhv_simulate_malformed_model_exits_2(tmp_path, capsys):

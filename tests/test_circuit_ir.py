@@ -80,6 +80,18 @@ def test_boolean_function_rejects_non_power_of_two(table):
         BooleanFunction.from_string(table)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BooleanFunction(0, (0,)), "boolean function needs at least one input"),
+    (lambda: BooleanFunction(1, (0, 1, 0)), "truth table has 3 entries, expected 2"),
+    (lambda: BooleanFunction(1, (0, 2)), "truth table entries must be 0 or 1"),
+    (lambda: deutsch(BooleanFunction.from_string("0110")), "deutsch takes a one-bit function"),
+    (lambda: ghz(1), "ghz needs at least two qubits"),
+], ids=["arity-0", "three-entries", "entry-2", "deutsch-two-inputs", "ghz-1"])
+def test_library_constructors_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Validation
 

@@ -444,6 +444,41 @@ def test_local_model_rejects_non_finite_weights(bad):
             LocalModel((strat, strat), weights, NO_COMM_2, alph)
 
 
+_STRATEGY = DeterministicStrategy((((1,),), ((1,),)))
+_WIDE = [BlochAxis(0.1 * k, 0.0) for k in range(17)]  # 17 ** 3 profiles
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrelationTable(((Z,),), {(Z,): np.array([1.0, 0.0])}), "need at least two parties"),
+    (lambda: CorrelationTable(((Z,), (Z,)), {(Z, Z): np.array([1.0, 0.0])}), "has wrong length"),
+    (lambda: CorrelationTable(((Z,), (Z,)), {(Z, Z): np.array([1.5, -0.5, 0.0, 0.0])}),
+     "negative probability in profile"),
+    (lambda: quantum_table(singlet_state(), [PAULI_ALPHABET] * 3),
+     "state has 2 qubits but 3 alphabets given"),
+    (lambda: quantum_table(singlet_state(), [PAULI_ALPHABET, ()]),
+     "every party needs a nonempty alphabet"),
+    (lambda: quantum_table(ghz_state(3), [_WIDE] * 3), "4913 profiles exceeds the cap of 4096"),
+    (lambda: enumerate_strategies(3, (3, 3, 3), NO_COMM_2), "topology party count does not match"),
+    (lambda: enumerate_strategies(2, (3,), NO_COMM_2), "need one alphabet size per party"),
+    (lambda: enumerate_strategies(2, (3, 0), NO_COMM_2), "alphabet sizes must be positive"),
+    (lambda: LocalModel((), (), NO_COMM_2, ((Z,), (Z,))), "a model needs at least one strategy"),
+    (lambda: LocalModel((_STRATEGY,), (1.0,), NO_COMM_2, ((Z,), (Z,)),
+                        exact_weights=(Fraction(1, 2), Fraction(1, 2))),
+     "exact weight count mismatch"),
+], ids=["one-party", "dist-length", "negative-entry", "alphabet-count", "empty-alphabet",
+        "profile-cap", "topology-parties", "size-count", "size-zero", "no-strategies",
+        "exact-count"])
+def test_locality_api_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_strategy_enumeration_slices():
+    strategies = enumerate_strategies(2, (1, 1), NO_COMM_2)
+    assert strategies[1:3] == [strategies[1], strategies[2]]
+    assert strategies[::-1] == [strategies[i] for i in (3, 2, 1, 0)]
+
+
 def test_hand_built_singlet_model_matches_quantum(singlet_pauli_table):
     model = singlet_pauli_lhv()
     assert len(model.strategies) == 8
@@ -612,6 +647,17 @@ def test_dependent_support_columns_fall_back():
     cols = np.array([[0, 2], [0, 2]])
     assert lhv._solve_exact_support(cols[:1], fracs, 3) == [Fraction(1)]
     assert lhv._solve_exact_support(cols, fracs, 3) is None
+
+
+def test_exact_support_refuses_inconsistent_and_negative_weights():
+    # Two profiles of two outcomes each, rows 0-3.  One column on rows 0
+    # and 2 cannot make a target with mass on rows 1 and 3; the columns
+    # on rows (0, 2), (1, 3) and (0, 3) make [0, 1, 1, 0] only with
+    # weights 1, 1 and -1.
+    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+    assert lhv._solve_exact_support(np.array([[0, 2]]), [half] * 4, 4) is None
+    cols = np.array([[0, 2], [1, 3], [0, 3]])
+    assert lhv._solve_exact_support(cols, [zero, one, one, zero], 4) is None
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,11 @@ from qsim.stabilizer import (
     TableauMeasurement,
     _anticommuting,
     _apply_gates,
+    _collapse,
     _Gates,
     _determined,
-    _measure_axis,
     _product,
+    _require_constant,
     _step,
     _values,
     _write_keys,
@@ -83,6 +84,15 @@ def tableau_of(ops, n=3):
     for op in ops:
         apply_clifford(t, op)
     return t
+
+
+def _measure_axis(t, q, axis, k):
+    """Measure the Pauli ``axis`` on qubit q alone, a random outcome as
+    coin variable k: the outcome's form and whether it was random."""
+    rows = _anticommuting(t, [(q, axis)])[:, 0].nonzero()[0]
+    if rows[-1] >= t.n:
+        return _collapse(t, q, axis, rows, k), True
+    return _determined(t, [(q, axis)])[0], False
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +264,36 @@ def _coin_signed(n):
 def test_measure_pauli_needs_single_batch():
     with pytest.raises(ValueError):
         measure_pauli(_coin_signed(2), 1, PauliAxis.Z, stream(0))
+
+
+@pytest.mark.parametrize("seed, force", [(0, None), (3, None), (0, 0), (0, 1)])
+def test_a_random_measure_pauli_leaves_plain_signs(seed, force):
+    # measure_pauli measures through _measure_run, whose random outcome
+    # is coin variable 1; the drawn or forced bit then takes its place in
+    # every row, so no sign form reads variable 1 and the signs stay bits
+    t = tableau_of(ghz(3).ops)
+    out = measure_pauli(t, 0, PauliAxis.Z, None if force is not None else stream(seed), force)
+    assert out.p_plus == 0.5
+    assert not (t.r & np.uint64(2)).any()
+    _require_constant(t, "test")
+    bit = (1 - out.outcome) // 2
+    assert force is None or bit == force
+    again = measure_pauli(t, 2, PauliAxis.Z, force_bit=bit)
+    assert again == TableauMeasurement(out.outcome, 1.0 - bit)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: init_tableau(0), ValueError, "need at least one qubit"),
+    (lambda: init_tableau(2, coins=-1), ValueError, "coins must not be negative"),
+    (lambda: apply_clifford(init_tableau(2), object()), TypeError, "unknown op <object"),
+    (lambda: measure_pauli(init_tableau(2), 2, PauliAxis.Z, stream(0)), ValueError,
+     "qubit q2 out of range"),
+    (lambda: measure_pauli(init_tableau(2), 0, PauliAxis.Z), ValueError,
+     r"need rng \(or force_bit\)"),
+], ids=["no-qubits", "negative-coins", "unknown-op", "qubit-range", "no-rng"])
+def test_tableau_api_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

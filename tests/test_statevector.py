@@ -218,6 +218,27 @@ def test_too_many_qubits():
         init_state(25)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BlochAxis(0.0, 2 * math.pi), r"phi must lie in \[0, 2\*pi\)"),
+    (lambda: PureState(2, np.zeros(3)), "amplitude vector must have length 4"),
+    (lambda: init_state(0), "need at least one qubit"),
+    (lambda: init_state(3, "10"), "bits must be 3 characters of 0/1"),
+    (lambda: project(init_state(2), MeasurementSpec(2, PauliAxis.Z), 1), "qubit q2 out of range"),
+], ids=["phi-2pi", "amps-length", "no-qubits", "short-bits", "project-range"])
+def test_dense_api_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_equal_up_to_global_phase_across_sizes_and_against_zero():
+    # states on different qubit counts are never equal; against the
+    # all-zero vector only a vector within tol of zero is
+    zero = PureState(1, np.zeros(2))
+    assert not equal_up_to_global_phase(init_state(1), init_state(2))
+    assert not equal_up_to_global_phase(init_state(1), zero)
+    assert equal_up_to_global_phase(PureState(1, [1e-11, 0.0]), zero)
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 
